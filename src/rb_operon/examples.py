@@ -220,8 +220,10 @@ class Problem:
 
 def _pencil_floor(a_part, a_star):
     """Smallest generalized eigenvalue of a_part v = lam a_star v."""
+    # a fixed start vector keeps ARPACK, and so alpha_lb, deterministic
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, a_part.shape[0])
     lam = eigsh(a_part.tocsc(), k=1, M=a_star.tocsc(), sigma=0.0,
-                which="LM", return_eigenvectors=False)
+                which="LM", v0=v0, return_eigenvectors=False)
     return float(lam[0])
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .artifacts import (ArtifactDir, load_boundary_modes, load_case2_blocks,
                         load_net, load_source_modes, load_space,
@@ -225,6 +226,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         "max_estimator": gtrace.max_estimator,
         "basis_size": gtrace.basis_size,
         "rounds": gtrace.rounds,
+        "stop_reason": gtrace.stop_reason,
     })
     manifest["dims_trunk"] = {"greedy_n": space_g.dim}
     line_plot(adir.file("greedy_decay.svg"),
@@ -631,7 +633,10 @@ def online_query(bundle, k, a=None, b=None):
         f_rb = float(k[1]) * bundle.online.f_blocks[0]
     c_gal = solve_reduced(a_rb, f_rb)
     r = f_rb - a_rb @ c_net
-    res = float(np.linalg.norm(np.linalg.solve(bundle.chol_star, r)))
+    z, info = dtrtrs(bundle.chol_star.T, r, lower=0, trans=1)
+    if info:
+        raise ValueError(f"dtrtrs failed with info={info}")
+    res = float(np.linalg.norm(z))
     return c_net, c_gal, res
 
 

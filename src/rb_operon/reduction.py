@@ -14,12 +14,15 @@ remainder of the load representers gives
 
 with s(k) the norm of the deflated load representer.  Both pieces are sums
 of squares, so the sweep cannot go negative the way the expanded quadratic
-form does, and only enrichment costs full-order solves.
+form does, and only enrichment costs full-order solves.  The coefficients
+c(k) come from per-sample Cholesky factors of A_N(k) that grow by one
+border row per accepted trunk column, so the sweep never refactorizes one.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import eigsh
 
 from .assembly import interior_factor
@@ -64,6 +67,7 @@ class GreedyTrace:
     max_estimator: list = field(default_factory=list)
     basis_size: list = field(default_factory=list)
     rounds: list = field(default_factory=list)     # sweep-set round ids
+    stop_reason: str = None    # "tolerance", "size" or "dependent_snapshot"
 
 
 def v_orthonormalize(model, psi, candidate, drop_tol=1e-10):
@@ -148,8 +152,11 @@ def solve_reduced(a_rb, f_rb):
         ell = np.linalg.cholesky(a_rb)
     except np.linalg.LinAlgError:
         raise CoercivityViolationError("reduced operator is not SPD")
-    y = np.linalg.solve(ell, f_rb)
-    return np.linalg.solve(ell.T, y)
+    # the F-ordered transpose is the upper factor LAPACK takes without a copy
+    c, info = dpotrs(ell.T, np.asarray(f_rb, dtype=float), lower=0)
+    if info:
+        raise ValueError(f"dpotrs failed with info={info}")
+    return c
 
 
 def rb_galerkin_solve(space, theta_a, f_rb=None, theta_f=None):
@@ -171,6 +178,7 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
         hi = min(lo + chunk, ns)
         mats = (theta_batch[lo:hi] @ flat).reshape(hi - lo, n, n)
         out[lo:hi] = np.linalg.solve(mats, f_batch[lo:hi, :, None])[:, :, 0]
+        del mats   # freed before the next chunk's stack is built
     return out
 
 
@@ -249,10 +257,9 @@ class _SweepState:
                 self._append_u(d / np.sqrt(nrm2))
         self.f_rb = np.vstack([self.f_rb, psi_new @ self.f_hat])
 
-    def estimator_sq(self, model, theta_all, idx, a_blocks, alpha_lb):
-        """eta^2 over the samples in ``idx`` given current reduced blocks."""
+    def estimator_sq(self, theta_all, idx, c, alpha_lb):
+        """eta^2 over the samples in ``idx`` given their RB coefficients ``c``."""
         theta = theta_all[idx]
-        c = solve_reduced_batch(a_blocks, theta, self.f_rb[:, idx].T)
         y = np.zeros((self.m, len(idx)))
         for p, rb in enumerate(self.r_blocks):
             if rb.size:
@@ -260,6 +267,53 @@ class _SweepState:
         y = self.p_f[:, idx] - y
         s2 = np.maximum(self.s2[idx], 0.0)
         return (s2 + np.einsum("ij,ij->j", y, y)) / alpha_lb ** 2
+
+
+class _BorderedCholesky:
+    """Cholesky factors L(k) of A_N(k) for a fixed set of samples.
+
+    Row i of every factor is held as one (n_samples, i + 1) array, together
+    with y(k) = L(k)^-1 f_N(k).  Appending a trunk column borders each factor
+    by one row in O(N^2) per sample, instead of refactorizing in O(N^3).
+    """
+
+    def __init__(self, theta):
+        self.theta = theta                       # (n_samples, Q_a)
+        self.rows = []
+        self.y = np.empty((theta.shape[0], 0))
+
+    def border(self, a_col, f_new):
+        """Append one trunk column.
+
+        ``a_col`` (Q_a, n + 1) is the new column of every reduced block and
+        ``f_new`` (n_samples,) the new reduced load entry of every sample.
+        """
+        n = len(self.rows)
+        col = self.theta @ a_col
+        row = np.empty_like(col)
+        # forward substitution L l = col[:, :n], one factor row at a time
+        for i, prev in enumerate(self.rows):
+            row[:, i] = (col[:, i] - np.einsum("sj,sj->s", prev[:, :i],
+                                               row[:, :i])) / prev[:, i]
+        d2 = col[:, n] - np.einsum("sj,sj->s", row[:, :n], row[:, :n])
+        bad = np.flatnonzero(~(d2 > 0.0))
+        if bad.size:
+            raise CoercivityViolationError(
+                f"reduced operator of sample {bad[0]} is not SPD at "
+                f"dimension {n + 1}")
+        row[:, n] = np.sqrt(d2)
+        self.rows.append(row)
+        y_new = (f_new - np.einsum("sj,sj->s", row[:, :n], self.y)) / row[:, n]
+        self.y = np.column_stack([self.y, y_new])
+
+    def solve(self):
+        """RB coefficients (n_samples, N) by one back substitution."""
+        c = self.y.copy()
+        for j in range(len(self.rows) - 1, -1, -1):
+            row = self.rows[j]
+            c[:, j] /= row[:, j]
+            c[:, :j] -= row[:, :j] * c[:, j:j + 1]
+        return c
 
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
@@ -295,6 +349,12 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         fac = interior_factor(model, samples[idx])
         return fac.solve(f_hat_all[:, idx])
 
+    def factor_sweep():
+        chol = _BorderedCholesky(theta_all[sweep])
+        for j in range(psi.shape[1]):
+            chol.border(a_blocks[:, :j + 1, j], state.f_rb[j, sweep])
+        return chol
+
     # rank-one initial space from the first pool sample
     first = int(sweep[0])
     v = v_orthonormalize(model, None, truth(first))
@@ -303,6 +363,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     psi = v[:, None]
     state.enrich(model, v)
     a_blocks, _ = reduce_operators(model, psi)
+    chol = factor_sweep()
     selected = [first]
     trace.selected.append(first)
     trace.params.append(samples[first].copy())
@@ -311,7 +372,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
 
     while True:
         state.refresh()
-        eta2 = state.estimator_sq(model, theta_all, sweep, a_blocks, alpha_lb)
+        eta2 = state.estimator_sq(theta_all, sweep, chol.solve(), alpha_lb)
         i_loc = int(np.argmax(eta2))
         eta_max = float(np.sqrt(max(eta2[i_loc], 0.0)))
         if len(trace.max_estimator) < len(trace.selected):
@@ -320,15 +381,23 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         done_n = psi.shape[1] >= n_cap
         if done_tol or done_n:
             if done_tol and not done_n and sweep_subset is not None and len(sweep) < ns:
-                # certify the full pool; pull violators into the sweep set
-                eta2_all = state.estimator_sq(model, theta_all,
-                                              np.arange(ns), a_blocks, alpha_lb)
+                # certify the full pool; pull violators into the sweep set.
+                # The sweep factors are dropped first, so they are not held
+                # together with the chunked solve; an extension rebuilds them.
+                # Small chunks let the solve reuse the factors' freed memory.
+                chol = None
+                c_all = solve_reduced_batch(a_blocks, theta_all, state.f_rb.T,
+                                            chunk=64)
+                eta2_all = state.estimator_sq(theta_all, np.arange(ns), c_all,
+                                              alpha_lb)
                 bad = np.flatnonzero(eta2_all > tol * tol)
                 bad = np.setdiff1d(bad, sweep)
                 if bad.size:
                     sweep = np.concatenate([sweep, bad])
                     round_id += 1
+                    chol = factor_sweep()
                     continue
+            trace.stop_reason = "tolerance" if done_tol else "size"
             break
         idx = int(sweep[i_loc])
         w = truth(idx)
@@ -338,10 +407,12 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                 raise StagnationError(
                     f"snapshot at sample {idx} rejected with estimator "
                     f"{eta_max:.3e} above tolerance {tol:.3e}")
+            trace.stop_reason = "dependent_snapshot"
             break
         psi = np.column_stack([psi, v])
         state.enrich(model, v)
         a_blocks = _border_update(model, a_blocks, psi)
+        chol.border(a_blocks[:, :, -1], state.f_rb[-1, sweep])
         selected.append(idx)
         trace.selected.append(idx)
         trace.params.append(samples[idx].copy())
@@ -399,7 +470,9 @@ def pod_build(model, snapshots, tol=None, fixed_n=None, provenance=None,
         vec = vec[:, ::-1]
     else:
         k = min(nk - 1, max(fixed_n or 0, 400))
-        lam, vec = eigsh(gram, k=k, which="LM")
+        # a fixed start vector keeps ARPACK deterministic
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nk)
+        lam, vec = eigsh(gram, k=k, which="LM", v0=v0)
         order = np.argsort(lam)[::-1]
         lam = lam[order]
         vec = vec[:, order]

@@ -148,6 +148,13 @@ def test_example2_coercivity_bound(tiny_problem2, rng):
         assert lam >= prob.alpha_lb * (1.0 - 1e-9)
 
 
+def test_example2_alpha_lb_deterministic(tiny_problem2):
+    # the spectral floor comes from ARPACK; a random start vector would move
+    # alpha_lb, and every artifact that records it, in its last digits
+    again = {build_problem(tiny_problem2.spec).alpha_lb for _ in range(3)}
+    assert again == {tiny_problem2.alpha_lb}
+
+
 def test_example3_identity_radius_recovers_plain_stiffness(tiny_problem3):
     prob = tiny_problem3
     r0 = prob.surrogate.radial_map.r0

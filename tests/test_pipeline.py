@@ -14,7 +14,6 @@ from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
                                 apply_overrides, bench_gates, _draw_queries,
                                 load_online_bundle, online_query, run_eval,
                                 run_train, spec_from_manifest, theta_batch)
-from rb_operon.reduction import rb_galerkin_solve
 from rb_operon.svgplot import line_plot, mesh_heatmap
 
 
@@ -170,10 +169,10 @@ def test_online_query_matches_reduced_solve(tiny1_dir, rng):
     for k in rng.uniform(lo, hi, size=(5, 2)):
         c_net, c_gal, res = online_query(bundle, k)
         theta = np.array([k[0], 1.0])
-        want = rb_galerkin_solve(space, theta, theta_f=np.array([k[1]]))
+        a_rb = np.tensordot(theta, space.a_blocks, axes=1)
+        want = np.linalg.solve(a_rb, k[1] * space.f_blocks[0])
         assert np.allclose(c_gal, want, rtol=1e-10, atol=1e-12)
         # certified residual equals the dual norm computed densely
-        a_rb = np.tensordot(theta, space.a_blocks, axes=1)
         r = k[1] * space.f_blocks[0] - a_rb @ c_net
         a_star_rb = np.tensordot([1.0, 1.0], space.a_blocks, axes=1)
         want_res = np.sqrt(r @ np.linalg.solve(a_star_rb, r))

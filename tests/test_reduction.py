@@ -3,12 +3,14 @@ import pytest
 
 from rb_operon.errors import (CoercivityViolationError, EmptySpaceError,
                               StagnationError)
-from rb_operon.examples import sample_parameters
-from rb_operon.reduction import (_border_update, coercivity_lower_bound,
-                                 estimator, greedy_build, pod_build,
-                                 reduce_operators, rb_galerkin_solve,
-                                 solve_reduced, solve_reduced_batch,
-                                 v_orthonormalize)
+from rb_operon.assembly import aggregated_load
+from rb_operon.examples import (ManufacturedSolution, example2_load,
+                                sample_parameters, sample_xi)
+from rb_operon.reduction import (_BorderedCholesky, _border_update,
+                                 coercivity_lower_bound, estimator,
+                                 greedy_build, pod_build, reduce_operators,
+                                 rb_galerkin_solve, solve_reduced,
+                                 solve_reduced_batch, v_orthonormalize)
 
 
 def pool_and_loads(problem, n, seed=5):
@@ -66,6 +68,32 @@ def test_solve_reduced_and_batch(rng):
         solve_reduced(-np.eye(3), np.ones(3))
 
 
+def test_bordered_cholesky_matches_batch_solve():
+    rng = np.random.default_rng(4)
+    n, qa, ns = 12, 3, 7
+    base = rng.standard_normal((qa, n, n))
+    blocks = np.einsum("qij,qkj->qik", base, base) + np.eye(n)
+    theta = rng.uniform(0.5, 2.0, size=(ns, qa))
+    f = rng.standard_normal((ns, n))
+    chol = _BorderedCholesky(theta)
+    for j in range(n):
+        chol.border(blocks[:, :j + 1, j], f[:, j])
+        want = solve_reduced_batch(blocks[:, :j + 1, :j + 1], theta,
+                                   f[:, :j + 1])
+        got = chol.solve()
+        assert got.shape == (ns, j + 1)
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= 1e-12 * np.linalg.norm(want, axis=1))
+    # a zero diagonal entry next to a nonzero coupling is indefinite
+    chol = _BorderedCholesky(theta)
+    for j in range(3):
+        chol.border(blocks[:, :j + 1, j], f[:, j])
+    col = blocks[:, :4, 3].copy()
+    col[:, 3] = 0.0
+    with pytest.raises(CoercivityViolationError):
+        chol.border(col, f[:, 3])
+
+
 def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     problem = tiny_problem1
     ks, f_hat = pool_and_loads(problem, 20)
@@ -74,6 +102,7 @@ def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     assert space.dim == 3
     assert len(trace.selected) == len(trace.max_estimator) == len(trace.basis_size)
     assert trace.basis_size == [1, 2, 3]
+    assert trace.stop_reason == "size"
     assert all(np.diff(trace.max_estimator) < 0)
     # trunk is orthonormal in the reference inner product
     assert np.allclose(space.gram_ref, np.eye(3), atol=1e-10)
@@ -94,6 +123,7 @@ def test_greedy_tolerance_mode_certifies(tiny_problem1):
     space, trace = greedy_build(problem.model, ks, f_hat_all=f_hat,
                                 tol=tol, alpha_lb=problem.alpha_lb)
     assert trace.max_estimator[-1] <= tol
+    assert trace.stop_reason == "tolerance"
     # every pool sample is now certified below the tolerance
     for i, k in enumerate(ks):
         c = rb_galerkin_solve(space, problem.model.theta_a(k),
@@ -137,6 +167,33 @@ def test_greedy_subset_certify_and_extend(tiny_problem1):
     assert trace.rounds == sorted(trace.rounds)
 
 
+def test_greedy_data_loads_extend_sweep(tiny_problem2):
+    # example 2 draws its loads independently of the operator parameter, so
+    # the trunk grows to N >> 3; the subset converges first, and the pool
+    # certification pulls violators in, which rebuilds the sweep factors
+    problem = tiny_problem2
+    model = problem.model
+    rng = np.random.default_rng(7)
+    ks = sample_parameters(problem.spec, 24, rng)
+    xis = sample_xi(problem.spec, 24, rng)
+    cols = []
+    for k, xi in zip(ks, xis):
+        f, g = example2_load(problem, k, ManufacturedSolution.from_xi(xi))
+        cols.append(aggregated_load(model, k, f, g))
+    f_hat = np.column_stack(cols)
+    tol = 0.1
+    space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=tol,
+                                alpha_lb=problem.alpha_lb,
+                                sweep_subset=np.arange(6))
+    assert space.dim >= 12
+    assert max(trace.rounds) >= 1
+    assert trace.stop_reason == "tolerance"
+    for i, k in enumerate(ks):
+        c = rb_galerkin_solve(space, model.theta_a(k),
+                              f_rb=space.psi.T @ f_hat[:, i])
+        assert estimator(model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
+
+
 def test_greedy_stagnation_raises(tiny_problem1):
     problem = tiny_problem1
     # identical operator parameter: all pool solutions are parallel, so the
@@ -145,6 +202,10 @@ def test_greedy_stagnation_raises(tiny_problem1):
     ks = np.array([[1.0, 0.5], [1.0, 1.0], [1.0, -0.3]])
     with pytest.raises(StagnationError):
         greedy_build(problem.model, ks, tol=1e-13, alpha_lb=1e-12)
+    # without a tolerance the dependent snapshot ends the loop instead
+    space, trace = greedy_build(problem.model, ks, fixed_n=3, alpha_lb=1e-12)
+    assert space.dim == 1
+    assert trace.stop_reason == "dependent_snapshot"
 
 
 def test_greedy_empty_pool(tiny_problem1):
@@ -189,6 +250,17 @@ def test_pod_energy_tolerance(tiny_problem1):
     assert 1.0 - lam[:n].sum() / total <= tol * tol
     if n > 1:
         assert 1.0 - lam[:n - 1].sum() / total > tol * tol
+
+
+def test_pod_sparse_eigensolver_deterministic(tiny_problem1):
+    # above dense_limit the spectrum comes from ARPACK, which must not draw a
+    # random start vector
+    model = tiny_problem1.model
+    snaps = np.random.default_rng(3).standard_normal((model.n_free, 30))
+    lam = [pod_build(model, snaps, fixed_n=3, dense_limit=10)
+           .provenance["eigenvalues"] for _ in range(3)]
+    assert np.array_equal(lam[0], lam[1])
+    assert np.array_equal(lam[0], lam[2])
 
 
 def test_pod_rejects_empty(tiny_problem1):
