@@ -41,7 +41,6 @@ _EXPORTS = {
     "OnlineRB": ".reduction",
     "greedy_build": ".reduction",
     "pod_build": ".reduction",
-    "rb_galerkin_solve": ".reduction",
     "solve_reduced_batch": ".reduction",
     "estimator": ".reduction",
     "coercivity_lower_bound": ".reduction",
@@ -61,7 +60,6 @@ _EXPORTS = {
     "encode_source": ".datamodes",
     "case2_blocks": ".datamodes",
     "reduced_rhs_case2": ".datamodes",
-    "augment": ".datamodes",
     # branch networks
     "MLP": ".branchnet",
     "Standardizer": ".branchnet",

@@ -121,15 +121,16 @@ def _cmd_modes(args):
 
     from .artifacts import ArtifactDir
     from .examples import build_problem, example_spec
-    from .pipeline import apply_overrides, build_data_modes
+    from .pipeline import apply_overrides
 
     if args.example != 2:
         raise ValueError("data modes exist only for example 2")
     spec = apply_overrides(example_spec(args.example), _load_config(args))
     adir = ArtifactDir(args.out)
     problem = build_problem(spec, mesh=_mesh_for(spec, adir))
-    rng = np.random.default_rng(args.seed)
-    _, _, smodes, bmodes = build_data_modes(problem, spec, adir, rng)
+    bench = problem.bench
+    bench.offline_data(problem, adir, np.random.default_rng(args.seed), {})
+    smodes, bmodes = bench.smodes, bench.bmodes
     print(f"source modes: {smodes.rank} (cap {spec.data['r_f_max']}), "
           f"boundary modes: {bmodes.rank} (cap {spec.data['r_g_max']}), "
           f"tolerance {spec.data['mode_tol']:.1e}")
@@ -137,22 +138,15 @@ def _cmd_modes(args):
 
 
 def _cmd_eim_build(args):
-    import numpy as np
-
     from .artifacts import ArtifactDir, save_surrogate
-    from .examples import example_spec
-    from .geomap import RadialMap, eim_build
+    from .examples import build_surrogate, example_spec
     from .pipeline import apply_overrides
 
     if args.example != 3:
         raise ValueError("the tensor surrogate exists only for example 3")
     spec = apply_overrides(example_spec(args.example), _load_config(args))
     adir = ArtifactDir(args.out)
-    mesh = _mesh_for(spec, adir)
-    rm = RadialMap(**spec.data["radial"])
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-    radii = np.linspace(rm.r_min, rm.r_max, spec.data["eim_train"])
-    surrogate = eim_build(rm, centroids, radii, q_max=spec.data["eim_q"])
+    surrogate = build_surrogate(spec, _mesh_for(spec, adir))
     save_surrogate(adir, surrogate)
     print(f"interpolation basis: rank {surrogate.rank}, final training "
           f"error {surrogate.trace[-1]:.3e}")

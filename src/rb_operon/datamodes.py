@@ -197,10 +197,3 @@ def reduced_rhs_case2_batch(blocks, theta_batch, a_batch, b_batch):
     out -= np.einsum("sp,pgn,sg->sn", np.asarray(theta_batch, dtype=float),
                      blocks.g_p, np.asarray(b_batch, dtype=float))
     return out
-
-
-def augment(k, a, b):
-    """Feature vector [k; a; b] for the branch network."""
-    return np.concatenate([np.atleast_1d(np.asarray(k, dtype=float)),
-                           np.atleast_1d(np.asarray(a, dtype=float)),
-                           np.atleast_1d(np.asarray(b, dtype=float))])

@@ -9,19 +9,38 @@ Three parametric elliptic problems exercise the toolkit end to end:
    manufactured data, so loads and Dirichlet traces vary freely.
 3. the inclusion problem with a parameterized inclusion radius, pulled back
    to the reference mesh by a radial map and compressed with EIM.
+
+All that the pipeline does differently per example lives in the benchmark
+objects ``Example1`` to ``Example3`` below: theta(k), which serves the truth
+model, the batched stages and the online query alike; branch features;
+reduced load; sample pools and truth solves; run defaults and gates.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.sparse.linalg import eigsh, splu
 
-from .assembly import (assemble_stiffness, assemble_mass, assemble_boundary_mass,
-                       assemble_load_volume, assemble_load_boundary, build_model)
-from .geomap import RadialMap, eim_build, eim_coefficients, assemble_eim_terms
-from .mesh import unit_square_mesh, square_with_inclusion_mesh, dirichlet_nodes
+from .artifacts import (load_boundary_modes, load_case2_blocks,
+                        load_source_modes, load_surrogate,
+                        save_boundary_modes, save_case2_blocks,
+                        save_source_modes, save_surrogate)
+from .assembly import (aggregated_load, assemble_stiffness, assemble_mass,
+                       assemble_boundary_mass, assemble_load_volume,
+                       assemble_load_boundary, build_model, truth_solve)
+from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
+                        encode_source, reduced_rhs_case2,
+                        reduced_rhs_case2_batch, source_greedy)
+from .geomap import (EimPivots, RadialMap, assemble_eim_terms, eim_build,
+                     eim_coefficients)
+from .mesh import (unit_square_mesh, square_with_inclusion_mesh,
+                   dirichlet_nodes, read_mesh_text)
 from .reduction import coercivity_lower_bound
+from .svgplot import line_plot
 
 HIDDEN_SIZES = (256, 256, 256, 256)
+
+# branch shape is fixed; only the input/output widths vary per benchmark
+NOMINAL_PARAM_COUNTS = {1: 198915, 2: 288977, 3: 199685}
 
 
 @dataclass(frozen=True)
@@ -211,6 +230,7 @@ class Problem:
     model: object
     m_full: object            # full-node mass matrix
     alpha_lb: float
+    bench: object             # the example's benchmark object
     surrogate: object = None  # example 3 EIM surrogate
 
     def __post_init__(self):
@@ -255,58 +275,45 @@ def build_problem(spec, mesh=None, surrogate=None):
         bd = dirichlet_nodes(mesh, ["top"])
         free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
         f_base = assemble_load_boundary(mesh, "base", lambda x: np.ones(len(x)))
-
+        a_star = None
         if spec.example == 1:
-            a0 = assemble_stiffness(mesh, region=0)
-            a1 = assemble_stiffness(mesh, region=1)
-            model = build_model(
-                mesh, free, bd,
-                theta_a=lambda k: np.array([k[0], 1.0]),
-                a_terms=[a0, a1],
-                k_star=spec.k_star,
-                theta_f=lambda k: np.array([k[1]]),
-                f_terms=[f_base],
-            )
-            alpha = coercivity_lower_bound(
-                model, samples=_box_corners(spec.param_ranges))
-            return Problem(spec=spec, mesh=mesh, model=model,
-                           m_full=m_full, alpha_lb=alpha)
-
-        rm = RadialMap(**spec.data["radial"])
-        if surrogate is None:
-            centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-            radii = np.linspace(rm.r_min, rm.r_max, spec.data["eim_train"])
-            surrogate = eim_build(rm, centroids, radii, q_max=spec.data["eim_q"])
-        inside, outside = assemble_eim_terms(mesh, surrogate)
-        q = surrogate.rank
-
-        def theta_a(k, _q=q, _sur=surrogate):
-            alpha_q = eim_coefficients(_sur, k[2])
-            return np.concatenate([alpha_q, k[0] * alpha_q])
-
+            bench = Example1(spec, None)
+            a_terms = [assemble_stiffness(mesh, region=r) for r in (0, 1)]
+        else:
+            if surrogate is None:
+                surrogate = build_surrogate(spec, mesh)
+            bench = Example3(spec, eim=surrogate)
+            inside, outside = assemble_eim_terms(mesh, surrogate)
+            a_terms = list(outside) + list(inside)
+            a_star = assemble_stiffness(mesh)
         model = build_model(
             mesh, free, bd,
-            theta_a=theta_a,
-            a_terms=list(outside) + list(inside),
+            theta_a=bench.theta,
+            a_terms=a_terms,
             k_star=spec.k_star,
             theta_f=lambda k: np.array([k[1]]),
             f_terms=[f_base],
-            a_star=assemble_stiffness(mesh),
+            a_star=a_star,
         )
-        floor = _radial_tensor_floor(rm)
-        alpha = min(1.0, spec.param_ranges[0][0]) * floor * 0.95
+        if spec.example == 1:
+            alpha = coercivity_lower_bound(
+                model, samples=_box_corners(spec.param_ranges))
+        else:
+            floor = _radial_tensor_floor(surrogate.radial_map)
+            alpha = coercivity_lower_bound(
+                model, fixed=min(1.0, spec.param_ranges[0][0]) * floor * 0.95)
         return Problem(spec=spec, mesh=mesh, model=model, m_full=m_full,
-                       alpha_lb=coercivity_lower_bound(model, fixed=alpha),
-                       surrogate=surrogate)
+                       alpha_lb=alpha, bench=bench, surrogate=surrogate)
 
     # example 2: diffusion + reaction + Robin edge, data supplied per sample
+    bench = Example2(spec, None)
     bd = dirichlet_nodes(mesh, ["left", "top"])
     free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
     stiff = assemble_stiffness(mesh)
     robin = assemble_boundary_mass(mesh, "right")
     model = build_model(
         mesh, free, bd,
-        theta_a=lambda k: np.asarray(k, dtype=float),
+        theta_a=bench.theta,
         a_terms=[stiff, m_full, robin],
         k_star=spec.k_star,
     )
@@ -315,7 +322,23 @@ def build_problem(spec, mesh=None, surrogate=None):
     kii = model.affine_II.term(0)
     floor = spec.param_ranges[0][0] * _pencil_floor(kii, model.a_star_II)
     return Problem(spec=spec, mesh=mesh, model=model, m_full=m_full,
-                   alpha_lb=coercivity_lower_bound(model, fixed=floor))
+                   alpha_lb=coercivity_lower_bound(model, fixed=floor),
+                   bench=bench)
+
+
+def build_surrogate(spec, mesh):
+    """Example 3's tensor interpolation surrogate over the mesh centroids."""
+    rm = RadialMap(**spec.data["radial"])
+    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    radii = np.linspace(rm.r_min, rm.r_max, spec.data["eim_train"])
+    return eim_build(rm, centroids, radii, q_max=spec.data["eim_q"])
+
+
+def load_problem(spec, adir):
+    """The problem a finished offline stage in ``adir`` was built on."""
+    surrogate = load_surrogate(adir) if spec.example == 3 else None
+    return build_problem(spec, mesh=read_mesh_text(adir.file("mesh.txt")),
+                         surrogate=surrogate)
 
 
 def example2_load(problem, k, ms):
@@ -352,3 +375,195 @@ def example3_direct_solve(problem, k):
     free = problem.model.free
     a_ii = a[free][:, free].tocsc()
     return splu(a_ii).solve(problem.model.load_interior(k))
+
+
+def _data_loads(problem, ks, xis):
+    """Loads, Dirichlet traces and aggregated loads of data draws (columns)."""
+    model = problem.model
+    f_data = np.empty((model.n_free, len(ks)))
+    g_data = np.empty((len(model.dirichlet), len(ks)))
+    f_hat = np.empty_like(f_data)
+    for i, k in enumerate(ks):
+        ms = ManufacturedSolution.from_xi(xis[i])
+        f_data[:, i], g_data[:, i] = example2_load(problem, k, ms)
+        f_hat[:, i] = aggregated_load(model, k, f_data[:, i], g_data[:, i])
+    return f_data, g_data, f_hat
+
+
+class Example1:
+    """Inclusion diffusion: load k2 F_base, branch features k.  Methods take
+    one parameter row ``k`` or stacked rows, and the modal data coordinates
+    (a, b) that only example 2 has (None elsewhere)."""
+
+    pod = audit = True        # run_bench defaults
+    # (method, measure, statistic, bound); rows of absent methods are skipped
+    gates = (("rb_galerkin", "rel_l2", "mean", 1e-5),
+             ("rb_galerkin", "rel_residual", "mean", 1e-12),
+             ("rb_deeponet", "rel_l2", "mean", 2e-2),
+             ("rb_deeponet", "rel_l2", "p95", 5e-2),
+             ("pod_deeponet", "rel_l2", "mean", 2e-2))
+    # (label, manifest section, key, nominal), each gated to within 30 %
+    nominal_dims = ()
+    n_params = NOMINAL_PARAM_COUNTS[1]    # branch parameter count, if pinned
+
+    def __init__(self, spec, eim):
+        self.spec = spec
+        self.eim = eim        # example 3: EimSurrogate or its EimPivots
+
+    def theta(self, k):
+        """Operator weights theta_a(k) of one parameter row."""
+        return np.array([k[0], 1.0])
+
+    def theta_batch(self, ks):
+        ks = np.atleast_2d(np.asarray(ks, dtype=float))
+        return np.vstack([self.theta(k) for k in ks])
+
+    def features(self, k, a, b):
+        return np.asarray(k, dtype=float)
+
+    def rhs(self, space, blocks, theta, k, a, b):
+        """Reduced load; ``blocks`` are what ``load_blocks`` returned."""
+        return k[..., 1, None] * space.f_blocks[0]
+
+    def load_blocks(self, adir, trunk):
+        return None
+
+    def save_blocks(self, adir, model, psi, trunk):
+        pass
+
+    def offline_data(self, problem, adir, rng, manifest):
+        """Persist the pool and the example's own offline data; returns
+        (params, aggregated loads as columns, greedy sweep subset)."""
+        ks = sample_parameters(self.spec, self.spec.n_pool, rng)
+        adir.save_array("pool_params", ks)
+        loads = np.column_stack([problem.model.load_interior(k) for k in ks])
+        return ks, loads, None
+
+    def pool_rows(self, adir):
+        """(k, a, b) of the persisted pool."""
+        return adir.load_array("pool_params"), None, None
+
+    def train_rows(self, adir, seed):
+        """(k, a, b) the residual-trained branch sees: fresh draws."""
+        n = self.spec.n_train + self.spec.n_val
+        rng = np.random.default_rng(seed)
+        return sample_parameters(self.spec, n, rng), None, None
+
+    def eval_data(self, problem, adir, ks, rng):
+        """Truth, lifting and Dirichlet trace per test row, plus (a, b)."""
+        u_ref = np.vstack([self.truth(problem, k) for k in ks])
+        g_b = np.zeros((len(ks), len(problem.model.dirichlet)))
+        return u_ref, np.zeros_like(u_ref), g_b, None, None
+
+    def truth(self, problem, k):
+        return truth_solve(problem.model, k, problem.model.load_interior(k))
+
+
+class Example3(Example1):
+    """Example 1 with the inclusion radius k3: EIM weights, exact truth."""
+
+    audit = False
+    gates = (("rb_galerkin", "rel_l2", "mean", 5e-3),
+             ("rb_deeponet", "rel_l2", "mean", 8e-2))
+    n_params = NOMINAL_PARAM_COUNTS[3]
+
+    def theta(self, k):
+        alpha = eim_coefficients(self.eim, k[2])
+        return np.concatenate([alpha, k[0] * alpha])
+
+    def offline_data(self, problem, adir, rng, manifest):
+        save_surrogate(adir, self.eim)
+        manifest["dims_eim"] = {"q": self.eim.rank}
+        line_plot(adir.file("eim_decay.svg"),
+                  [("sup-norm error", np.arange(1, self.eim.rank + 1),
+                    self.eim.trace)],
+                  title="tensor interpolation greedy",
+                  xlabel="basis size", ylabel="training error", logy=True)
+        return super().offline_data(problem, adir, rng, manifest)
+
+    truth = staticmethod(example3_direct_solve)     # exact, not EIM-affine
+
+
+class Example2(Example1):
+    """Reaction-diffusion with independent manufactured data, compressed
+    into modes whose coordinates (a, b) join k in features and load."""
+
+    pod = audit = False
+    gates = (("rb_galerkin", "rel_l2", "mean", 1e-2),
+             ("rb_deeponet", "rel_l2", "mean", 5e-2))
+    nominal_dims = (("trunk dimension", "dims_trunk", "greedy_n", 209),
+                    ("source rank", "dims_modes", "r_f", 128),
+                    ("boundary rank", "dims_modes", "r_g", 16))
+    n_params = None           # the input width follows the mode ranks
+
+    def theta(self, k):
+        return np.asarray(k, dtype=float)
+
+    def features(self, k, a, b):
+        return np.concatenate([k, a, b], axis=-1)
+
+    def rhs(self, space, blocks, theta, k, a, b):
+        if np.ndim(theta) == 1:
+            return reduced_rhs_case2(blocks, theta, a, b)
+        return reduced_rhs_case2_batch(blocks, theta, a, b)
+
+    def load_blocks(self, adir, trunk):
+        return load_case2_blocks(adir, "case2_" + trunk)
+
+    def save_blocks(self, adir, model, psi, trunk):
+        save_case2_blocks(adir, case2_blocks(model, psi, self.bmodes,
+                                             self.smodes), "case2_" + trunk)
+
+    def offline_data(self, problem, adir, rng, manifest):
+        """Also persists the data modes and the pool's coordinates in them."""
+        spec, model = self.spec, problem.model
+        ks = sample_parameters(spec, spec.n_pool, rng)
+        adir.save_array("pool_params", ks)
+        xis = sample_xi(spec, spec.n_pool, rng)
+        adir.save_array("pool_xi", xis)
+        f_data, g_data, f_hat_all = _data_loads(problem, ks, xis)
+        self.smodes = source_greedy(model, f_data, tol=spec.data["mode_tol"],
+                                    r_max=spec.data["r_f_max"], rng=rng)
+        self.bmodes = boundary_greedy(model, g_data, tol=spec.data["mode_tol"],
+                                      r_max=spec.data["r_g_max"], rng=rng)
+        save_source_modes(adir, self.smodes)
+        save_boundary_modes(adir, self.bmodes)
+        adir.save_array("pool_a", encode_source(self.smodes, f_data).T)
+        adir.save_array("pool_b",
+                        encode_boundary(self.bmodes, model, g_data).T)
+        manifest["dims_modes"] = {"r_f": self.smodes.rank,
+                                  "r_g": self.bmodes.rank}
+        sweep = min(int(spec.data["sweep_subset"]), spec.n_pool)
+        return ks, f_hat_all, np.arange(sweep)
+
+    def pool_rows(self, adir):
+        return tuple(adir.load_array(name)
+                     for name in ("pool_params", "pool_a", "pool_b"))
+
+    def train_rows(self, adir, seed):
+        return self.pool_rows(adir)
+
+    def eval_data(self, problem, adir, ks, rng):
+        model = problem.model
+        xis = sample_xi(self.spec, len(ks), rng)
+        f_data, g_b, f_hat = _data_loads(problem, ks, xis)
+        lift = (model.lift_block @ g_b).T
+        u_ref = np.vstack([truth_solve(model, k, f_hat[:, i])
+                           for i, k in enumerate(ks)]) + lift
+        a = encode_source(load_source_modes(adir), f_data).T
+        b = encode_boundary(load_boundary_modes(adir), model, g_b).T
+        return u_ref, lift, g_b.T, a, b
+
+
+BENCHMARKS = {1: Example1, 2: Example2, 3: Example3}
+
+
+def open_benchmark(spec, adir):
+    """The benchmark with the mesh-free state its theta reads from ``adir``."""
+    if spec.example != 3:
+        return BENCHMARKS[spec.example](spec, None)
+    pivots = adir.load_array("eim_pivots")
+    eim = EimPivots(RadialMap(**adir.load_json("eim_meta")["radial_map"]),
+                    adir.load_array("eim_points")[pivots // 3], pivots % 3,
+                    adir.load_array("eim_tri_mat"))
+    return Example3(spec, eim)

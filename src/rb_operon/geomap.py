@@ -122,17 +122,31 @@ def tensor_snapshot(radial_map, points, r):
 
 
 @dataclass
-class EimSurrogate:
-    """Greedy interpolation basis for the tensor field over fixed points."""
+class EimPivots:
+    """What eim_coefficients reads: the map and the pivot data alone."""
 
     radial_map: RadialMap
+    pivot_points: np.ndarray    # (Q, 2) locations of the pivots
+    pivot_comps: np.ndarray     # (Q,) tensor component (xx, xy, yy) at each
+    tri_mat: np.ndarray         # (Q, Q) unit lower-triangular pivot matrix
+
+    def pivot_values(self, r):
+        """G components at the pivot locations only; O(Q) work."""
+        g = self.radial_map.jacobian_tensor(self.pivot_points, r)
+        comps = np.stack([g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1)
+        return comps[np.arange(len(self.pivot_comps)), self.pivot_comps]
+
+
+@dataclass
+class EimSurrogate(EimPivots):
+    """Greedy interpolation basis for the tensor field over fixed points."""
+
     points: np.ndarray          # (n_pts, 2) sample locations (centroids)
     basis: np.ndarray           # (Q, 3*n_pts) flattened basis fields
     pivots: np.ndarray          # (Q,) flat indices into the sample vector
-    tri_mat: np.ndarray         # (Q, Q) unit lower-triangular pivot matrix
     selected: np.ndarray        # (Q,) training radii chosen by the greedy
     trace: np.ndarray           # (Q,) sup-norm training errors before each pick
-    pivot_points: np.ndarray = field(init=False)
+    pivot_points: np.ndarray = field(init=False)    # from points and pivots
     pivot_comps: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -142,12 +156,6 @@ class EimSurrogate:
     @property
     def rank(self):
         return self.basis.shape[0]
-
-    def pivot_values(self, r):
-        """G components at the pivot locations only; O(Q) work."""
-        g = self.radial_map.jacobian_tensor(self.pivot_points, r)
-        comps = np.stack([g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1)
-        return comps[np.arange(self.rank), self.pivot_comps]
 
 
 def eim_build(radial_map, points, radii, q_max, tol=None):
@@ -191,7 +199,7 @@ def eim_build(radial_map, points, radii, q_max, tol=None):
 
 
 def eim_coefficients(surrogate, r):
-    """Interpolation weights alpha(r) from pivot values, O(Q^2) online."""
+    """Weights alpha(r) from any EimPivots' pivot values, O(Q^2) online."""
     rhs = surrogate.pivot_values(r)
     return solve_triangular(surrogate.tri_mat, rhs, lower=True)
 

@@ -14,26 +14,11 @@ the constrained-node counts that the rest of the toolkit relies on.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import TaggingIncompleteError
-
-
-class BCKind(Enum):
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-    ROBIN = "robin"
-
-
-@dataclass(frozen=True)
-class BoundaryTag:
-    """A boundary-condition kind attached to a named segment."""
-
-    kind: BCKind
-    segment: str
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ runs truth solves plus every surrogate, and writes a metrics report.
 ``online_budget_audit`` times the online path on two mesh resolutions and
 checks that its allocations do not grow with the full-order dimension.
 
+What differs between the benchmarks comes from the example's benchmark
+object in ``examples``; this module never tests the example number.
+
 Artifacts are deterministic functions of (configuration, seeds): no
 timestamps, sorted-key JSON, fixed binary array format.
 """
@@ -17,35 +20,23 @@ import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 
-from .artifacts import (ArtifactDir, load_boundary_modes, load_case2_blocks,
-                        load_net, load_source_modes, load_space,
-                        load_surrogate, save_boundary_modes,
-                        save_case2_blocks, save_net, save_source_modes,
-                        save_space, save_surrogate)
-from .assembly import aggregated_load, full_field, interior_factor, truth_solve
+from .artifacts import ArtifactDir, load_net, load_space, save_net, save_space
+from .assembly import full_field, interior_factor
 from .branchnet import (MLP, ResidualData, Standardizer, SupervisedData,
                         TrainConfig, forward, train)
-from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
-                        encode_source, reduced_rhs_case2,
-                        reduced_rhs_case2_batch, source_greedy)
-from .examples import (HIDDEN_SIZES, ExampleSpec, ManufacturedSolution,
-                       build_problem, example3_direct_solve, example2_load,
-                       example_spec, sample_parameters, sample_xi)
-from .geomap import eim_coefficients
-from .mesh import min_angle_deg, read_mesh_text, write_mesh_text
-from .metrics import MethodMetrics, MetricsReport, metric_context, sample_metrics
+from .examples import (BENCHMARKS, HIDDEN_SIZES, NOMINAL_PARAM_COUNTS,
+                       ExampleSpec, build_problem, example_spec, load_problem,
+                       open_benchmark, sample_parameters)
+from .mesh import min_angle_deg, write_mesh_text
+from .metrics import (MethodMetrics, MetricsReport, metric_context,
+                      reduced_dual_norm, sample_metrics)
 from .reduction import (OnlineRB, greedy_build, pod_build, solve_reduced,
                         solve_reduced_batch)
 from .svgplot import line_plot, mesh_heatmap
 
 FOOTNOTE = ("rows are limited to the methods implemented here; "
             "external baselines are omitted.")
-
-# branch shape is fixed; only the input/output widths vary per benchmark
-NOMINAL_PARAM_COUNTS = {1: 198915, 2: 288977, 3: 199685}
 
 _SIZE_KEYS = ("n_pool", "n_train", "n_val", "n_test")
 _TRUNK_KEYS = ("pod_tol", "pod_fixed_n", "greedy_tol", "greedy_fixed_n")
@@ -103,13 +94,8 @@ def spec_from_manifest(manifest):
 
 def theta_batch(example, ks, surrogate=None):
     """Operator weights theta_a for a batch of parameter rows."""
-    ks = np.atleast_2d(np.asarray(ks, dtype=float))
-    if example == 1:
-        return np.column_stack([ks[:, 0], np.ones(len(ks))])
-    if example == 2:
-        return ks.copy()
-    alphas = np.vstack([eim_coefficients(surrogate, r) for r in ks[:, 2]])
-    return np.hstack([alphas, ks[:, 0:1] * alphas])
+    bench = BENCHMARKS[example](example_spec(example), surrogate)
+    return bench.theta_batch(ks)
 
 
 def _pool_snapshots(model, ks, f_hat_all):
@@ -119,47 +105,9 @@ def _pool_snapshots(model, ks, f_hat_all):
     return out
 
 
-def _example2_pool(problem, ks, xis):
-    """Data loads and Dirichlet traces for every pool sample (columns)."""
-    n = len(ks)
-    f_data = np.empty((problem.model.n_free, n))
-    g_data = np.empty((len(problem.model.dirichlet), n))
-    for i in range(n):
-        ms = ManufacturedSolution.from_xi(xis[i])
-        f_data[:, i], g_data[:, i] = example2_load(problem, ks[i], ms)
-    return f_data, g_data
-
-
 def _attach_mass(problem, space):
     space.mass_rb = space.psi.T @ (problem.m_ii @ space.psi)
     return space
-
-
-def build_data_modes(problem, spec, adir, rng):
-    """Sample the data pool and compress it into source/boundary modes.
-
-    Persists the pool draws, the mode bases and the per-sample modal
-    coordinates; returns what the trunk stage needs on top of that.
-    """
-    model = problem.model
-    ks = sample_parameters(spec, spec.n_pool, rng)
-    adir.save_array("pool_params", ks)
-    xis = sample_xi(spec, spec.n_pool, rng)
-    adir.save_array("pool_xi", xis)
-    f_data, g_data = _example2_pool(problem, ks, xis)
-    f_hat_all = np.empty_like(f_data)
-    for i in range(spec.n_pool):
-        f_hat_all[:, i] = aggregated_load(model, ks[i], f_data[:, i],
-                                          g_data[:, i])
-    smodes = source_greedy(model, f_data, tol=spec.data["mode_tol"],
-                           r_max=spec.data["r_f_max"], rng=rng)
-    bmodes = boundary_greedy(model, g_data, tol=spec.data["mode_tol"],
-                             r_max=spec.data["r_g_max"], rng=rng)
-    save_source_modes(adir, smodes)
-    save_boundary_modes(adir, bmodes)
-    adir.save_array("pool_a", encode_source(smodes, f_data).T)
-    adir.save_array("pool_b", encode_boundary(bmodes, model, g_data).T)
-    return ks, f_hat_all, smodes, bmodes
 
 
 def run_offline(example, outdir, seed=0, pod=True, overrides=None):
@@ -173,7 +121,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     adir = ArtifactDir(outdir)
     rng = np.random.default_rng(seed)
     problem = build_problem(spec)
-    model = problem.model
+    model, bench = problem.model, problem.bench
     write_mesh_text(problem.mesh, adir.file("mesh.txt"))
 
     manifest = {
@@ -196,28 +144,13 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         },
     }
 
-    bmodes = smodes = None
-    if spec.example == 2:
-        ks, f_hat_all, smodes, bmodes = build_data_modes(problem, spec,
-                                                         adir, rng)
-        manifest["dims_modes"] = {"r_f": smodes.rank, "r_g": bmodes.rank}
-        sweep = np.arange(min(int(spec.data["sweep_subset"]), spec.n_pool))
-        space_g, gtrace = greedy_build(
-            model, ks, f_hat_all=f_hat_all,
-            tol=spec.trunk.get("greedy_tol"),
-            fixed_n=spec.trunk.get("greedy_fixed_n"),
-            n_max=spec.trunk.get("greedy_n_max"),
-            alpha_lb=problem.alpha_lb, sweep_subset=sweep)
-    else:
-        ks = sample_parameters(spec, spec.n_pool, rng)
-        adir.save_array("pool_params", ks)
-        f_hat_all = np.column_stack([model.load_interior(k) for k in ks])
-        space_g, gtrace = greedy_build(
-            model, ks, f_hat_all=f_hat_all,
-            tol=spec.trunk.get("greedy_tol"),
-            fixed_n=spec.trunk.get("greedy_fixed_n"),
-            n_max=spec.trunk.get("greedy_n_max"),
-            alpha_lb=problem.alpha_lb)
+    ks, f_hat_all, sweep = bench.offline_data(problem, adir, rng, manifest)
+    space_g, gtrace = greedy_build(
+        model, ks, f_hat_all=f_hat_all,
+        tol=spec.trunk.get("greedy_tol"),
+        fixed_n=spec.trunk.get("greedy_fixed_n"),
+        n_max=spec.trunk.get("greedy_n_max"),
+        alpha_lb=problem.alpha_lb, sweep_subset=sweep)
 
     save_space(adir, "greedy", _attach_mass(problem, space_g))
     adir.save_json("greedy_trace", {
@@ -234,18 +167,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
               title=f"example {spec.example}: greedy certification",
               xlabel="basis size", ylabel="max estimator", logy=True)
 
-    if spec.example == 2:
-        save_case2_blocks(adir, case2_blocks(model, space_g.psi, bmodes,
-                                             smodes), "case2_greedy")
-    if spec.example == 3:
-        save_surrogate(adir, problem.surrogate)
-        manifest["dims_eim"] = {"q": problem.surrogate.rank}
-        line_plot(adir.file("eim_decay.svg"),
-                  [("sup-norm error",
-                    np.arange(1, problem.surrogate.rank + 1),
-                    problem.surrogate.trace)],
-                  title="tensor interpolation greedy",
-                  xlabel="basis size", ylabel="training error", logy=True)
+    bench.save_blocks(adir, model, space_g.psi, "greedy")
 
     if pod:
         snaps = _pool_snapshots(model, ks, f_hat_all)
@@ -257,23 +179,10 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         adir.save_array("pod_targets", (space_p.psi.T @ a_snaps).T)
         adir.save_array("pod_squares", np.einsum("ij,ij->j", snaps, a_snaps))
         manifest["dims_trunk"]["pod_n"] = space_p.dim
-        if spec.example == 2:
-            save_case2_blocks(adir, case2_blocks(model, space_p.psi, bmodes,
-                                                 smodes), "case2_pod")
+        bench.save_blocks(adir, model, space_p.psi, "pod")
 
     adir.write_manifest(manifest)
     return adir
-
-
-def _load_trained(adir, prefix):
-    if adir.has(prefix + "_net.json"):
-        net, std, _ = load_net(adir, prefix)
-        return net, std
-    return None
-
-
-def _features_fresh(spec, ks):
-    return np.asarray(ks, dtype=float)
 
 
 def run_train(outdir, method="rb", seed=1, config=None):
@@ -293,27 +202,17 @@ def run_train(outdir, method="rb", seed=1, config=None):
         raise ValueError(f"no {prefix} trunk in {outdir}; run the offline "
                          "stage first")
     space = load_space(adir, prefix)
-    surrogate = load_surrogate(adir) if spec.example == 3 else None
+    bench = open_benchmark(spec, adir)
 
     opts = {"seed": seed, "loss": "residual" if method == "rb" else "supervised"}
     opts.update(config or {})
     cfg = TrainConfig(**opts)
 
     if method == "rb":
-        if spec.example == 2:
-            ks = adir.load_array("pool_params")
-            a_co = adir.load_array("pool_a")
-            b_co = adir.load_array("pool_b")
-            feats = np.column_stack([ks, a_co, b_co])
-            theta = theta_batch(2, ks)
-            blocks = load_case2_blocks(adir, "case2_greedy")
-            f_rb = reduced_rhs_case2_batch(blocks, theta, a_co, b_co)
-        else:
-            rng = np.random.default_rng(seed)
-            ks = sample_parameters(spec, spec.n_train + spec.n_val, rng)
-            feats = _features_fresh(spec, ks)
-            theta = theta_batch(spec.example, ks, surrogate)
-            f_rb = ks[:, 1:2] @ space.f_blocks
+        ks, a, b = bench.train_rows(adir, seed)
+        theta = bench.theta_batch(ks)
+        f_rb = bench.rhs(space, bench.load_blocks(adir, "greedy"), theta,
+                         ks, a, b)
         c_n = solve_reduced_batch(space.a_blocks, theta, f_rb)
         a_flat = space.a_blocks.reshape(space.a_blocks.shape[0], -1)
 
@@ -321,13 +220,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
             return ResidualData(features=feats[sl], theta=theta[sl],
                                 a_flat=a_flat, c_n=c_n[sl])
     else:
-        if spec.example == 2:
-            ks = adir.load_array("pool_params")
-            feats = np.column_stack([ks, adir.load_array("pool_a"),
-                                     adir.load_array("pool_b")])
-        else:
-            ks = adir.load_array("pool_params")
-            feats = _features_fresh(spec, ks)
+        ks, a, b = bench.pool_rows(adir)
         targets = adir.load_array("pod_targets")
         squares = adir.load_array("pod_squares")
 
@@ -335,6 +228,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
             return SupervisedData(features=feats[sl], m_n=space.gram_ref,
                                   targets=targets[sl], squares=squares[sl])
 
+    feats = bench.features(ks, a, b)
     n_total = len(feats)
     n_tr = min(spec.n_train, n_total)
     n_va = min(spec.n_val, n_total - n_tr)
@@ -366,64 +260,6 @@ def run_train(outdir, method="rb", seed=1, config=None):
     return net, std, hist
 
 
-@dataclass
-class _EvalCase:
-    """One test parameter with everything a method needs to be judged."""
-
-    k: np.ndarray
-    theta: np.ndarray
-    u_ref: np.ndarray        # free-node truth (lifting included)
-    lift: np.ndarray         # free-node lifting part shared by predictions
-    g_b: np.ndarray          # Dirichlet trace (empty when homogeneous)
-    features: np.ndarray
-    f_rb: dict               # per-trunk reduced right-hand side
-    f_hat: np.ndarray        # aggregated full-order load (certification)
-
-
-def _eval_cases(adir, spec, problem, spaces, ks, rng):
-    """Truth solves plus per-trunk reduced data for every test parameter."""
-    model = problem.model
-    surrogate = problem.surrogate
-    theta_all = theta_batch(spec.example, ks, surrogate)
-    cases = []
-    if spec.example == 2:
-        smodes = load_source_modes(adir)
-        bmodes = load_boundary_modes(adir)
-        blocks = {name: load_case2_blocks(adir, f"case2_{name}")
-                  for name in spaces}
-        xis = sample_xi(spec, len(ks), rng)
-        for i, k in enumerate(ks):
-            ms = ManufacturedSolution.from_xi(xis[i])
-            f_data, g_b = example2_load(problem, k, ms)
-            f_hat = aggregated_load(model, k, f_data, g_b)
-            w = truth_solve(model, k, f_hat)
-            lift = model.lift_block @ g_b
-            a_co = encode_source(smodes, f_data)
-            b_co = encode_boundary(bmodes, model, g_b)
-            f_rb = {name: reduced_rhs_case2(blocks[name], theta_all[i],
-                                            a_co, b_co)
-                    for name in spaces}
-            cases.append(_EvalCase(
-                k=k, theta=theta_all[i], u_ref=w + lift, lift=lift, g_b=g_b,
-                features=np.concatenate([k, a_co, b_co]),
-                f_rb=f_rb, f_hat=f_hat))
-        return cases
-    none_g = np.zeros(len(model.dirichlet))
-    for i, k in enumerate(ks):
-        f_hat = model.load_interior(k)
-        if spec.example == 3:
-            u_ref = example3_direct_solve(problem, k)
-        else:
-            u_ref = truth_solve(model, k, f_hat)
-        f_rb = {name: float(k[1]) * spaces[name].f_blocks[0]
-                for name in spaces}
-        cases.append(_EvalCase(
-            k=k, theta=theta_all[i], u_ref=u_ref,
-            lift=np.zeros(model.n_free), g_b=none_g,
-            features=np.asarray(k, dtype=float), f_rb=f_rb, f_hat=f_hat))
-    return cases
-
-
 def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     """Fresh-sample comparison of every available surrogate.
 
@@ -434,20 +270,19 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
     spec = spec_from_manifest(manifest)
-    mesh = read_mesh_text(adir.file("mesh.txt"))
-    surrogate = load_surrogate(adir) if spec.example == 3 else None
-    problem = build_problem(spec, mesh=mesh, surrogate=surrogate)
-    model = problem.model
+    problem = load_problem(spec, adir)
+    model, bench, mesh = problem.model, problem.bench, problem.mesh
 
     spaces = {"greedy": load_space(adir, "greedy")}
     if adir.has("pod_psi.arr"):
         spaces["pod"] = load_space(adir, "pod")
-    nets = {m: _load_trained(adir, m) for m in ("rb", "pod")}
+    nets = {m: load_net(adir, m)[:2] for m in ("rb", "pod")
+            if adir.has(m + "_net.json")}
 
     available = ["rb_galerkin"]
-    if nets["rb"] is not None:
+    if "rb" in nets:
         available.append("rb_deeponet")
-    if nets["pod"] is not None and "pod" in spaces:
+    if "pod" in nets and "pod" in spaces:
         available.append("pod_deeponet")
     methods = list(methods) if methods else available
     unknown = set(methods) - {"rb_galerkin", "rb_deeponet", "pod_deeponet"}
@@ -465,35 +300,34 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     n_test = int(n_test or spec.n_test)
     rng = np.random.default_rng(seed)
     ks = sample_parameters(spec, n_test, rng)
-    cases = _eval_cases(adir, spec, problem, spaces, ks, rng)
+    u_ref, lift, g_b, a, b = bench.eval_data(problem, adir, ks, rng)
+    theta = bench.theta_batch(ks)
+    f_rb = {name: bench.rhs(spaces[name], bench.load_blocks(adir, name),
+                            theta, ks, a, b) for name in spaces}
 
     contexts = {name: metric_context(model, spaces[name], problem.m_ii)
                 for name in spaces}
-    feats = np.vstack([c.features for c in cases])
     coeffs = {}
     for method in methods:
         trunk = trunk_of[method]
-        space = spaces[trunk]
         if method == "rb_galerkin":
-            f_rb_all = np.vstack([c.f_rb[trunk] for c in cases])
-            theta_all = np.vstack([c.theta for c in cases])
-            coeffs[method] = solve_reduced_batch(space.a_blocks, theta_all,
-                                                 f_rb_all)
+            coeffs[method] = solve_reduced_batch(spaces[trunk].a_blocks,
+                                                 theta, f_rb[trunk])
         else:
             net, std = nets["rb" if method == "rb_deeponet" else "pod"]
-            coeffs[method] = forward(net, std, feats)
+            coeffs[method] = forward(net, std, bench.features(ks, a, b))
 
     triples = {m: [] for m in methods}
-    for i, case in enumerate(cases):
-        a_rb = {name: np.tensordot(case.theta, spaces[name].a_blocks, axes=1)
+    for i in range(n_test):
+        a_rb = {name: np.tensordot(theta[i], spaces[name].a_blocks, axes=1)
                 for name in spaces}
         for method in methods:
             trunk = trunk_of[method]
             c = coeffs[method][i]
-            u_pred = spaces[trunk].psi @ c + case.lift
+            u_pred = spaces[trunk].psi @ c + lift[i]
             triples[method].append(sample_metrics(
-                contexts[trunk], case.u_ref, u_pred, a_rb[trunk],
-                case.f_rb[trunk], c))
+                contexts[trunk], u_ref[i], u_pred, a_rb[trunk],
+                f_rb[trunk][i], c))
 
     report = MetricsReport(
         methods={m: MethodMetrics.from_triples(triples[m]) for m in methods},
@@ -512,18 +346,17 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     adir.save_text("report.txt", report.format_table() + "\n")
 
     if plots:
-        case = cases[0]
         # full_field treats its first argument as the homogeneous part
-        truth_nodes = full_field(model, case.u_ref - case.lift, case.g_b)
+        truth_nodes = full_field(model, u_ref[0] - lift[0], g_b[0])
         mesh_heatmap(adir.file("field_truth.svg"), mesh, truth_nodes,
                      title="truth, first test parameter")
         best = methods[-1]
         c0 = coeffs[best][0]
         pred_hom = spaces[trunk_of[best]].psi @ c0
         mesh_heatmap(adir.file("field_pred.svg"), mesh,
-                     full_field(model, pred_hom, case.g_b),
+                     full_field(model, pred_hom, g_b[0]),
                      title=f"{best} prediction")
-        err = np.abs(pred_hom + case.lift - case.u_ref)
+        err = np.abs(pred_hom + lift[0] - u_ref[0])
         mesh_heatmap(adir.file("field_error.svg"), mesh,
                      full_field(model, err), title=f"{best} absolute error")
     return report
@@ -538,7 +371,8 @@ class OnlineBundle:
     chol_star: np.ndarray
     net: object
     std: object
-    theta_fn: object
+    theta_fn: object           # the benchmark's theta
+    bench: object
     blocks: object = None      # modal right-hand-side blocks (example 2)
     n_free: int = 0
 
@@ -557,29 +391,6 @@ class OnlineBundle:
         return max(max(s) for s in self.shapes() if s)
 
 
-def _ex3_theta_fn(adir):
-    """Pivot-only tensor interpolation weights; O(Q^2) and mesh-free."""
-    from .geomap import RadialMap
-
-    meta = adir.load_json("eim_meta")
-    rm = RadialMap(**meta["radial_map"])
-    pivots = adir.load_array("eim_pivots")
-    points = adir.load_array("eim_points")
-    pivot_points = points[pivots // 3].copy()
-    pivot_comps = (pivots % 3).copy()
-    tri_mat = adir.load_array("eim_tri_mat")
-    del points
-    rows = np.arange(len(pivot_comps))
-
-    def fn(k):
-        g = rm.jacobian_tensor(pivot_points, float(k[2]))
-        comps = np.stack([g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1)
-        alpha = solve_triangular(tri_mat, comps[rows, pivot_comps], lower=True)
-        return np.concatenate([alpha, float(k[0]) * alpha])
-
-    return fn
-
-
 def load_online_bundle(adir):
     """Online-path state from a finished offline directory.
 
@@ -588,55 +399,38 @@ def load_online_bundle(adir):
     which is enough for budget measurements.
     """
     manifest = adir.read_manifest()
-    example = int(manifest["example"])
+    bench = open_benchmark(spec_from_manifest(manifest), adir)
     a_blocks = adir.load_array("greedy_a_blocks")
     f_blocks = adir.load_array("greedy_f_blocks")
     meta = adir.load_json("greedy_meta")
     online = OnlineRB(a_blocks=a_blocks, f_blocks=f_blocks,
                       alpha_lb=float(meta["alpha_lb"]))
     k_star = np.asarray(manifest["k_star"], dtype=float)
-    blocks = None
-    if example == 2:
-        blocks = load_case2_blocks(adir, "case2_greedy")
-        theta_fn = lambda k: np.asarray(k, dtype=float)
-        d_in = len(k_star) + blocks.f_s.shape[0] + blocks.g_p.shape[1]
-    elif example == 3:
-        theta_fn = _ex3_theta_fn(adir)
-        d_in = len(k_star)
-    else:
-        theta_fn = lambda k: np.array([k[0], 1.0])
-        d_in = len(k_star)
     chol_star = np.linalg.cholesky(
-        np.tensordot(theta_fn(k_star), a_blocks, axes=1))
+        np.tensordot(bench.theta(k_star), a_blocks, axes=1))
     if adir.has("rb_net.json"):
         net, std, _ = load_net(adir, "rb")
     else:
+        d_in = len(k_star) + sum(manifest.get("dims_modes", {}).values())
         net = MLP([d_in, *HIDDEN_SIZES, a_blocks.shape[1]], seed=0)
         std = Standardizer(mean=np.zeros(d_in), std=np.ones(d_in))
-    return OnlineBundle(example=example, online=online, chol_star=chol_star,
-                        net=net, std=std, theta_fn=theta_fn, blocks=blocks,
+    return OnlineBundle(example=bench.spec.example, online=online,
+                        chol_star=chol_star, net=net, std=std,
+                        theta_fn=bench.theta, bench=bench,
+                        blocks=bench.load_blocks(adir, "greedy"),
                         n_free=int(manifest["mesh"]["n_free"]))
 
 
 def online_query(bundle, k, a=None, b=None):
     """One certified online prediction: branch, Galerkin, residual norm."""
-    if bundle.example == 2:
-        feats = np.concatenate([k, a, b])
-    else:
-        feats = np.asarray(k, dtype=float)
-    c_net = bundle.net.forward(feats[None, :], bundle.std)[0]
+    bench = bundle.bench
+    c_net = bundle.net.forward(bench.features(k, a, b)[None, :],
+                               bundle.std)[0]
     theta = bundle.theta_fn(k)
     a_rb = np.tensordot(theta, bundle.online.a_blocks, axes=1)
-    if bundle.example == 2:
-        f_rb = reduced_rhs_case2(bundle.blocks, theta, a, b)
-    else:
-        f_rb = float(k[1]) * bundle.online.f_blocks[0]
+    f_rb = bench.rhs(bundle.online, bundle.blocks, theta, k, a, b)
     c_gal = solve_reduced(a_rb, f_rb)
-    r = f_rb - a_rb @ c_net
-    z, info = dtrtrs(bundle.chol_star.T, r, lower=0, trans=1)
-    if info:
-        raise ValueError(f"dtrtrs failed with info={info}")
-    res = float(np.linalg.norm(z))
+    res = reduced_dual_norm(bundle.chol_star, f_rb - a_rb @ c_net)
     return c_net, c_gal, res
 
 
@@ -644,12 +438,11 @@ def _draw_queries(manifest, n, seed):
     rng = np.random.default_rng(seed)
     pr = np.asarray(manifest["param_ranges"], dtype=float)
     ks = rng.uniform(pr[:, 0], pr[:, 1], size=(n, pr.shape[0]))
-    if int(manifest["example"]) != 2:
+    modes = manifest.get("dims_modes")
+    if modes is None:
         return [(k, None, None) for k in ks]
-    r_f = int(manifest["dims_modes"]["r_f"])
-    r_g = int(manifest["dims_modes"]["r_g"])
-    a = rng.standard_normal((n, r_f))
-    b = rng.standard_normal((n, r_g))
+    a = rng.standard_normal((n, int(modes["r_f"])))
+    b = rng.standard_normal((n, int(modes["r_g"])))
     return [(ks[i], a[i], b[i]) for i in range(n)]
 
 
@@ -679,7 +472,6 @@ def _alloc_peak(bundle, queries, reps=15):
 
 
 def _doubled_recipe(recipe):
-    out = dict(recipe)
     if recipe["kind"] == "inclusion":
         return {"h": recipe["h"] / np.sqrt(2.0)}
     return {"n": int(round(recipe["n"] * np.sqrt(2.0)))}
@@ -695,7 +487,6 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
     """
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
-    example = int(manifest["example"])
     if doubled_dir is None:
         doubled_dir = adir.path.rstrip("/\\") + "_x2"
     d_adir = ArtifactDir(doubled_dir)
@@ -703,12 +494,12 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
         overrides = dict(_doubled_recipe(manifest["mesh_recipe"]))
         overrides["greedy_fixed_n"] = int(manifest["dims_trunk"]["greedy_n"])
         overrides["greedy_tol"] = None
-        if example == 2:
-            overrides["mode_tol"] = 0.0
-            overrides["r_f_max"] = int(manifest["dims_modes"]["r_f"])
-            overrides["r_g_max"] = int(manifest["dims_modes"]["r_g"])
-        run_offline(example, doubled_dir, seed=int(manifest["seed"]),
-                    pod=False, overrides=overrides)
+        modes = manifest.get("dims_modes")
+        if modes is not None:
+            overrides.update(mode_tol=0.0, r_f_max=int(modes["r_f"]),
+                             r_g_max=int(modes["r_g"]))
+        run_offline(int(manifest["example"]), doubled_dir,
+                    seed=int(manifest["seed"]), pod=False, overrides=overrides)
 
     base = load_online_bundle(adir)
     doubled = load_online_bundle(d_adir)
@@ -743,51 +534,22 @@ def _gate(fails, name, value, bound):
         fails.append(f"{name}: {value:.3e} exceeds {bound:.3e}")
 
 
-def _within(value, nominal, frac):
-    return abs(value - nominal) <= frac * nominal
-
-
 def bench_gates(example, report, manifest, audit=None):
     """The pinned pass/fail bounds for one benchmark report."""
     s = report.summary()
+    bench = BENCHMARKS[example]
     fails = []
-    if example == 1:
-        _gate(fails, "rb_galerkin rel_l2 mean",
-              s["rb_galerkin"]["rel_l2"]["mean"], 1e-5)
-        _gate(fails, "rb_galerkin rel_residual mean",
-              s["rb_galerkin"]["rel_residual"]["mean"], 1e-12)
-        if "rb_deeponet" in s:
-            _gate(fails, "rb_deeponet rel_l2 mean",
-                  s["rb_deeponet"]["rel_l2"]["mean"], 2e-2)
-            _gate(fails, "rb_deeponet rel_l2 p95",
-                  s["rb_deeponet"]["rel_l2"]["p95"], 5e-2)
-        if "pod_deeponet" in s:
-            _gate(fails, "pod_deeponet rel_l2 mean",
-                  s["pod_deeponet"]["rel_l2"]["mean"], 2e-2)
-    elif example == 2:
-        _gate(fails, "rb_galerkin rel_l2 mean",
-              s["rb_galerkin"]["rel_l2"]["mean"], 1e-2)
-        if "rb_deeponet" in s:
-            _gate(fails, "rb_deeponet rel_l2 mean",
-                  s["rb_deeponet"]["rel_l2"]["mean"], 5e-2)
-        dims = manifest["dims_trunk"]
-        modes = manifest["dims_modes"]
-        for label, value, nominal in (("trunk dimension", dims["greedy_n"], 209),
-                                      ("source rank", modes["r_f"], 128),
-                                      ("boundary rank", modes["r_g"], 16)):
-            if not _within(value, nominal, 0.30):
-                fails.append(f"{label} {value} outside 30% of {nominal}")
-    else:
-        _gate(fails, "rb_galerkin rel_l2 mean",
-              s["rb_galerkin"]["rel_l2"]["mean"], 5e-3)
-        if "rb_deeponet" in s:
-            _gate(fails, "rb_deeponet rel_l2 mean",
-                  s["rb_deeponet"]["rel_l2"]["mean"], 8e-2)
-    if example in NOMINAL_PARAM_COUNTS and example != 2:
-        counted = manifest.get("train_rb", {}).get("n_params")
-        if counted is not None and counted != NOMINAL_PARAM_COUNTS[example]:
-            fails.append(f"branch parameter count {counted} != "
-                         f"{NOMINAL_PARAM_COUNTS[example]}")
+    for method, measure, stat, bound in bench.gates:
+        if method in s:
+            _gate(fails, f"{method} {measure} {stat}",
+                  s[method][measure][stat], bound)
+    for label, section, key, nominal in bench.nominal_dims:
+        value = manifest[section][key]
+        if abs(value - nominal) > 0.30 * nominal:
+            fails.append(f"{label} {value} outside 30% of {nominal}")
+    counted = manifest.get("train_rb", {}).get("n_params")
+    if bench.n_params and counted not in (None, bench.n_params):
+        fails.append(f"branch parameter count {counted} != {bench.n_params}")
     if audit is not None:
         if not audit["reduced_shapes_equal"]:
             fails.append("online arrays changed shape under mesh refinement")
@@ -805,9 +567,9 @@ def run_bench(example, outdir, seed=0, check=False, pod=None, audit=None,
     and a pinned bound is violated.
     """
     if pod is None:
-        pod = example in (1, 3)
+        pod = BENCHMARKS[example].pod
     if audit is None:
-        audit = example == 1
+        audit = BENCHMARKS[example].audit
     adir = run_offline(example, outdir, seed=seed, pod=pod,
                        overrides=overrides)
     run_train(outdir, "rb", seed=seed + 1, config=train_config)

@@ -45,11 +45,6 @@ class RBSpace:
     def dim(self):
         return self.psi.shape[1]
 
-    def online(self):
-        """Small-block view for the online path; excludes the trunk."""
-        return OnlineRB(a_blocks=self.a_blocks, f_blocks=self.f_blocks,
-                        alpha_lb=self.alpha_lb)
-
 
 @dataclass
 class OnlineRB:
@@ -134,18 +129,6 @@ def reduce_operators(model, psi):
     return a_blocks, f_blocks
 
 
-def assemble_online(space, theta_a, theta_f=None):
-    """Weighted block sums; touches only reduced-size arrays."""
-    theta_a = np.asarray(theta_a, dtype=float)
-    a_rb = np.tensordot(theta_a, space.a_blocks, axes=1)
-    n = space.a_blocks.shape[1]
-    if theta_f is not None and len(space.f_blocks):
-        f_rb = np.asarray(theta_f, dtype=float) @ space.f_blocks
-    else:
-        f_rb = np.zeros(n)
-    return a_rb, f_rb
-
-
 def solve_reduced(a_rb, f_rb):
     """Dense Cholesky solve of one reduced system."""
     try:
@@ -157,13 +140,6 @@ def solve_reduced(a_rb, f_rb):
     if info:
         raise ValueError(f"dpotrs failed with info={info}")
     return c
-
-
-def rb_galerkin_solve(space, theta_a, f_rb=None, theta_f=None):
-    """Online reduced solve at one parameter; returns the coefficients."""
-    a_rb, f_aff = assemble_online(space, theta_a, theta_f)
-    rhs = f_aff if f_rb is None else np.asarray(f_rb, dtype=float)
-    return solve_reduced(a_rb, rhs)
 
 
 def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):

@@ -20,41 +20,11 @@ from rb_operon.pipeline import apply_overrides
 
 TINY1 = {"h": 1.0 / 12.0, "n_pool": 24, "n_train": 16, "n_val": 8,
          "n_test": 8, "greedy_fixed_n": 2, "pod_fixed_n": 2}
+TINY2 = {"n": 8, "n_pool": 24, "sweep_subset": 24, "greedy_fixed_n": 8,
+         "r_f_max": 6, "r_g_max": 3, "n_train": 16, "n_val": 8, "n_test": 8}
 TINY3 = {"h": 1.0 / 12.0, "n_pool": 24, "n_train": 16, "n_val": 8,
          "n_test": 8, "greedy_fixed_n": 3, "pod_fixed_n": 3,
          "eim_q": 8, "eim_train": 48}
-
-
-# ---------------------------------------------------------------------------
-# Acceptance-gate bookkeeping.  The acceptance module registers its gate
-# labels at import time and records one measured pass/fail line per gate;
-# the terminal summary prints them all, including gates that never ran.
-
-_GATES = {}
-GATE_LABELS = {}
-
-
-def register_gates(labels):
-    GATE_LABELS.update(labels)
-
-
-def record_gate(num, passed, detail):
-    _GATES[num] = (bool(passed), detail)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not GATE_LABELS:
-        return
-    terminalreporter.section("acceptance gates")
-    for num in sorted(GATE_LABELS):
-        got = _GATES.get(num)
-        if got is None:
-            terminalreporter.write_line(
-                f"[gate {num:02d}] NOT RUN  {GATE_LABELS[num]}")
-        else:
-            word = "PASS    " if got[0] else "FAIL    "
-            terminalreporter.write_line(
-                f"[gate {num:02d}] {word} {GATE_LABELS[num]}: {got[1]}")
 
 
 @pytest.fixture(scope="session")
@@ -91,3 +61,23 @@ def tiny1_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny1")
     return str(run_offline(1, str(out), seed=0, pod=True,
                            overrides=TINY1).path)
+
+
+@pytest.fixture(scope="session")
+def tiny2_dir(tmp_path_factory):
+    """Finished greedy-only offline stage of the coarse data benchmark."""
+    from rb_operon.pipeline import run_offline
+
+    out = tmp_path_factory.mktemp("tiny2")
+    return str(run_offline(2, str(out), seed=0, pod=False,
+                           overrides=TINY2).path)
+
+
+@pytest.fixture(scope="session")
+def tiny3_dir(tmp_path_factory):
+    """Finished greedy-only offline stage of the coarse radius benchmark."""
+    from rb_operon.pipeline import run_offline
+
+    out = tmp_path_factory.mktemp("tiny3")
+    return str(run_offline(3, str(out), seed=0, pod=False,
+                           overrides=TINY3).path)

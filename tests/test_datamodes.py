@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rb_operon.datamodes import (augment, boundary_greedy, case2_blocks,
+from rb_operon.datamodes import (boundary_greedy, case2_blocks,
                                  encode_boundary, encode_source,
                                  reduced_rhs_case2, reduced_rhs_case2_batch,
                                  source_greedy)
@@ -132,8 +132,3 @@ def test_reduced_rhs_batch_matches_loop(tiny_problem2, rng):
     batch = reduced_rhs_case2_batch(blocks, theta, a, b)
     for s in range(ns):
         assert np.allclose(batch[s], reduced_rhs_case2(blocks, theta[s], a[s], b[s]))
-
-
-def test_augment_layout():
-    out = augment(np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0]))
-    assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0, 5.0])

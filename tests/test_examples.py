@@ -6,8 +6,9 @@ import scipy.linalg as sla
 
 from rb_operon.assembly import (aggregated_load, assemble_stiffness,
                                 full_field, truth_solve)
-from rb_operon.examples import (ExampleSpec, ManufacturedSolution,
-                                _box_corners, build_mesh, build_problem,
+from rb_operon.examples import (Example1, Example2, ExampleSpec,
+                                ManufacturedSolution, _box_corners,
+                                build_mesh, build_problem,
                                 example2_load, example3_direct_operator,
                                 example3_direct_solve, example_spec,
                                 sample_parameters, sample_xi)
@@ -199,3 +200,16 @@ def test_problem_interior_mass(tiny_problem1):
     assert prob.m_ii.shape == (nf, nf)
     diff = abs(prob.m_ii - prob.m_full[prob.model.free][:, prob.model.free])
     assert diff.max() == 0.0
+
+
+def test_branch_feature_layout():
+    # [k; a; b] for one query and row by row for a batch; k alone without data
+    k, a, b = np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0])
+    bench = Example2(example_spec(2), None)
+    assert np.array_equal(bench.features(k, a, b), [1.0, 2.0, 3.0, 4.0, 5.0])
+    rows = bench.features(np.vstack([k, 2 * k]), np.vstack([a, 2 * a]),
+                          np.vstack([b, 2 * b]))
+    assert np.array_equal(rows, [[1.0, 2.0, 3.0, 4.0, 5.0],
+                                 [2.0, 4.0, 6.0, 8.0, 10.0]])
+    affine = Example1(example_spec(1), None)
+    assert np.array_equal(affine.features(k, None, None), k)

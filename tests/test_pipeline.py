@@ -5,9 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rb_operon.artifacts import ArtifactDir, load_space
+from rb_operon.artifacts import (ArtifactDir, load_case2_blocks, load_space,
+                                 load_surrogate)
 from rb_operon.branchnet import MLP
 from rb_operon.examples import HIDDEN_SIZES, example_spec
+from rb_operon.geomap import eim_coefficients
 from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
                                percentile_95, sample_metrics)
 from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
@@ -161,20 +163,43 @@ def test_nominal_parameter_counts_match_architectures():
         assert net.n_params == NOMINAL_PARAM_COUNTS[ex]
 
 
-def test_online_query_matches_reduced_solve(tiny1_dir, rng):
-    adir = ArtifactDir(tiny1_dir)
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_online_query_matches_reduced_solve(example, request, rng):
+    adir = ArtifactDir(request.getfixturevalue(f"tiny{example}_dir"))
+    man = adir.read_manifest()
     bundle = load_online_bundle(adir)
     space = load_space(adir, "greedy")
-    lo, hi = np.array(example_spec(1).param_ranges).T
-    for k in rng.uniform(lo, hi, size=(5, 2)):
-        c_net, c_gal, res = online_query(bundle, k)
-        theta = np.array([k[0], 1.0])
-        a_rb = np.tensordot(theta, space.a_blocks, axes=1)
-        want = np.linalg.solve(a_rb, k[1] * space.f_blocks[0])
+
+    # theta and the reduced load written out from the paper's definitions
+    def theta(k):
+        if example == 1:
+            return np.array([k[0], 1.0])
+        if example == 2:
+            return k
+        alpha = eim_coefficients(load_surrogate(adir), k[2])
+        return np.concatenate([alpha, k[0] * alpha])
+
+    a_star_rb = np.tensordot(theta(np.array(man["k_star"])), space.a_blocks,
+                             axes=1)
+    lo, hi = np.array(man["param_ranges"]).T
+    for k in rng.uniform(lo, hi, size=(5, len(lo))):
+        if example == 2:
+            blocks = load_case2_blocks(adir, "case2_greedy")
+            a = rng.standard_normal(blocks.f_s.shape[0])
+            b = rng.standard_normal(blocks.g_p.shape[1])
+            args = (k, a, b)
+            lift = np.einsum("p,pgn,g->n", theta(k), blocks.g_p, b)
+            f_rb = a @ blocks.f_s - lift
+        else:
+            args = (k,)
+            f_rb = k[1] * space.f_blocks[0]
+        assert np.allclose(bundle.theta_fn(k), theta(k), rtol=1e-12)
+        c_net, c_gal, res = online_query(bundle, *args)
+        a_rb = np.tensordot(theta(k), space.a_blocks, axes=1)
+        want = np.linalg.solve(a_rb, f_rb)
         assert np.allclose(c_gal, want, rtol=1e-10, atol=1e-12)
         # certified residual equals the dual norm computed densely
-        r = k[1] * space.f_blocks[0] - a_rb @ c_net
-        a_star_rb = np.tensordot([1.0, 1.0], space.a_blocks, axes=1)
+        r = f_rb - a_rb @ c_net
         want_res = np.sqrt(r @ np.linalg.solve(a_star_rb, r))
         assert np.isclose(res, want_res, rtol=1e-9)
 
