@@ -160,6 +160,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         "basis_size": gtrace.basis_size,
         "rounds": gtrace.rounds,
         "stop_reason": gtrace.stop_reason,
+        "rechecks": gtrace.rechecks,
     })
     manifest["dims_trunk"] = {"greedy_n": space_g.dim}
     line_plot(adir.file("greedy_decay.svg"),
@@ -447,13 +448,14 @@ def _draw_queries(manifest, n, seed):
 
 
 def _time_queries(bundle, queries, rounds=7):
-    best = np.inf
+    """Best per-query seconds over the rounds, and every round's seconds."""
+    times = []
     for _ in range(rounds):
         t0 = time.perf_counter()
         for q in queries:
             online_query(bundle, *q)
-        best = min(best, time.perf_counter() - t0)
-    return best / len(queries)
+        times.append(time.perf_counter() - t0)
+    return min(times) / len(queries), times
 
 
 def _alloc_peak(bundle, queries, reps=15):
@@ -506,8 +508,8 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
     queries = _draw_queries(manifest, n_queries, seed)
 
     shapes_equal = base.shapes() == doubled.shapes()
-    t_base = _time_queries(base, queries)
-    t_doubled = _time_queries(doubled, queries)
+    t_base, rounds_base = _time_queries(base, queries)
+    t_doubled, rounds_doubled = _time_queries(doubled, queries)
     alloc_base = _alloc_peak(base, queries)
     alloc_doubled = _alloc_peak(doubled, queries)
     slack = max(4096.0, 0.02 * alloc_base)
@@ -519,6 +521,8 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
         "max_array_dim": {"base": base.max_dim(), "doubled": doubled.max_dim()},
         "per_query_seconds": {"base": t_base, "doubled": t_doubled},
         "time_ratio": t_doubled / t_base,
+        "per_round_seconds": {"base": rounds_base, "doubled": rounds_doubled},
+        "timing_rounds": len(rounds_base),
         "alloc_peak_bytes": {"base": alloc_base, "doubled": alloc_doubled},
         "alloc_gap_bytes": abs(alloc_doubled - alloc_base),
         "alloc_within_slack": bool(abs(alloc_doubled - alloc_base) <= slack),

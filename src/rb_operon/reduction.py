@@ -14,9 +14,13 @@ remainder of the load representers gives
 
 with s(k) the norm of the deflated load representer.  Both pieces are sums
 of squares, so the sweep cannot go negative the way the expanded quadratic
-form does, and only enrichment costs full-order solves.  The coefficients
-c(k) come from per-sample Cholesky factors of A_N(k) that grow by one
-border row per accepted trunk column, so the sweep never refactorizes one.
+form does.  s(k)^2 is kept as a downdated difference, the undeflated square
+minus the squares of the U coordinates of the load, which are the P_F rows.
+That difference is accurate except near the round-off floor, so s(k)^2 is
+recomputed exactly, by one reference solve per sample, only where its drift
+bound could change the argmax or the tolerance test.  The coefficients c(k)
+come from per-sample Cholesky factors of A_N(k) that grow by one border row
+per accepted trunk column, so the sweep never refactorizes one.
 """
 
 import numpy as np
@@ -27,6 +31,9 @@ from scipy.sparse.linalg import eigsh
 
 from .assembly import interior_factor
 from .errors import CoercivityViolationError, EmptySpaceError, StagnationError
+
+_STAR_CHUNK = 256   # load representers solved per star_solve call
+_DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
 
 
 @dataclass
@@ -63,6 +70,7 @@ class GreedyTrace:
     basis_size: list = field(default_factory=list)
     rounds: list = field(default_factory=list)     # sweep-set round ids
     stop_reason: str = None    # "tolerance", "size" or "dependent_snapshot"
+    rechecks: list = field(default_factory=list)   # exact s^2 per basis size
 
 
 def v_orthonormalize(model, psi, candidate, drop_tol=1e-10):
@@ -159,54 +167,61 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
 
 
 class _SweepState:
-    """Deflated-representer bookkeeping for the greedy estimator sweep."""
+    """Deflated-load bookkeeping for the greedy estimator sweep.
 
-    def __init__(self, model, f_hat_all, refresh_every=16):
+    s^2 of every pool load is the reference-norm square of its representer
+    minus the squares of its U coordinates, downdated once per appended U
+    column.  The difference loses accuracy only near the round-off floor,
+    so ``slack`` bounds its drift and ``exact_s2`` recomputes the samples a
+    decision depends on.  No representer block is held.
+    """
+
+    def __init__(self, model, f_hat_all):
         self.model = model
         self.a = model.a_star_II
         self.f_hat = f_hat_all
         ns = f_hat_all.shape[1]
         n_free = f_hat_all.shape[0]
-        # Z_perp starts as the load representers and is deflated in place.
-        self.z_perp = model.star_solve(f_hat_all)
-        self.s2 = np.einsum("ij,ij->j", self.z_perp, f_hat_all)
+        self.s2 = np.empty(ns)
+        for lo in range(0, ns, _STAR_CHUNK):
+            blk = f_hat_all[:, lo:lo + _STAR_CHUNK]
+            self.s2[lo:lo + _STAR_CHUNK] = np.einsum(
+                "ij,ij->j", model.star_solve(blk), blk)
+        self.s0_sq = self.s2.copy()
         self.u = np.empty((n_free, 0))
         self.p_f = np.empty((0, ns))
         self.r_blocks = [np.empty((0, 0)) for _ in range(model.affine_II.n_terms)]
         self.w_psi = [np.empty((n_free, 0)) for _ in range(model.affine_II.n_terms)]
         self.f_rb = np.empty((0, ns))
-        self.refresh_every = refresh_every
-        self._since_refresh = 0
 
     @property
     def m(self):
         return self.u.shape[1]
 
+    def slack(self, idx):
+        """Bound on the downdate drift of s^2 for the samples in ``idx``."""
+        return _DRIFT * (self.m + 1) * np.finfo(float).eps * self.s0_sq[idx]
+
+    def exact_s2(self, idx):
+        """Recompute s^2 of the samples in ``idx`` from deflated representers."""
+        for lo in range(0, len(idx), _STAR_CHUNK):
+            sub = idx[lo:lo + _STAR_CHUNK]
+            z = self.model.star_solve(self.f_hat[:, sub])
+            for _ in range(2):
+                if self.m:
+                    z -= self.u @ (self.u.T @ (self.a @ z))
+            self.s2[sub] = np.maximum(np.einsum("ij,ij->j", z, self.a @ z), 0.0)
+
     def _append_u(self, u_new):
-        q = self.a @ u_new
-        coords = q @ self.z_perp
-        self.z_perp -= np.outer(u_new, coords)
-        self.s2 -= coords * coords
+        row = u_new @ self.f_hat
+        self.s2 -= row * row
         self.u = np.column_stack([self.u, u_new])
-        self.p_f = np.vstack([self.p_f, u_new @ self.f_hat])
+        self.p_f = np.vstack([self.p_f, row])
         # one new R_p row against every trunk column seen so far
         for p, w in enumerate(self.w_psi):
             row = u_new @ w
             rb = self.r_blocks[p]
             self.r_blocks[p] = np.vstack([rb, row]) if rb.size else row[None, :]
-        self._since_refresh += 1
-        if self._since_refresh >= self.refresh_every:
-            self.refresh()
-
-    def refresh(self):
-        """Recompute s^2 exactly from the stored deflated representers."""
-        chunk = 2048
-        ns = self.z_perp.shape[1]
-        for lo in range(0, ns, chunk):
-            hi = min(lo + chunk, ns)
-            blk = self.z_perp[:, lo:hi]
-            self.s2[lo:hi] = np.einsum("ij,ij->j", blk, self.a @ blk)
-        self._since_refresh = 0
 
     def enrich(self, model, psi_new):
         """Account for one accepted trunk column."""
@@ -294,7 +309,7 @@ class _BorderedCholesky:
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                  n_max=None, alpha_lb=1.0, sweep_subset=None,
-                 refresh_every=16, provenance=None):
+                 provenance=None):
     """Weak greedy trunk construction driven by the certified estimator.
 
     ``samples`` is the training pool (n_s, p); ``f_hat_all`` the matching
@@ -316,7 +331,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     n_cap = fixed_n if fixed_n is not None else (n_max or min(ns, model.n_free))
 
     sweep = np.arange(ns) if sweep_subset is None else np.asarray(sweep_subset, dtype=np.int64)
-    state = _SweepState(model, f_hat_all, refresh_every=refresh_every)
+    state = _SweepState(model, f_hat_all)
     trace = GreedyTrace()
     psi = np.empty((model.n_free, 0))
     round_id = 0
@@ -324,6 +339,13 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     def truth(idx):
         fac = interior_factor(model, samples[idx])
         return fac.solve(f_hat_all[:, idx])
+
+    def recheck(idx, c, eta2, near):
+        """Exact s^2 where the downdate drift could change a decision."""
+        near = np.flatnonzero(near)
+        state.exact_s2(idx[near])
+        eta2[near] = state.estimator_sq(theta_all, idx[near], c[near], alpha_lb)
+        trace.rechecks[-1] += near.size
 
     def factor_sweep():
         chol = _BorderedCholesky(theta_all[sweep])
@@ -347,8 +369,12 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     trace.rounds.append(round_id)
 
     while True:
-        state.refresh()
-        eta2 = state.estimator_sq(theta_all, sweep, chol.solve(), alpha_lb)
+        if len(trace.rechecks) < len(trace.selected):
+            trace.rechecks.append(0)
+        c = chol.solve()
+        eta2 = state.estimator_sq(theta_all, sweep, c, alpha_lb)
+        slack = state.slack(sweep) / alpha_lb ** 2
+        recheck(sweep, c, eta2, eta2 + slack >= np.max(eta2 - slack))
         i_loc = int(np.argmax(eta2))
         eta_max = float(np.sqrt(max(eta2[i_loc], 0.0)))
         if len(trace.max_estimator) < len(trace.selected):
@@ -364,8 +390,11 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                 chol = None
                 c_all = solve_reduced_batch(a_blocks, theta_all, state.f_rb.T,
                                             chunk=64)
-                eta2_all = state.estimator_sq(theta_all, np.arange(ns), c_all,
-                                              alpha_lb)
+                pool = np.arange(ns)
+                eta2_all = state.estimator_sq(theta_all, pool, c_all, alpha_lb)
+                slack = state.slack(pool) / alpha_lb ** 2
+                recheck(pool, c_all, eta2_all,
+                        np.abs(eta2_all - tol * tol) <= slack)
                 bad = np.flatnonzero(eta2_all > tol * tol)
                 bad = np.setdiff1d(bad, sweep)
                 if bad.size:

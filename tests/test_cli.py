@@ -124,6 +124,12 @@ def test_eval_and_audit(cli_dir, tmp_path, capsys):
     assert "per-query time" in out
     audit = json.load(open(os.path.join(cli_dir, "audit.json")))
     assert audit["reduced_shapes_equal"] is True
+    # every timing round is recorded, and the best one is the reported time
+    for side in ("base", "doubled"):
+        rounds = audit["per_round_seconds"][side]
+        assert len(rounds) == audit["timing_rounds"] == 7
+        assert min(rounds) / audit["n_queries"] == pytest.approx(
+            audit["per_query_seconds"][side], rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

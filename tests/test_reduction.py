@@ -6,17 +6,35 @@ from rb_operon.errors import (CoercivityViolationError, EmptySpaceError,
 from rb_operon.assembly import aggregated_load
 from rb_operon.examples import (ManufacturedSolution, example2_load,
                                 sample_parameters, sample_xi)
-from rb_operon.reduction import (_BorderedCholesky, _border_update,
-                                 coercivity_lower_bound, estimator,
-                                 greedy_build, pod_build, reduce_operators,
-                                 solve_reduced, solve_reduced_batch,
-                                 v_orthonormalize)
+from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
+                                 _border_update, coercivity_lower_bound,
+                                 estimator, greedy_build, pod_build,
+                                 reduce_operators, solve_reduced,
+                                 solve_reduced_batch, v_orthonormalize)
 
 
 def pool_and_loads(problem, n, seed=5):
     ks = sample_parameters(problem.spec, n, np.random.default_rng(seed))
     f_hat = np.column_stack([problem.model.load_interior(k) for k in ks])
     return ks, f_hat
+
+
+def data_pool_and_loads(problem, n, seed=7):
+    """Example 2 pool: operator parameters with independent data loads."""
+    rng = np.random.default_rng(seed)
+    ks = sample_parameters(problem.spec, n, rng)
+    xis = sample_xi(problem.spec, n, rng)
+    cols = []
+    for k, xi in zip(ks, xis):
+        f, g = example2_load(problem, k, ManufacturedSolution.from_xi(xi))
+        cols.append(aggregated_load(problem.model, k, f, g))
+    return ks, np.column_stack(cols)
+
+
+def assert_rechecked(trace):
+    # the sweep maximum is recomputed exactly at every basis size
+    assert len(trace.rechecks) == len(trace.selected)
+    assert min(trace.rechecks) >= 1
 
 
 def test_v_orthonormalize_properties(tiny_problem1, rng):
@@ -103,6 +121,7 @@ def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     assert len(trace.selected) == len(trace.max_estimator) == len(trace.basis_size)
     assert trace.basis_size == [1, 2, 3]
     assert trace.stop_reason == "size"
+    assert_rechecked(trace)
     assert all(np.diff(trace.max_estimator) < 0)
     # trunk is orthonormal in the reference inner product
     assert np.allclose(space.gram_ref, np.eye(3), atol=1e-10)
@@ -124,6 +143,7 @@ def test_greedy_tolerance_mode_certifies(tiny_problem1):
                                 tol=tol, alpha_lb=problem.alpha_lb)
     assert trace.max_estimator[-1] <= tol
     assert trace.stop_reason == "tolerance"
+    assert_rechecked(trace)
     # every pool sample is now certified below the tolerance
     for i, k in enumerate(ks):
         a_rb = np.tensordot(problem.model.theta_a(k), space.a_blocks, axes=1)
@@ -166,6 +186,7 @@ def test_greedy_subset_certify_and_extend(tiny_problem1):
         assert estimator(problem.model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
     # rounds are recorded monotonically
     assert trace.rounds == sorted(trace.rounds)
+    assert_rechecked(trace)
 
 
 def test_greedy_data_loads_extend_sweep(tiny_problem2):
@@ -174,14 +195,7 @@ def test_greedy_data_loads_extend_sweep(tiny_problem2):
     # certification pulls violators in, which rebuilds the sweep factors
     problem = tiny_problem2
     model = problem.model
-    rng = np.random.default_rng(7)
-    ks = sample_parameters(problem.spec, 24, rng)
-    xis = sample_xi(problem.spec, 24, rng)
-    cols = []
-    for k, xi in zip(ks, xis):
-        f, g = example2_load(problem, k, ManufacturedSolution.from_xi(xi))
-        cols.append(aggregated_load(model, k, f, g))
-    f_hat = np.column_stack(cols)
+    ks, f_hat = data_pool_and_loads(problem, 24)
     tol = 0.1
     space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=tol,
                                 alpha_lb=problem.alpha_lb,
@@ -189,10 +203,66 @@ def test_greedy_data_loads_extend_sweep(tiny_problem2):
     assert space.dim >= 12
     assert max(trace.rounds) >= 1
     assert trace.stop_reason == "tolerance"
+    assert_rechecked(trace)
     for i, k in enumerate(ks):
         a_rb = np.tensordot(model.theta_a(k), space.a_blocks, axes=1)
         c = solve_reduced(a_rb, space.psi.T @ f_hat[:, i])
         assert estimator(model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
+
+
+def test_greedy_selection_matches_full_order_estimator(tiny_problem2):
+    # a pool-sized trunk drives every estimator to the round-off floor, where
+    # the downdated s^2 is noise; each pick and each recorded maximum must
+    # still be those of the full-order estimator
+    problem = tiny_problem2
+    model = problem.model
+    ks, f_hat = data_pool_and_loads(problem, 24)
+    space, trace = greedy_build(model, ks, f_hat_all=f_hat, fixed_n=24,
+                                alpha_lb=problem.alpha_lb)
+    assert space.dim == 24
+    assert_rechecked(trace)
+    top = trace.max_estimator[0]
+    for n in range(1, space.dim + 1):
+        sub = RBSpace(psi=space.psi[:, :n],
+                      a_blocks=space.a_blocks[:, :n, :n], f_blocks=None,
+                      gram_ref=None, alpha_lb=space.alpha_lb)
+        etas = []
+        for i, k in enumerate(ks):
+            a_rb = np.tensordot(model.theta_a(k), sub.a_blocks, axes=1)
+            c = solve_reduced(a_rb, sub.psi.T @ f_hat[:, i])
+            etas.append(estimator(model, sub, k, c, f_hat[:, i]))
+        if n < space.dim:
+            assert trace.selected[n] == int(np.argmax(etas))
+        if trace.max_estimator[n - 1] > 1e-10 * top:
+            assert np.isclose(trace.max_estimator[n - 1], max(etas),
+                              rtol=1e-8, atol=0.0)
+    assert trace.max_estimator[-1] <= 1e-10 * top
+
+
+def test_sweep_state_downdate_within_slack(tiny_problem2):
+    # enrich until U spans the whole space: the downdated s^2 falls to the
+    # round-off floor, where it may go negative, but it must stay within the
+    # drift slack of the exact recomputation, which is never negative
+    problem = tiny_problem2
+    model = problem.model
+    ks, f_hat = data_pool_and_loads(problem, 24)
+    pool = np.arange(f_hat.shape[1])
+    state = _SweepState(model, f_hat)
+    rng = np.random.default_rng(2)
+    psi = None
+    for step in range(1, 41):
+        v = v_orthonormalize(model, psi, rng.standard_normal(model.n_free))
+        psi = v[:, None] if psi is None else np.column_stack([psi, v])
+        state.enrich(model, v)
+        if step == 12 or state.m == model.n_free:
+            down = state.s2.copy()
+            state.exact_s2(pool)
+            assert np.all(np.abs(down - state.s2) <= state.slack(pool))
+            assert np.all(state.s2 >= 0.0)
+        if state.m == model.n_free:
+            break
+    assert step > 12
+    assert np.all(down <= 1e-12 * state.s0_sq)
 
 
 def test_greedy_stagnation_raises(tiny_problem1):
