@@ -82,8 +82,14 @@ def _cmd_mesh(args):
     mesh = build_mesh(spec)
     adir = ArtifactDir(args.out)
     write_mesh_text(mesh, adir.file("mesh.txt"))
-    print(f"mesh: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles, "
-          f"min angle {min_angle_deg(mesh):.2f} deg")
+    line = (f"mesh: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles, "
+            f"min angle {min_angle_deg(mesh):.2f} deg")
+    if mesh.relaxation is not None:
+        r = mesh.relaxation
+        line += (f"; relaxation: {r['iterations']} iterations, "
+                 f"{r['triangulations']} triangulations, "
+                 f"stopped on {r['stop_reason']}")
+    print(line)
     print(f"wrote {adir.file('mesh.txt')}")
     return 0
 

@@ -6,6 +6,15 @@ boundary is resolved exactly by mesh edges.  The inclusion mesh is produced by
 a force-equilibrium relaxation (truss analogy) over a Delaunay triangulation,
 with the circle ring, the outer boundary and the corners held fixed.
 
+The relaxation retriangulates only when it must.  After each move, a Lawson
+certificate checks the last triangulation against the moved points: every
+point a vertex, the hull vertices unmoved, every triangle counterclockwise and
+every interior edge strictly locally Delaunay, each test with a margin far
+above its floating-point round-off.  When all pass, the triangulation is the
+unique Delaunay triangulation of the moved points, which is what ``Delaunay``
+would return, so its edges are reused; otherwise ``Delaunay`` runs again.  The
+mesh is therefore the same as with a triangulation on every iteration.
+
 Boundary edges carry free-form segment names ("base", "top", ...).  Nodes at
 a junction between a Dirichlet segment and a Neumann/Robin segment belong to
 the non-Dirichlet side: a node counts as Dirichlet only when every boundary
@@ -13,7 +22,7 @@ edge incident to it is Dirichlet-tagged.  This open-segment convention fixes
 the constrained-node counts that the rest of the toolkit relies on.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -33,6 +42,10 @@ class TriMesh:
     boundary_edges : (n_bnd, 2) int array, endpoint indices
     edge_segments : (n_bnd,) int array, index into ``segment_names``
     segment_names : tuple of str
+    relaxation : dict or None
+        How a relaxed mesh was made: ``iterations``, ``triangulations`` (the
+        ``Delaunay`` calls inside the loop) and ``stop_reason`` (``"step_tol"``
+        or ``"max_iters"``).  Not compared and not written to mesh text.
     """
 
     nodes: np.ndarray
@@ -41,6 +54,7 @@ class TriMesh:
     boundary_edges: np.ndarray
     edge_segments: np.ndarray
     segment_names: tuple
+    relaxation: dict = field(default=None, compare=False)
 
     def __post_init__(self):
         for arr in (self.nodes, self.triangles, self.triangle_tags,
@@ -89,12 +103,26 @@ def min_angle_deg(mesh):
     return float(np.min(angles))
 
 
+def _edge_keys(polygons, n):
+    """Key ``lo * n + hi`` (int64) of every side of the polygons in the rows.
+
+    Side j of a row joins columns j and j + 1 (cyclically); sides are listed
+    column by column, so triangle sides come as the rows of ``vstack([t[:,
+    [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])``.  The keys sort in the
+    lexicographic order of their (lo, hi) pairs, so a 1-D ``np.unique`` does
+    the work of ``np.unique(pairs, axis=0)``; ``np.divmod(keys, n)`` decodes
+    them.
+    """
+    t = np.asarray(polygons, dtype=np.int64)
+    a = t.T.ravel()
+    b = np.roll(t, -1, axis=1).T.ravel()
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
 def all_edges(mesh):
     """Unique undirected edges of the triangulation, sorted pairs."""
-    t = mesh.triangles
-    e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+    n = mesh.n_nodes
+    return np.column_stack(np.divmod(np.unique(_edge_keys(mesh.triangles, n)), n))
 
 
 def boundary_node_indices(mesh):
@@ -131,12 +159,132 @@ def _orient_ccw(nodes, triangles):
     return triangles
 
 
-def _boundary_edges_of(triangles):
-    """Edges incident to exactly one triangle."""
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    key = np.sort(e, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-    return np.sort(e[counts[inv] == 1], axis=1)
+def _boundary_edges_of(triangles, n):
+    """Edges incident to exactly one triangle, sorted pairs in side order."""
+    key = _edge_keys(triangles, n)
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return np.column_stack(np.divmod(key[counts[inv] == 1], n))
+
+
+# Relative margin of the certificate's sign tests.  Shewchuk's (1997)
+# a-priori round-off bounds are about 3.3e-16 (orientation) and 1.1e-15
+# (in-circle) times the permanent, so a pass cannot be a rounding artefact.
+_LAWSON_MARGIN = 1e-12
+
+
+def _orient2d(p, t):
+    """Twice the signed area of each triangle row of ``t``, and its permanent."""
+    ac = p[t[:, 0]] - p[t[:, 2]]
+    bc = p[t[:, 1]] - p[t[:, 2]]
+    left = ac[:, 0] * bc[:, 1]
+    right = ac[:, 1] * bc[:, 0]
+    return left - right, np.abs(left) + np.abs(right)
+
+
+def _incircle(p, a, b, c, d):
+    """In-circle determinant, positive when d lies inside the circle through
+    the counterclockwise (a, b, c), and its permanent."""
+    ad, bd, cd = p[a] - p[d], p[b] - p[d], p[c] - p[d]
+    alift = np.einsum("ij,ij->i", ad, ad)
+    blift = np.einsum("ij,ij->i", bd, bd)
+    clift = np.einsum("ij,ij->i", cd, cd)
+    bc1, bc2 = bd[:, 0] * cd[:, 1], cd[:, 0] * bd[:, 1]
+    ca1, ca2 = cd[:, 0] * ad[:, 1], ad[:, 0] * cd[:, 1]
+    ab1, ab2 = ad[:, 0] * bd[:, 1], bd[:, 0] * ad[:, 1]
+    det = alift * (bc1 - bc2) + blift * (ca1 - ca2) + clift * (ab1 - ab2)
+    perm = (alift * (np.abs(bc1) + np.abs(bc2)) + blift * (np.abs(ca1) + np.abs(ca2))
+            + clift * (np.abs(ab1) + np.abs(ab2)))
+    return det, perm
+
+
+class _LawsonCertificate:
+    """Test whether a Delaunay triangulation is still the unique Delaunay
+    triangulation of its points after they move.
+
+    A triangulation of the convex hull whose interior edges are all locally
+    Delaunay is a Delaunay triangulation (Lawson 1977).  If every edge passes
+    the in-circle test strictly, each circumcircle is empty of all other
+    points, so it is the only one.  ``holds`` asks for that with a margin and
+    for the conditions that keep the old triangles a triangulation of the
+    hull: every point a vertex, the hull vertices where they were, and every
+    triangle counterclockwise.
+    """
+
+    def __init__(self, tri):
+        p = tri.points
+        s = tri.simplices.astype(np.int64)
+        nb = tri.neighbors.astype(np.int64)
+        flip = _orient2d(p, s)[0] < 0
+        s[flip] = s[flip][:, [0, 2, 1]]
+        nb[flip] = nb[flip][:, [0, 2, 1]]
+        self.all_vertices = len(tri.coplanar) == 0
+        self.triangles = s
+        # Side j of triangle i runs s[i, j+1] -> s[i, j+2] and faces s[i, j].
+        i, j = np.nonzero(nb < 0)
+        self.hull = np.unique([s[i, (j + 1) % 3], s[i, (j + 2) % 3]])
+        self.hull_xy = p[self.hull]
+        # List each interior side once, from the lower-numbered triangle.
+        i, j = np.nonzero(nb > np.arange(len(s))[:, None])
+        k = nb[i, j]
+        m = np.argmax(nb[k] == i[:, None], axis=1)
+        self.quads = (s[i, (j + 1) % 3], s[i, (j + 2) % 3], s[i, j], s[k, m])
+
+    def holds(self, pts):
+        if not self.all_vertices or not np.array_equal(pts[self.hull], self.hull_xy):
+            return False
+        det, perm = _orient2d(pts, self.triangles)
+        if not np.all(det > _LAWSON_MARGIN * perm):
+            return False
+        det, perm = _incircle(pts, *self.quads)
+        return bool(np.all(det < -_LAWSON_MARGIN * perm))
+
+
+def _relax(pts, movable, h, r0, ring_spacing, max_iters):
+    """Move ``pts[movable]`` in place under repulsive edge forces.
+
+    Returns the relaxation record stored on :class:`TriMesh`.
+    """
+    n = len(pts)
+    target = 1.18 * h
+    cert = None
+    triangulations = 0
+    stop_reason = "max_iters"
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        if cert is None or not cert.holds(pts):
+            tri = Delaunay(pts)
+            triangulations += 1
+            cert = _LawsonCertificate(tri)
+            e0, e1 = np.divmod(np.unique(_edge_keys(tri.simplices, n)), n)
+            ends = np.concatenate([e0, e1])
+        vec = pts[e0] - pts[e1]
+        length = np.linalg.norm(vec, axis=1)
+        # Repulsion only: edges shorter than target push their endpoints apart.
+        f = np.maximum(target - length, 0.0) / np.maximum(length, 1e-12)
+        fv = vec * f[:, None]
+        # One bincount per coordinate adds the terms in np.add.at's order.
+        w = np.concatenate([fv, -fv])
+        force = np.column_stack([np.bincount(ends, weights=w[:, c], minlength=n)
+                                 for c in range(2)])
+        step = 0.2 * force[movable]
+        pts[movable] += step
+
+        # Keep movable nodes off the pinned circle and inside the square.
+        q = pts[movable]
+        rho = np.linalg.norm(q, axis=1)
+        close = np.abs(rho - r0) < 0.6 * ring_spacing
+        if np.any(close):
+            sign = np.where(rho[close] >= r0, 1.0, -1.0)
+            scale = (r0 + sign * 0.6 * ring_spacing) / np.maximum(rho[close], 1e-12)
+            q[close] *= scale[:, None]
+        np.clip(q, -0.5 + 0.5 * h, 0.5 - 0.5 * h, out=q)
+        pts[movable] = q
+        if np.max(np.linalg.norm(step, axis=1)) < 2e-3 * h:
+            stop_reason = "step_tol"
+            break
+    return {"iterations": iterations, "triangulations": triangulations,
+            "stop_reason": stop_reason}
 
 
 def unit_square_mesh(n):
@@ -238,37 +386,7 @@ def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
     pts = np.vstack([fixed, interior])
     n_total = len(pts)
     movable = np.arange(n_fixed, n_total)
-    target = 1.18 * h
-
-    for _ in range(max_iters):
-        tri = Delaunay(pts)
-        simplices = tri.simplices
-        e = np.vstack([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
-        e.sort(axis=1)
-        e = np.unique(e, axis=0)
-        vec = pts[e[:, 0]] - pts[e[:, 1]]
-        length = np.linalg.norm(vec, axis=1)
-        # Repulsion only: edges shorter than target push their endpoints apart.
-        f = np.maximum(target - length, 0.0) / np.maximum(length, 1e-12)
-        fv = vec * f[:, None]
-        force = np.zeros_like(pts)
-        np.add.at(force, e[:, 0], fv)
-        np.add.at(force, e[:, 1], -fv)
-        step = 0.2 * force[movable]
-        pts[movable] += step
-
-        # Keep movable nodes off the pinned circle and inside the square.
-        q = pts[movable]
-        rho = np.linalg.norm(q, axis=1)
-        close = np.abs(rho - r0) < 0.6 * ring_spacing
-        if np.any(close):
-            sign = np.where(rho[close] >= r0, 1.0, -1.0)
-            scale = (r0 + sign * 0.6 * ring_spacing) / np.maximum(rho[close], 1e-12)
-            q[close] *= scale[:, None]
-        np.clip(q, -0.5 + 0.5 * h, 0.5 - 0.5 * h, out=q)
-        pts[movable] = q
-        if np.max(np.linalg.norm(step, axis=1)) < 2e-3 * h:
-            break
+    relaxation = _relax(pts, movable, h, r0, ring_spacing, max_iters)
 
     tri = Delaunay(pts)
     triangles = _orient_ccw(pts, tri.simplices.astype(np.int64))
@@ -279,14 +397,10 @@ def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
         raise RuntimeError("degenerate triangle produced by relaxation")
 
     # The circle must be covered by edges between consecutive ring nodes.
-    edge_set = {tuple(pair) for pair in all_edges(TriMesh(
-        pts, triangles, np.zeros(len(triangles), dtype=np.int64),
-        np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), ()))}
-    for j in range(n_ring):
-        a = n_square + j
-        b = n_square + (j + 1) % n_ring
-        if (min(a, b), max(a, b)) not in edge_set:
-            raise RuntimeError("circle ring not conforming; adjust h")
+    ring_nodes = n_square + np.arange(n_ring)
+    if not np.all(np.isin(_edge_keys(ring_nodes[None, :], n_total),
+                          _edge_keys(triangles, n_total))):
+        raise RuntimeError("circle ring not conforming; adjust h")
 
     centroids = pts[triangles].mean(axis=1)
     tags = (np.linalg.norm(centroids, axis=1) > r0).astype(np.int64)
@@ -295,7 +409,7 @@ def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
     if np.any(np.any(vr < r0 - 1e-9, axis=1) & np.any(vr > r0 + 1e-9, axis=1)):
         raise RuntimeError("triangle crosses the inclusion boundary")
 
-    bnd = _boundary_edges_of(triangles)
+    bnd = _boundary_edges_of(triangles, n_total)
     mids = 0.5 * (pts[bnd[:, 0]] + pts[bnd[:, 1]])
     seg_names = ("base", "top", "side")
     segs = np.full(len(bnd), -1, dtype=np.int64)
@@ -312,6 +426,7 @@ def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
         boundary_edges=bnd,
         edge_segments=segs,
         segment_names=seg_names,
+        relaxation=relaxation,
     )
 
 

@@ -143,6 +143,8 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
             "min_angle_deg": min_angle_deg(problem.mesh),
         },
     }
+    if problem.mesh.relaxation is not None:
+        manifest["mesh"]["relaxation"] = problem.mesh.relaxation
 
     ks, f_hat_all, sweep = bench.offline_data(problem, adir, rng, manifest)
     space_g, gtrace = greedy_build(

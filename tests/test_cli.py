@@ -31,6 +31,11 @@ def test_mesh_then_assemble_reuses_written_mesh(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "mesh.txt"))
     line = capsys.readouterr().out
     assert "nodes" in line and "min angle" in line
+    relax = re.search(r"min angle [\d.]+ deg; relaxation: (\d+) iterations, "
+                      r"(\d+) triangulations, stopped on (step_tol|max_iters)",
+                      line)
+    assert relax is not None, line
+    assert 1 <= int(relax.group(2)) <= int(relax.group(1))
 
     # assemble must read the staged mesh back instead of remeshing
     assert main(["assemble", "--example", "1", "--out", out] + TINY) == 0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
+from rb_operon import mesh as mesh_mod
 from rb_operon.errors import TaggingIncompleteError
-from rb_operon.mesh import (all_edges, boundary_node_indices, dirichlet_nodes,
+from rb_operon.mesh import (_LawsonCertificate, _edge_keys, all_edges,
+                            boundary_node_indices, dirichlet_nodes,
                             min_angle_deg, read_mesh_text, signed_areas,
                             square_with_inclusion_mesh, tag_boundary,
                             unit_square_mesh, write_mesh_text)
@@ -73,6 +76,137 @@ def test_inclusion_mesh_conforms():
     assert abs(inc_area - np.pi * r0 ** 2) < 0.15 * np.pi * r0 ** 2
     mids = 0.5 * (m.nodes[m.boundary_edges[:, 0]] + m.nodes[m.boundary_edges[:, 1]])
     assert np.all(np.isclose(np.abs(mids), 0.5).any(axis=1))
+
+
+def _plain_relax(pts, movable, h, r0, ring_spacing, max_iters):
+    """Reference relaxation: a fresh Delaunay triangulation, a 2-D unique of
+    the edge pairs and np.add.at force scatters on every iteration."""
+    target = 1.18 * h
+    stop_reason = "max_iters"
+    it = 0
+    for it in range(1, max_iters + 1):
+        simplices = Delaunay(pts).simplices
+        e = np.vstack([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
+        e.sort(axis=1)
+        e = np.unique(e, axis=0)
+        vec = pts[e[:, 0]] - pts[e[:, 1]]
+        length = np.linalg.norm(vec, axis=1)
+        f = np.maximum(target - length, 0.0) / np.maximum(length, 1e-12)
+        fv = vec * f[:, None]
+        force = np.zeros_like(pts)
+        np.add.at(force, e[:, 0], fv)
+        np.add.at(force, e[:, 1], -fv)
+        step = 0.2 * force[movable]
+        pts[movable] += step
+        q = pts[movable]
+        rho = np.linalg.norm(q, axis=1)
+        close = np.abs(rho - r0) < 0.6 * ring_spacing
+        if np.any(close):
+            sign = np.where(rho[close] >= r0, 1.0, -1.0)
+            scale = (r0 + sign * 0.6 * ring_spacing) / np.maximum(rho[close], 1e-12)
+            q[close] *= scale[:, None]
+        np.clip(q, -0.5 + 0.5 * h, 0.5 - 0.5 * h, out=q)
+        pts[movable] = q
+        if np.max(np.linalg.norm(step, axis=1)) < 2e-3 * h:
+            stop_reason = "step_tol"
+            break
+    return {"iterations": it, "triangulations": it, "stop_reason": stop_reason}
+
+
+@pytest.mark.parametrize("h", [1.0 / 12.0, 1.0 / 24.0], ids=["h12", "h24"])
+def test_relaxation_matches_plain_loop(h, monkeypatch):
+    fast = square_with_inclusion_mesh(h=h)
+    monkeypatch.setattr(mesh_mod, "_relax", _plain_relax)
+    plain = square_with_inclusion_mesh(h=h)
+    for name in ("nodes", "triangles", "triangle_tags", "boundary_edges",
+                 "edge_segments"):
+        a, b = getattr(fast, name), getattr(plain, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    rf, rp = fast.relaxation, plain.relaxation
+    assert rf["iterations"] == rp["iterations"]
+    assert rf["stop_reason"] == rp["stop_reason"]
+    assert 1 <= rf["triangulations"] < rf["iterations"]
+
+
+def _delaunay_edges(pts):
+    return np.unique(_edge_keys(Delaunay(pts).simplices, len(pts)))
+
+
+def test_certificate_passes_on_delaunay_of_random_points():
+    pts = np.random.default_rng(5).random((300, 2))
+    cert = _LawsonCertificate(Delaunay(pts))
+    assert cert.holds(pts)
+    # a small move of the interior points keeps the same triangulation
+    moved = pts.copy()
+    inner = np.setdiff1d(np.arange(len(pts)), cert.hull)
+    moved[inner] += 1e-7 * np.random.default_rng(6).standard_normal((len(inner), 2))
+    assert cert.holds(moved)
+    assert np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
+
+
+def test_certificate_fails_when_vertex_enters_neighbour_circumcircle():
+    pts = np.random.default_rng(7).random((300, 2))
+    tri = Delaunay(pts)
+    cert = _LawsonCertificate(tri)
+    # the interior vertex closest (relative to the radius) to the
+    # circumcircle of a triangle across one of its opposite sides
+    best = None
+    for t in range(len(tri.simplices)):
+        for j in range(3):
+            u, v = tri.neighbors[t, j], tri.simplices[t, j]
+            if u < 0 or v in cert.hull:
+                continue
+            a, b, c = pts[tri.simplices[u]]
+            m = np.array([b - a, c - a])
+            o = a + np.linalg.solve(2 * m, (m * m).sum(axis=1))
+            ratio = np.linalg.norm(pts[v] - o) / np.linalg.norm(a - o)
+            if best is None or ratio < best[0]:
+                best = (ratio, v, o)
+    ratio, v, o = best
+    assert ratio > 1.0
+    moved = pts.copy()
+    moved[v] = o + (pts[v] - o) * (1.0 - 1e-3) / ratio
+    assert not cert.holds(moved)
+    assert not np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
+
+
+def test_certificate_fails_when_triangle_inverts():
+    # v leaves triangle abc across side ab but stays inside its
+    # circumcircle: every in-circle test still passes, triangle abv inverts
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.3]])
+    cert = _LawsonCertificate(Delaunay(pts))
+    assert cert.holds(pts)
+    moved = pts.copy()
+    moved[3] = [0.5, -0.1]
+    assert not cert.holds(moved)
+    assert not np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
+
+
+def test_certificate_fails_on_cocircular_points():
+    g = np.arange(4.0)
+    pts = np.column_stack([np.repeat(g, 4), np.tile(g, 4)])
+    assert not _LawsonCertificate(Delaunay(pts)).holds(pts)
+
+
+def test_certificate_fails_when_a_point_is_not_a_vertex():
+    pts = np.random.default_rng(8).random((60, 2))
+    pts = np.vstack([pts, pts[10]])               # a duplicate stays out
+    tri = Delaunay(pts)
+    assert len(tri.coplanar) == 1
+    assert not _LawsonCertificate(tri).holds(pts)
+
+
+def test_certificate_fails_when_hull_vertex_moves():
+    # hull vertex q moves inside the hull; the old triangles stay valid and
+    # locally Delaunay, but the hull gains the triangle a, q, b
+    pts = np.array([[0.0, 0.0], [1.0, -0.05], [2.0, 0.0], [1.1, 1.5],
+                    [0.9, 0.5]])
+    cert = _LawsonCertificate(Delaunay(pts))
+    assert cert.holds(pts)
+    moved = pts.copy()
+    moved[1] = [1.0, 0.05]
+    assert not cert.holds(moved)
+    assert not np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
 
 
 def test_inclusion_mesh_validates_inputs():

@@ -10,6 +10,7 @@ from rb_operon.artifacts import (ArtifactDir, load_case2_blocks, load_space,
 from rb_operon.branchnet import MLP
 from rb_operon.examples import HIDDEN_SIZES, example_spec
 from rb_operon.geomap import eim_coefficients
+from rb_operon.mesh import square_with_inclusion_mesh
 from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
                                percentile_95, sample_metrics)
 from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
@@ -53,6 +54,17 @@ def test_spec_from_manifest_roundtrip(tiny1_dir):
     assert spec.trunk == want.trunk
     assert (spec.n_pool, spec.n_train, spec.n_val, spec.n_test) == \
         (want.n_pool, want.n_train, want.n_val, want.n_test)
+
+
+def test_manifest_records_mesh_relaxation(tiny1_dir, tiny2_dir):
+    from conftest import TINY1
+
+    relax = ArtifactDir(tiny1_dir).read_manifest()["mesh"]["relaxation"]
+    assert relax == square_with_inclusion_mesh(h=TINY1["h"]).relaxation
+    assert set(relax) == {"iterations", "triangulations", "stop_reason"}
+    assert relax["stop_reason"] in ("step_tol", "max_iters")
+    # the structured mesh of example 2 is not relaxed
+    assert "relaxation" not in ArtifactDir(tiny2_dir).read_manifest()["mesh"]
 
 
 def test_theta_batch_values(tiny_problem3, rng):
