@@ -68,7 +68,6 @@ _EXPORTS = {
     "SupervisedData": ".branchnet",
     "train": ".branchnet",
     "forward": ".branchnet",
-    "residual_loss": ".branchnet",
     "supervised_loss": ".branchnet",
     # benchmarks
     "ExampleSpec": ".examples",

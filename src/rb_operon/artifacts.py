@@ -7,6 +7,7 @@ produces the same bytes.  The manifest is sorted-key JSON and records every
 tolerance, seed and dimension that shaped the run.
 """
 
+import dataclasses
 import json
 import os
 import numpy as np
@@ -131,19 +132,12 @@ def load_space(adir, prefix):
 
 def save_net(adir, prefix, net, standardizer, history=None):
     """Persist branch weights as one flat vector plus layer sizes."""
-    flat = np.concatenate([p.ravel() for p in net.parameters()])
-    adir.save_array(prefix + "_params", flat)
+    adir.save_array(prefix + "_params", net.flat)
     adir.save_array(prefix + "_feat_mean", standardizer.mean)
     adir.save_array(prefix + "_feat_std", standardizer.std)
     meta = {"sizes": net.sizes}
     if history is not None:
-        meta["history"] = {
-            "train_loss": list(history.train_loss),
-            "val_loss": list(history.val_loss),
-            "lr": list(history.lr),
-            "best_epoch": history.best_epoch,
-            "stopped_epoch": history.stopped_epoch,
-        }
+        meta["history"] = dataclasses.asdict(history)
     adir.save_json(prefix + "_net", meta)
 
 
@@ -153,14 +147,9 @@ def load_net(adir, prefix):
     meta = adir.load_json(prefix + "_net")
     net = MLP(meta["sizes"], seed=0)
     flat = adir.load_array(prefix + "_params")
-    parts = []
-    off = 0
-    for p in net.parameters():
-        parts.append(flat[off:off + p.size].reshape(p.shape))
-        off += p.size
-    if off != flat.size:
+    if flat.shape != net.flat.shape:
         raise ValueError("stored parameter vector does not match architecture")
-    net.set_parameters(parts)
+    net.flat[...] = flat
     std = Standardizer(mean=adir.load_array(prefix + "_feat_mean"),
                        std=adir.load_array(prefix + "_feat_std"))
     return net, std, meta.get("history")

@@ -405,25 +405,3 @@ def load_matrix(path):
             i, j, v = fh.readline().split()
             rows[t], cols[t], data[t] = int(i), int(j), float(v)
     return sparse.coo_matrix((data, (rows, cols)), shape=(nr, nc)).tocsr()
-
-
-def dump_vector(v, path):
-    """Text dump: header `vector <n>`, then one index/value pair per line."""
-    v = np.asarray(v)
-    with open(path, "w") as fh:
-        fh.write(f"vector {v.shape[0]}\n")
-        for i, x in enumerate(v):
-            fh.write(f"{i} {float(x)!r}\n")
-
-
-def load_vector(path):
-    with open(path) as fh:
-        head = fh.readline().split()
-        if head[0] != "vector":
-            raise ValueError("bad vector header")
-        n = int(head[1])
-        out = np.empty(n)
-        for _ in range(n):
-            i, x = fh.readline().split()
-            out[int(i)] = float(x)
-    return out

@@ -1,23 +1,26 @@
 """Branch network: a plain-numpy MLP trained on reduced-space losses.
 
 The network maps (standardized) parameter/data features to reduced-basis
-coefficients.  Two loss heads are provided.  The residual loss is label-free:
-it measures the preconditioned reduced residual r^T A_rb^-1 r, whose gradient
-with respect to the coefficients collapses to -2r because the operator is
-symmetric.  Training uses an equivalent expanded form around the precomputed
-Galerkin coefficients, (c_N - c)^T A_rb (c_N - c), which needs one batched
-matrix apply and no solves per step.  The supervised loss is the exact L2
-discrepancy against truth coefficients expanded offline so no full-order
-vector is touched during training.
+coefficients.  The training data class decides the loss.  ``ResidualData``
+is label-free: the preconditioned reduced residual r^T A_rb^-1 r, in the
+expanded form (c_N - c)^T A_rb (c_N - c) around precomputed Galerkin
+coefficients, which needs one batched matrix apply and no solves per step.
+``SupervisedData`` holds the exact L2 discrepancy against truth
+coefficients expanded offline, so no full-order vector is touched.
+
+An MLP keeps all its parameters in one flat vector, weights then biases,
+with per-layer views into it; the gradient, the AdamW moments, the
+best-epoch copy and the saved array share that layout.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.special import ndtr
 
-from .errors import CoercivityViolationError, TrainingDivergedError
+from .errors import TrainingDivergedError
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_ADAMW_BLOCK = 16384    # entries per AdamW block: 128 KiB per temporary
 
 
 def gelu(x):
@@ -54,26 +57,34 @@ class Standardizer:
 
 
 class MLP:
-    """Fully connected net, GELU hidden activations, identity output."""
+    """Fully connected net, GELU hidden activations, identity output.
+
+    ``weights`` and ``biases`` are views into the parameter vector ``flat``.
+    """
 
     def __init__(self, sizes, seed=0):
         self.sizes = list(sizes)
+        self.n_weights = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
+        self.flat = np.zeros(self.n_weights + sum(sizes[1:]))
+        parts = self.split(self.flat)
+        self.weights, self.biases = parts[:len(sizes) - 1], parts[len(sizes) - 1:]
         rng = np.random.default_rng(seed)
-        self.weights = [xavier_init((a, b), rng)
-                        for a, b in zip(sizes[:-1], sizes[1:])]
-        self.biases = [np.zeros(b) for b in sizes[1:]]
+        for w in self.weights:
+            w[...] = xavier_init(w.shape, rng)
 
     @property
     def n_params(self):
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
+
+    def split(self, vec):
+        """Per-layer views into ``vec``, laid out like ``flat``: the weight
+        matrices, then the biases."""
+        shapes = list(zip(self.sizes[:-1], self.sizes[1:])) + self.sizes[1:]
+        ends = np.cumsum([np.prod(s) for s in shapes])[:-1]
+        return [p.reshape(s) for p, s in zip(np.split(vec, ends), shapes)]
 
     def parameters(self):
         return self.weights + self.biases
-
-    def set_parameters(self, params):
-        nw = len(self.weights)
-        self.weights = [p.copy() for p in params[:nw]]
-        self.biases = [p.copy() for p in params[nw:]]
 
     def forward(self, x, standardizer=None, want_cache=False):
         h = standardizer.transform(x) if standardizer is not None else np.asarray(x, dtype=float)
@@ -91,47 +102,23 @@ class MLP:
         return (h, (acts, pres)) if want_cache else h
 
     def backward(self, cache, dout):
-        """Gradients of sum-of-(dout * output) w.r.t. weights and biases."""
+        """Gradient of sum-of-(dout * output) w.r.t. ``flat``."""
         acts, pres = cache
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
+        grad = np.empty_like(self.flat)
+        parts = self.split(grad)
+        nw = len(self.weights)
         g = np.asarray(dout, dtype=float)
-        for i in range(len(self.weights) - 1, -1, -1):
-            gw[i] = acts[i].T @ g
-            gb[i] = g.sum(axis=0)
+        for i in range(nw - 1, -1, -1):
+            np.matmul(acts[i].T, g, out=parts[i])
+            g.sum(axis=0, out=parts[nw + i])
             if i > 0:
                 g = (g @ self.weights[i].T) * gelu_grad(pres[i - 1])
-        return gw + gb
+        return grad
 
 
 def forward(net, standardizer, features):
     """Branch prediction for a batch of feature rows."""
     return net.forward(np.atleast_2d(features), standardizer)
-
-
-def residual_loss(a_rb, f_rb, c):
-    """Mean preconditioned residual norm over a batch, with its c-gradient.
-
-    a_rb is (n, N, N) SPD per sample, f_rb and c are (n, N).  Returns
-    (loss, dloss/dc); the gradient is -2 r / n with r the residual.
-    """
-    a_rb = np.asarray(a_rb, dtype=float)
-    f_rb = np.atleast_2d(np.asarray(f_rb, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    n = c.shape[0]
-    r = f_rb - np.einsum("sij,sj->si", a_rb, c)
-    try:
-        ell = np.linalg.cholesky(a_rb)
-    except np.linalg.LinAlgError:
-        for i in range(n):
-            try:
-                np.linalg.cholesky(a_rb[i])
-            except np.linalg.LinAlgError:
-                raise CoercivityViolationError(f"sample {i}: reduced operator not SPD")
-        raise
-    y = np.linalg.solve(ell, r[:, :, None])[:, :, 0]
-    loss = float(np.einsum("si,si->", y, y) / n)
-    return loss, -2.0 * r / n
 
 
 def residual_loss_expanded(a_rb, c_n, c):
@@ -164,29 +151,36 @@ def supervised_loss(m_n, targets, squares, c):
 
 @dataclass
 class AdamWState:
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def init(cls, params):
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def init(cls, flat):
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adamw_step(state, params, grads, lr, weight_decay, decay_mask=None,
+def adamw_step(state, flat, grad, lr, weight_decay, n_decay=None,
                beta1=0.9, beta2=0.999, eps=1e-8):
-    """One AdamW update in place; decoupled decay applied before the step."""
+    """One AdamW update of the vector ``flat`` in place.
+
+    Decoupled decay, applied before the step, shrinks the first ``n_decay``
+    entries (all by default): the weights of an ``MLP.flat``, not its biases.
+    The step runs block by block, so that its temporaries stay in cache.
+    """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if weight_decay and (decay_mask is None or decay_mask[i]):
-            p *= 1.0 - lr * weight_decay
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        p -= lr * (state.m[i] / bc1) / (np.sqrt(state.v[i] / bc2) + eps)
-    return params
+    if weight_decay:
+        flat[:n_decay] *= 1.0 - lr * weight_decay
+    for lo in range(0, flat.size, _ADAMW_BLOCK):
+        sl = slice(lo, lo + _ADAMW_BLOCK)
+        m, v, g = state.m[sl], state.v[sl], grad[sl]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        flat[sl] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 @dataclass
@@ -201,11 +195,8 @@ class TrainConfig:
     min_lr: float = 1e-7
     improve_rtol: float = 1e-8
     seed: int = 0
-    loss: str = "residual"
 
     def __post_init__(self):
-        if self.loss not in ("residual", "supervised"):
-            raise ValueError(f"unknown loss mode {self.loss!r}")
         if not 0 < self.plateau_factor < 1:
             raise ValueError("plateau factor must lie in (0, 1)")
 
@@ -250,7 +241,8 @@ class TrainHistory:
     val_loss: list = field(default_factory=list)
     lr: list = field(default_factory=list)
     best_epoch: int = -1
-    stopped_epoch: int = -1
+    stopped_epoch: int = -1    # last epoch run
+    stop_reason: str = "epochs"    # or "early_stop"
 
 
 def _dataset_loss(net, standardizer, data, chunk=512):
@@ -272,13 +264,12 @@ def train(net, train_data, val_data, config):
     """
     rng = np.random.default_rng(config.seed)
     standardizer = Standardizer.fit(train_data.features)
-    state = AdamWState.init(net.parameters())
-    decay_mask = [True] * len(net.weights) + [False] * len(net.biases)
+    state = AdamWState.init(net.flat)
     history = TrainHistory()
     n = len(train_data)
     lr = config.lr
     best_val = np.inf
-    best_params = [p.copy() for p in net.parameters()]
+    best_params = net.flat.copy()
     since_improve = 0
     since_plateau = 0
 
@@ -291,9 +282,8 @@ def train(net, train_data, val_data, config):
                                    want_cache=True)
             loss, dldc = train_data.batch_loss(idx, c)
             epoch_loss += loss * len(idx)
-            grads = net.backward(cache, dldc)
-            adamw_step(state, net.parameters(), grads, lr,
-                       config.weight_decay, decay_mask)
+            adamw_step(state, net.flat, net.backward(cache, dldc), lr,
+                       config.weight_decay, net.n_weights)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
@@ -306,7 +296,7 @@ def train(net, train_data, val_data, config):
 
         if val < best_val * (1.0 - config.improve_rtol) or epoch == 0:
             best_val = val
-            best_params = [p.copy() for p in net.parameters()]
+            best_params[...] = net.flat
             history.best_epoch = epoch
             since_improve = 0
             since_plateau = 0
@@ -317,8 +307,9 @@ def train(net, train_data, val_data, config):
             lr = max(lr * config.plateau_factor, config.min_lr)
             since_plateau = 0
         if since_improve >= config.early_stop:
-            history.stopped_epoch = epoch
+            history.stop_reason = "early_stop"
             break
 
-    net.set_parameters(best_params)
+    history.stopped_epoch = len(history.train_loss) - 1
+    net.flat[...] = best_params
     return net, standardizer, history

@@ -406,9 +406,10 @@ class Example1:
     nominal_dims = ()
     n_params = NOMINAL_PARAM_COUNTS[1]    # branch parameter count, if pinned
 
-    def __init__(self, spec, eim):
+    def __init__(self, spec, eim, ranks=()):
         self.spec = spec
         self.eim = eim        # example 3: EimSurrogate or its EimPivots
+        self.ranks = ranks    # example 2: (r_f, r_g), mode coordinates in features
 
     def theta(self, k):
         """Operator weights theta_a(k) of one parameter row."""
@@ -420,6 +421,17 @@ class Example1:
 
     def features(self, k, a, b):
         return np.asarray(k, dtype=float)
+
+    def feature_width(self):
+        return self.spec.n_params + sum(self.ranks)
+
+    def draw_queries(self, n, rng):
+        """n seeded online query inputs (k, a, b)."""
+        return [(k, None, None) for k in sample_parameters(self.spec, n, rng)]
+
+    def data_overrides(self):
+        """Overrides that rebuild this run's data dimensions on another mesh."""
+        return {}
 
     def rhs(self, space, blocks, theta, k, a, b):
         """Reduced load; ``blocks`` are what ``load_blocks`` returned."""
@@ -502,6 +514,16 @@ class Example2(Example1):
     def features(self, k, a, b):
         return np.concatenate([k, a, b], axis=-1)
 
+    def draw_queries(self, n, rng):
+        ks = sample_parameters(self.spec, n, rng)
+        a = rng.standard_normal((n, self.ranks[0]))
+        b = rng.standard_normal((n, self.ranks[1]))
+        return list(zip(ks, a, b))
+
+    def data_overrides(self):
+        r_f, r_g = self.ranks
+        return {"mode_tol": 0.0, "r_f_max": r_f, "r_g_max": r_g}
+
     def rhs(self, space, blocks, theta, k, a, b):
         if np.ndim(theta) == 1:
             return reduced_rhs_case2(blocks, theta, a, b)
@@ -531,8 +553,8 @@ class Example2(Example1):
         adir.save_array("pool_a", encode_source(self.smodes, f_data).T)
         adir.save_array("pool_b",
                         encode_boundary(self.bmodes, model, g_data).T)
-        manifest["dims_modes"] = {"r_f": self.smodes.rank,
-                                  "r_g": self.bmodes.rank}
+        self.ranks = (self.smodes.rank, self.bmodes.rank)
+        manifest["dims_modes"] = {"r_f": self.ranks[0], "r_g": self.ranks[1]}
         sweep = min(int(spec.data["sweep_subset"]), spec.n_pool)
         return ks, f_hat_all, np.arange(sweep)
 
@@ -559,9 +581,13 @@ BENCHMARKS = {1: Example1, 2: Example2, 3: Example3}
 
 
 def open_benchmark(spec, adir):
-    """The benchmark with the mesh-free state its theta reads from ``adir``."""
-    if spec.example != 3:
-        return BENCHMARKS[spec.example](spec, None)
+    """The benchmark with the mesh-free state it reads from ``adir``: the
+    data-mode ranks of example 2, the EIM pivots of example 3."""
+    if spec.example == 1:
+        return Example1(spec, None)
+    if spec.example == 2:
+        modes = adir.read_manifest()["dims_modes"]
+        return Example2(spec, None, ranks=(modes["r_f"], modes["r_g"]))
     pivots = adir.load_array("eim_pivots")
     eim = EimPivots(RadialMap(**adir.load_json("eim_meta")["radial_map"]),
                     adir.load_array("eim_points")[pivots // 3], pivots % 3,

@@ -207,9 +207,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
     space = load_space(adir, prefix)
     bench = open_benchmark(spec, adir)
 
-    opts = {"seed": seed, "loss": "residual" if method == "rb" else "supervised"}
-    opts.update(config or {})
-    cfg = TrainConfig(**opts)
+    cfg = TrainConfig(**{"seed": seed, **(config or {})})
 
     if method == "rb":
         ks, a, b = bench.train_rows(adir, seed)
@@ -256,9 +254,10 @@ def run_train(outdir, method="rb", seed=1, config=None):
         "epochs_run": len(hist.train_loss),
         "best_epoch": hist.best_epoch,
         "stopped_epoch": hist.stopped_epoch,
+        "stop_reason": hist.stop_reason,
         "n_params": net.n_params,
         "config": {"epochs": cfg.epochs, "batch": cfg.batch, "lr": cfg.lr,
-                   "weight_decay": cfg.weight_decay, "loss": cfg.loss},
+                   "weight_decay": cfg.weight_decay},
     }})
     return net, std, hist
 
@@ -414,7 +413,7 @@ def load_online_bundle(adir):
     if adir.has("rb_net.json"):
         net, std, _ = load_net(adir, "rb")
     else:
-        d_in = len(k_star) + sum(manifest.get("dims_modes", {}).values())
+        d_in = bench.feature_width()
         net = MLP([d_in, *HIDDEN_SIZES, a_blocks.shape[1]], seed=0)
         std = Standardizer(mean=np.zeros(d_in), std=np.ones(d_in))
     return OnlineBundle(example=bench.spec.example, online=online,
@@ -435,18 +434,6 @@ def online_query(bundle, k, a=None, b=None):
     c_gal = solve_reduced(a_rb, f_rb)
     res = reduced_dual_norm(bundle.chol_star, f_rb - a_rb @ c_net)
     return c_net, c_gal, res
-
-
-def _draw_queries(manifest, n, seed):
-    rng = np.random.default_rng(seed)
-    pr = np.asarray(manifest["param_ranges"], dtype=float)
-    ks = rng.uniform(pr[:, 0], pr[:, 1], size=(n, pr.shape[0]))
-    modes = manifest.get("dims_modes")
-    if modes is None:
-        return [(k, None, None) for k in ks]
-    a = rng.standard_normal((n, int(modes["r_f"])))
-    b = rng.standard_normal((n, int(modes["r_g"])))
-    return [(ks[i], a[i], b[i]) for i in range(n)]
 
 
 def _time_queries(bundle, queries, rounds=7):
@@ -491,6 +478,7 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
     """
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
+    base = load_online_bundle(adir)
     if doubled_dir is None:
         doubled_dir = adir.path.rstrip("/\\") + "_x2"
     d_adir = ArtifactDir(doubled_dir)
@@ -498,16 +486,12 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
         overrides = dict(_doubled_recipe(manifest["mesh_recipe"]))
         overrides["greedy_fixed_n"] = int(manifest["dims_trunk"]["greedy_n"])
         overrides["greedy_tol"] = None
-        modes = manifest.get("dims_modes")
-        if modes is not None:
-            overrides.update(mode_tol=0.0, r_f_max=int(modes["r_f"]),
-                             r_g_max=int(modes["r_g"]))
+        overrides.update(base.bench.data_overrides())
         run_offline(int(manifest["example"]), doubled_dir,
                     seed=int(manifest["seed"]), pod=False, overrides=overrides)
 
-    base = load_online_bundle(adir)
     doubled = load_online_bundle(d_adir)
-    queries = _draw_queries(manifest, n_queries, seed)
+    queries = base.bench.draw_queries(n_queries, np.random.default_rng(seed))
 
     shapes_equal = base.shapes() == doubled.shapes()
     t_base, rounds_base = _time_queries(base, queries)

@@ -21,6 +21,12 @@ recomputed exactly, by one reference solve per sample, only where its drift
 bound could change the argmax or the tolerance test.  The coefficients c(k)
 come from per-sample Cholesky factors of A_N(k) that grow by one border row
 per accepted trunk column, so the sweep never refactorizes one.
+
+Every reduced system is solved by a checked Cholesky factorization: the
+sweep's bordered factors, and one factor-and-solve kernel behind
+``solve_reduced`` and ``solve_reduced_batch``.  An operator that is not SPD,
+which a loss of coercivity would produce, raises CoercivityViolationError
+naming its sample instead of yielding coefficients.
 """
 
 import numpy as np
@@ -137,21 +143,32 @@ def reduce_operators(model, psi):
     return a_blocks, f_blocks
 
 
-def solve_reduced(a_rb, f_rb):
-    """Dense Cholesky solve of one reduced system."""
+def _cholesky_solve(a, f, sample=0):
+    """Solve one SPD reduced system a x = f by Cholesky factor and solve.
+
+    An operator that is not SPD raises CoercivityViolationError naming
+    ``sample``.
+    """
     try:
-        ell = np.linalg.cholesky(a_rb)
+        ell = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise CoercivityViolationError("reduced operator is not SPD")
+        raise CoercivityViolationError(
+            f"reduced operator of sample {sample} is not SPD") from None
     # the F-ordered transpose is the upper factor LAPACK takes without a copy
-    c, info = dpotrs(ell.T, np.asarray(f_rb, dtype=float), lower=0)
+    x, info = dpotrs(ell.T, f, lower=0)
     if info:
         raise ValueError(f"dpotrs failed with info={info}")
-    return c
+    return x
+
+
+def solve_reduced(a_rb, f_rb):
+    """Dense Cholesky solve of one reduced system."""
+    return _cholesky_solve(a_rb, np.asarray(f_rb, dtype=float))
 
 
 def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
-    """Batched reduced solves: one LAPACK call per chunk of parameters."""
+    """Batched reduced solves: one operator stack per chunk of parameters,
+    each system solved by the checked Cholesky kernel."""
     theta_batch = np.asarray(theta_batch, dtype=float)
     f_batch = np.asarray(f_batch, dtype=float)
     ns, n = f_batch.shape
@@ -161,7 +178,8 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
     for lo in range(0, ns, chunk):
         hi = min(lo + chunk, ns)
         mats = (theta_batch[lo:hi] @ flat).reshape(hi - lo, n, n)
-        out[lo:hi] = np.linalg.solve(mats, f_batch[lo:hi, :, None])[:, :, 0]
+        for i in range(lo, hi):
+            out[i] = _cholesky_solve(mats[i - lo], f_batch[i], i)
         del mats   # freed before the next chunk's stack is built
     return out
 
@@ -224,9 +242,10 @@ class _SweepState:
             self.r_blocks[p] = np.vstack([rb, row]) if rb.size else row[None, :]
 
     def enrich(self, model, psi_new):
-        """Account for one accepted trunk column."""
+        """Account for one accepted trunk column; returns A_p psi_new per p."""
         qa = model.affine_II.n_terms
         raw = []
+        w_new = []
         for p in range(qa):
             w_p = model.affine_II.term(p) @ psi_new
             col = self.u.T @ w_p if self.m else np.zeros(0)
@@ -236,6 +255,7 @@ class _SweepState:
             else:
                 self.r_blocks[p] = np.empty((0, self.w_psi[p].shape[1] + 1))
             self.w_psi[p] = np.column_stack([self.w_psi[p], w_p])
+            w_new.append(w_p)
             d = model.star_solve(w_p)
             raw.append((d, np.sqrt(max(d @ w_p, 0.0))))
         # deflate the Riesz images one by one so they stay mutually orthogonal
@@ -247,6 +267,7 @@ class _SweepState:
             if nrm2 > (1e-13 * max(pre, 1e-300)) ** 2:
                 self._append_u(d / np.sqrt(nrm2))
         self.f_rb = np.vstack([self.f_rb, psi_new @ self.f_hat])
+        return w_new
 
     def estimator_sq(self, theta_all, idx, c, alpha_lb):
         """eta^2 over the samples in ``idx`` given their RB coefficients ``c``."""
@@ -415,8 +436,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
             trace.stop_reason = "dependent_snapshot"
             break
         psi = np.column_stack([psi, v])
-        state.enrich(model, v)
-        a_blocks = _border_update(model, a_blocks, psi)
+        a_blocks = _border_update(a_blocks, psi, state.enrich(model, v))
         chol.border(a_blocks[:, :, -1], state.f_rb[-1, sweep])
         selected.append(idx)
         trace.selected.append(idx)
@@ -434,14 +454,16 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     return space, trace
 
 
-def _border_update(model, a_blocks, psi):
-    """Extend reduced stiffness blocks by the newly appended trunk column."""
+def _border_update(a_blocks, psi, w_new):
+    """Extend reduced stiffness blocks by the newly appended trunk column.
+
+    ``w_new[p]`` is A_p applied to that column, as ``_SweepState.enrich``
+    computed it.
+    """
     qa, n_old, _ = a_blocks.shape
     n = psi.shape[1]
     out = np.empty((qa, n, n))
-    new = psi[:, -1]
-    for p in range(qa):
-        w = model.affine_II.term(p) @ new
+    for p, w in enumerate(w_new):
         col = psi.T @ w
         out[p, :n_old, :n_old] = a_blocks[p]
         out[p, :, n - 1] = col

@@ -122,6 +122,23 @@ def test_net_roundtrip(tmp_path, rng):
     assert hist2["val_loss"] == [1.1, 0.6]
 
 
+def test_net_parameters_are_views_of_flat(tmp_path, rng):
+    net = MLP([3, 8, 5, 2], seed=9)
+    assert net.flat.ndim == 1 and net.flat.size == net.n_params
+    for p in net.weights + net.biases:
+        assert np.shares_memory(p, net.flat)
+    # weights first, then biases, each layer in order
+    assert np.array_equal(net.flat, np.concatenate(
+        [p.ravel() for p in net.parameters()]))
+    net.flat += rng.standard_normal(net.flat.size)
+    net.biases[1][2] = 7.0
+    assert net.flat[net.n_weights + 8 + 2] == 7.0
+    save_net(ArtifactDir(tmp_path / "run"), "branch", net,
+             Standardizer.fit(rng.standard_normal((20, 3))))
+    stored = load_array(tmp_path / "run" / "branch_params.arr")
+    assert np.array_equal(stored, net.flat)
+
+
 def test_net_load_rejects_size_mismatch(tmp_path, rng):
     adir = ArtifactDir(tmp_path / "run")
     net = MLP([3, 8, 2], seed=9)

@@ -5,9 +5,9 @@ from scipy import sparse
 from rb_operon.assembly import (AffineSparse, aggregated_load, assemble_boundary_mass,
                                 assemble_load_boundary, assemble_load_volume,
                                 assemble_mass, assemble_stiffness, build_model,
-                                discrete_lifting, dump_matrix, dump_vector,
-                                full_field, interior_factor, load_matrix,
-                                load_vector, triangle_geometry, truth_solve)
+                                discrete_lifting, dump_matrix, full_field,
+                                interior_factor, load_matrix, triangle_geometry,
+                                truth_solve)
 from rb_operon.errors import EmptyMatrixError, NotCoerciveError
 from rb_operon.mesh import dirichlet_nodes, unit_square_mesh
 
@@ -199,11 +199,8 @@ def test_negative_definite_reference_rejected():
                     a_terms=[-a], k_star=(1.0,))
 
 
-def test_matrix_vector_text_roundtrip(tmp_path, rng):
+def test_matrix_text_roundtrip(tmp_path):
     d = sparse.random(12, 9, density=0.2, random_state=np.random.RandomState(7)).tocsr()
     dump_matrix(d, tmp_path / "m.txt")
     back = load_matrix(tmp_path / "m.txt")
     assert np.array_equal(back.toarray(), d.toarray())
-    v = rng.standard_normal(17)
-    dump_vector(v, tmp_path / "v.txt")
-    assert np.array_equal(load_vector(tmp_path / "v.txt"), v)

@@ -1,17 +1,55 @@
 import numpy as np
 import pytest
 
+from rb_operon import branchnet
 from rb_operon.branchnet import (MLP, AdamWState, ResidualData, Standardizer,
                                  SupervisedData, TrainConfig, _dataset_loss,
                                  adamw_step, forward, gelu, gelu_grad,
-                                 residual_loss, residual_loss_expanded,
-                                 supervised_loss, train)
-from rb_operon.errors import CoercivityViolationError, TrainingDivergedError
+                                 residual_loss_expanded, supervised_loss,
+                                 train)
+from rb_operon.errors import TrainingDivergedError
 
 
 def spd_batch(rng, ns, n):
     base = rng.standard_normal((ns, n, n))
     return np.einsum("sij,skj->sik", base, base) + 2 * np.eye(n)
+
+
+def residual_loss(a_rb, f_rb, c):
+    """Oracle: the factorizing form of the mean preconditioned residual
+    r^T A^-1 r, with its c-gradient -2 r / n."""
+    n = c.shape[0]
+    r = f_rb - np.einsum("sij,sj->si", a_rb, c)
+    y = np.linalg.solve(np.linalg.cholesky(a_rb), r[:, :, None])[:, :, 0]
+    return float(np.einsum("si,si->", y, y) / n), -2.0 * r / n
+
+
+def per_array_backward(net, cache, dout):
+    """Oracle: the gradient as one array per weight matrix and bias."""
+    acts, pres = cache
+    gw, gb = [], []
+    g = dout
+    for i in range(len(net.weights) - 1, -1, -1):
+        gw.insert(0, acts[i].T @ g)
+        gb.insert(0, g.sum(axis=0))
+        if i > 0:
+            g = (g @ net.weights[i].T) * gelu_grad(pres[i - 1])
+    return gw + gb
+
+
+def per_array_adamw(state, params, grads, lr, weight_decay, decay_mask,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: AdamW with separate moment arrays per parameter array."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    m, v = state["m"], state["v"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if weight_decay and decay_mask[i]:
+            p *= 1.0 - lr * weight_decay
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+        p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
 
 
 def test_gelu_matches_finite_differences():
@@ -44,7 +82,7 @@ def test_mlp_backward_matches_finite_differences(rng):
     net = MLP([2, 4, 3], seed=1)
     x = rng.standard_normal((5, 2))
     out, cache = net.forward(x, want_cache=True)
-    grads = net.backward(cache, out)      # dout = out for this loss
+    grads = net.split(net.backward(cache, out))   # dout = out for this loss
     params = net.parameters()
     h = 1e-6
     for pi in (0, 1, 2, 3):               # both weight matrices and biases
@@ -105,12 +143,6 @@ def test_residual_loss_expanded_equivalent(rng):
     assert np.allclose(g1, g2, rtol=1e-10)
 
 
-def test_residual_loss_rejects_indefinite():
-    a = -np.eye(3)[None]
-    with pytest.raises(CoercivityViolationError):
-        residual_loss(a, np.ones((1, 3)), np.zeros((1, 3)))
-
-
 def test_supervised_loss_matches_dense(rng):
     ns, n, n0 = 4, 3, 20
     psi = np.linalg.qr(rng.standard_normal((n0, n)))[0]
@@ -136,11 +168,11 @@ def test_adamw_matches_scalar_recursion():
     # one parameter, three steps, hand-rolled reference
     lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
     p = np.array([1.0])
-    state = AdamWState.init([p])
+    state = AdamWState.init(p)
     grads = [0.3, -0.2, 0.7]
     ref_p, m, v = 1.0, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
-        adamw_step(state, [p], [np.array([g])], lr, wd)
+        adamw_step(state, p, np.array([g]), lr, wd)
         ref_p *= 1.0 - lr * wd
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -150,14 +182,41 @@ def test_adamw_matches_scalar_recursion():
         assert np.isclose(p[0], ref_p, rtol=0, atol=1e-12)
 
 
-def test_adamw_decay_mask_skips_biases():
-    p_w = np.array([1.0])
-    p_b = np.array([1.0])
-    state = AdamWState.init([p_w, p_b])
-    adamw_step(state, [p_w, p_b], [np.zeros(1), np.zeros(1)], lr=0.1,
-               weight_decay=0.5, decay_mask=[True, False])
-    assert p_w[0] < 1.0
-    assert p_b[0] == 1.0
+def test_adamw_decay_skips_biases():
+    # the first n_decay entries are the weights; the bias behind them is kept
+    p = np.array([1.0, 1.0])
+    state = AdamWState.init(p)
+    adamw_step(state, p, np.zeros(2), lr=0.1, weight_decay=0.5, n_decay=1)
+    assert p[0] < 1.0
+    assert p[1] == 1.0
+
+
+def test_flat_steps_match_per_array_loop_bitwise(rng, monkeypatch):
+    # backward and AdamW on the flat vector against the per-array forms;
+    # small AdamW blocks that straddle the weight/bias boundary
+    monkeypatch.setattr(branchnet, "_ADAMW_BLOCK", 7)
+    net = MLP([3, 7, 6, 2], seed=3)
+    ref = [p.copy() for p in net.parameters()]
+    ref_state = {"t": 0, "m": [np.zeros_like(p) for p in ref],
+                 "v": [np.zeros_like(p) for p in ref]}
+    mask = [True] * len(net.weights) + [False] * len(net.biases)
+    ref_net = MLP([3, 7, 6, 2], seed=3)
+    state = AdamWState.init(net.flat)
+    for _ in range(4):
+        x = rng.standard_normal((5, 3))
+        dout = rng.standard_normal((5, 2))
+        grad = net.backward(net.forward(x, want_cache=True)[1], dout)
+        for w, b, rw, rb in zip(ref_net.weights, ref_net.biases,
+                                ref[:3], ref[3:]):
+            w[...], b[...] = rw, rb
+        ref_grads = per_array_backward(
+            ref_net, ref_net.forward(x, want_cache=True)[1], dout)
+        assert np.array_equal(grad, np.concatenate(
+            [g.ravel() for g in ref_grads]))
+        adamw_step(state, net.flat, grad, 1e-2, 0.1, net.n_weights)
+        per_array_adamw(ref_state, ref, ref_grads, 1e-2, 0.1, mask)
+        assert np.array_equal(net.flat,
+                              np.concatenate([p.ravel() for p in ref]))
 
 
 _TOY_RNG = np.random.default_rng(2024)
@@ -200,8 +259,31 @@ def test_train_learns_and_early_stops(rng):
     assert hist.val_loss[hist.best_epoch] <= best * (1 + 1e-7)
     assert np.isclose(_dataset_loss(net, st, data_va),
                       hist.val_loss[hist.best_epoch], rtol=1e-9)
-    if hist.stopped_epoch >= 0:
-        assert len(hist.val_loss) == hist.stopped_epoch + 1
+    assert len(hist.val_loss) == hist.stopped_epoch + 1
+
+
+def test_train_stop_reason_early_stop(rng):
+    data_tr = residual_dataset(rng, 30)
+    data_va = residual_dataset(rng, 10)
+    net = MLP([2, 4, 3], seed=3)
+    # no epoch improves on the first by half, so the third one stops
+    cfg = TrainConfig(epochs=50, batch=8, improve_rtol=0.5, early_stop=2,
+                      seed=1)
+    _, _, hist = train(net, data_tr, data_va, cfg)
+    assert hist.stop_reason == "early_stop"
+    assert hist.stopped_epoch == 2
+    assert len(hist.val_loss) == 3
+
+
+def test_train_stop_reason_epochs(rng):
+    data_tr = residual_dataset(rng, 30)
+    data_va = residual_dataset(rng, 10)
+    net = MLP([2, 4, 3], seed=3)
+    cfg = TrainConfig(epochs=4, batch=8, early_stop=1000, seed=1)
+    _, _, hist = train(net, data_tr, data_va, cfg)
+    assert hist.stop_reason == "epochs"
+    assert hist.stopped_epoch == 3
+    assert len(hist.val_loss) == 4
 
 
 def test_train_plateau_halves_lr(rng):
@@ -226,9 +308,9 @@ def test_train_diverges_raises(rng):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(loss="nope")
-    with pytest.raises(ValueError):
         TrainConfig(plateau_factor=1.5)
+    with pytest.raises(ValueError):
+        TrainConfig(plateau_factor=0.0)
 
 
 def test_forward_helper_standardizes(rng):

@@ -8,13 +8,13 @@ import pytest
 from rb_operon.artifacts import (ArtifactDir, load_case2_blocks, load_space,
                                  load_surrogate)
 from rb_operon.branchnet import MLP
-from rb_operon.examples import HIDDEN_SIZES, example_spec
+from rb_operon.examples import HIDDEN_SIZES, example_spec, open_benchmark
 from rb_operon.geomap import eim_coefficients
 from rb_operon.mesh import square_with_inclusion_mesh
 from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
                                percentile_95, sample_metrics)
 from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
-                                apply_overrides, bench_gates, _draw_queries,
+                                apply_overrides, bench_gates,
                                 load_online_bundle, online_query, run_eval,
                                 run_train, spec_from_manifest, theta_batch)
 from rb_operon.svgplot import line_plot, mesh_heatmap
@@ -216,11 +216,17 @@ def test_online_query_matches_reduced_solve(example, request, rng):
         assert np.isclose(res, want_res, rtol=1e-9)
 
 
+def _bench_of(outdir):
+    adir = ArtifactDir(outdir)
+    man = adir.read_manifest()
+    return open_benchmark(spec_from_manifest(man), adir), man
+
+
 def test_draw_queries_deterministic(tiny1_dir):
-    man = ArtifactDir(tiny1_dir).read_manifest()
-    q1 = _draw_queries(man, 6, seed=7)
-    q2 = _draw_queries(man, 6, seed=7)
-    q3 = _draw_queries(man, 6, seed=8)
+    bench, man = _bench_of(tiny1_dir)
+    q1 = bench.draw_queries(6, np.random.default_rng(7))
+    q2 = bench.draw_queries(6, np.random.default_rng(7))
+    q3 = bench.draw_queries(6, np.random.default_rng(8))
     assert all(b is None and g is None for _, b, g in q1)
     assert np.array_equal(np.array([k for k, _, _ in q1]),
                           np.array([k for k, _, _ in q2]))
@@ -229,6 +235,29 @@ def test_draw_queries_deterministic(tiny1_dir):
     lo, hi = np.array(man["param_ranges"]).T
     for k, _, _ in q1:
         assert np.all(k >= lo) and np.all(k <= hi)
+
+
+def test_example2_query_widths_follow_mode_ranks(tiny2_dir):
+    bench, man = _bench_of(tiny2_dir)
+    r_f, r_g = man["dims_modes"]["r_f"], man["dims_modes"]["r_g"]
+    # k first, then the source and then the boundary coordinates
+    rng = np.random.default_rng(7)
+    lo, hi = np.array(man["param_ranges"]).T
+    ks = rng.uniform(lo, hi, size=(6, len(lo)))
+    a = rng.standard_normal((6, r_f))
+    b = rng.standard_normal((6, r_g))
+    queries = bench.draw_queries(6, np.random.default_rng(7))
+    for i, (k, ai, bi) in enumerate(queries):
+        assert np.array_equal(k, ks[i])
+        assert np.array_equal(ai, a[i]) and np.array_equal(bi, b[i])
+    assert bench.data_overrides() == {"mode_tol": 0.0, "r_f_max": r_f,
+                                      "r_g_max": r_g}
+    # without a trained branch the stand-in net takes the full feature row
+    assert not ArtifactDir(tiny2_dir).has("rb_net.json")
+    bundle = load_online_bundle(ArtifactDir(tiny2_dir))
+    assert bundle.net.sizes[0] == len(lo) + r_f + r_g
+    assert bundle.net.forward(bench.features(*queries[0])[None, :]).shape \
+        == (1, man["dims_trunk"]["greedy_n"])
 
 
 def test_run_eval_galerkin_only(tiny1_dir):
@@ -252,6 +281,12 @@ def test_run_train_supervised_branch(tiny1_dir):
     assert adir.has("pod_params.arr") and adir.has("pod_net.json")
     man = adir.read_manifest()
     assert man["train_pod"]["n_params"] == net.n_params
+    assert man["train_pod"]["stopped_epoch"] == hist.stopped_epoch == 1
+    assert man["train_pod"]["stop_reason"] == hist.stop_reason == "epochs"
+    assert "loss" not in man["train_pod"]["config"]
+    history = adir.load_json("pod_net")["history"]
+    assert history["stop_reason"] == "epochs"
+    assert history["stopped_epoch"] == 1
 
 
 def test_svg_outputs_are_well_formed(tmp_path, tiny_problem1):

@@ -66,7 +66,15 @@ def test_border_update_equals_full_projection(tiny_problem1, rng):
     model = tiny_problem1.model
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
     small, _ = reduce_operators(model, psi[:, :3])
-    grown = _border_update(model, small, psi)
+    _, f_hat = pool_and_loads(tiny_problem1, 5)
+    state = _SweepState(model, f_hat)
+    for j in range(4):
+        w_new = state.enrich(model, psi[:, j])
+    # enrich hands back A_p times the new column, the one sparse apply per term
+    for p, w in enumerate(w_new):
+        assert np.array_equal(w, model.affine_II.term(p) @ psi[:, 3])
+        assert np.array_equal(w, state.w_psi[p][:, -1])
+    grown = _border_update(small, psi, w_new)
     full, _ = reduce_operators(model, psi)
     assert np.allclose(grown, full)
 
@@ -84,6 +92,18 @@ def test_solve_reduced_and_batch(rng):
         assert np.allclose(solve_reduced(a, f[s]), out[s])
     with pytest.raises(CoercivityViolationError):
         solve_reduced(-np.eye(3), np.ones(3))
+
+
+def test_solve_reduced_batch_names_indefinite_sample(rng):
+    n, ns = 5, 9
+    base = rng.standard_normal((n, n))
+    blocks = np.stack([base @ base.T + np.eye(n), -np.eye(n)])
+    theta = np.column_stack([np.ones(ns), np.zeros(ns)])
+    theta[6, 1] = 1e3      # B B^T + I - 1e3 I is indefinite, still invertible
+    f = rng.standard_normal((ns, n))
+    for chunk in (4, 512):
+        with pytest.raises(CoercivityViolationError, match="sample 6 "):
+            solve_reduced_batch(blocks, theta, f, chunk=chunk)
 
 
 def test_bordered_cholesky_matches_batch_solve():
