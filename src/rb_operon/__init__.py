@@ -29,7 +29,6 @@ _EXPORTS = {
     "assemble_boundary_mass": ".assembly",
     "assemble_load_volume": ".assembly",
     "assemble_load_boundary": ".assembly",
-    "interpolate": ".assembly",
     "ParametricModel": ".assembly",
     "build_model": ".assembly",
     "truth_solve": ".assembly",

@@ -106,8 +106,6 @@ def save_space(adir, prefix, space):
     adir.save_array(prefix + "_a_blocks", space.a_blocks)
     adir.save_array(prefix + "_f_blocks", space.f_blocks)
     adir.save_array(prefix + "_gram_ref", space.gram_ref)
-    if space.mass_rb is not None:
-        adir.save_array(prefix + "_mass_rb", space.mass_rb)
     adir.save_json(prefix + "_meta", {
         "alpha_lb": space.alpha_lb,
         "provenance": space.provenance,
@@ -118,7 +116,6 @@ def load_space(adir, prefix):
     from .reduction import RBSpace
 
     meta = adir.load_json(prefix + "_meta")
-    mass_name = prefix + "_mass_rb"
     return RBSpace(
         psi=adir.load_array(prefix + "_psi"),
         a_blocks=adir.load_array(prefix + "_a_blocks"),
@@ -126,7 +123,6 @@ def load_space(adir, prefix):
         gram_ref=adir.load_array(prefix + "_gram_ref"),
         alpha_lb=float(meta["alpha_lb"]),
         provenance=meta["provenance"],
-        mass_rb=adir.load_array(mass_name) if adir.has(mass_name + ".arr") else None,
     )
 
 

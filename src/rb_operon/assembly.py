@@ -102,15 +102,11 @@ def assemble_stiffness(mesh, region=None, coefficient=None):
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def assemble_mass(mesh, region=None, coefficient=None):
-    """Consistent P1 mass matrix (exact for constant coefficients)."""
-    mask = _region_mask(mesh, region)
-    if not np.any(mask):
-        raise EmptyMatrixError("mass region selects no triangles")
-    areas, _ = triangle_geometry(mesh, mask)
-    c = _coefficient_values(mesh, mask, coefficient)
-    local = (areas * c)[:, None, None] * _LOCAL_MASS[None]
-    return _scatter(mesh, mesh.triangles[mask], local)
+def assemble_mass(mesh):
+    """Consistent P1 mass matrix over the whole mesh."""
+    areas, _ = triangle_geometry(mesh)
+    local = areas[:, None, None] * _LOCAL_MASS[None]
+    return _scatter(mesh, mesh.triangles, local)
 
 
 def assemble_boundary_mass(mesh, segment):
@@ -129,14 +125,11 @@ def assemble_boundary_mass(mesh, segment):
     return out
 
 
-def assemble_load_volume(mesh, f, region=None):
+def assemble_load_volume(mesh, f):
     """Load vector int f v using the three-midpoint rule (degree-2 exact)."""
-    mask = _region_mask(mesh, region)
-    if not np.any(mask):
-        raise EmptyMatrixError("load region selects no triangles")
-    tris = mesh.triangles[mask]
+    tris = mesh.triangles
     p = mesh.nodes[tris]
-    areas, _ = triangle_geometry(mesh, mask)
+    areas, _ = triangle_geometry(mesh)
     # midpoint opposite local vertex i carries basis values (0, 1/2, 1/2)
     mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
     fv = np.asarray(f(mids.reshape(-1, 2)), dtype=float).reshape(-1, 3)
@@ -167,11 +160,6 @@ def assemble_load_boundary(mesh, segment, g):
         np.add.at(out, edges[:, 0], 0.5 * lens * 0.5 * (1.0 - sg) * gv)
         np.add.at(out, edges[:, 1], 0.5 * lens * 0.5 * (1.0 + sg) * gv)
     return out
-
-
-def interpolate(mesh, fn):
-    """Nodal interpolation of a callable over node coordinates."""
-    return np.asarray(fn(mesh.nodes), dtype=float)
 
 
 class AffineSparse:
@@ -350,19 +338,18 @@ def aggregated_load(model, k, f_free=None, g_b=None):
     return out
 
 
-def truth_solve(model, k, f_hat, factor=None):
+def truth_solve(model, k, f_hat):
     """Direct solve of A_II(k) w = f_hat; returns the free-node coefficients."""
-    a = model.assemble_interior(k) if factor is None else None
+    a = model.assemble_interior(k)
     try:
-        lu = splu(a.tocsc()) if factor is None else factor
+        lu = splu(a.tocsc())
     except RuntimeError as exc:
         raise NotCoerciveError(f"interior operator factorization failed: {exc}")
     f_hat = np.asarray(f_hat, dtype=float)
     w = lu.solve(f_hat)
-    if a is not None:
-        ref = np.linalg.norm(f_hat)
-        if ref > 0 and np.linalg.norm(a @ w - f_hat) > 1e-8 * ref:
-            raise NotCoerciveError("direct solve residual too large")
+    ref = np.linalg.norm(f_hat)
+    if ref > 0 and np.linalg.norm(a @ w - f_hat) > 1e-8 * ref:
+        raise NotCoerciveError("direct solve residual too large")
     return w
 
 

@@ -4,9 +4,9 @@ The network maps (standardized) parameter/data features to reduced-basis
 coefficients.  The training data class decides the loss.  ``ResidualData``
 is label-free: the preconditioned reduced residual r^T A_rb^-1 r, in the
 expanded form (c_N - c)^T A_rb (c_N - c) around precomputed Galerkin
-coefficients, which needs one batched matrix apply and no solves per step.
-``SupervisedData`` holds the exact L2 discrepancy against truth
-coefficients expanded offline, so no full-order vector is touched.
+coefficients, which needs one product per affine term and no solves per
+step.  ``SupervisedData`` holds the exact A_star-energy discrepancy against
+truth snapshots, expanded offline, so no full-order vector is touched.
 
 An MLP keeps all its parameters in one flat vector, weights then biases,
 with per-layer views into it; the gradient, the AdamW moments, the
@@ -51,9 +51,6 @@ class Standardizer:
 
     def transform(self, x):
         return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-    def inverse_transform(self, z):
-        return np.asarray(z, dtype=float) * self.std + self.mean
 
 
 class MLP:
@@ -121,28 +118,15 @@ def forward(net, standardizer, features):
     return net.forward(np.atleast_2d(features), standardizer)
 
 
-def residual_loss_expanded(a_rb, c_n, c):
-    """Equivalent residual loss around precomputed Galerkin coefficients.
+def supervised_loss(gram, targets, squares, c):
+    """Exact A_star-energy discrepancy ||Psi c - u_h||^2 and its gradient.
 
-    With e = c_N - c and r = A_rb e, r^T A_rb^-1 r = e^T A_rb e, so the loss
-    and gradient need one operator apply and no factorization.
-    """
-    e = np.asarray(c_n, dtype=float) - np.atleast_2d(np.asarray(c, dtype=float))
-    r = np.einsum("sij,sj->si", np.asarray(a_rb, dtype=float), e)
-    n = e.shape[0]
-    loss = float(np.einsum("si,si->", e, r) / n)
-    return loss, -2.0 * r / n
-
-
-def supervised_loss(m_n, targets, squares, c):
-    """Exact reduced-space L2 discrepancy and gradient.
-
-    loss_i = c^T M_N c - 2 c^T t_i + s_i with t = Psi^T M_II u_h and
-    s = u_h^T M_II u_h precomputed offline.
+    loss_i = c^T G c - 2 c^T t_i + s_i with G = Psi^T A_star_II Psi,
+    t = Psi^T A_star_II u_h and s = u_h^T A_star_II u_h precomputed offline.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     n = c.shape[0]
-    mc = c @ m_n
+    mc = c @ gram
     loss = float((np.einsum("si,si->", c, mc)
                   - 2.0 * np.einsum("si,si->", c, targets)
                   + np.sum(squares)) / n)
@@ -207,32 +191,44 @@ class ResidualData:
 
     features: np.ndarray   # (n, d) raw features
     theta: np.ndarray      # (n, Q_a) operator weights
-    a_flat: np.ndarray     # (Q_a, N*N) stacked reduced stiffness blocks
+    a_blocks: np.ndarray   # (Q_a, N, N) reduced stiffness terms
     c_n: np.ndarray        # (n, N) Galerkin coefficients (cached offline)
 
     def __len__(self):
         return self.features.shape[0]
 
     def batch_loss(self, idx, c):
-        n = self.c_n.shape[1]
-        a = (self.theta[idx] @ self.a_flat).reshape(len(idx), n, n)
-        return residual_loss_expanded(a, self.c_n[idx], c)
+        """Residual loss around the Galerkin coefficients, and its gradient.
+
+        With e = c_N - c and r = A_rb e = sum_p theta_p A_p e, the loss
+        r^T A_rb^-1 r equals e^T r, so neither a factorization nor the
+        per-sample operators A_rb are formed.
+        """
+        e = self.c_n[idx] - c
+        theta = self.theta[idx]
+        r = theta[:, :1] * (e @ self.a_blocks[0].T)
+        for p in range(1, len(self.a_blocks)):
+            r += theta[:, p:p + 1] * (e @ self.a_blocks[p].T)
+        n = e.shape[0]
+        loss = float(np.einsum("si,si->", e, r) / n)
+        return loss, -2.0 * r / n
 
 
 @dataclass
 class SupervisedData:
-    """Precomputed reduced targets for supervised training."""
+    """Precomputed reduced targets for supervised training in the A_star
+    energy norm."""
 
     features: np.ndarray
-    m_n: np.ndarray        # (N, N) reduced mass
-    targets: np.ndarray    # (n, N) Psi^T M_II u_h
-    squares: np.ndarray    # (n,) u_h^T M_II u_h
+    gram: np.ndarray       # (N, N) Psi^T A_star_II Psi
+    targets: np.ndarray    # (n, N) Psi^T A_star_II u_h
+    squares: np.ndarray    # (n,) u_h^T A_star_II u_h
 
     def __len__(self):
         return self.features.shape[0]
 
     def batch_loss(self, idx, c):
-        return supervised_loss(self.m_n, self.targets[idx], self.squares[idx], c)
+        return supervised_loss(self.gram, self.targets[idx], self.squares[idx], c)
 
 
 @dataclass
@@ -245,15 +241,9 @@ class TrainHistory:
     stop_reason: str = "epochs"    # or "early_stop"
 
 
-def _dataset_loss(net, standardizer, data, chunk=512):
-    # chunked so the (chunk, N, N) operator stack stays small
+def _dataset_loss(net, standardizer, data):
     c = net.forward(data.features, standardizer)
-    total = 0.0
-    for start in range(0, len(data), chunk):
-        idx = np.arange(start, min(start + chunk, len(data)))
-        loss, _ = data.batch_loss(idx, c[idx])
-        total += loss * len(idx)
-    return total / len(data)
+    return data.batch_loss(np.arange(len(data)), c)[0]
 
 
 def train(net, train_data, val_data, config):

@@ -68,14 +68,13 @@ def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
     if norms2[first] <= 0.0:
         first = int(np.argmax(norms2))
     modes = np.empty((n_dim, 0))
-    rows = np.empty((0, n_snap))
     err2 = norms2.copy()
     picked = []
     trace = []
     dead = np.zeros(n_snap, dtype=bool)
 
     def enrich(idx):
-        nonlocal modes, rows, err2
+        nonlocal modes, err2
         v = elems[:, idx].copy()
         pre = np.sqrt(max(norms2[idx], 0.0))
         for _ in range(2):
@@ -90,7 +89,6 @@ def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
             new_row = v @ m_snaps
         else:
             new_row = v @ snaps   # (v, q_n)_star = v^T A_star q_n = v^T F_n
-        rows = np.vstack([rows, new_row])
         err2 = np.maximum(err2 - new_row * new_row, 0.0)
         picked.append(int(idx))
         return True

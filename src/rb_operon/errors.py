@@ -2,12 +2,8 @@
 
 Plain ValueError is used for invalid arguments; the classes here mark
 failure modes that callers may want to catch and handle separately
-(retagging a mesh, widening a parameter box, restarting a training run).
+(widening a parameter box, restarting a training run).
 """
-
-
-class TaggingIncompleteError(ValueError):
-    """A boundary edge was not covered by any tagging rule."""
 
 
 class EmptyMatrixError(ValueError):

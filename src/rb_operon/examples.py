@@ -95,7 +95,7 @@ def example_spec(example):
             # target ranks cap the certified greedy; the configured
             # tolerances stay active and the reached indicator is recorded
             # in each greedy trace
-            trunk={"pod_tol": 1e-7, "greedy_tol": 1e-7, "greedy_n_max": 209},
+            trunk={"pod_tol": 1e-7, "greedy_tol": 1e-7, "greedy_fixed_n": 209},
             data={
                 # (a1, a2, a3, a4, xc, yc, sigma)
                 "xi_ranges": ((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
@@ -300,8 +300,7 @@ def build_problem(spec, mesh=None, surrogate=None):
                 model, samples=_box_corners(spec.param_ranges))
         else:
             floor = _radial_tensor_floor(surrogate.radial_map)
-            alpha = coercivity_lower_bound(
-                model, fixed=min(1.0, spec.param_ranges[0][0]) * floor * 0.95)
+            alpha = min(1.0, spec.param_ranges[0][0]) * floor * 0.95
         return Problem(spec=spec, mesh=mesh, model=model, m_full=m_full,
                        alpha_lb=alpha, bench=bench, surrogate=surrogate)
 
@@ -322,8 +321,7 @@ def build_problem(spec, mesh=None, surrogate=None):
     kii = model.affine_II.term(0)
     floor = spec.param_ranges[0][0] * _pencil_floor(kii, model.a_star_II)
     return Problem(spec=spec, mesh=mesh, model=model, m_full=m_full,
-                   alpha_lb=coercivity_lower_bound(model, fixed=floor),
-                   bench=bench)
+                   alpha_lb=floor, bench=bench)
 
 
 def build_surrogate(spec, mesh):

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .errors import TaggingIncompleteError
-
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -239,6 +237,9 @@ class _LawsonCertificate:
         return bool(np.all(det < -_LAWSON_MARGIN * perm))
 
 
+_MAX_ITERS = 120    # relaxation iteration cap of the inclusion mesh
+
+
 def _relax(pts, movable, h, r0, ring_spacing, max_iters):
     """Move ``pts[movable]`` in place under repulsive edge forces.
 
@@ -347,7 +348,7 @@ def _hex_lattice(h, lo=-0.5, hi=0.5, margin=0.0):
     return np.vstack(pts)
 
 
-def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
+def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0):
     """Unstructured mesh of (-0.5,0.5)^2 conforming to the circle |x| = r0.
 
     Nodes are seeded on a hexagonal lattice, the circle ring and the outer
@@ -386,14 +387,11 @@ def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
     pts = np.vstack([fixed, interior])
     n_total = len(pts)
     movable = np.arange(n_fixed, n_total)
-    relaxation = _relax(pts, movable, h, r0, ring_spacing, max_iters)
+    relaxation = _relax(pts, movable, h, r0, ring_spacing, _MAX_ITERS)
 
     tri = Delaunay(pts)
     triangles = _orient_ccw(pts, tri.simplices.astype(np.int64))
-    areas_ok = np.all(np.abs(signed_areas(TriMesh(
-        pts, triangles, np.zeros(len(triangles), dtype=np.int64),
-        np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), ()))) > 1e-14)
-    if not areas_ok:
+    if not np.all(np.abs(_orient2d(pts, triangles)[0]) > 2e-14):
         raise RuntimeError("degenerate triangle produced by relaxation")
 
     # The circle must be covered by edges between consecutive ring nodes.
@@ -427,33 +425,6 @@ def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0, max_iters=120):
         edge_segments=segs,
         segment_names=seg_names,
         relaxation=relaxation,
-    )
-
-
-def tag_boundary(mesh, rules):
-    """Re-tag boundary edges by midpoint predicates.
-
-    ``rules`` is an ordered sequence of (segment_name, predicate) pairs where
-    the predicate takes edge midpoints of shape (m, 2) and returns a boolean
-    mask.  The first matching rule wins.  Every edge must match some rule.
-    """
-    mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]]
-                  + mesh.nodes[mesh.boundary_edges[:, 1]])
-    names = tuple(name for name, _ in rules)
-    segs = np.full(len(mesh.boundary_edges), -1, dtype=np.int64)
-    for i, (_, pred) in enumerate(rules):
-        mask = np.asarray(pred(mids), dtype=bool)
-        segs[(segs < 0) & mask] = i
-    if np.any(segs < 0):
-        bad = mids[segs < 0][0]
-        raise TaggingIncompleteError(f"boundary edge at {bad} matched no rule")
-    return TriMesh(
-        nodes=mesh.nodes,
-        triangles=mesh.triangles,
-        triangle_tags=mesh.triangle_tags,
-        boundary_edges=mesh.boundary_edges,
-        edge_segments=segs,
-        segment_names=names,
     )
 
 

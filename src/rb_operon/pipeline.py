@@ -105,11 +105,6 @@ def _pool_snapshots(model, ks, f_hat_all):
     return out
 
 
-def _attach_mass(problem, space):
-    space.mass_rb = space.psi.T @ (problem.m_ii @ space.psi)
-    return space
-
-
 def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     """Build and persist the parameter-independent half of one benchmark.
 
@@ -151,10 +146,9 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         model, ks, f_hat_all=f_hat_all,
         tol=spec.trunk.get("greedy_tol"),
         fixed_n=spec.trunk.get("greedy_fixed_n"),
-        n_max=spec.trunk.get("greedy_n_max"),
         alpha_lb=problem.alpha_lb, sweep_subset=sweep)
 
-    save_space(adir, "greedy", _attach_mass(problem, space_g))
+    save_space(adir, "greedy", space_g)
     adir.save_json("greedy_trace", {
         "selected": gtrace.selected,
         "params": gtrace.params,
@@ -177,7 +171,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         space_p = pod_build(model, snaps, tol=spec.trunk.get("pod_tol"),
                             fixed_n=spec.trunk.get("pod_fixed_n"))
         space_p.alpha_lb = problem.alpha_lb
-        save_space(adir, "pod", _attach_mass(problem, space_p))
+        save_space(adir, "pod", space_p)
         a_snaps = model.a_star_II @ snaps
         adir.save_array("pod_targets", (space_p.psi.T @ a_snaps).T)
         adir.save_array("pod_squares", np.einsum("ij,ij->j", snaps, a_snaps))
@@ -215,18 +209,17 @@ def run_train(outdir, method="rb", seed=1, config=None):
         f_rb = bench.rhs(space, bench.load_blocks(adir, "greedy"), theta,
                          ks, a, b)
         c_n = solve_reduced_batch(space.a_blocks, theta, f_rb)
-        a_flat = space.a_blocks.reshape(space.a_blocks.shape[0], -1)
 
         def subset(sl):
             return ResidualData(features=feats[sl], theta=theta[sl],
-                                a_flat=a_flat, c_n=c_n[sl])
+                                a_blocks=space.a_blocks, c_n=c_n[sl])
     else:
         ks, a, b = bench.pool_rows(adir)
         targets = adir.load_array("pod_targets")
         squares = adir.load_array("pod_squares")
 
         def subset(sl):
-            return SupervisedData(features=feats[sl], m_n=space.gram_ref,
+            return SupervisedData(features=feats[sl], gram=space.gram_ref,
                                   targets=targets[sl], squares=squares[sl])
 
     feats = bench.features(ks, a, b)

@@ -40,6 +40,7 @@ from .errors import CoercivityViolationError, EmptySpaceError, StagnationError
 
 _STAR_CHUNK = 256   # load representers solved per star_solve call
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
+_DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
 
 
 @dataclass
@@ -52,7 +53,6 @@ class RBSpace:
     gram_ref: np.ndarray         # psi^T A_star_II psi
     alpha_lb: float
     provenance: dict = field(default_factory=dict)
-    mass_rb: np.ndarray = None   # psi^T M_II psi, filled by the harness
 
     @property
     def dim(self):
@@ -79,12 +79,12 @@ class GreedyTrace:
     rechecks: list = field(default_factory=list)   # exact s^2 per basis size
 
 
-def v_orthonormalize(model, psi, candidate, drop_tol=1e-10):
+def v_orthonormalize(model, psi, candidate):
     """Modified Gram-Schmidt (applied twice) in the A_star inner product.
 
     Returns the unit-norm orthogonal complement of ``candidate`` against the
-    columns of ``psi``, or None when the complement is smaller than
-    ``drop_tol`` times the candidate norm (linearly dependent snapshot).
+    columns of ``psi``, or None when the complement is smaller than 1e-10
+    times the candidate norm (linearly dependent snapshot).
     """
     a = model.a_star_II
     v = np.array(candidate, dtype=float)
@@ -96,7 +96,7 @@ def v_orthonormalize(model, psi, candidate, drop_tol=1e-10):
         if ncols:
             v -= psi[:, :ncols] @ (psi[:, :ncols].T @ (a @ v))
     nrm = np.sqrt(max(v @ (a @ v), 0.0))
-    if nrm < drop_tol * pre:
+    if nrm < 1e-10 * pre:
         return None
     return v / nrm
 
@@ -109,23 +109,19 @@ def estimator(model, space, k, c, f_hat):
     return float(np.sqrt(max(rho @ z, 0.0)) / space.alpha_lb)
 
 
-def coercivity_lower_bound(model, samples=None, floor=0.0, fixed=None):
+def coercivity_lower_bound(model, samples):
     """Parametric coercivity bound for the affine family.
 
-    The default is the min-theta value over the supplied parameter samples,
+    The min-theta value over the supplied parameter samples,
     min_k min_p theta_p(k)/theta_p(k_star), valid when every affine term is
-    positive semidefinite.  ``floor`` clips the result from below (used when
-    a theta ratio can degenerate to zero but a spectral bound is available);
-    ``fixed`` bypasses the heuristic with a precomputed bound.
+    positive semidefinite.
     """
-    if fixed is not None:
-        return float(fixed)
     th_star = np.asarray(model.theta_a(model.k_star), dtype=float)
     best = np.inf
     for k in np.atleast_2d(np.asarray(samples, dtype=float)):
         th = np.asarray(model.theta_a(k), dtype=float)
         best = min(best, float(np.min(th / th_star)))
-    return max(best, float(floor))
+    return max(best, 0.0)
 
 
 def reduce_operators(model, psi):
@@ -329,8 +325,7 @@ class _BorderedCholesky:
 
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
-                 n_max=None, alpha_lb=1.0, sweep_subset=None,
-                 provenance=None):
+                 alpha_lb=1.0, sweep_subset=None):
     """Weak greedy trunk construction driven by the certified estimator.
 
     ``samples`` is the training pool (n_s, p); ``f_hat_all`` the matching
@@ -349,7 +344,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         cols = [model.load_interior(k) for k in samples]
         f_hat_all = np.column_stack(cols)
     theta_all = np.vstack([model.theta_a(k) for k in samples])
-    n_cap = fixed_n if fixed_n is not None else (n_max or min(ns, model.n_free))
+    n_cap = fixed_n if fixed_n is not None else min(ns, model.n_free)
 
     sweep = np.arange(ns) if sweep_subset is None else np.asarray(sweep_subset, dtype=np.int64)
     state = _SweepState(model, f_hat_all)
@@ -446,8 +441,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
 
     a_blocks, f_blocks = reduce_operators(model, psi)
     gram = psi.T @ (model.a_star_II @ psi)
-    prov = dict(provenance or {})
-    prov.update(method="greedy", tol=tol, fixed_n=fixed_n,
+    prov = dict(method="greedy", tol=tol, fixed_n=fixed_n,
                 selected=list(selected), pool_size=int(ns))
     space = RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
                     gram_ref=gram, alpha_lb=float(alpha_lb), provenance=prov)
@@ -471,8 +465,7 @@ def _border_update(a_blocks, psi, w_new):
     return out
 
 
-def pod_build(model, snapshots, tol=None, fixed_n=None, provenance=None,
-              dense_limit=2600):
+def pod_build(model, snapshots, tol=None, fixed_n=None):
     """Method-of-snapshots POD in the A_star inner product.
 
     ``snapshots`` holds one solution per column.  The correlation matrix
@@ -481,6 +474,8 @@ def pod_build(model, snapshots, tol=None, fixed_n=None, provenance=None,
     modes are kept.  Returns an RBSpace and stores the spectrum in its
     provenance.
     """
+    if tol is None and fixed_n is None:
+        raise ValueError("need a tolerance or a fixed dimension")
     s = np.asarray(snapshots, dtype=float)
     if s.ndim != 2 or s.shape[1] == 0:
         raise EmptySpaceError("no snapshots given")
@@ -491,7 +486,7 @@ def pod_build(model, snapshots, tol=None, fixed_n=None, provenance=None,
     gram = s.T @ (model.a_star_II @ s) / nk
     gram = 0.5 * (gram + gram.T)
     total = float(np.trace(gram))
-    if nk <= dense_limit:
+    if nk <= _DENSE_LIMIT:
         lam, vec = eigh(gram)
         lam = lam[::-1]
         vec = vec[:, ::-1]
@@ -524,8 +519,7 @@ def pod_build(model, snapshots, tol=None, fixed_n=None, provenance=None,
         psi = np.column_stack([psi, v])
     a_blocks, f_blocks = reduce_operators(model, psi)
     gram_ref = psi.T @ (model.a_star_II @ psi)
-    prov = dict(provenance or {})
-    prov.update(method="pod", tol=tol, fixed_n=fixed_n, n_snapshots=int(nk),
+    prov = dict(method="pod", tol=tol, fixed_n=fixed_n, n_snapshots=int(nk),
                 eigenvalues=lam, trace=total)
     return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
                    gram_ref=gram_ref, alpha_lb=1.0, provenance=prov)

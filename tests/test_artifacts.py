@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -84,11 +85,10 @@ def test_space_roundtrip(tmp_path, rng):
         alpha_lb=0.25,
         provenance={"method": "greedy", "tol": 1e-6,
                     "spectrum": np.array([1.0, 0.1])},
-        mass_rb=rng.standard_normal((3, 3)),
     )
     save_space(adir, "trunk", space)
     back = load_space(adir, "trunk")
-    for name in ("psi", "a_blocks", "f_blocks", "gram_ref", "mass_rb"):
+    for name in ("psi", "a_blocks", "f_blocks", "gram_ref"):
         assert np.array_equal(getattr(back, name), getattr(space, name))
     assert back.alpha_lb == 0.25
     assert back.provenance["method"] == "greedy"
@@ -100,10 +100,13 @@ def test_space_roundtrip_without_mass(tmp_path, rng):
     space = RBSpace(psi=rng.standard_normal((5, 2)),
                     a_blocks=rng.standard_normal((1, 2, 2)),
                     f_blocks=rng.standard_normal((1, 2)),
-                    gram_ref=np.eye(2), alpha_lb=1.0,
-                    provenance={}, mass_rb=None)
+                    gram_ref=np.eye(2), alpha_lb=1.0, provenance={})
     save_space(adir, "t", space)
-    assert load_space(adir, "t").mass_rb is None
+    # four arrays and the meta; no reduced mass block is written
+    assert sorted(os.listdir(adir.path)) == [
+        "t_a_blocks.arr", "t_f_blocks.arr", "t_gram_ref.arr", "t_meta.json",
+        "t_psi.arr"]
+    assert load_space(adir, "t").provenance == {}
 
 
 def test_net_roundtrip(tmp_path, rng):

@@ -11,11 +11,12 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import re
 
 import rb_operon
 
-RBBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "rbbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RBBENCH = os.path.join(ROOT, "rbbench")
 
 
 def _spans():
@@ -29,6 +30,25 @@ def _spans():
 def test_public_names_resolve():
     for name in rb_operon.__all__:
         getattr(rb_operon, name)
+
+
+def test_exports_are_referenced():
+    # an export whose only mentions are its definition and its _EXPORTS
+    # entry has no caller in the package, its tests or the harness
+    lines = []
+    for top in ("src", "tests", "rbbench"):
+        for dirpath, _, fnames in os.walk(os.path.join(ROOT, top)):
+            for fname in fnames:
+                if fname.endswith(".py"):
+                    with open(os.path.join(dirpath, fname)) as fh:
+                        lines += fh.read().splitlines()
+    unused = []
+    for name in rb_operon._EXPORTS:
+        own = re.compile(rf'^\s*((def|class) {name}\b|"{name}":)')
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(ln) and not own.match(ln) for ln in lines):
+            unused.append(name)
+    assert unused == []
 
 
 def test_traced_layers_resolve():

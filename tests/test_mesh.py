@@ -3,12 +3,11 @@ import pytest
 from scipy.spatial import Delaunay
 
 from rb_operon import mesh as mesh_mod
-from rb_operon.errors import TaggingIncompleteError
 from rb_operon.mesh import (_LawsonCertificate, _edge_keys, all_edges,
                             boundary_node_indices, dirichlet_nodes,
                             min_angle_deg, read_mesh_text, signed_areas,
-                            square_with_inclusion_mesh, tag_boundary,
-                            unit_square_mesh, write_mesh_text)
+                            square_with_inclusion_mesh, unit_square_mesh,
+                            write_mesh_text)
 
 
 def test_unit_square_counts():
@@ -226,22 +225,3 @@ def test_mesh_text_roundtrip(tmp_path):
     assert np.array_equal(back.triangle_tags, m.triangle_tags)
     assert np.array_equal(back.boundary_edges, m.boundary_edges)
     assert back.edge_names().tolist() == m.edge_names().tolist()
-
-
-def test_tag_boundary_first_match_wins():
-    m = unit_square_mesh(4)
-    tagged = tag_boundary(m, [
-        ("lower", lambda p: p[:, 1] < 0.5),
-        ("rest", lambda p: np.ones(len(p), dtype=bool)),
-    ])
-    assert tagged.segment_names == ("lower", "rest")
-    mids = 0.5 * (m.nodes[m.boundary_edges[:, 0]] + m.nodes[m.boundary_edges[:, 1]])
-    assert np.all(mids[tagged.segment_of("lower")][:, 1] < 0.5)
-    assert tagged.segment_of("lower").sum() + tagged.segment_of("rest").sum() \
-        == len(m.boundary_edges)
-
-
-def test_tag_boundary_incomplete_raises():
-    m = unit_square_mesh(4)
-    with pytest.raises(TaggingIncompleteError):
-        tag_boundary(m, [("lower", lambda p: p[:, 1] < 0.5)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rb_operon import reduction
 from rb_operon.errors import (CoercivityViolationError, EmptySpaceError,
                               StagnationError)
 from rb_operon.assembly import aggregated_load
@@ -343,15 +344,23 @@ def test_pod_energy_tolerance(tiny_problem1):
         assert 1.0 - lam[:n - 1].sum() / total > tol * tol
 
 
-def test_pod_sparse_eigensolver_deterministic(tiny_problem1):
-    # above dense_limit the spectrum comes from ARPACK, which must not draw a
-    # random start vector
+def test_pod_sparse_eigensolver_deterministic(tiny_problem1, monkeypatch):
+    # above the dense limit the spectrum comes from ARPACK, which must not
+    # draw a random start vector
+    monkeypatch.setattr(reduction, "_DENSE_LIMIT", 10)
     model = tiny_problem1.model
     snaps = np.random.default_rng(3).standard_normal((model.n_free, 30))
-    lam = [pod_build(model, snaps, fixed_n=3, dense_limit=10)
-           .provenance["eigenvalues"] for _ in range(3)]
+    lam = [pod_build(model, snaps, fixed_n=3).provenance["eigenvalues"]
+           for _ in range(3)]
     assert np.array_equal(lam[0], lam[1])
     assert np.array_equal(lam[0], lam[2])
+
+
+def test_pod_needs_tolerance_or_dimension(tiny_problem1):
+    model = tiny_problem1.model
+    snaps = np.random.default_rng(3).standard_normal((model.n_free, 4))
+    with pytest.raises(ValueError, match="need a tolerance or a fixed"):
+        pod_build(model, snaps)
 
 
 def test_pod_rejects_empty(tiny_problem1):
@@ -367,5 +376,3 @@ def test_coercivity_lower_bound_modes(tiny_problem1):
     model = tiny_problem1.model      # theta = (k1, 1), reference k = (1, 1)
     samples = np.array([[0.5, 0.0], [4.0, 0.0]])
     assert np.isclose(coercivity_lower_bound(model, samples), 0.5)
-    assert np.isclose(coercivity_lower_bound(model, samples, floor=0.9), 0.9)
-    assert np.isclose(coercivity_lower_bound(model, fixed=0.7), 0.7)
