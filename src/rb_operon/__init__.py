@@ -29,6 +29,7 @@ _EXPORTS = {
     "assemble_boundary_mass": ".assembly",
     "assemble_load_volume": ".assembly",
     "assemble_load_boundary": ".assembly",
+    "load_quadrature": ".assembly",
     "ParametricModel": ".assembly",
     "build_model": ".assembly",
     "truth_solve": ".assembly",

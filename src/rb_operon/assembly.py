@@ -3,7 +3,12 @@
 All matrices are scipy CSR over the full node set; Dirichlet elimination is
 done by index bookkeeping, never by row surgery.  Gradients of P1 hats are
 triangle-wise constant, so stiffness integrands of piecewise-constant
-coefficients are integrated exactly with one point.  Volume loads use the
+coefficients are integrated exactly with one point.
+
+Loads are a fixed quadrature map times point values: ``load_quadrature``
+builds, once per mesh or boundary segment, the quadrature points and a
+sparse map Q from values at them to nodal loads, so a load (or a block of
+loads, one per column) is Q @ f(points).  Volume loads use the
 three-midpoint rule (exact through degree 2) and boundary loads two-point
 Gauss per edge.
 
@@ -18,6 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import EmptyMatrixError, NotCoerciveError
+from .mesh import _edge_keys
 
 
 def _region_mask(mesh, region):
@@ -125,41 +131,79 @@ def assemble_boundary_mass(mesh, segment):
     return out
 
 
+def _csr_in_order(rows, cols, data, shape):
+    """CSR matrix that keeps each row's entries in the order given.
+
+    Going through COO would sort every row by column; here a product sums
+    each row's terms in the order they were listed.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_matrix((data[order], cols[order], indptr), shape=shape)
+
+
+def load_quadrature(mesh, segment=None):
+    """Quadrature points of a load integral and the map Q to nodal loads.
+
+    Returns (points (n_points, 2), Q (n_nodes, n_points) CSR) such that
+    int f v = Q @ f(points) for every P1 hat v.  With ``segment`` None the
+    integral is over the whole mesh by the three-midpoint rule; otherwise
+    over the named boundary segment by two-point Gauss per edge.  Each node
+    sums its terms triangle by triangle (edge by edge) in mesh order.
+    """
+    if segment is None:
+        tris = mesh.triangles
+        areas, _ = triangle_geometry(mesh)
+        # side i of the rotated rows joins local vertices i + 1 and i + 2;
+        # its midpoint carries basis values (0, 1/2, 1/2), and the two
+        # triangles of an inner side share that point
+        sides, side_of = np.unique(_edge_keys(tris[:, [1, 2, 0]], mesh.n_nodes),
+                                   return_inverse=True)
+        ends = mesh.nodes[np.column_stack(np.divmod(sides, mesh.n_nodes))]
+        points = 0.5 * (ends[:, 0] + ends[:, 1])
+        # local vertex i collects area/6 times f at the midpoints i+1, i+2
+        rows = np.repeat(tris.ravel(), 2)
+        cols = side_of.reshape(3, -1).T[:, [1, 2, 2, 0, 0, 1]].ravel()
+        data = np.repeat(areas / 6.0, 6)
+    else:
+        sel = mesh.segment_of(segment)
+        if not np.any(sel):
+            raise EmptyMatrixError(f"no boundary edges on segment {segment!r}")
+        edges = mesh.boundary_edges[sel]
+        a = mesh.nodes[edges[:, 0]]
+        b = mesh.nodes[edges[:, 1]]
+        lens = np.linalg.norm(b - a, axis=1)
+        s = 1.0 / np.sqrt(3.0)
+        idx = np.arange(len(edges))
+        points, rows, cols, data = [], [], [], []
+        for i, sg in enumerate((-s, s)):
+            points.append(0.5 * (1.0 - sg) * a + 0.5 * (1.0 + sg) * b)
+            rows += [edges[:, 0], edges[:, 1]]
+            cols += [idx + i * len(edges)] * 2
+            data += [0.5 * lens * 0.5 * (1.0 - sg), 0.5 * lens * 0.5 * (1.0 + sg)]
+        points, rows, cols, data = (np.concatenate(v)
+                                    for v in (points, rows, cols, data))
+    return points, _csr_in_order(rows, cols, data, (mesh.n_nodes, len(points)))
+
+
 def assemble_load_volume(mesh, f):
-    """Load vector int f v using the three-midpoint rule (degree-2 exact)."""
-    tris = mesh.triangles
-    p = mesh.nodes[tris]
-    areas, _ = triangle_geometry(mesh)
-    # midpoint opposite local vertex i carries basis values (0, 1/2, 1/2)
-    mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
-    fv = np.asarray(f(mids.reshape(-1, 2)), dtype=float).reshape(-1, 3)
-    w = areas[:, None] / 6.0
-    local = np.empty_like(fv)
-    local[:, 0] = w[:, 0] * (fv[:, 1] + fv[:, 2])
-    local[:, 1] = w[:, 0] * (fv[:, 2] + fv[:, 0])
-    local[:, 2] = w[:, 0] * (fv[:, 0] + fv[:, 1])
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, tris.ravel(), local.ravel())
-    return out
+    """Load vector int f v using the three-midpoint rule (degree-2 exact).
+
+    ``f`` maps (n_points, 2) coordinates to (n_points,) values, or to
+    (n_points, m) for m loads at once, returned as columns.
+    """
+    points, q = load_quadrature(mesh)
+    return q @ np.asarray(f(points), dtype=float)
 
 
 def assemble_load_boundary(mesh, segment, g):
-    """Load vector int g v over a named segment, two-point Gauss per edge."""
-    sel = mesh.segment_of(segment)
-    if not np.any(sel):
-        raise EmptyMatrixError(f"no boundary edges on segment {segment!r}")
-    edges = mesh.boundary_edges[sel]
-    a = mesh.nodes[edges[:, 0]]
-    b = mesh.nodes[edges[:, 1]]
-    lens = np.linalg.norm(b - a, axis=1)
-    s = 1.0 / np.sqrt(3.0)
-    out = np.zeros(mesh.n_nodes)
-    for sg in (-s, s):
-        x = 0.5 * (1.0 - sg) * a + 0.5 * (1.0 + sg) * b
-        gv = np.asarray(g(x), dtype=float)
-        np.add.at(out, edges[:, 0], 0.5 * lens * 0.5 * (1.0 - sg) * gv)
-        np.add.at(out, edges[:, 1], 0.5 * lens * 0.5 * (1.0 + sg) * gv)
-    return out
+    """Load vector int g v over a named segment, two-point Gauss per edge.
+
+    ``g`` returns (n_points,) or (n_points, m) values, as for volume loads.
+    """
+    points, q = load_quadrature(mesh, segment)
+    return q @ np.asarray(g(points), dtype=float)
 
 
 class AffineSparse:
@@ -326,15 +370,20 @@ def aggregated_load(model, k, f_free=None, g_b=None):
 
     ``f_free`` is the assembled load vector (volume plus natural-boundary
     contributions) restricted to free nodes; ``g_b`` holds nodal Dirichlet
-    values.  The lifting correction uses A blocks assembled at k.
+    values.  For a batch, ``k`` stacks one parameter row per column of
+    ``f_free`` and ``g_b``.  The lifting correction is applied term by term,
+    sum_p theta_p(k) (A_p,II lift_block g + A_p,IB g), without assembling
+    A(k).
     """
     out = np.zeros(model.n_free) if f_free is None else np.array(f_free, dtype=float)
     if g_b is not None and len(model.dirichlet):
         g_b = np.asarray(g_b, dtype=float)
-        th = model.theta_a(np.asarray(k, dtype=float))
+        th = np.array([model.theta_a(row)
+                       for row in np.atleast_2d(np.asarray(k, dtype=float))])
         lifted = model.lift_block @ g_b
-        out -= model.affine_II.assemble(th) @ lifted
-        out -= model.affine_IB.assemble(th) @ g_b
+        for p in range(model.affine_II.n_terms):
+            out -= th[:, p] * (model.affine_II.term(p) @ lifted
+                               + model.affine_IB.term(p) @ g_b)
     return out
 
 

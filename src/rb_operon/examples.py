@@ -25,8 +25,8 @@ from .artifacts import (load_boundary_modes, load_case2_blocks,
                         save_boundary_modes, save_case2_blocks,
                         save_source_modes, save_surrogate)
 from .assembly import (aggregated_load, assemble_stiffness, assemble_mass,
-                       assemble_boundary_mass, assemble_load_volume,
-                       assemble_load_boundary, build_model, truth_solve)
+                       assemble_boundary_mass, assemble_load_boundary,
+                       build_model, load_quadrature, truth_solve)
 from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
                         encode_source, reduced_rhs_case2,
                         reduced_rhs_case2_batch, source_greedy)
@@ -155,70 +155,68 @@ def sample_xi(spec, n, rng):
     return _uniform_box(rng, spec.data["xi_ranges"], n)
 
 
-@dataclass(frozen=True)
 class ManufacturedSolution:
     """Closed-form scalar field: two sine products, a Gaussian bump and a
-    cos*sinh term, with hand-differentiated gradient and Laplacian."""
+    cos*sinh term, with hand-differentiated gradient and Laplacian.
 
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    xc: float
-    yc: float
-    sigma: float
+    Batched over xi: built from one row (a1, a2, a3, a4, xc, yc, sigma) or
+    from a stack of m rows.  At n points, ``value`` and ``laplacian`` return
+    (n,) for one row and (n, m) for a stack; ``grad`` returns (n, 2) or
+    (n, m, 2).  The xi-independent sine, cosine and sinh factors are
+    computed once per call, for all rows together.
+    """
 
-    def __post_init__(self):
-        if self.sigma <= 0:
+    def __init__(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim not in (1, 2) or xi.shape[-1] != 7:
+            raise ValueError("xi must be one row of 7 values or a stack of rows")
+        if np.any(xi[..., 6] <= 0):
             raise ValueError("sigma must be positive")
-
-    @classmethod
-    def from_xi(cls, xi):
-        return cls(*(float(v) for v in xi))
+        self.single = xi.ndim == 1
+        self.rows = np.atleast_2d(xi)
 
     def _parts(self, x):
+        """Point factors, then per (point, row): the offsets dx, dy, their
+        squared length r2, sigma^2 and a3 times the bump."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return x[:, 0], x[:, 1]
+        rows = self.rows
+        dx = x[:, 0, None] - rows[:, 4]
+        dy = x[:, 1, None] - rows[:, 5]
+        r2 = dx * dx + dy * dy
+        s2 = rows[:, 6] ** 2
+        bump = rows[:, 2] * np.exp(-r2 / (2.0 * s2))
+        return (np.pi * x[:, 0], np.pi * x[:, 1], x[:, 1] - 0.5,
+                dx, dy, r2, s2, bump)
 
-    def _bump(self, xx, yy):
-        dx = xx - self.xc
-        dy = yy - self.yc
-        return dx, dy, np.exp(-(dx * dx + dy * dy) / (2.0 * self.sigma ** 2))
+    def _sum(self, smooth, rest):
+        """Point factors weighted by (a1, a2, a4) per row, plus ``rest``."""
+        out = np.column_stack(smooth) @ self.rows[:, [0, 1, 3]].T + rest
+        return out[:, 0] if self.single else out
 
     def value(self, x):
-        xx, yy = self._parts(x)
-        pi = np.pi
-        _, _, bump = self._bump(xx, yy)
-        return (self.a1 * np.sin(pi * xx) * np.sin(pi * yy)
-                + self.a2 * np.sin(2 * pi * xx) * np.sin(pi * yy)
-                + self.a3 * bump
-                + self.a4 * np.cos(pi * xx) * np.sinh(yy - 0.5))
+        px, py, y5, _, _, _, _, bump = self._parts(x)
+        sy = np.sin(py)
+        return self._sum((np.sin(px) * sy, np.sin(2 * px) * sy,
+                          np.cos(px) * np.sinh(y5)), bump)
 
     def grad(self, x):
-        xx, yy = self._parts(x)
+        px, py, y5, dx, dy, _, s2, bump = self._parts(x)
         pi = np.pi
-        dx, dy, bump = self._bump(xx, yy)
-        s2 = self.sigma ** 2
-        gx = (self.a1 * pi * np.cos(pi * xx) * np.sin(pi * yy)
-              + self.a2 * 2 * pi * np.cos(2 * pi * xx) * np.sin(pi * yy)
-              - self.a3 * dx / s2 * bump
-              - self.a4 * pi * np.sin(pi * xx) * np.sinh(yy - 0.5))
-        gy = (self.a1 * pi * np.sin(pi * xx) * np.cos(pi * yy)
-              + self.a2 * pi * np.sin(2 * pi * xx) * np.cos(pi * yy)
-              - self.a3 * dy / s2 * bump
-              + self.a4 * np.cos(pi * xx) * np.cosh(yy - 0.5))
-        return np.column_stack([gx, gy])
+        sx, cx, sy, cy = np.sin(px), np.cos(px), np.sin(py), np.cos(py)
+        gx = self._sum((pi * cx * sy, 2 * pi * np.cos(2 * px) * sy,
+                        -pi * sx * np.sinh(y5)), -dx / s2 * bump)
+        gy = self._sum((pi * sx * cy, pi * np.sin(2 * px) * cy,
+                        cx * np.cosh(y5)), -dy / s2 * bump)
+        return np.stack([gx, gy], axis=-1)
 
     def laplacian(self, x):
-        xx, yy = self._parts(x)
-        pi = np.pi
-        dx, dy, bump = self._bump(xx, yy)
-        s2 = self.sigma ** 2
-        rho2 = dx * dx + dy * dy
-        return (-2 * pi ** 2 * self.a1 * np.sin(pi * xx) * np.sin(pi * yy)
-                - 5 * pi ** 2 * self.a2 * np.sin(2 * pi * xx) * np.sin(pi * yy)
-                + self.a3 * bump * (rho2 / s2 ** 2 - 2.0 / s2)
-                + self.a4 * (1.0 - pi ** 2) * np.cos(pi * xx) * np.sinh(yy - 0.5))
+        px, py, y5, _, _, r2, s2, bump = self._parts(x)
+        pi2 = np.pi ** 2
+        sy = np.sin(py)
+        return self._sum((-2 * pi2 * np.sin(px) * sy,
+                          -5 * pi2 * np.sin(2 * px) * sy,
+                          (1.0 - pi2) * np.cos(px) * np.sinh(y5)),
+                         bump * (r2 / s2 ** 2 - 2.0 / s2))
 
 
 @dataclass
@@ -339,20 +337,19 @@ def load_problem(spec, adir):
                          surrogate=surrogate)
 
 
-def example2_load(problem, k, ms):
-    """Exact-data load (volume + flux + Robin) and Dirichlet trace."""
-    k0, al, be = (float(v) for v in k)
-    mesh = problem.mesh
-
-    def f(p):
-        return k0 * (-ms.laplacian(p)) + al * ms.value(p)
-
-    vec = assemble_load_volume(mesh, f)
+def example2_load(problem, ks, ms, maps):
+    """Exact-data loads (volume + flux + Robin) and Dirichlet traces of a
+    chunk of draws: ``ks`` stacks the operator parameters, ``ms`` the
+    matching manufactured solutions, and ``maps`` holds the volume,
+    ``bottom`` and ``right`` quadrature maps of ``load_quadrature``.
+    Returns (loads on free nodes, traces), one column per draw."""
+    k0, al, be = np.asarray(ks, dtype=float).T
+    (vol, q_vol), (bottom, q_bottom), (right, q_right) = maps
+    vec = q_vol @ (k0 * (-ms.laplacian(vol)) + al * ms.value(vol))
     # outward normal is (0,-1) on the bottom edge and (1,0) on the right
-    vec += assemble_load_boundary(mesh, "bottom", lambda p: -k0 * ms.grad(p)[:, 1])
-    vec += assemble_load_boundary(
-        mesh, "right", lambda p: k0 * ms.grad(p)[:, 0] + be * ms.value(p))
-    g_b = ms.value(mesh.nodes[problem.model.dirichlet])
+    vec += q_bottom @ (-k0 * ms.grad(bottom)[..., 1])
+    vec += q_right @ (k0 * ms.grad(right)[..., 0] + be * ms.value(right))
+    g_b = ms.value(problem.mesh.nodes[problem.model.dirichlet])
     return vec[problem.model.free], g_b
 
 
@@ -375,16 +372,27 @@ def example3_direct_solve(problem, k):
     return splu(a_ii).solve(problem.model.load_interior(k))
 
 
+# draws whose quadrature-point values are held at once
+_LOAD_CHUNK = 32
+
+
 def _data_loads(problem, ks, xis):
-    """Loads, Dirichlet traces and aggregated loads of data draws (columns)."""
-    model = problem.model
+    """Loads, Dirichlet traces and aggregated loads of data draws (columns).
+
+    The quadrature maps are built once; the draws are then loaded in chunks
+    of ``_LOAD_CHUNK``, so no array spans quadrature points times all draws.
+    """
+    model, mesh = problem.model, problem.mesh
+    maps = [load_quadrature(mesh, seg) for seg in (None, "bottom", "right")]
     f_data = np.empty((model.n_free, len(ks)))
     g_data = np.empty((len(model.dirichlet), len(ks)))
     f_hat = np.empty_like(f_data)
-    for i, k in enumerate(ks):
-        ms = ManufacturedSolution.from_xi(xis[i])
-        f_data[:, i], g_data[:, i] = example2_load(problem, k, ms)
-        f_hat[:, i] = aggregated_load(model, k, f_data[:, i], g_data[:, i])
+    for lo in range(0, len(ks), _LOAD_CHUNK):
+        sl = slice(lo, lo + _LOAD_CHUNK)
+        f_data[:, sl], g_data[:, sl] = example2_load(
+            problem, ks[sl], ManufacturedSolution(xis[sl]), maps)
+        f_hat[:, sl] = aggregated_load(model, ks[sl], f_data[:, sl],
+                                       g_data[:, sl])
     return f_data, g_data, f_hat
 
 

@@ -81,13 +81,6 @@ class TriMesh:
         return names[self.edge_segments]
 
 
-def signed_areas(mesh):
-    p = mesh.nodes[mesh.triangles]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-
-
 def min_angle_deg(mesh):
     """Smallest interior angle over all triangles, in degrees."""
     p = mesh.nodes[mesh.triangles]
@@ -115,16 +108,6 @@ def _edge_keys(polygons, n):
     a = t.T.ravel()
     b = np.roll(t, -1, axis=1).T.ravel()
     return np.minimum(a, b) * n + np.maximum(a, b)
-
-
-def all_edges(mesh):
-    """Unique undirected edges of the triangulation, sorted pairs."""
-    n = mesh.n_nodes
-    return np.column_stack(np.divmod(np.unique(_edge_keys(mesh.triangles, n)), n))
-
-
-def boundary_node_indices(mesh):
-    return np.unique(mesh.boundary_edges)
 
 
 def dirichlet_nodes(mesh, dirichlet_segments):

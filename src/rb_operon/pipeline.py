@@ -113,6 +113,10 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     trunk with supervised targets, and a manifest of every constant.
     """
     spec = apply_overrides(example_spec(example), overrides)
+    # pod_build would reject this only after every other offline step
+    if pod and all(spec.trunk.get(key) is None
+                   for key in ("pod_tol", "pod_fixed_n")):
+        raise ValueError("the POD trunk needs pod_tol or pod_fixed_n")
     adir = ArtifactDir(outdir)
     rng = np.random.default_rng(seed)
     problem = build_problem(spec)

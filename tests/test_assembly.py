@@ -97,6 +97,12 @@ def test_volume_load_quadrature_degree():
     assert np.isclose(f.sum(), 1.0 / 3.0)
     f = assemble_load_volume(mesh, lambda p: p[:, 0] * p[:, 1])
     assert np.isclose(f.sum(), 0.25)
+    # (n_points, m) values give m loads as columns
+    both = assemble_load_volume(
+        mesh, lambda p: np.column_stack([p[:, 0] ** 2, p[:, 0] * p[:, 1]]))
+    assert both.shape == (mesh.n_nodes, 2)
+    assert np.allclose(both.sum(axis=0), [1.0 / 3.0, 0.25])
+    assert np.allclose(both[:, 1], f, rtol=1e-15, atol=0.0)
 
 
 def test_boundary_load_quadrature_degree():
@@ -104,6 +110,10 @@ def test_boundary_load_quadrature_degree():
     g = assemble_load_boundary(mesh, "bottom", lambda p: p[:, 0] ** 3)
     # two-point Gauss per edge integrates cubics exactly
     assert np.isclose(g.sum(), 0.25)
+    both = assemble_load_boundary(
+        mesh, "bottom", lambda p: np.column_stack([p[:, 0] ** 3, p[:, 0]]))
+    assert np.allclose(both.sum(axis=0), [0.25, 0.5])
+    assert np.array_equal(both[:, 0], g)
 
 
 def test_affine_sparse_matches_explicit_sum(rng):
@@ -176,6 +186,15 @@ def test_aggregated_load_matches_dense_algebra(rng):
     lift = discrete_lifting(model, g)
     expect = f_free - (a @ lift)[model.free]
     assert np.allclose(out, expect)
+    # a stack of parameter rows takes one column of data per row
+    ks = np.array([[2.5], [0.5], [4.0]])
+    fs = np.column_stack([f_free, -f_free, 2 * f_free])
+    gs = np.column_stack([g, 3 * g, -g])
+    batch = aggregated_load(model, ks, fs, gs)
+    for j, kj in enumerate(ks):
+        assert np.allclose(batch[:, j], aggregated_load(model, kj, fs[:, j],
+                                                        gs[:, j]),
+                           rtol=1e-14, atol=1e-14 * np.abs(batch).max())
 
 
 def test_truth_solve_and_factor_agree(rng):

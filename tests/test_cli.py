@@ -63,6 +63,18 @@ def test_eim_build(tmp_path, capsys):
     assert "rank" in capsys.readouterr().out
 
 
+def test_rb_build_without_pod_rule_fails_before_writing(tmp_path, capsys):
+    # a POD trunk with neither pod_tol nor pod_fixed_n is rejected before
+    # the data modes, the greedy and the pool solves run
+    out = str(tmp_path / "run")
+    args = ["rb-build", "--example", "2", "--out", out, "--set", "pod_tol=none",
+            "--set", "n=24", "--set", "n_pool=400", "--set", "sweep_subset=400",
+            "--set", "greedy_fixed_n=30"]
+    assert main(args) == 2
+    assert "pod_tol or pod_fixed_n" in capsys.readouterr().err
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli") / "run")

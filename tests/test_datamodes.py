@@ -106,14 +106,14 @@ def test_case2_blocks_reproduce_aggregated_load(tiny_problem2, rng):
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
     blocks = case2_blocks(model, psi, bmodes, smodes)
     assert blocks.dims == (6, 6, 4)
-    for j in range(3):
-        k = np.array([1.3, 0.4, 2.0]) + 0.1 * j
-        theta = model.theta_a(k)
+    ks = np.array([1.3, 0.4, 2.0]) + 0.1 * np.arange(3)[:, None]
+    f_hat = aggregated_load(model, ks, loads[:, :3], g[:, :3])
+    for j, k in enumerate(ks):
         a = encode_source(smodes, loads[:, j])
         b = encode_boundary(bmodes, model, g[:, j])
-        f_rb = reduced_rhs_case2(blocks, theta, a, b)
-        f_hat = aggregated_load(model, k, loads[:, j], g[:, j])
-        assert np.allclose(f_rb, psi.T @ f_hat, atol=1e-9 * np.abs(f_hat).max())
+        f_rb = reduced_rhs_case2(blocks, model.theta_a(k), a, b)
+        assert np.allclose(f_rb, psi.T @ f_hat[:, j],
+                           atol=1e-9 * np.abs(f_hat).max())
 
 
 def test_reduced_rhs_batch_matches_loop(tiny_problem2, rng):

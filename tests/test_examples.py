@@ -1,18 +1,121 @@
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rb_operon.assembly import (aggregated_load, assemble_stiffness,
-                                full_field, truth_solve)
-from rb_operon.examples import (Example1, Example2, ExampleSpec,
+from rb_operon.assembly import (assemble_load_boundary, assemble_stiffness,
+                                full_field, truth_solve, triangle_geometry)
+from rb_operon.examples import (_LOAD_CHUNK, Example1, Example2, ExampleSpec,
                                 ManufacturedSolution, _box_corners,
-                                build_mesh, build_problem,
-                                example2_load, example3_direct_operator,
+                                _data_loads, build_mesh, build_problem,
+                                example3_direct_operator,
                                 example3_direct_solve, example_spec,
                                 sample_parameters, sample_xi)
 from rb_operon.pipeline import apply_overrides
+
+
+# Per-draw reference for the batched data loads: one xi row at a time, loads
+# scattered with np.add.at, and the lifting through the operator assembled at
+# k.
+
+class ScalarSolution:
+    """The manufactured solution of one xi row, evaluated term by term."""
+
+    def __init__(self, xi):
+        self.a1, self.a2, self.a3, self.a4, self.xc, self.yc, self.sigma = (
+            float(v) for v in xi)
+
+    def _bump(self, x):
+        dx = x[:, 0] - self.xc
+        dy = x[:, 1] - self.yc
+        return dx, dy, np.exp(-(dx * dx + dy * dy) / (2.0 * self.sigma ** 2))
+
+    def value(self, x):
+        xx, yy = x[:, 0], x[:, 1]
+        pi = np.pi
+        _, _, bump = self._bump(x)
+        return (self.a1 * np.sin(pi * xx) * np.sin(pi * yy)
+                + self.a2 * np.sin(2 * pi * xx) * np.sin(pi * yy)
+                + self.a3 * bump
+                + self.a4 * np.cos(pi * xx) * np.sinh(yy - 0.5))
+
+    def grad(self, x):
+        xx, yy = x[:, 0], x[:, 1]
+        pi = np.pi
+        dx, dy, bump = self._bump(x)
+        s2 = self.sigma ** 2
+        gx = (self.a1 * pi * np.cos(pi * xx) * np.sin(pi * yy)
+              + self.a2 * 2 * pi * np.cos(2 * pi * xx) * np.sin(pi * yy)
+              - self.a3 * dx / s2 * bump
+              - self.a4 * pi * np.sin(pi * xx) * np.sinh(yy - 0.5))
+        gy = (self.a1 * pi * np.sin(pi * xx) * np.cos(pi * yy)
+              + self.a2 * pi * np.sin(2 * pi * xx) * np.cos(pi * yy)
+              - self.a3 * dy / s2 * bump
+              + self.a4 * np.cos(pi * xx) * np.cosh(yy - 0.5))
+        return np.column_stack([gx, gy])
+
+    def laplacian(self, x):
+        xx, yy = x[:, 0], x[:, 1]
+        pi = np.pi
+        dx, dy, bump = self._bump(x)
+        s2 = self.sigma ** 2
+        rho2 = dx * dx + dy * dy
+        return (-2 * pi ** 2 * self.a1 * np.sin(pi * xx) * np.sin(pi * yy)
+                - 5 * pi ** 2 * self.a2 * np.sin(2 * pi * xx) * np.sin(pi * yy)
+                + self.a3 * bump * (rho2 / s2 ** 2 - 2.0 / s2)
+                + self.a4 * (1.0 - pi ** 2) * np.cos(pi * xx) * np.sinh(yy - 0.5))
+
+
+def scatter_volume_load(mesh, f):
+    tris = mesh.triangles
+    p = mesh.nodes[tris]
+    areas, _ = triangle_geometry(mesh)
+    mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
+    fv = np.asarray(f(mids.reshape(-1, 2)), dtype=float).reshape(-1, 3)
+    w = areas / 6.0
+    local = np.column_stack([w * (fv[:, 1] + fv[:, 2]), w * (fv[:, 2] + fv[:, 0]),
+                             w * (fv[:, 0] + fv[:, 1])])
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, tris.ravel(), local.ravel())
+    return out
+
+
+def scatter_boundary_load(mesh, segment, g):
+    edges = mesh.boundary_edges[mesh.segment_of(segment)]
+    a = mesh.nodes[edges[:, 0]]
+    b = mesh.nodes[edges[:, 1]]
+    lens = np.linalg.norm(b - a, axis=1)
+    s = 1.0 / np.sqrt(3.0)
+    out = np.zeros(mesh.n_nodes)
+    for sg in (-s, s):
+        x = 0.5 * (1.0 - sg) * a + 0.5 * (1.0 + sg) * b
+        gv = np.asarray(g(x), dtype=float)
+        np.add.at(out, edges[:, 0], 0.5 * lens * 0.5 * (1.0 - sg) * gv)
+        np.add.at(out, edges[:, 1], 0.5 * lens * 0.5 * (1.0 + sg) * gv)
+    return out
+
+
+def per_draw_loads(problem, ks, xis):
+    model, mesh = problem.model, problem.mesh
+    cols = []
+    for k, xi in zip(ks, xis):
+        k0, al, be = k
+        ms = ScalarSolution(xi)
+        vec = scatter_volume_load(
+            mesh, lambda p: k0 * (-ms.laplacian(p)) + al * ms.value(p))
+        vec += scatter_boundary_load(mesh, "bottom",
+                                     lambda p: -k0 * ms.grad(p)[:, 1])
+        vec += scatter_boundary_load(
+            mesh, "right", lambda p: k0 * ms.grad(p)[:, 0] + be * ms.value(p))
+        f = vec[model.free]
+        g = ms.value(mesh.nodes[model.dirichlet])
+        th = model.theta_a(k)
+        f_hat = (f - model.affine_II.assemble(th) @ (model.lift_block @ g)
+                 - model.affine_IB.assemble(th) @ g)
+        cols.append((f, g, f_hat))
+    return [np.column_stack(c) for c in zip(*cols)]
 
 
 def test_spec_pinned_constants():
@@ -79,24 +182,88 @@ def test_box_corners():
 
 
 def test_manufactured_solution_derivatives(rng):
-    ms = ManufacturedSolution(0.7, -0.4, 0.9, 0.3, 0.45, 0.55, 0.12)
+    xi = np.array([[0.7, -0.4, 0.9, 0.3, 0.45, 0.55, 0.12],
+                   [-0.2, 0.8, 0.5, -0.6, 0.3, 0.7, 0.08]])
     pts = rng.uniform(0.05, 0.95, size=(40, 2))
     h = 1e-6
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
-    gx = (ms.value(pts + ex) - ms.value(pts - ex)) / (2 * h)
-    gy = (ms.value(pts + ey) - ms.value(pts - ey)) / (2 * h)
-    g = ms.grad(pts)
-    assert np.allclose(g[:, 0], gx, rtol=1e-6, atol=1e-7)
-    assert np.allclose(g[:, 1], gy, rtol=1e-6, atol=1e-7)
-    lap_fd = (ms.value(pts + ex) + ms.value(pts - ex)
-              + ms.value(pts + ey) + ms.value(pts - ey)
-              - 4 * ms.value(pts)) / h ** 2
-    assert np.allclose(ms.laplacian(pts), lap_fd, rtol=1e-3, atol=1e-3)
+    # one row gives (n,) values and (n, 2) gradients; a stack of m rows
+    # gives (n, m) and (n, m, 2)
+    for ms in (ManufacturedSolution(xi[0]), ManufacturedSolution(xi)):
+        gx = (ms.value(pts + ex) - ms.value(pts - ex)) / (2 * h)
+        gy = (ms.value(pts + ey) - ms.value(pts - ey)) / (2 * h)
+        g = ms.grad(pts)
+        assert g.shape == gx.shape + (2,)
+        assert np.allclose(g[..., 0], gx, rtol=1e-6, atol=1e-7)
+        assert np.allclose(g[..., 1], gy, rtol=1e-6, atol=1e-7)
+        lap_fd = (ms.value(pts + ex) + ms.value(pts - ex)
+                  + ms.value(pts + ey) + ms.value(pts - ey)
+                  - 4 * ms.value(pts)) / h ** 2
+        assert np.allclose(ms.laplacian(pts), lap_fd, rtol=1e-3, atol=1e-3)
 
-    assert ManufacturedSolution.from_xi([1, 0, 0, 0, 0.5, 0.5, 0.1]).a1 == 1.0
+    stack = ManufacturedSolution(xi)
+    for j, row in enumerate(xi):
+        ref = ScalarSolution(row)
+        for name in ("value", "grad", "laplacian"):
+            want = getattr(ref, name)(pts)
+            assert np.allclose(getattr(stack, name)(pts)[:, j], want,
+                               rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
     with pytest.raises(ValueError):
-        ManufacturedSolution(1, 1, 1, 1, 0.5, 0.5, 0.0)
+        ManufacturedSolution([1, 1, 1, 1, 0.5, 0.5, 0.0])
+    with pytest.raises(ValueError):
+        ManufacturedSolution(np.vstack([xi, [1, 1, 1, 1, 0.5, 0.5, -0.1]]))
+
+
+def test_data_loads_match_per_draw_loads(tiny_problem2):
+    # not a multiple of the chunk, so the last chunk is a partial one
+    n = _LOAD_CHUNK + 13
+    rng = np.random.default_rng(4)
+    ks = sample_parameters(tiny_problem2.spec, n, rng)
+    xis = sample_xi(tiny_problem2.spec, n, rng)
+    batched = _data_loads(tiny_problem2, ks, xis)
+    for got, want in zip(batched, per_draw_loads(tiny_problem2, ks, xis)):
+        assert got.shape == want.shape == (len(want), n)
+        rel = (np.linalg.norm(got - want, axis=0)
+               / np.linalg.norm(want, axis=0))
+        assert rel.max() <= 1e-13
+
+
+def test_data_loads_hold_one_chunk(tiny_problem2):
+    # above its three outputs, _data_loads may hold one chunk's working set,
+    # the same for 32 draws as for 256; stacking the point values of all
+    # draws at once would make it eight times larger
+    spec = tiny_problem2.spec
+
+    def excess(n):
+        rng = np.random.default_rng(6)
+        ks = sample_parameters(spec, n, rng)
+        xis = sample_xi(spec, n, rng)
+        tracemalloc.start()
+        try:
+            out = _data_loads(tiny_problem2, ks, xis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in out)
+
+    excess(32)                # first-call caches
+    assert excess(256) <= 1.5 * excess(32)
+
+
+def test_example1_boundary_load_keeps_scatter_order(tiny_problem1):
+    # the quadrature map sums each node's terms in the order np.add.at did,
+    # so example 1's load is bitwise unchanged
+    mesh = tiny_problem1.mesh
+
+    def ones(x):
+        return np.ones(len(x))
+
+    f_base = assemble_load_boundary(mesh, "base", ones)
+    assert f_base.tobytes() == scatter_boundary_load(mesh, "base",
+                                                     ones).tobytes()
+    assert tiny_problem1.model.f_terms[0].tobytes() == f_base.tobytes()
 
 
 def _pencil_min(a_ii, a_star_ii):
@@ -126,15 +293,14 @@ def test_example2_manufactured_convergence(tiny_problem2):
                                                "n_train": 24, "n_val": 8,
                                                "n_test": 8})
     prob16 = build_problem(spec16)
-    ms = ManufacturedSolution(0.6, -0.3, 0.8, 0.2, 0.4, 0.6, 0.15)
+    xi = np.array([[0.6, -0.3, 0.8, 0.2, 0.4, 0.6, 0.15]])
     k = np.array([1.2, 0.6, 1.0])
     errs = []
     for prob in (prob8, prob16):
-        f_free, g_b = example2_load(prob, k, ms)
-        f_hat = aggregated_load(prob.model, k, f_free, g_b)
+        _, g_b, f_hat = (c[:, 0] for c in _data_loads(prob, k[None], xi))
         w = truth_solve(prob.model, k, f_hat)
         u_h = full_field(prob.model, w, g_b)
-        u = ms.value(prob.mesh.nodes)
+        u = ManufacturedSolution(xi[0]).value(prob.mesh.nodes)
         num = (u_h - u) @ prob.m_full @ (u_h - u)
         den = u @ prob.m_full @ u
         errs.append(np.sqrt(num / den))

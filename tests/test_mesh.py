@@ -3,11 +3,27 @@ import pytest
 from scipy.spatial import Delaunay
 
 from rb_operon import mesh as mesh_mod
-from rb_operon.mesh import (_LawsonCertificate, _edge_keys, all_edges,
-                            boundary_node_indices, dirichlet_nodes,
-                            min_angle_deg, read_mesh_text, signed_areas,
+from rb_operon.mesh import (_LawsonCertificate, _edge_keys, dirichlet_nodes,
+                            min_angle_deg, read_mesh_text,
                             square_with_inclusion_mesh, unit_square_mesh,
                             write_mesh_text)
+
+
+def signed_areas(mesh):
+    p = mesh.nodes[mesh.triangles]
+    v1 = p[:, 1] - p[:, 0]
+    v2 = p[:, 2] - p[:, 0]
+    return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+
+
+def all_edges(mesh):
+    """Unique undirected edges of the triangulation, sorted pairs."""
+    n = mesh.n_nodes
+    return np.column_stack(np.divmod(np.unique(_edge_keys(mesh.triangles, n)), n))
+
+
+def boundary_node_indices(mesh):
+    return np.unique(mesh.boundary_edges)
 
 
 def test_unit_square_counts():

@@ -4,9 +4,7 @@ import pytest
 from rb_operon import reduction
 from rb_operon.errors import (CoercivityViolationError, EmptySpaceError,
                               StagnationError)
-from rb_operon.assembly import aggregated_load
-from rb_operon.examples import (ManufacturedSolution, example2_load,
-                                sample_parameters, sample_xi)
+from rb_operon.examples import _data_loads, sample_parameters, sample_xi
 from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
                                  _border_update, coercivity_lower_bound,
                                  estimator, greedy_build, pod_build,
@@ -25,11 +23,7 @@ def data_pool_and_loads(problem, n, seed=7):
     rng = np.random.default_rng(seed)
     ks = sample_parameters(problem.spec, n, rng)
     xis = sample_xi(problem.spec, n, rng)
-    cols = []
-    for k, xi in zip(ks, xis):
-        f, g = example2_load(problem, k, ManufacturedSolution.from_xi(xi))
-        cols.append(aggregated_load(problem.model, k, f, g))
-    return ks, np.column_stack(cols)
+    return ks, _data_loads(problem, ks, xis)[2]
 
 
 def assert_rechecked(trace):
