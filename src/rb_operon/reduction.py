@@ -20,7 +20,18 @@ That difference is accurate except near the round-off floor, so s(k)^2 is
 recomputed exactly, by one reference solve per sample, only where its drift
 bound could change the argmax or the tolerance test.  The coefficients c(k)
 come from per-sample Cholesky factors of A_N(k) that grow by one border row
-per accepted trunk column, so the sweep never refactorizes one.
+per accepted trunk column, so the sweep never refactorizes one.  The factors
+are held sample-last: each factor row is one array with the samples along
+its last axis, so every substitution step is one contiguous update across
+the whole sweep set.
+
+Everything else the sweep grows (the trunk, the A_p images of its columns,
+U, P_F, the R_p blocks, the reduced loads and the reduced stiffness blocks)
+is appended in place to a capacity buffer that doubles when full, capped at
+the largest size the trunk can reach: min(fixed_n, pool size, n_free)
+columns, and Q_a times that for U.  An accepted column therefore copies
+nothing that came before it, except when a buffer doubles and in the
+contiguous copy of the trunk that ``v_orthonormalize`` projects on.
 
 Every reduced system is solved by a checked Cholesky factorization: the
 sweep's bordered factors, and one factor-and-solve kernel behind
@@ -41,6 +52,7 @@ from .errors import CoercivityViolationError, EmptySpaceError, StagnationError
 _STAR_CHUNK = 256   # load representers solved per star_solve call
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
 _DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
+_CAPACITY = 8       # trunk columns a greedy buffer holds before it first doubles
 
 
 @dataclass
@@ -91,10 +103,13 @@ def v_orthonormalize(model, psi, candidate):
     pre = np.sqrt(v @ (a @ v))
     if pre == 0.0:
         return None
-    ncols = 0 if psi is None else psi.shape[1]
-    for _ in range(2):
-        if ncols:
-            v -= psi[:, :ncols] @ (psi[:, :ncols].T @ (a @ v))
+    if psi is not None and psi.shape[1]:
+        # BLAS can sum a few columns viewed in a wider buffer in another
+        # order than the same columns held alone; the contiguous copy keeps
+        # the result a function of the column values only
+        psi = np.ascontiguousarray(psi)
+        for _ in range(2):
+            v -= psi @ (psi.T @ (a @ v))
     nrm = np.sqrt(max(v @ (a @ v), 0.0))
     if nrm < 1e-10 * pre:
         return None
@@ -180,37 +195,77 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
     return out
 
 
+def _reserve(buf, used, bound, axes=(0,)):
+    """``buf``, or a copy of it with room for entry ``used`` along ``axes``.
+
+    A buffer that is full along ``axes`` is replaced by one twice as long
+    there, capped at ``bound`` entries, that holds the same first ``used``
+    entries; its other axes are copied whole.
+    """
+    if buf.shape[axes[0]] > used:
+        return buf
+    shape = list(buf.shape)
+    keep = [slice(None)] * buf.ndim
+    for ax in axes:
+        shape[ax] = min(2 * used, bound)
+        keep[ax] = slice(0, used)
+    grown = np.empty(shape)
+    grown[tuple(keep)] = buf[tuple(keep)]
+    return grown
+
+
 class _SweepState:
-    """Deflated-load bookkeeping for the greedy estimator sweep.
+    """Trunk, reduced blocks and deflated-load bookkeeping of the greedy sweep.
 
     s^2 of every pool load is the reference-norm square of its representer
     minus the squares of its U coordinates, downdated once per appended U
     column.  The difference loses accuracy only near the round-off floor,
     so ``slack`` bounds its drift and ``exact_s2`` recomputes the samples a
     decision depends on.  No representer block is held.
+
+    Every growing array is appended to in place, in a capacity buffer laid
+    out so that an append is a contiguous write: psi, A_p psi and U are held
+    transposed, one column per buffer row, like the P_F and f_rb rows; the
+    R_p and reduced-block borders go into the unused part of their buffers.
+    A full buffer doubles, capped at the reachable bound: ``bound`` trunk
+    columns, and Q_a times that for U.
     """
 
-    def __init__(self, model, f_hat_all):
+    def __init__(self, model, f_hat_all, bound):
         self.model = model
         self.a = model.a_star_II
         self.f_hat = f_hat_all
-        ns = f_hat_all.shape[1]
-        n_free = f_hat_all.shape[0]
+        n_free, ns = f_hat_all.shape
+        qa = model.affine_II.n_terms
         self.s2 = np.empty(ns)
         for lo in range(0, ns, _STAR_CHUNK):
             blk = f_hat_all[:, lo:lo + _STAR_CHUNK]
             self.s2[lo:lo + _STAR_CHUNK] = np.einsum(
                 "ij,ij->j", model.star_solve(blk), blk)
         self.s0_sq = self.s2.copy()
-        self.u = np.empty((n_free, 0))
-        self.p_f = np.empty((0, ns))
-        self.r_blocks = [np.empty((0, 0)) for _ in range(model.affine_II.n_terms)]
-        self.w_psi = [np.empty((n_free, 0)) for _ in range(model.affine_II.n_terms)]
-        self.f_rb = np.empty((0, ns))
+        self.bound = bound
+        self.n = 0                                 # trunk columns
+        self.m = 0                                 # U columns
+        cap = min(_CAPACITY, bound)
+        self._psi = np.empty((cap, n_free))        # psi^T
+        self._w = np.empty((qa, cap, n_free))      # (A_p psi)^T
+        self._f_rb = np.empty((cap, ns))
+        self._a = np.empty((qa, cap, cap))         # psi^T A_p psi
+        self._u = np.empty((qa * cap, n_free))     # U^T
+        self._p_f = np.empty((qa * cap, ns))
+        self._r = np.empty((qa, qa * cap, cap))    # R_p = U^T A_p psi
 
     @property
-    def m(self):
-        return self.u.shape[1]
+    def psi(self):
+        return self._psi[:self.n].T
+
+    @property
+    def a_blocks(self):
+        return self._a[:, :self.n, :self.n]
+
+    @property
+    def f_rb(self):
+        return self._f_rb[:self.n]
 
     def slack(self, idx):
         """Bound on the downdate drift of s^2 for the samples in ``idx``."""
@@ -218,61 +273,68 @@ class _SweepState:
 
     def exact_s2(self, idx):
         """Recompute s^2 of the samples in ``idx`` from deflated representers."""
+        ut = self._u[:self.m]
         for lo in range(0, len(idx), _STAR_CHUNK):
             sub = idx[lo:lo + _STAR_CHUNK]
             z = self.model.star_solve(self.f_hat[:, sub])
             for _ in range(2):
                 if self.m:
-                    z -= self.u @ (self.u.T @ (self.a @ z))
+                    z -= ut.T @ (ut @ (self.a @ z))
             self.s2[sub] = np.maximum(np.einsum("ij,ij->j", z, self.a @ z), 0.0)
 
     def _append_u(self, u_new):
-        row = u_new @ self.f_hat
+        m, n = self.m, self.n
+        bound = len(self._r) * self.bound
+        self._u = _reserve(self._u, m, bound)
+        self._p_f = _reserve(self._p_f, m, bound)
+        self._r = _reserve(self._r, m, bound, axes=(1,))
+        self._u[m] = u_new
+        row = np.matmul(u_new, self.f_hat, out=self._p_f[m])
         self.s2 -= row * row
-        self.u = np.column_stack([self.u, u_new])
-        self.p_f = np.vstack([self.p_f, row])
         # one new R_p row against every trunk column seen so far
-        for p, w in enumerate(self.w_psi):
-            row = u_new @ w
-            rb = self.r_blocks[p]
-            self.r_blocks[p] = np.vstack([rb, row]) if rb.size else row[None, :]
+        for p in range(len(self._r)):
+            np.matmul(self._w[p, :n], u_new, out=self._r[p, m, :n])
+        self.m = m + 1
 
     def enrich(self, model, psi_new):
-        """Account for one accepted trunk column; returns A_p psi_new per p."""
-        qa = model.affine_II.n_terms
+        """Append one accepted trunk column and border every block by it."""
+        n, b = self.n, self.bound
+        self._psi = _reserve(self._psi, n, b)
+        self._w = _reserve(self._w, n, b, axes=(1,))
+        self._f_rb = _reserve(self._f_rb, n, b)
+        self._a = _reserve(self._a, n, b, axes=(1, 2))
+        self._r = _reserve(self._r, n, b, axes=(2,))
+        self._psi[n] = psi_new
+        ut = self._u[:self.m]
         raw = []
-        w_new = []
-        for p in range(qa):
-            w_p = model.affine_II.term(p) @ psi_new
-            col = self.u.T @ w_p if self.m else np.zeros(0)
-            rb = self.r_blocks[p]
-            if self.m:
-                self.r_blocks[p] = np.column_stack([rb, col]) if rb.size else col[:, None]
-            else:
-                self.r_blocks[p] = np.empty((0, self.w_psi[p].shape[1] + 1))
-            self.w_psi[p] = np.column_stack([self.w_psi[p], w_p])
-            w_new.append(w_p)
+        for p in range(len(self._w)):
+            w_p = self._w[p, n]
+            w_p[:] = model.affine_II.term(p) @ psi_new
+            self._r[p, :self.m, n] = ut @ w_p
             d = model.star_solve(w_p)
             raw.append((d, np.sqrt(max(d @ w_p, 0.0))))
+        self.n = n + 1
+        _border_update(self._a, self.psi, self._w[:, n])
         # deflate the Riesz images one by one so they stay mutually orthogonal
         for d, pre in raw:
             for _ in range(2):
                 if self.m:
-                    d = d - self.u @ (self.u.T @ (self.a @ d))
+                    ut = self._u[:self.m]
+                    d = d - ut.T @ (ut @ (self.a @ d))
             nrm2 = d @ (self.a @ d)
             if nrm2 > (1e-13 * max(pre, 1e-300)) ** 2:
                 self._append_u(d / np.sqrt(nrm2))
-        self.f_rb = np.vstack([self.f_rb, psi_new @ self.f_hat])
-        return w_new
+        np.matmul(psi_new, self.f_hat, out=self._f_rb[n])
 
     def estimator_sq(self, theta_all, idx, c, alpha_lb):
-        """eta^2 over the samples in ``idx`` given their RB coefficients ``c``."""
+        """eta^2 over the samples in ``idx`` given their RB coefficients
+        ``c``, one column (N,) per sample."""
         theta = theta_all[idx]
-        y = np.zeros((self.m, len(idx)))
-        for p, rb in enumerate(self.r_blocks):
-            if rb.size:
-                y += (rb @ c.T) * theta[:, p][None, :]
-        y = self.p_f[:, idx] - y
+        m, n = self.m, self.n
+        y = np.zeros((m, len(idx)))
+        for p in range(len(self._r)):
+            y += (self._r[p, :m, :n] @ c) * theta[:, p][None, :]
+        y = self._p_f[:m, idx] - y
         s2 = np.maximum(self.s2[idx], 0.0)
         return (s2 + np.einsum("ij,ij->j", y, y)) / alpha_lb ** 2
 
@@ -280,15 +342,24 @@ class _SweepState:
 class _BorderedCholesky:
     """Cholesky factors L(k) of A_N(k) for a fixed set of samples.
 
-    Row i of every factor is held as one (n_samples, i + 1) array, together
-    with y(k) = L(k)^-1 f_N(k).  Appending a trunk column borders each factor
-    by one row in O(N^2) per sample, instead of refactorizing in O(N^3).
+    The factors are held sample-last: row i of every factor is one
+    (i + 1, n_samples) array, and y(k) = L(k)^-1 f_N(k) is row-stacked in a
+    (capacity, n_samples) buffer, so each substitution step updates
+    contiguous rows across all samples at once.  Appending a trunk column
+    borders each factor by one row in O(N^2) per sample, instead of
+    refactorizing in O(N^3).  The capacity doubles when full, capped at
+    ``bound`` rows; the back substitution's scratch buffer and every array
+    ``solve`` returns have that same size.
     """
 
-    def __init__(self, theta):
-        self.theta = theta                       # (n_samples, Q_a)
+    def __init__(self, theta, bound):
+        ns = theta.shape[0]
+        self.theta = np.ascontiguousarray(theta.T)   # (Q_a, n_samples)
+        self.bound = bound
         self.rows = []
-        self.y = np.empty((theta.shape[0], 0))
+        self.y = np.empty((min(_CAPACITY, bound), ns))
+        self._tmp = np.empty_like(self.y)
+        self._dot = np.empty(ns)
 
     def border(self, a_col, f_new):
         """Append one trunk column.
@@ -297,31 +368,47 @@ class _BorderedCholesky:
         ``f_new`` (n_samples,) the new reduced load entry of every sample.
         """
         n = len(self.rows)
-        col = self.theta @ a_col
-        row = np.empty_like(col)
-        # forward substitution L l = col[:, :n], one factor row at a time
+        if n == len(self.y):
+            self.y = _reserve(self.y, n, self.bound)
+            self._tmp = np.empty_like(self.y)
+        dot = self._dot
+        # the new column of every A_N(k), overwritten in place by the
+        # forward substitution L l = col[:n], one factor row at a time
+        row = a_col.T @ self.theta
         for i, prev in enumerate(self.rows):
-            row[:, i] = (col[:, i] - np.einsum("sj,sj->s", prev[:, :i],
-                                               row[:, :i])) / prev[:, i]
-        d2 = col[:, n] - np.einsum("sj,sj->s", row[:, :n], row[:, :n])
+            np.einsum("js,js->s", prev[:i], row[:i], out=dot)
+            row[i] -= dot
+            row[i] /= prev[i]
+        d2 = row[n] - np.einsum("js,js->s", row[:n], row[:n], out=dot)
         bad = np.flatnonzero(~(d2 > 0.0))
         if bad.size:
             raise CoercivityViolationError(
                 f"reduced operator of sample {bad[0]} is not SPD at "
                 f"dimension {n + 1}")
-        row[:, n] = np.sqrt(d2)
+        np.sqrt(d2, out=row[n])
         self.rows.append(row)
-        y_new = (f_new - np.einsum("sj,sj->s", row[:, :n], self.y)) / row[:, n]
-        self.y = np.column_stack([self.y, y_new])
+        np.einsum("js,js->s", row[:n], self.y[:n], out=dot)
+        np.subtract(f_new, dot, out=self.y[n])
+        self.y[n] /= row[n]
 
     def solve(self):
-        """RB coefficients (n_samples, N) by one back substitution."""
-        c = self.y.copy()
-        for j in range(len(self.rows) - 1, -1, -1):
+        """RB coefficients (N, n_samples) by one back substitution.
+
+        The coefficients are formed in place in a new array of the y
+        buffer's size, so a later call never overwrites a result, and the
+        allocator can hand the same block back from call to call; products
+        go through the reused scratch buffer.
+        """
+        n = len(self.rows)
+        c = np.empty_like(self.y)
+        c[:n] = self.y[:n]
+        tmp = self._tmp
+        for j in range(n - 1, -1, -1):
             row = self.rows[j]
-            c[:, j] /= row[:, j]
-            c[:, :j] -= row[:, :j] * c[:, j:j + 1]
-        return c
+            c[j] /= row[j]
+            np.multiply(row[:j], c[j], out=tmp[:j])
+            c[:j] -= tmp[:j]
+        return c[:n]
 
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
@@ -345,11 +432,13 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         f_hat_all = np.column_stack(cols)
     theta_all = np.vstack([model.theta_a(k) for k in samples])
     n_cap = fixed_n if fixed_n is not None else min(ns, model.n_free)
+    # each accepted column is a different pool sample's snapshot, A_star-
+    # orthogonal to the rest, and the first is taken whatever fixed_n says
+    bound = max(1, min(n_cap, ns, model.n_free))
 
     sweep = np.arange(ns) if sweep_subset is None else np.asarray(sweep_subset, dtype=np.int64)
-    state = _SweepState(model, f_hat_all)
+    state = _SweepState(model, f_hat_all, bound)
     trace = GreedyTrace()
-    psi = np.empty((model.n_free, 0))
     round_id = 0
 
     def truth(idx):
@@ -360,13 +449,13 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         """Exact s^2 where the downdate drift could change a decision."""
         near = np.flatnonzero(near)
         state.exact_s2(idx[near])
-        eta2[near] = state.estimator_sq(theta_all, idx[near], c[near], alpha_lb)
+        eta2[near] = state.estimator_sq(theta_all, idx[near], c[:, near], alpha_lb)
         trace.rechecks[-1] += near.size
 
     def factor_sweep():
-        chol = _BorderedCholesky(theta_all[sweep])
-        for j in range(psi.shape[1]):
-            chol.border(a_blocks[:, :j + 1, j], state.f_rb[j, sweep])
+        chol = _BorderedCholesky(theta_all[sweep], bound)
+        for j in range(state.n):
+            chol.border(state.a_blocks[:, :j + 1, j], state.f_rb[j, sweep])
         return chol
 
     # rank-one initial space from the first pool sample
@@ -374,9 +463,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     v = v_orthonormalize(model, None, truth(first))
     if v is None:
         raise EmptySpaceError("initial snapshot is zero")
-    psi = v[:, None]
     state.enrich(model, v)
-    a_blocks, _ = reduce_operators(model, psi)
     chol = factor_sweep()
     selected = [first]
     trace.selected.append(first)
@@ -396,7 +483,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         if len(trace.max_estimator) < len(trace.selected):
             trace.max_estimator.append(eta_max)
         done_tol = tol is not None and eta_max <= tol
-        done_n = psi.shape[1] >= n_cap
+        done_n = state.n >= n_cap
         if done_tol or done_n:
             if done_tol and not done_n and sweep_subset is not None and len(sweep) < ns:
                 # certify the full pool; pull violators into the sweep set.
@@ -404,8 +491,8 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                 # together with the chunked solve; an extension rebuilds them.
                 # Small chunks let the solve reuse the factors' freed memory.
                 chol = None
-                c_all = solve_reduced_batch(a_blocks, theta_all, state.f_rb.T,
-                                            chunk=64)
+                c_all = solve_reduced_batch(state.a_blocks, theta_all,
+                                            state.f_rb.T, chunk=64).T
                 pool = np.arange(ns)
                 eta2_all = state.estimator_sq(theta_all, pool, c_all, alpha_lb)
                 slack = state.slack(pool) / alpha_lb ** 2
@@ -422,7 +509,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
             break
         idx = int(sweep[i_loc])
         w = truth(idx)
-        v = v_orthonormalize(model, psi, w)
+        v = v_orthonormalize(model, state.psi, w)
         if v is None:
             if tol is not None and eta_max > tol:
                 raise StagnationError(
@@ -430,15 +517,15 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                     f"{eta_max:.3e} above tolerance {tol:.3e}")
             trace.stop_reason = "dependent_snapshot"
             break
-        psi = np.column_stack([psi, v])
-        a_blocks = _border_update(a_blocks, psi, state.enrich(model, v))
-        chol.border(a_blocks[:, :, -1], state.f_rb[-1, sweep])
+        state.enrich(model, v)
+        chol.border(state.a_blocks[:, :, -1], state.f_rb[-1, sweep])
         selected.append(idx)
         trace.selected.append(idx)
         trace.params.append(samples[idx].copy())
-        trace.basis_size.append(psi.shape[1])
+        trace.basis_size.append(state.n)
         trace.rounds.append(round_id)
 
+    psi = np.ascontiguousarray(state.psi)
     a_blocks, f_blocks = reduce_operators(model, psi)
     gram = psi.T @ (model.a_star_II @ psi)
     prov = dict(method="greedy", tol=tol, fixed_n=fixed_n,
@@ -449,20 +536,17 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
 
 
 def _border_update(a_blocks, psi, w_new):
-    """Extend reduced stiffness blocks by the newly appended trunk column.
+    """Border the reduced stiffness blocks by the last trunk column, in place.
 
-    ``w_new[p]`` is A_p applied to that column, as ``_SweepState.enrich``
-    computed it.
+    ``a_blocks`` (Q_a, >= n, >= n) holds the blocks of the first n - 1
+    columns of ``psi`` (n_free, n) in its leading corner; ``w_new[p]`` is
+    A_p applied to the last column, as ``_SweepState.enrich`` computed it.
     """
-    qa, n_old, _ = a_blocks.shape
     n = psi.shape[1]
-    out = np.empty((qa, n, n))
     for p, w in enumerate(w_new):
         col = psi.T @ w
-        out[p, :n_old, :n_old] = a_blocks[p]
-        out[p, :, n - 1] = col
-        out[p, n - 1, :] = col
-    return out
+        a_blocks[p, :n, n - 1] = col
+        a_blocks[p, n - 1, :n] = col
 
 
 def pod_build(model, snapshots, tol=None, fixed_n=None):
@@ -511,12 +595,15 @@ def pod_build(model, snapshots, tol=None, fixed_n=None):
         else:
             n = int(ok[0]) + 1
     modes = s @ (vec[:, :n] / np.sqrt(nk * lam[:n])[None, :])
-    psi = np.empty((s.shape[0], 0))
+    psi = np.empty((s.shape[0], n))
+    kept = 0
     for j in range(n):
-        v = v_orthonormalize(model, psi if psi.shape[1] else None, modes[:, j])
+        v = v_orthonormalize(model, psi[:, :kept] if kept else None, modes[:, j])
         if v is None:
             continue
-        psi = np.column_stack([psi, v])
+        psi[:, kept] = v
+        kept += 1
+    psi = psi[:, :kept].copy()
     a_blocks, f_blocks = reduce_operators(model, psi)
     gram_ref = psi.T @ (model.a_star_II @ psi)
     prov = dict(method="pod", tol=tol, fixed_n=fixed_n, n_snapshots=int(nk),

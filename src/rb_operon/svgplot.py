@@ -153,11 +153,6 @@ def mesh_heatmap(path, mesh, values, title=""):
     hi = mesh.nodes.max(axis=0)
     scale = (size - 20) / max(hi - lo)
 
-    def pt(p):
-        x = ml + (p[0] - lo[0]) * scale
-        y = mt + (hi[1] - p[1]) * scale
-        return f"{_fmt(x)},{_fmt(y)}"
-
     width = ml + int((hi[0] - lo[0]) * scale) + 80
     height = mt + int((hi[1] - lo[1]) * scale) + 30
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -166,9 +161,12 @@ def mesh_heatmap(path, mesh, values, title=""):
     if title:
         out.append(f'<text x="{width / 2}" y="20" font-size="14" '
                    f'text-anchor="middle" font-family="sans-serif">{title}</text>')
+    xs = ml + (mesh.nodes[:, 0] - lo[0]) * scale
+    ys = mt + (hi[1] - mesh.nodes[:, 1]) * scale
+    node_pts = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
     for tri, v in zip(mesh.triangles, tri_vals):
         color = _ramp_color((v - v_lo) / span)
-        pts = " ".join(pt(mesh.nodes[i]) for i in tri)
+        pts = " ".join(node_pts[i] for i in tri)
         out.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
 
     bar_x = width - 60

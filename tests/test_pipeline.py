@@ -303,3 +303,29 @@ def test_svg_outputs_are_well_formed(tmp_path, tiny_problem1):
     root = ET.parse(heat).getroot()
     assert root.tag.endswith("svg")
     assert len(list(root.iter())) > mesh.n_triangles    # one polygon per cell
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_mesh_heatmap_points_match_per_triangle_formatting(
+        tmp_path, example, tiny_problem1, tiny_problem2):
+    # every node is formatted once now; each polygon must read exactly as
+    # when its three corners were formatted per triangle
+    from rb_operon.svgplot import _fmt
+
+    mesh = {1: tiny_problem1, 2: tiny_problem2}[example].mesh
+    path = tmp_path / "heat.svg"
+    mesh_heatmap(str(path), mesh, np.sin(mesh.nodes[:, 0] * 3.0), title="f")
+    lo = mesh.nodes.min(axis=0)
+    hi = mesh.nodes.max(axis=0)
+    scale = 400 / max(hi - lo)
+
+    def pt(p):
+        x = 30 + (p[0] - lo[0]) * scale
+        y = 34 + (hi[1] - p[1]) * scale
+        return f"{_fmt(x)},{_fmt(y)}"
+
+    want = [" ".join(pt(mesh.nodes[i]) for i in tri) for tri in mesh.triangles]
+    got = [line.split('points="')[1].split('"')[0]
+           for line in path.read_text().splitlines()
+           if line.startswith("<polygon")]
+    assert got == want

@@ -46,6 +46,22 @@ def test_v_orthonormalize_properties(tiny_problem1, rng):
     assert v_orthonormalize(model, None, np.zeros(model.n_free)) is None
 
 
+def test_v_orthonormalize_ignores_buffer_layout(tiny_problem1, rng):
+    # the trunk is a view of a wider buffer while it grows; the result must
+    # be bitwise that of the same columns held alone, whatever the layout
+    model = tiny_problem1.model
+    psi = np.linalg.qr(rng.standard_normal((model.n_free, 6)))[0]
+    cand = rng.standard_normal(model.n_free)
+    wide = np.full((model.n_free, 9), np.nan)
+    wide[:, :6] = psi
+    rows = np.full((9, model.n_free), np.nan)
+    rows[:6] = psi.T
+    for n in range(1, 7):
+        want = v_orthonormalize(model, np.ascontiguousarray(psi[:, :n]), cand)
+        for view in (wide[:, :n], rows[:n].T):
+            assert np.array_equal(v_orthonormalize(model, view, cand), want)
+
+
 def test_reduce_operators_match_dense(tiny_problem1, rng):
     model = tiny_problem1.model
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
@@ -59,19 +75,26 @@ def test_reduce_operators_match_dense(tiny_problem1, rng):
 
 def test_border_update_equals_full_projection(tiny_problem1, rng):
     model = tiny_problem1.model
+    qa = model.affine_II.n_terms
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
-    small, _ = reduce_operators(model, psi[:, :3])
     _, f_hat = pool_and_loads(tiny_problem1, 5)
-    state = _SweepState(model, f_hat)
+    state = _SweepState(model, f_hat, 4)
     for j in range(4):
-        w_new = state.enrich(model, psi[:, j])
-    # enrich hands back A_p times the new column, the one sparse apply per term
-    for p, w in enumerate(w_new):
-        assert np.array_equal(w, model.affine_II.term(p) @ psi[:, 3])
-        assert np.array_equal(w, state.w_psi[p][:, -1])
-    grown = _border_update(small, psi, w_new)
+        state.enrich(model, psi[:, j])
+    # enrich keeps A_p times each column, the one sparse apply per term, and
+    # borders the reduced blocks with it in place
+    for p in range(qa):
+        assert np.array_equal(state._w[p, 3], model.affine_II.term(p) @ psi[:, 3])
     full, _ = reduce_operators(model, psi)
-    assert np.allclose(grown, full)
+    assert np.allclose(state.a_blocks, full)
+    assert np.allclose(state.psi, psi)
+    # the border goes into the unused part of a wider buffer and nowhere else
+    small, _ = reduce_operators(model, psi[:, :3])
+    buf = np.full((qa, 6, 6), np.nan)
+    buf[:, :3, :3] = small
+    _border_update(buf, psi, state._w[:, 3])
+    assert np.allclose(buf[:, :4, :4], full)
+    assert np.isnan(buf[:, 4:, :]).all() and np.isnan(buf[:, :, 4:]).all()
 
 
 def test_solve_reduced_and_batch(rng):
@@ -108,23 +131,45 @@ def test_bordered_cholesky_matches_batch_solve():
     blocks = np.einsum("qij,qkj->qik", base, base) + np.eye(n)
     theta = rng.uniform(0.5, 2.0, size=(ns, qa))
     f = rng.standard_normal((ns, n))
-    chol = _BorderedCholesky(theta)
+    # n exceeds the initial capacity, so the y buffer grows on the way
+    assert n > reduction._CAPACITY
+    chol = _BorderedCholesky(theta, n)
+    kept = None
     for j in range(n):
         chol.border(blocks[:, :j + 1, j], f[:, j])
         want = solve_reduced_batch(blocks[:, :j + 1, :j + 1], theta,
                                    f[:, :j + 1])
         got = chol.solve()
-        assert got.shape == (ns, j + 1)
-        assert np.all(np.linalg.norm(got - want, axis=1)
+        assert got.shape == (j + 1, ns)
+        assert np.all(np.linalg.norm(got.T - want, axis=1)
                       <= 1e-12 * np.linalg.norm(want, axis=1))
-    # a zero diagonal entry next to a nonzero coupling is indefinite
-    chol = _BorderedCholesky(theta)
-    for j in range(3):
+        # a result survives later borders and solves in the reused buffers
+        if kept is not None:
+            assert np.array_equal(kept[0], kept[1])
+        kept = (got, got.copy())
+    assert len(chol.y) == n
+
+
+def test_bordered_cholesky_names_indefinite_sample():
+    rng = np.random.default_rng(4)
+    n, qa, ns = 6, 3, 7
+    base = rng.standard_normal((qa, n, n))
+    blocks = np.einsum("qij,qkj->qik", base, base) + np.eye(n)
+    # one more affine term, seen only by sample 3, makes its operator
+    # indefinite from dimension 5 on while the leading 4x4 block stays SPD
+    extra = np.zeros((1, n, n))
+    extra[0, 4, 4] = -1e4
+    blocks = np.concatenate([blocks, extra])
+    theta = np.column_stack([rng.uniform(0.5, 2.0, size=(ns, qa)),
+                             np.zeros(ns)])
+    theta[3, qa] = 1.0
+    f = rng.standard_normal((ns, n))
+    chol = _BorderedCholesky(theta, n)
+    for j in range(4):
         chol.border(blocks[:, :j + 1, j], f[:, j])
-    col = blocks[:, :4, 3].copy()
-    col[:, 3] = 0.0
-    with pytest.raises(CoercivityViolationError):
-        chol.border(col, f[:, 3])
+    with pytest.raises(CoercivityViolationError,
+                       match="sample 3 is not SPD at dimension 5"):
+        chol.border(blocks[:, :5, 4], f[:, 4])
 
 
 def test_greedy_trace_and_estimator_consistency(tiny_problem1):
@@ -225,6 +270,18 @@ def test_greedy_data_loads_extend_sweep(tiny_problem2):
         assert estimator(model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
 
 
+def full_order_estimators(model, space, ks, f_hat, n):
+    """``estimator`` of every pool sample on the first n trunk columns."""
+    sub = RBSpace(psi=space.psi[:, :n], a_blocks=space.a_blocks[:, :n, :n],
+                  f_blocks=None, gram_ref=None, alpha_lb=space.alpha_lb)
+    etas = []
+    for i, k in enumerate(ks):
+        a_rb = np.tensordot(model.theta_a(k), sub.a_blocks, axes=1)
+        c = solve_reduced(a_rb, sub.psi.T @ f_hat[:, i])
+        etas.append(estimator(model, sub, k, c, f_hat[:, i]))
+    return np.array(etas)
+
+
 def test_greedy_selection_matches_full_order_estimator(tiny_problem2):
     # a pool-sized trunk drives every estimator to the round-off floor, where
     # the downdated s^2 is noise; each pick and each recorded maximum must
@@ -238,20 +295,78 @@ def test_greedy_selection_matches_full_order_estimator(tiny_problem2):
     assert_rechecked(trace)
     top = trace.max_estimator[0]
     for n in range(1, space.dim + 1):
-        sub = RBSpace(psi=space.psi[:, :n],
-                      a_blocks=space.a_blocks[:, :n, :n], f_blocks=None,
-                      gram_ref=None, alpha_lb=space.alpha_lb)
-        etas = []
-        for i, k in enumerate(ks):
-            a_rb = np.tensordot(model.theta_a(k), sub.a_blocks, axes=1)
-            c = solve_reduced(a_rb, sub.psi.T @ f_hat[:, i])
-            etas.append(estimator(model, sub, k, c, f_hat[:, i]))
+        etas = full_order_estimators(model, space, ks, f_hat, n)
         if n < space.dim:
             assert trace.selected[n] == int(np.argmax(etas))
         if trace.max_estimator[n - 1] > 1e-10 * top:
             assert np.isclose(trace.max_estimator[n - 1], max(etas),
                               rtol=1e-8, atol=0.0)
     assert trace.max_estimator[-1] <= 1e-10 * top
+
+
+def test_greedy_buffers_grow_to_reachable_bound(tiny_problem2, monkeypatch):
+    # a tolerance-only build starts from small buffers and doubles them as
+    # the trunk grows; the picks must not notice, and no buffer may reserve
+    # more than the trunk can reach
+    problem = tiny_problem2
+    model = problem.model
+    qa = model.affine_II.n_terms
+    ks, f_hat = data_pool_and_loads(problem, 24)
+    built = []
+
+    class State(_SweepState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.start = (self._psi.shape[0], self._u.shape[0])
+            built.append(self)
+
+    class Chol(_BorderedCholesky):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.start = len(self.y)
+            built.append(self)
+
+    grown = []
+    reserve = reduction._reserve
+
+    def recording_reserve(buf, used, bound, axes=(0,)):
+        out = reserve(buf, used, bound, axes)
+        if out is not buf:
+            grown.append((buf.shape[axes[0]], out.shape[axes[0]], bound))
+        return out
+
+    monkeypatch.setattr(reduction, "_SweepState", State)
+    monkeypatch.setattr(reduction, "_BorderedCholesky", Chol)
+    monkeypatch.setattr(reduction, "_reserve", recording_reserve)
+    space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=0.4,
+                                alpha_lb=problem.alpha_lb)
+    assert trace.stop_reason == "tolerance"
+    assert space.dim > 2 * reduction._CAPACITY   # outgrown twice
+    for n in range(1, space.dim):
+        etas = full_order_estimators(model, space, ks, f_hat, n)
+        assert trace.selected[n] == int(np.argmax(etas))
+        assert np.isclose(trace.max_estimator[n - 1], max(etas), rtol=1e-8)
+    bound = min(len(ks), model.n_free)
+    # every growth doubles, capped at the bound; the trunk buffers start
+    # below it and double twice
+    cap = reduction._CAPACITY
+    assert all(new == min(2 * old, top) for old, new, top in grown)
+    assert (cap, 2 * cap, bound) in grown and (2 * cap, bound, bound) in grown
+    state, chol = built
+    assert state.bound == chol.bound == bound
+    assert state.start == (cap, qa * cap) and chol.start == cap
+    assert state._psi.shape[0] <= bound
+    assert state._w.shape[1] <= bound
+    assert state._f_rb.shape[0] <= bound
+    assert max(state._a.shape[1:]) <= bound
+    assert state._r.shape[2] <= bound
+    assert state._u.shape[0] <= qa * bound
+    assert state._p_f.shape[0] <= qa * bound
+    assert state._r.shape[1] <= qa * bound
+    for buf in (chol.y, chol._tmp):
+        assert space.dim <= buf.shape[0] <= bound
+    assert state.n == space.dim
+    assert np.array_equal(space.psi, state.psi)
 
 
 def test_sweep_state_downdate_within_slack(tiny_problem2):
@@ -262,12 +377,11 @@ def test_sweep_state_downdate_within_slack(tiny_problem2):
     model = problem.model
     ks, f_hat = data_pool_and_loads(problem, 24)
     pool = np.arange(f_hat.shape[1])
-    state = _SweepState(model, f_hat)
+    state = _SweepState(model, f_hat, 40)
     rng = np.random.default_rng(2)
-    psi = None
     for step in range(1, 41):
-        v = v_orthonormalize(model, psi, rng.standard_normal(model.n_free))
-        psi = v[:, None] if psi is None else np.column_stack([psi, v])
+        v = v_orthonormalize(model, state.psi if state.n else None,
+                             rng.standard_normal(model.n_free))
         state.enrich(model, v)
         if step == 12 or state.m == model.n_free:
             down = state.s2.copy()
