@@ -417,27 +417,3 @@ def full_field(model, w_free, g_b=None):
     if g_b is not None and len(model.dirichlet):
         out += discrete_lifting(model, np.asarray(g_b, dtype=float))
     return out
-
-
-def dump_matrix(a, path):
-    """Coordinate text dump: header `matrix <rows> <cols> <nnz>`, then i j value."""
-    coo = sparse.coo_matrix(a)
-    with open(path, "w") as fh:
-        fh.write(f"matrix {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")
-
-
-def load_matrix(path):
-    with open(path) as fh:
-        head = fh.readline().split()
-        if head[0] != "matrix":
-            raise ValueError("bad matrix header")
-        nr, nc, nnz = int(head[1]), int(head[2]), int(head[3])
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz)
-        for t in range(nnz):
-            i, j, v = fh.readline().split()
-            rows[t], cols[t], data[t] = int(i), int(j), float(v)
-    return sparse.coo_matrix((data, (rows, cols)), shape=(nr, nc)).tocsr()

@@ -1,5 +1,11 @@
 """Command-line driver.
 
+One offline command, ``rb-build``, builds the mesh, the operator family, the
+data modes or EIM surrogate and the trunks; ``train``, ``eval`` and
+``audit`` work on the directory it writes, and ``bench`` runs them all.
+Problem construction itself lives in the benchmark objects ``Example1`` to
+``Example3`` of ``rb_operon.examples``.
+
 Thread capping must happen before the first numpy import, so every handler
 imports the heavy modules lazily after the environment is adjusted.
 
@@ -58,105 +64,6 @@ def _load_config(args):
             raise ValueError(f"expected KEY=VALUE, got {item!r}")
         cfg[key.strip()] = _parse_value(val.strip())
     return cfg
-
-
-def _mesh_for(spec, adir):
-    """Reuse a previously written mesh so staged runs stay consistent."""
-    from .examples import build_mesh
-    from .mesh import read_mesh_text, write_mesh_text
-
-    if adir.has("mesh.txt"):
-        return read_mesh_text(adir.file("mesh.txt"))
-    mesh = build_mesh(spec)
-    write_mesh_text(mesh, adir.file("mesh.txt"))
-    return mesh
-
-
-def _cmd_mesh(args):
-    from .artifacts import ArtifactDir
-    from .examples import build_mesh, example_spec
-    from .mesh import min_angle_deg, write_mesh_text
-    from .pipeline import apply_overrides
-
-    spec = apply_overrides(example_spec(args.example), _load_config(args))
-    mesh = build_mesh(spec)
-    adir = ArtifactDir(args.out)
-    write_mesh_text(mesh, adir.file("mesh.txt"))
-    line = (f"mesh: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles, "
-            f"min angle {min_angle_deg(mesh):.2f} deg")
-    if mesh.relaxation is not None:
-        r = mesh.relaxation
-        line += (f"; relaxation: {r['iterations']} iterations, "
-                 f"{r['triangulations']} triangulations, "
-                 f"stopped on {r['stop_reason']}")
-    print(line)
-    print(f"wrote {adir.file('mesh.txt')}")
-    return 0
-
-
-def _cmd_assemble(args):
-    from .artifacts import ArtifactDir
-    from .assembly import dump_matrix
-    from .examples import build_problem, example_spec
-    from .pipeline import apply_overrides
-
-    spec = apply_overrides(example_spec(args.example), _load_config(args))
-    adir = ArtifactDir(args.out)
-    problem = build_problem(spec, mesh=_mesh_for(spec, adir))
-    model = problem.model
-    dump_matrix(model.a_star, adir.file("a_star.txt"))
-    dump_matrix(problem.m_full, adir.file("mass.txt"))
-    info = {
-        "example": spec.example,
-        "n_nodes": problem.mesh.n_nodes,
-        "n_free": model.n_free,
-        "n_dirichlet": len(model.dirichlet),
-        "n_affine_terms": model.affine_II.n_terms,
-        "alpha_lb": problem.alpha_lb,
-    }
-    adir.save_json("assemble", info)
-    print(f"assembled {info['n_affine_terms']} affine terms on "
-          f"{info['n_free']} free nodes; coercivity bound "
-          f"{info['alpha_lb']:.4f}")
-    print(f"wrote {adir.file('a_star.txt')} and {adir.file('mass.txt')}")
-    return 0
-
-
-def _cmd_modes(args):
-    import numpy as np
-
-    from .artifacts import ArtifactDir
-    from .examples import build_problem, example_spec
-    from .pipeline import apply_overrides
-
-    if args.example != 2:
-        raise ValueError("data modes exist only for example 2")
-    spec = apply_overrides(example_spec(args.example), _load_config(args))
-    adir = ArtifactDir(args.out)
-    problem = build_problem(spec, mesh=_mesh_for(spec, adir))
-    bench = problem.bench
-    bench.offline_data(problem, adir, np.random.default_rng(args.seed), {})
-    smodes, bmodes = bench.smodes, bench.bmodes
-    print(f"source modes: {smodes.rank} (cap {spec.data['r_f_max']}), "
-          f"boundary modes: {bmodes.rank} (cap {spec.data['r_g_max']}), "
-          f"tolerance {spec.data['mode_tol']:.1e}")
-    return 0
-
-
-def _cmd_eim_build(args):
-    from .artifacts import ArtifactDir, save_surrogate
-    from .examples import build_surrogate, example_spec
-    from .pipeline import apply_overrides
-
-    if args.example != 3:
-        raise ValueError("the tensor surrogate exists only for example 3")
-    spec = apply_overrides(example_spec(args.example), _load_config(args))
-    adir = ArtifactDir(args.out)
-    surrogate = build_surrogate(spec, _mesh_for(spec, adir))
-    save_surrogate(adir, surrogate)
-    print(f"interpolation basis: rank {surrogate.rank}, final training "
-          f"error {surrogate.trace[-1]:.3e}")
-    return 0
 
 
 def _cmd_rb_build(args):
@@ -255,13 +162,6 @@ def build_parser():
                     "parametric elliptic problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub, "mesh", _cmd_mesh, "generate the benchmark mesh")
-    _add_common(sub, "assemble", _cmd_assemble,
-                "assemble the operator family and dump reference matrices")
-    _add_common(sub, "modes", _cmd_modes,
-                "compress the data family into source/boundary modes")
-    _add_common(sub, "eim-build", _cmd_eim_build,
-                "build the tensor interpolation surrogate")
     p = _add_common(sub, "rb-build", _cmd_rb_build,
                     "run the full offline stage (trunks, blocks, manifest)")
     p.add_argument("--no-pod", action="store_true",

@@ -10,14 +10,17 @@ Three parametric elliptic problems exercise the toolkit end to end:
 3. the inclusion problem with a parameterized inclusion radius, pulled back
    to the reference mesh by a radial map and compressed with EIM.
 
-All that the pipeline does differently per example lives in the benchmark
-objects ``Example1`` to ``Example3`` below: theta(k), which serves the truth
-model, the batched stages and the online query alike; branch features;
-reduced load; sample pools and truth solves; run defaults and gates.
+All that differs per example lives in the benchmark objects ``Example1`` to
+``Example3`` below, problem construction included: the Dirichlet sides,
+affine terms, loads and coercivity bound on a mesh, and the state read back
+from an artifact directory; theta(k), which serves the truth model, the
+batched stages and the online query alike; branch features; reduced load;
+sample pools and truth solves; run defaults and gates.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
+from functools import cached_property
 from scipy.sparse.linalg import eigsh, splu
 
 from .artifacts import (load_boundary_modes, load_case2_blocks,
@@ -223,17 +226,16 @@ class ManufacturedSolution:
 class Problem:
     """Assembled benchmark: the parametric model plus metric weights."""
 
-    spec: ExampleSpec
     mesh: object
     model: object
-    m_full: object            # full-node mass matrix
     alpha_lb: float
     bench: object             # the example's benchmark object
-    surrogate: object = None  # example 3 EIM surrogate
 
-    def __post_init__(self):
+    @cached_property
+    def m_ii(self):
+        """Interior mass matrix, the weight of the L2 error measures."""
         free = self.model.free
-        self.m_ii = self.m_full[free][:, free].tocsr()
+        return assemble_mass(self.mesh)[free][:, free].tocsr()
 
 
 def _pencil_floor(a_part, a_star):
@@ -264,77 +266,20 @@ def _box_corners(ranges):
 
 
 def build_problem(spec, mesh=None, surrogate=None):
-    """Mesh, boundary split, affine operator family and coercivity bound."""
+    """Mesh, boundary split, affine operator family and coercivity bound;
+    ``surrogate`` is example 3's, built on the mesh when None."""
     if mesh is None:
         mesh = build_mesh(spec)
-    m_full = assemble_mass(mesh)
-
-    if spec.example in (1, 3):
-        bd = dirichlet_nodes(mesh, ["top"])
-        free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
-        f_base = assemble_load_boundary(mesh, "base", lambda x: np.ones(len(x)))
-        a_star = None
-        if spec.example == 1:
-            bench = Example1(spec, None)
-            a_terms = [assemble_stiffness(mesh, region=r) for r in (0, 1)]
-        else:
-            if surrogate is None:
-                surrogate = build_surrogate(spec, mesh)
-            bench = Example3(spec, eim=surrogate)
-            inside, outside = assemble_eim_terms(mesh, surrogate)
-            a_terms = list(outside) + list(inside)
-            a_star = assemble_stiffness(mesh)
-        model = build_model(
-            mesh, free, bd,
-            theta_a=bench.theta,
-            a_terms=a_terms,
-            k_star=spec.k_star,
-            theta_f=lambda k: np.array([k[1]]),
-            f_terms=[f_base],
-            a_star=a_star,
-        )
-        if spec.example == 1:
-            alpha = coercivity_lower_bound(
-                model, samples=_box_corners(spec.param_ranges))
-        else:
-            floor = _radial_tensor_floor(surrogate.radial_map)
-            alpha = min(1.0, spec.param_ranges[0][0]) * floor * 0.95
-        return Problem(spec=spec, mesh=mesh, model=model, m_full=m_full,
-                       alpha_lb=alpha, bench=bench, surrogate=surrogate)
-
-    # example 2: diffusion + reaction + Robin edge, data supplied per sample
-    bench = Example2(spec, None)
-    bd = dirichlet_nodes(mesh, ["left", "top"])
-    free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
-    stiff = assemble_stiffness(mesh)
-    robin = assemble_boundary_mass(mesh, "right")
-    model = build_model(
-        mesh, free, bd,
-        theta_a=bench.theta,
-        a_terms=[stiff, m_full, robin],
-        k_star=spec.k_star,
-    )
-    # reaction and Robin weights may vanish, so certify against the
-    # diffusion block alone: a(v,v;k) >= kappa0_min * lam_min(K vs A_star).
-    kii = model.affine_II.term(0)
-    floor = spec.param_ranges[0][0] * _pencil_floor(kii, model.a_star_II)
-    return Problem(spec=spec, mesh=mesh, model=model, m_full=m_full,
-                   alpha_lb=floor, bench=bench)
-
-
-def build_surrogate(spec, mesh):
-    """Example 3's tensor interpolation surrogate over the mesh centroids."""
-    rm = RadialMap(**spec.data["radial"])
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-    radii = np.linspace(rm.r_min, rm.r_max, spec.data["eim_train"])
-    return eim_build(rm, centroids, radii, q_max=spec.data["eim_q"])
+    bench = BENCHMARKS[spec.example](spec, surrogate)
+    model, alpha_lb = bench.build(mesh)
+    return Problem(mesh=mesh, model=model, alpha_lb=alpha_lb, bench=bench)
 
 
 def load_problem(spec, adir):
     """The problem a finished offline stage in ``adir`` was built on."""
-    surrogate = load_surrogate(adir) if spec.example == 3 else None
-    return build_problem(spec, mesh=read_mesh_text(adir.file("mesh.txt")),
-                         surrogate=surrogate)
+    return build_problem(
+        spec, mesh=read_mesh_text(adir.file("mesh.txt")),
+        surrogate=BENCHMARKS[spec.example].saved_surrogate(adir))
 
 
 def example2_load(problem, ks, ms, maps):
@@ -357,7 +302,7 @@ def example3_direct_operator(problem, k3):
     """Full-order stiffness blocks with the exact pullback tensor at k3."""
     mesh = problem.mesh
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
-    g = problem.surrogate.radial_map.jacobian_tensor(cent, k3)
+    g = problem.bench.eim.radial_map.jacobian_tensor(cent, k3)
     a0 = assemble_stiffness(mesh, region=0, coefficient=g)
     a1 = assemble_stiffness(mesh, region=1, coefficient=g)
     return a0, a1
@@ -416,6 +361,39 @@ class Example1:
         self.spec = spec
         self.eim = eim        # example 3: EimSurrogate or its EimPivots
         self.ranks = ranks    # example 2: (r_f, r_g), mode coordinates in features
+
+    @classmethod
+    def open(cls, spec, adir):
+        """The benchmark with the mesh-free state it reads from ``adir``."""
+        return cls(spec, None)
+
+    @staticmethod
+    def saved_surrogate(adir):
+        """What ``build_problem`` takes back from ``adir`` besides the mesh."""
+        return None
+
+    def build(self, mesh):
+        """Affine operator family on ``mesh`` and its coercivity bound:
+        Dirichlet top, flux load k2 on the base."""
+        bd = dirichlet_nodes(mesh, ["top"])
+        free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
+        f_base = assemble_load_boundary(mesh, "base", lambda x: np.ones(len(x)))
+        a_terms, a_star = self.operator_terms(mesh)
+        model = build_model(mesh, free, bd, theta_a=self.theta,
+                            a_terms=a_terms, k_star=self.spec.k_star,
+                            theta_f=lambda k: np.array([k[1]]),
+                            f_terms=[f_base], a_star=a_star)
+        return model, self.coercivity(model)
+
+    def operator_terms(self, mesh):
+        """Affine stiffness terms and the reference operator (None: the
+        terms weighted at k_star)."""
+        return [assemble_stiffness(mesh, region=r) for r in (0, 1)], None
+
+    def coercivity(self, model):
+        """alpha_lb: the smallest bound over the parameter box's corners."""
+        return coercivity_lower_bound(
+            model, samples=_box_corners(self.spec.param_ranges))
 
     def theta(self, k):
         """Operator weights theta_a(k) of one parameter row."""
@@ -485,6 +463,32 @@ class Example3(Example1):
              ("rb_deeponet", "rel_l2", "mean", 8e-2))
     n_params = NOMINAL_PARAM_COUNTS[3]
 
+    @classmethod
+    def open(cls, spec, adir):
+        pivots = adir.load_array("eim_pivots")
+        eim = EimPivots(RadialMap(**adir.load_json("eim_meta")["radial_map"]),
+                        adir.load_array("eim_points")[pivots // 3], pivots % 3,
+                        adir.load_array("eim_tri_mat"))
+        return cls(spec, eim)
+
+    saved_surrogate = staticmethod(load_surrogate)
+
+    def operator_terms(self, mesh):
+        """EIM terms outside, then inside the inclusion, against the plain
+        stiffness; the surrogate is built over the centroids if not given."""
+        if self.eim is None:
+            rm = RadialMap(**self.spec.data["radial"])
+            centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+            radii = np.linspace(rm.r_min, rm.r_max, self.spec.data["eim_train"])
+            self.eim = eim_build(rm, centroids, radii,
+                                 q_max=self.spec.data["eim_q"])
+        inside, outside = assemble_eim_terms(mesh, self.eim)
+        return list(outside) + list(inside), assemble_stiffness(mesh)
+
+    def coercivity(self, model):
+        floor = _radial_tensor_floor(self.eim.radial_map)
+        return min(1.0, self.spec.param_ranges[0][0]) * floor * 0.95
+
     def theta(self, k):
         alpha = eim_coefficients(self.eim, k[2])
         return np.concatenate([alpha, k[0] * alpha])
@@ -513,6 +517,26 @@ class Example2(Example1):
                     ("source rank", "dims_modes", "r_f", 128),
                     ("boundary rank", "dims_modes", "r_g", 16))
     n_params = None           # the input width follows the mode ranks
+
+    @classmethod
+    def open(cls, spec, adir):
+        modes = adir.read_manifest()["dims_modes"]
+        return cls(spec, None, ranks=(modes["r_f"], modes["r_g"]))
+
+    def build(self, mesh):
+        """Diffusion, reaction and Robin terms (Dirichlet left and top; the
+        data come per draw) and their coercivity bound."""
+        bd = dirichlet_nodes(mesh, ["left", "top"])
+        free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
+        a_terms = [assemble_stiffness(mesh), assemble_mass(mesh),
+                   assemble_boundary_mass(mesh, "right")]
+        model = build_model(mesh, free, bd, theta_a=self.theta,
+                            a_terms=a_terms, k_star=self.spec.k_star)
+        # reaction and Robin weights may vanish, so certify against the
+        # diffusion block alone: a(v,v;k) >= kappa0_min * lam_min(K vs A_star).
+        kii = model.affine_II.term(0)
+        return model, (self.spec.param_ranges[0][0]
+                       * _pencil_floor(kii, model.a_star_II))
 
     def theta(self, k):
         return np.asarray(k, dtype=float)
@@ -589,13 +613,4 @@ BENCHMARKS = {1: Example1, 2: Example2, 3: Example3}
 def open_benchmark(spec, adir):
     """The benchmark with the mesh-free state it reads from ``adir``: the
     data-mode ranks of example 2, the EIM pivots of example 3."""
-    if spec.example == 1:
-        return Example1(spec, None)
-    if spec.example == 2:
-        modes = adir.read_manifest()["dims_modes"]
-        return Example2(spec, None, ranks=(modes["r_f"], modes["r_g"]))
-    pivots = adir.load_array("eim_pivots")
-    eim = EimPivots(RadialMap(**adir.load_json("eim_meta")["radial_map"]),
-                    adir.load_array("eim_points")[pivots // 3], pivots % 3,
-                    adir.load_array("eim_tri_mat"))
-    return Example3(spec, eim)
+    return BENCHMARKS[spec.example].open(spec, adir)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import rb_operon
-from rb_operon.cli import _parse_value, main
+from rb_operon.cli import _load_config, _parse_value, build_parser, main
 
 TINY = ["--set", f"h={1 / 12}", "--set", "n_pool=24", "--set", "n_train=16",
         "--set", "n_val=8", "--set", "n_test=8",
@@ -23,44 +23,6 @@ def test_parse_value():
     assert _parse_value("False") is False
     assert _parse_value("none") is None
     assert _parse_value("inclusion") == "inclusion"
-
-
-def test_mesh_then_assemble_reuses_written_mesh(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    assert main(["mesh", "--example", "1", "--out", out] + TINY) == 0
-    assert os.path.exists(os.path.join(out, "mesh.txt"))
-    line = capsys.readouterr().out
-    assert "nodes" in line and "min angle" in line
-    relax = re.search(r"min angle [\d.]+ deg; relaxation: (\d+) iterations, "
-                      r"(\d+) triangulations, stopped on (step_tol|max_iters)",
-                      line)
-    assert relax is not None, line
-    assert 1 <= int(relax.group(2)) <= int(relax.group(1))
-
-    # assemble must read the staged mesh back instead of remeshing
-    assert main(["assemble", "--example", "1", "--out", out] + TINY) == 0
-    assert os.path.exists(os.path.join(out, "a_star.txt"))
-    assert os.path.exists(os.path.join(out, "mass.txt"))
-    info = json.load(open(os.path.join(out, "assemble.json")))
-    assert info["n_free"] + info["n_dirichlet"] == info["n_nodes"]
-    assert info["alpha_lb"] > 0
-
-
-def test_modes_requires_example2(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    assert main(["modes", "--example", "1", "--out", out]) == 2
-    assert "invalid configuration" in capsys.readouterr().err
-
-
-def test_eim_build(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    assert main(["eim-build", "--example", "1", "--out", out]) == 2
-    capsys.readouterr()
-    args = ["eim-build", "--example", "3", "--out", out,
-            "--set", f"h={1 / 12}", "--set", "eim_q=6", "--set", "eim_train=32"]
-    assert main(args) == 0
-    assert os.path.exists(os.path.join(out, "eim_basis.arr"))
-    assert "rank" in capsys.readouterr().out
 
 
 def test_rb_build_without_pod_rule_fails_before_writing(tmp_path, capsys):
@@ -92,32 +54,29 @@ def test_rb_build_artifacts(cli_dir):
         assert os.path.exists(os.path.join(cli_dir, name)), name
 
 
-def test_config_file_and_set_precedence(tmp_path, capsys):
+def test_config_file_and_set_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h": 1 / 12, "n_pool": 24}))
-    out = str(tmp_path / "run")
-    # --set n=... would be rejected for example 1, so key checking is live
-    code = main(["mesh", "--example", "1", "--out", out, "--config", str(cfg)])
-    assert code == 0
-    n_nodes = int(capsys.readouterr().out.split()[1])
-    # same build via --set only must give the identical mesh
-    out2 = str(tmp_path / "run2")
-    assert main(["mesh", "--example", "1", "--out", out2,
-                 "--set", f"h={1 / 12}"]) == 0
-    assert int(capsys.readouterr().out.split()[1]) == n_nodes
+    args = build_parser().parse_args(
+        ["rb-build", "--example", "1", "--out", str(tmp_path / "run"),
+         "--config", str(cfg), "--set", "n_pool=30", "--set", "n_val=4"])
+    # --set entries override the file's and add to them
+    assert _load_config(args) == {"h": 1 / 12, "n_pool": 30, "n_val": 4}
 
 
 def test_config_rejections(tmp_path, capsys):
+    # each is rejected before the offline stage builds or writes anything
     out = str(tmp_path / "run")
-    assert main(["mesh", "--example", "1", "--out", out,
+    assert main(["rb-build", "--example", "1", "--out", out,
                  "--set", "garbage_key=3"]) == 2
-    assert main(["mesh", "--example", "1", "--out", out,
+    assert main(["rb-build", "--example", "1", "--out", out,
                  "--set", "no_equals_sign"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
-    assert main(["mesh", "--example", "1", "--out", out,
+    assert main(["rb-build", "--example", "1", "--out", out,
                  "--config", str(bad)]) == 2
-    capsys.readouterr()
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err.count("invalid configuration") == 3
 
 
 def test_train_without_artifacts(tmp_path, capsys):
@@ -159,38 +118,39 @@ def test_train_divergence_exit_code(cli_dir, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    out = str(tmp_path / "run")
+def test_threads_env_validation(cli_dir, tmp_path, monkeypatch, capsys):
+    scratch = str(tmp_path / "copy")
+    shutil.copytree(cli_dir, scratch)
+    args = ["eval", "--out", scratch, "--n-test", "2",
+            "--methods", "rb_galerkin"]
     monkeypatch.setenv("RB_OPERON_THREADS", "zero")
-    assert main(["mesh", "--example", "1", "--out", out] + TINY) == 2
+    assert main(args) == 2
     monkeypatch.setenv("RB_OPERON_THREADS", "0")
-    assert main(["mesh", "--example", "1", "--out", out] + TINY) == 2
+    assert main(args) == 2
     monkeypatch.setenv("RB_OPERON_THREADS", "1")
-    assert main(["mesh", "--example", "1", "--out", out] + TINY) == 0
+    assert main(args) == 0
     capsys.readouterr()
 
 
 def test_argparse_failures():
     with pytest.raises(SystemExit) as exc:
-        main(["mesh", "--example", "1"])          # --out missing
+        main(["rb-build", "--example", "1"])      # --out missing
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
 
 
-SUBCOMMANDS = ("mesh", "assemble", "modes", "eim-build", "rb-build",
-               "train", "eval", "audit", "bench")
+SUBCOMMANDS = ("rb-build", "train", "eval", "audit", "bench")
 
 
 def _check_help(res):
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: rb-operon")
-    # match the {a,b,...} choices list, not free text: "mesh" is described
-    # as "the benchmark mesh", which would hide a missing "bench"
+    # the {a,b,...} choices list holds exactly the offline command and the
+    # stages that read its directory
     choices = re.search(r"\{(.+?)\}", res.stdout).group(1).split(",")
-    for sub in SUBCOMMANDS:
-        assert sub in choices
+    assert sorted(choices) == sorted(SUBCOMMANDS)
 
 
 def test_console_script_help():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rb_operon.assembly import (assemble_load_boundary, assemble_stiffness,
-                                full_field, truth_solve, triangle_geometry)
+from rb_operon.assembly import (assemble_load_boundary, assemble_mass,
+                                assemble_stiffness, full_field, truth_solve,
+                                triangle_geometry)
 from rb_operon.examples import (_LOAD_CHUNK, Example1, Example2, ExampleSpec,
                                 ManufacturedSolution, _box_corners,
                                 _data_loads, build_mesh, build_problem,
@@ -220,8 +221,8 @@ def test_data_loads_match_per_draw_loads(tiny_problem2):
     # not a multiple of the chunk, so the last chunk is a partial one
     n = _LOAD_CHUNK + 13
     rng = np.random.default_rng(4)
-    ks = sample_parameters(tiny_problem2.spec, n, rng)
-    xis = sample_xi(tiny_problem2.spec, n, rng)
+    ks = sample_parameters(tiny_problem2.bench.spec, n, rng)
+    xis = sample_xi(tiny_problem2.bench.spec, n, rng)
     batched = _data_loads(tiny_problem2, ks, xis)
     for got, want in zip(batched, per_draw_loads(tiny_problem2, ks, xis)):
         assert got.shape == want.shape == (len(want), n)
@@ -234,7 +235,7 @@ def test_data_loads_hold_one_chunk(tiny_problem2):
     # above its three outputs, _data_loads may hold one chunk's working set,
     # the same for 32 draws as for 256; stacking the point values of all
     # draws at once would make it eight times larger
-    spec = tiny_problem2.spec
+    spec = tiny_problem2.bench.spec
 
     def excess(n):
         rng = np.random.default_rng(6)
@@ -277,8 +278,8 @@ def test_example1_structure_and_coercivity(tiny_problem1, rng):
     assert np.allclose(model.theta_a([3.0, -0.2]), [3.0, 1.0])
     assert 0.0 < prob.alpha_lb <= 1.0
     # the bound must hold at the corners (where theta is extremal) and inside
-    lo, hi = np.array(prob.spec.param_ranges).T
-    for k in list(_box_corners(prob.spec.param_ranges)) + \
+    lo, hi = np.array(prob.bench.spec.param_ranges).T
+    for k in list(_box_corners(prob.bench.spec.param_ranges)) + \
             list(rng.uniform(lo, hi, size=(3, 2))):
         lam = _pencil_min(model.assemble_interior(k), model.a_star_II)
         assert lam >= prob.alpha_lb * (1.0 - 1e-9)
@@ -301,8 +302,9 @@ def test_example2_manufactured_convergence(tiny_problem2):
         w = truth_solve(prob.model, k, f_hat)
         u_h = full_field(prob.model, w, g_b)
         u = ManufacturedSolution(xi[0]).value(prob.mesh.nodes)
-        num = (u_h - u) @ prob.m_full @ (u_h - u)
-        den = u @ prob.m_full @ u
+        mass = assemble_mass(prob.mesh)
+        num = (u_h - u) @ mass @ (u_h - u)
+        den = u @ mass @ u
         errs.append(np.sqrt(num / den))
     assert errs[0] < 5e-2
     assert errs[0] / errs[1] > 2.0      # roughly O(h^2) in L2
@@ -310,7 +312,7 @@ def test_example2_manufactured_convergence(tiny_problem2):
 
 def test_example2_coercivity_bound(tiny_problem2, rng):
     prob = tiny_problem2
-    lo, hi = np.array(prob.spec.param_ranges).T
+    lo, hi = np.array(prob.bench.spec.param_ranges).T
     assert prob.alpha_lb > 0
     for k in rng.uniform(lo, hi, size=(4, 3)):
         lam = _pencil_min(prob.model.assemble_interior(k), prob.model.a_star_II)
@@ -320,13 +322,14 @@ def test_example2_coercivity_bound(tiny_problem2, rng):
 def test_example2_alpha_lb_deterministic(tiny_problem2):
     # the spectral floor comes from ARPACK; a random start vector would move
     # alpha_lb, and every artifact that records it, in its last digits
-    again = {build_problem(tiny_problem2.spec).alpha_lb for _ in range(3)}
+    spec = tiny_problem2.bench.spec
+    again = {build_problem(spec).alpha_lb for _ in range(3)}
     assert again == {tiny_problem2.alpha_lb}
 
 
 def test_example3_identity_radius_recovers_plain_stiffness(tiny_problem3):
     prob = tiny_problem3
-    r0 = prob.surrogate.radial_map.r0
+    r0 = prob.bench.eim.radial_map.r0
     a0, a1 = example3_direct_operator(prob, r0)
     plain0 = assemble_stiffness(prob.mesh, region=0)
     plain1 = assemble_stiffness(prob.mesh, region=1)
@@ -337,7 +340,7 @@ def test_example3_identity_radius_recovers_plain_stiffness(tiny_problem3):
 
 def test_example3_theta_structure(tiny_problem3):
     prob = tiny_problem3
-    q = prob.surrogate.rank
+    q = prob.bench.eim.rank
     th = prob.model.theta_a(np.array([2.5, 0.1, 0.3]))
     assert th.shape == (2 * q,)
     assert np.allclose(th[q:], 2.5 * th[:q])
@@ -345,7 +348,7 @@ def test_example3_theta_structure(tiny_problem3):
 
 def test_example3_eim_model_matches_direct_solve(tiny_problem3, rng):
     prob = tiny_problem3
-    lo, hi = np.array(prob.spec.param_ranges).T
+    lo, hi = np.array(prob.bench.spec.param_ranges).T
     for k in rng.uniform(lo, hi, size=(3, 3)):
         w_eim = truth_solve(prob.model, k, prob.model.load_interior(k))
         w_dir = example3_direct_solve(prob, k)
@@ -355,7 +358,7 @@ def test_example3_eim_model_matches_direct_solve(tiny_problem3, rng):
 
 def test_example3_coercivity_bound(tiny_problem3, rng):
     prob = tiny_problem3
-    lo, hi = np.array(prob.spec.param_ranges).T
+    lo, hi = np.array(prob.bench.spec.param_ranges).T
     assert prob.alpha_lb > 0
     for k in rng.uniform(lo, hi, size=(3, 3)):
         lam = _pencil_min(prob.model.assemble_interior(k), prob.model.a_star_II)
@@ -366,7 +369,8 @@ def test_problem_interior_mass(tiny_problem1):
     prob = tiny_problem1
     nf = len(prob.model.free)
     assert prob.m_ii.shape == (nf, nf)
-    diff = abs(prob.m_ii - prob.m_full[prob.model.free][:, prob.model.free])
+    free = prob.model.free
+    diff = abs(prob.m_ii - assemble_mass(prob.mesh)[free][:, free])
     assert diff.max() == 0.0
 
 

@@ -8,7 +8,8 @@ import pytest
 from rb_operon.artifacts import (ArtifactDir, load_case2_blocks, load_space,
                                  load_surrogate)
 from rb_operon.branchnet import MLP
-from rb_operon.examples import HIDDEN_SIZES, example_spec, open_benchmark
+from rb_operon.examples import (BENCHMARKS, HIDDEN_SIZES, build_problem,
+                                example_spec, load_problem, open_benchmark)
 from rb_operon.geomap import eim_coefficients
 from rb_operon.mesh import square_with_inclusion_mesh
 from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
@@ -72,9 +73,9 @@ def test_theta_batch_values(tiny_problem3, rng):
     assert np.allclose(theta_batch(1, ks1), [[2.0, 1.0], [0.3, 1.0]])
     ks2 = rng.uniform(0.1, 1.0, size=(4, 3))
     assert np.array_equal(theta_batch(2, ks2), ks2)
-    lo, hi = np.array(tiny_problem3.spec.param_ranges).T
+    lo, hi = np.array(tiny_problem3.bench.spec.param_ranges).T
     ks3 = rng.uniform(lo, hi, size=(3, 3))
-    th = theta_batch(3, ks3, tiny_problem3.surrogate)
+    th = theta_batch(3, ks3, tiny_problem3.bench.eim)
     for row, k in zip(th, ks3):
         assert np.allclose(row, tiny_problem3.model.theta_a(k))
 
@@ -220,6 +221,30 @@ def _bench_of(outdir):
     adir = ArtifactDir(outdir)
     man = adir.read_manifest()
     return open_benchmark(spec_from_manifest(man), adir), man
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_load_problem_matches_built(example, request, rng):
+    adir = ArtifactDir(request.getfixturevalue(f"tiny{example}_dir"))
+    man = adir.read_manifest()
+    spec = spec_from_manifest(man)
+    built = build_problem(spec)
+    loaded = load_problem(spec, adir)
+    assert loaded.alpha_lb == man["alpha_lb"] == built.alpha_lb
+    assert np.array_equal(loaded.model.free, built.model.free)
+    assert np.array_equal(loaded.model.dirichlet, built.model.dirichlet)
+    for mine, theirs in ((loaded.model.affine_II, built.model.affine_II),
+                         (loaded.model.affine_IB, built.model.affine_IB)):
+        assert np.array_equal(mine.data, theirs.data)
+        assert np.array_equal(mine.template.indices, theirs.template.indices)
+        assert np.array_equal(mine.template.indptr, theirs.template.indptr)
+    # example 3 opens the EIM pivots alone, the problem the full surrogate
+    bench = open_benchmark(spec, adir)
+    assert type(bench) is BENCHMARKS[example]
+    lo, hi = np.array(spec.param_ranges).T
+    for k in rng.uniform(lo, hi, size=(5, len(lo))):
+        assert np.allclose(bench.theta(k), built.model.theta_a(k),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_draw_queries_deterministic(tiny1_dir):

@@ -13,7 +13,7 @@ from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
 
 
 def pool_and_loads(problem, n, seed=5):
-    ks = sample_parameters(problem.spec, n, np.random.default_rng(seed))
+    ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(seed))
     f_hat = np.column_stack([problem.model.load_interior(k) for k in ks])
     return ks, f_hat
 
@@ -21,8 +21,8 @@ def pool_and_loads(problem, n, seed=5):
 def data_pool_and_loads(problem, n, seed=7):
     """Example 2 pool: operator parameters with independent data loads."""
     rng = np.random.default_rng(seed)
-    ks = sample_parameters(problem.spec, n, rng)
-    xis = sample_xi(problem.spec, n, rng)
+    ks = sample_parameters(problem.bench.spec, n, rng)
+    xis = sample_xi(problem.bench.spec, n, rng)
     return ks, _data_loads(problem, ks, xis)[2]
 
 
@@ -219,7 +219,8 @@ def test_estimator_bounds_energy_error(tiny_problem1):
     ks, f_hat = pool_and_loads(problem, 16)
     space, _ = greedy_build(model, ks, f_hat_all=f_hat, fixed_n=2,
                             alpha_lb=problem.alpha_lb)
-    test_ks = sample_parameters(problem.spec, 25, np.random.default_rng(99))
+    test_ks = sample_parameters(problem.bench.spec, 25,
+                                np.random.default_rng(99))
     for k in test_ks:
         f = model.load_interior(k)
         u = np.linalg.solve(model.assemble_interior(k).toarray(), f)
