@@ -15,6 +15,11 @@ Gauss per edge.
 A ParametricModel packages an affine family A(k) = sum_p theta_p(k) A_p with
 its Dirichlet/free split, the reference operator A_star, the factorized
 interior block, an implicit lifting map and the boundary energy metric.
+
+Every full-order SPD system (reference factor, interior factors, truth
+solves, example 3's exact pullback solve) is factored by ``_spd_factor``,
+whose pivot signs test positive definiteness exactly; an operator that
+fails raises NotCoerciveError.
 """
 
 import numpy as np
@@ -251,14 +256,22 @@ class AffineSparse:
         return out
 
 
-def _check_spd(matrix, factor, rng, what):
-    for _ in range(3):
-        x = rng.standard_normal(matrix.shape[0])
-        if x @ (matrix @ x) <= 0.0:
-            raise NotCoerciveError(f"{what} is not positive definite")
-    # LU of an SPD matrix has positive pivots throughout
-    if np.any(factor.U.diagonal() <= 0.0):
-        raise NotCoerciveError(f"{what} has nonpositive pivots")
+def _spd_factor(a, what):
+    """SuperLU factor of the symmetric ``a``; NotCoerciveError unless SPD.
+
+    With a symmetric ordering and no off-diagonal pivot (perm_r == perm_c)
+    the U diagonal holds the LDL^T pivots of P a P^T, all positive exactly
+    when ``a`` is SPD (Sylvester's law of inertia).
+    """
+    try:
+        lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NotCoerciveError(f"{what} is singular: {exc}") from None
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        raise NotCoerciveError(f"{what} is not positive definite")
+    return lu
 
 
 @dataclass
@@ -298,9 +311,7 @@ class ParametricModel:
         self.a_star_II = a_star[self.free][:, self.free].tocsr()
         self.a_star_IB = a_star[self.free][:, self.dirichlet].tocsr()
         self.a_star_BB = a_star[self.dirichlet][:, self.dirichlet].toarray()
-        self.star_factor = splu(self.a_star_II.tocsc())
-        _check_spd(self.a_star_II, self.star_factor,
-                   np.random.default_rng(0), "reference interior operator")
+        self.star_factor = _spd_factor(self.a_star_II, "reference operator")
         if len(self.dirichlet):
             x = self.star_factor.solve(self.a_star_IB.toarray())
             self.lift_block = -x
@@ -388,12 +399,9 @@ def aggregated_load(model, k, f_free=None, g_b=None):
 
 
 def truth_solve(model, k, f_hat):
-    """Direct solve of A_II(k) w = f_hat; returns the free-node coefficients."""
+    """Free-node solution of A_II(k) w = f_hat, checked SPD and by residual."""
     a = model.assemble_interior(k)
-    try:
-        lu = splu(a.tocsc())
-    except RuntimeError as exc:
-        raise NotCoerciveError(f"interior operator factorization failed: {exc}")
+    lu = _spd_factor(a, "interior operator")
     f_hat = np.asarray(f_hat, dtype=float)
     w = lu.solve(f_hat)
     ref = np.linalg.norm(f_hat)
@@ -403,11 +411,8 @@ def truth_solve(model, k, f_hat):
 
 
 def interior_factor(model, k):
-    """Reusable factorization of A_II(k) for repeated right-hand sides."""
-    try:
-        return splu(model.assemble_interior(k).tocsc())
-    except RuntimeError as exc:
-        raise NotCoerciveError(f"interior operator factorization failed: {exc}")
+    """Reusable SuperLU factor of A_II(k), checked SPD by ``_spd_factor``."""
+    return _spd_factor(model.assemble_interior(k), "interior operator")
 
 
 def full_field(model, w_free, g_b=None):

@@ -196,13 +196,11 @@ def build_parser():
 def _classify(exc):
     import numpy as np
 
-    from .errors import (CoercivityViolationError, MapDegenerateError,
-                         NotCoerciveError, StagnationError,
-                         TrainingDivergedError)
+    from .errors import (MapDegenerateError, NotCoerciveError,
+                         StagnationError, TrainingDivergedError)
 
-    numerical = (NotCoerciveError, CoercivityViolationError,
-                 MapDegenerateError, StagnationError, TrainingDivergedError,
-                 np.linalg.LinAlgError)
+    numerical = (NotCoerciveError, MapDegenerateError, StagnationError,
+                 TrainingDivergedError, np.linalg.LinAlgError)
     if isinstance(exc, numerical):
         return 3
     if isinstance(exc, (ValueError, TypeError, KeyError, OSError)):

@@ -11,11 +11,7 @@ class EmptyMatrixError(ValueError):
 
 
 class NotCoerciveError(RuntimeError):
-    """A full-order operator failed to factorize as symmetric positive definite."""
-
-
-class CoercivityViolationError(RuntimeError):
-    """A reduced operator was not SPD, signalling parameters outside the admissible box."""
+    """A full-order or reduced operator is not SPD (lost coercivity)."""
 
 
 class MapDegenerateError(RuntimeError):

@@ -36,8 +36,8 @@ contiguous copy of the trunk that ``v_orthonormalize`` projects on.
 Every reduced system is solved by a checked Cholesky factorization: the
 sweep's bordered factors, and one factor-and-solve kernel behind
 ``solve_reduced`` and ``solve_reduced_batch``.  An operator that is not SPD,
-which a loss of coercivity would produce, raises CoercivityViolationError
-naming its sample instead of yielding coefficients.
+which a loss of coercivity would produce, raises NotCoerciveError naming
+its sample instead of yielding coefficients.
 """
 
 import numpy as np
@@ -47,7 +47,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import eigsh
 
 from .assembly import interior_factor
-from .errors import CoercivityViolationError, EmptySpaceError, StagnationError
+from .errors import EmptySpaceError, NotCoerciveError, StagnationError
 
 _STAR_CHUNK = 256   # load representers solved per star_solve call
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
@@ -157,13 +157,12 @@ def reduce_operators(model, psi):
 def _cholesky_solve(a, f, sample=0):
     """Solve one SPD reduced system a x = f by Cholesky factor and solve.
 
-    An operator that is not SPD raises CoercivityViolationError naming
-    ``sample``.
+    An operator that is not SPD raises NotCoerciveError naming ``sample``.
     """
     try:
         ell = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise CoercivityViolationError(
+        raise NotCoerciveError(
             f"reduced operator of sample {sample} is not SPD") from None
     # the F-ordered transpose is the upper factor LAPACK takes without a copy
     x, info = dpotrs(ell.T, f, lower=0)
@@ -382,7 +381,7 @@ class _BorderedCholesky:
         d2 = row[n] - np.einsum("js,js->s", row[:n], row[:n], out=dot)
         bad = np.flatnonzero(~(d2 > 0.0))
         if bad.size:
-            raise CoercivityViolationError(
+            raise NotCoerciveError(
                 f"reduced operator of sample {bad[0]} is not SPD at "
                 f"dimension {n + 1}")
         np.sqrt(d2, out=row[n])

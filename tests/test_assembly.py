@@ -215,3 +215,17 @@ def test_negative_definite_reference_rejected():
     with pytest.raises(NotCoerciveError):
         build_model(mesh, free, bd, theta_a=lambda k: np.array([k[0]]),
                     a_terms=[-a], k_star=(1.0,))
+    # shifted just past its smallest eigenvalue, the reference operator has
+    # one slightly negative direction; the pivot test is exact, so a shift
+    # just short of it passes and one just past it fails
+    lam = np.linalg.eigvalsh(a[free][:, free].toarray())[0]
+    eye = sparse.identity(mesh.n_nodes, format="csr")
+
+    def model(c):
+        return build_model(mesh, free, bd, theta_a=lambda k: np.array([1.0]),
+                           a_terms=[a], k_star=(1.0,),
+                           a_star=a - c * lam * eye)
+
+    model(0.99)
+    with pytest.raises(NotCoerciveError):
+        model(1.01)

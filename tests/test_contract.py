@@ -1,9 +1,10 @@
 """The names the benchmark harness under ``rbbench/`` reaches into.
 
 The harness imports library functions by name, patches the traced layers
-by (module, attribute) and reads fields of the online bundle; a rename in
-the package breaks it only when it runs.  These checks read the harness's
-own tables and imports and never modify them.
+by (module, attribute), reads fields of the online bundle and reads the
+fill of the SuperLU factor ``interior_factor`` returns; a change in the
+package breaks it only when it runs.  These checks read the harness's own
+tables and imports and never modify them.
 """
 
 import ast
@@ -75,6 +76,34 @@ def test_harness_imports_resolve():
     assert ("rb_operon.pipeline", "theta_batch") in names
     for module, name in names:
         getattr(importlib.import_module(module), name)
+
+
+def test_fill_hook_reads_interior_factor(tiny_problem1):
+    from rb_operon.assembly import interior_factor
+
+    model = tiny_problem1.model
+    fac = interior_factor(model, model.k_star)
+    hook = _spans().HOOKS["assembly.interior_factor"]
+    out = hook((model, model.k_star), fac)
+    assert out["fill_nnz"] > 0
+
+
+def test_only_assembly_imports_splu():
+    # every full-order factorization goes through assembly._spd_factor
+    pkg = os.path.join(ROOT, "src", "rb_operon")
+    users = set()
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.ImportFrom)
+                 and any(a.name == "splu" for a in node.names))
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "splu")):
+                users.add(fname)
+    assert users == {"assembly.py"}
 
 
 def test_online_bundle_fields():

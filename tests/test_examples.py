@@ -4,10 +4,13 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import splu
 
 from rb_operon.assembly import (assemble_load_boundary, assemble_mass,
-                                assemble_stiffness, full_field, truth_solve,
+                                assemble_stiffness, full_field,
+                                interior_factor, truth_solve,
                                 triangle_geometry)
+from rb_operon.errors import NotCoerciveError
 from rb_operon.examples import (_LOAD_CHUNK, Example1, Example2, ExampleSpec,
                                 ManufacturedSolution, _box_corners,
                                 _data_loads, build_mesh, build_problem,
@@ -363,6 +366,48 @@ def test_example3_coercivity_bound(tiny_problem3, rng):
     for k in rng.uniform(lo, hi, size=(3, 3)):
         lam = _pencil_min(prob.model.assemble_interior(k), prob.model.a_star_II)
         assert lam >= prob.alpha_lb * (1.0 - 1e-9)
+
+
+def test_indefinite_interior_operator_rejected(tiny_problem1, tiny_problem3):
+    # a negative inclusion contrast k1 makes A_II(k) indefinite but
+    # nonsingular, so a plain LU would solve it without complaint
+    model = tiny_problem1.model
+    k = np.array([-0.5, 0.5])
+    assert np.linalg.eigvalsh(model.assemble_interior(k).toarray())[0] < 0
+    with pytest.raises(NotCoerciveError):
+        interior_factor(model, k)
+    with pytest.raises(NotCoerciveError):
+        truth_solve(model, k, np.ones(model.n_free))
+    with pytest.raises(NotCoerciveError):
+        example3_direct_solve(tiny_problem3, np.array([-0.5, 0.5, 0.25]))
+
+
+def _rel(got, want):
+    return (np.linalg.norm(got - want, axis=0)
+            / np.linalg.norm(want, axis=0)).max()
+
+
+@pytest.mark.parametrize("fixture", ["tiny_problem1", "tiny_problem2",
+                                     "tiny_problem3"])
+def test_full_order_solves_match_plain_splu(fixture, request):
+    prob = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(12)
+    model = prob.model
+    lo, hi = np.array(prob.bench.spec.param_ranges).T
+    k = rng.uniform(lo, hi)
+    f = rng.standard_normal(model.n_free)
+    # reference: SuperLU with its default ordering and partial pivoting
+    want = splu(model.assemble_interior(k).tocsc()).solve(f)
+    assert _rel(interior_factor(model, k).solve(f), want) <= 1e-12
+    assert _rel(truth_solve(model, k, f), want) <= 1e-12
+    rhs = rng.standard_normal((model.n_free, 5))
+    want = splu(model.a_star_II.tocsc()).solve(rhs)
+    assert _rel(model.star_solve(rhs), want) <= 1e-12
+    if prob.bench.spec.example == 3:
+        a0, a1 = example3_direct_operator(prob, k[2])
+        a = (k[0] * a0 + a1).tocsr()[model.free][:, model.free]
+        want = splu(a.tocsc()).solve(model.load_interior(k))
+        assert _rel(example3_direct_solve(prob, k), want) <= 1e-12
 
 
 def test_problem_interior_mass(tiny_problem1):

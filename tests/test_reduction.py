@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rb_operon import reduction
-from rb_operon.errors import (CoercivityViolationError, EmptySpaceError,
+from rb_operon.errors import (EmptySpaceError, NotCoerciveError,
                               StagnationError)
 from rb_operon.examples import _data_loads, sample_parameters, sample_xi
 from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
@@ -108,7 +108,7 @@ def test_solve_reduced_and_batch(rng):
         a = np.tensordot(theta[s], blocks, axes=1)
         assert np.allclose(out[s], np.linalg.solve(a, f[s]))
         assert np.allclose(solve_reduced(a, f[s]), out[s])
-    with pytest.raises(CoercivityViolationError):
+    with pytest.raises(NotCoerciveError):
         solve_reduced(-np.eye(3), np.ones(3))
 
 
@@ -120,7 +120,7 @@ def test_solve_reduced_batch_names_indefinite_sample(rng):
     theta[6, 1] = 1e3      # B B^T + I - 1e3 I is indefinite, still invertible
     f = rng.standard_normal((ns, n))
     for chunk in (4, 512):
-        with pytest.raises(CoercivityViolationError, match="sample 6 "):
+        with pytest.raises(NotCoerciveError, match="sample 6 "):
             solve_reduced_batch(blocks, theta, f, chunk=chunk)
 
 
@@ -167,7 +167,7 @@ def test_bordered_cholesky_names_indefinite_sample():
     chol = _BorderedCholesky(theta, n)
     for j in range(4):
         chol.border(blocks[:, :j + 1, j], f[:, j])
-    with pytest.raises(CoercivityViolationError,
+    with pytest.raises(NotCoerciveError,
                        match="sample 3 is not SPD at dimension 5"):
         chol.border(blocks[:, :5, 4], f[:, 4])
 
