@@ -17,15 +17,19 @@ its Dirichlet/free split, the reference operator A_star, the factorized
 interior block, an implicit lifting map and the boundary energy metric.
 
 Every full-order SPD system (reference factor, interior factors, truth
-solves, example 3's exact pullback solve) is factored by ``_spd_factor``,
-whose pivot signs test positive definiteness exactly; an operator that
-fails raises NotCoerciveError.
+solves, example 3's exact pullback solve) is factored by the model's
+``BandLayout``: the interior pattern does not depend on the parameter, so
+one reverse Cuthill-McKee ordering per model fixes a band, and each
+operator is scattered into LAPACK band storage and factored by band
+Cholesky (``dpbtrf``).  Its ``info`` tests positive definiteness exactly;
+an operator that fails raises NotCoerciveError.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import EmptyMatrixError, NotCoerciveError
 from .mesh import _edge_keys
@@ -256,22 +260,100 @@ class AffineSparse:
         return out
 
 
-def _spd_factor(a, what):
-    """SuperLU factor of the symmetric ``a``; NotCoerciveError unless SPD.
+class BandLayout:
+    """Reverse Cuthill-McKee band of one symmetric sparsity pattern.
 
-    With a symmetric ordering and no off-diagonal pivot (perm_r == perm_c)
-    the U diagonal holds the LDL^T pivots of P a P^T, all positive exactly
-    when ``a`` is SPD (Sylvester's law of inertia).
+    ``perm`` orders the unknowns so that every entry of the pattern lies
+    within ``kd`` of the diagonal (``inv`` undoes it).  The layout counts
+    the factorizations and the right-hand sides solved through it.
     """
-    try:
-        lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise NotCoerciveError(f"{what} is singular: {exc}") from None
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal() > 0.0)):
-        raise NotCoerciveError(f"{what} is not positive definite")
-    return lu
+
+    def __init__(self, pattern):
+        self.n = pattern.shape[0]
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        self.inv = np.empty_like(self.perm)
+        self.inv[self.perm] = np.arange(self.n, dtype=self.perm.dtype)
+        coo = pattern.tocoo()
+        offsets = np.abs(self.inv[coo.row] - self.inv[coo.col])
+        self.kd = int(offsets.max(initial=0))
+        self.factorizations = 0
+        self.solves = 0
+
+    def counts(self):
+        return {"factorizations": self.factorizations, "solves": self.solves}
+
+    def factor(self, a, what):
+        """Band Cholesky factor of the symmetric ``a``; NotCoerciveError
+        unless it is positive definite.
+
+        The lower triangle of P a P^T is scattered into LAPACK lower band
+        storage; an entry outside the band raises ValueError.
+        """
+        a = sparse.csr_matrix(a, copy=True)
+        a.sum_duplicates()
+        rows = self.inv[np.repeat(np.arange(self.n), np.diff(a.indptr))]
+        cols = self.inv[a.indices]
+        lower = rows >= cols
+        rows, cols = rows[lower], cols[lower]
+        if np.any(rows - cols > self.kd):
+            raise ValueError(f"{what} has entries outside the band of "
+                             f"half-width {self.kd}")
+        ab = np.zeros((self.kd + 1, self.n), order="F")
+        ab[rows - cols, cols] = a.data[lower]
+        cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise NotCoerciveError(f"{what} is not positive definite")
+        self.factorizations += 1
+        return BandFactor(self, cb)
+
+
+# columns per dpbtrs call: the permuted copies of one chunk are all that a
+# solve holds besides its result
+_SOLVE_CHUNK = 64
+
+
+class BandFactor:
+    """Band Cholesky factor L L^T = P a P^T from ``BandLayout.factor``."""
+
+    def __init__(self, layout, cb):
+        self.layout = layout
+        self.cb = cb
+        self._l = None
+
+    def solve(self, b):
+        """Solve a x = b for one vector or an (n, m) column stack."""
+        b = np.asarray(b, dtype=float)
+        lay = self.layout
+        cols = b.reshape(lay.n, -1)
+        out = np.empty_like(cols)
+        for lo in range(0, cols.shape[1], _SOLVE_CHUNK):
+            pb = np.asfortranarray(cols[lay.perm, lo:lo + _SOLVE_CHUNK])
+            x, info = dpbtrs(self.cb, pb, lower=1, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"dpbtrs rejected argument {-info}")
+            out[:, lo:lo + _SOLVE_CHUNK] = x[lay.inv]
+        lay.solves += cols.shape[1]
+        return out.reshape(b.shape)
+
+    @property
+    def L(self):
+        """Lower factor of P a P^T as a sparse matrix (its exact zeros
+        outside the envelope left out)."""
+        if self._l is None:
+            n = self.layout.n
+            # column j of the band storage is column j of L from its diagonal
+            cols = self.cb.T
+            rows = np.arange(n)[:, None] + np.arange(cols.shape[1])
+            keep = (cols != 0.0) & (rows < n)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(keep.sum(axis=1), out=indptr[1:])
+            self._l = sparse.csc_matrix((cols[keep], rows[keep], indptr),
+                                        shape=(n, n))
+        return self._l
+
+    @property
+    def U(self):
+        return self.L.T
 
 
 @dataclass
@@ -311,7 +393,8 @@ class ParametricModel:
         self.a_star_II = a_star[self.free][:, self.free].tocsr()
         self.a_star_IB = a_star[self.free][:, self.dirichlet].tocsr()
         self.a_star_BB = a_star[self.dirichlet][:, self.dirichlet].toarray()
-        self.star_factor = _spd_factor(self.a_star_II, "reference operator")
+        self.band = BandLayout(self.affine_II.template)
+        self.star_factor = self.band.factor(self.a_star_II, "reference operator")
         if len(self.dirichlet):
             x = self.star_factor.solve(self.a_star_IB.toarray())
             self.lift_block = -x
@@ -401,9 +484,9 @@ def aggregated_load(model, k, f_free=None, g_b=None):
 def truth_solve(model, k, f_hat):
     """Free-node solution of A_II(k) w = f_hat, checked SPD and by residual."""
     a = model.assemble_interior(k)
-    lu = _spd_factor(a, "interior operator")
+    fac = model.band.factor(a, "interior operator")
     f_hat = np.asarray(f_hat, dtype=float)
-    w = lu.solve(f_hat)
+    w = fac.solve(f_hat)
     ref = np.linalg.norm(f_hat)
     if ref > 0 and np.linalg.norm(a @ w - f_hat) > 1e-8 * ref:
         raise NotCoerciveError("direct solve residual too large")
@@ -411,8 +494,8 @@ def truth_solve(model, k, f_hat):
 
 
 def interior_factor(model, k):
-    """Reusable SuperLU factor of A_II(k), checked SPD by ``_spd_factor``."""
-    return _spd_factor(model.assemble_interior(k), "interior operator")
+    """Reusable band Cholesky factor of A_II(k), checked SPD."""
+    return model.band.factor(model.assemble_interior(k), "interior operator")
 
 
 def full_field(model, w_free, g_b=None):

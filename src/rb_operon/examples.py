@@ -29,7 +29,7 @@ from .artifacts import (load_boundary_modes, load_case2_blocks,
                         save_source_modes, save_surrogate)
 from .assembly import (aggregated_load, assemble_stiffness, assemble_mass,
                        assemble_boundary_mass, assemble_load_boundary,
-                       build_model, load_quadrature, truth_solve, _spd_factor)
+                       build_model, load_quadrature, truth_solve)
 from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
                         encode_source, reduced_rhs_case2,
                         reduced_rhs_case2_batch, source_greedy)
@@ -313,8 +313,9 @@ def example3_direct_solve(problem, k):
     a0, a1 = example3_direct_operator(problem, float(k[2]))
     a = (float(k[0]) * a0 + a1).tocsr()
     free = problem.model.free
-    lu = _spd_factor(a[free][:, free], "exact pullback interior operator")
-    return lu.solve(problem.model.load_interior(k))
+    fac = problem.model.band.factor(a[free][:, free],
+                                    "exact pullback interior operator")
+    return fac.solve(problem.model.load_interior(k))
 
 
 # draws whose quadrature-point values are held at once

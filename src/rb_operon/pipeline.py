@@ -110,7 +110,8 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
 
     Writes mesh, sampled pools, data modes (example 2), EIM surrogate
     (example 3), greedy trunk with its certification trace, optional POD
-    trunk with supervised targets, and a manifest of every constant.
+    trunk with supervised targets, and a manifest of every constant and of
+    the full-order factorizations and right-hand sides solved.
     """
     spec = apply_overrides(example_spec(example), overrides)
     # pod_build would reject this only after every other offline step
@@ -182,6 +183,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         manifest["dims_trunk"]["pod_n"] = space_p.dim
         bench.save_blocks(adir, model, space_p.psi, "pod")
 
+    manifest["full_order"] = model.band.counts()
     adir.write_manifest(manifest)
     return adir
 

@@ -216,7 +216,7 @@ def test_negative_definite_reference_rejected():
         build_model(mesh, free, bd, theta_a=lambda k: np.array([k[0]]),
                     a_terms=[-a], k_star=(1.0,))
     # shifted just past its smallest eigenvalue, the reference operator has
-    # one slightly negative direction; the pivot test is exact, so a shift
+    # one slightly negative direction; the Cholesky test is exact, so a shift
     # just short of it passes and one just past it fails
     lam = np.linalg.eigvalsh(a[free][:, free].toarray())[0]
     eye = sparse.identity(mesh.n_nodes, format="csr")
@@ -229,3 +229,49 @@ def test_negative_definite_reference_rejected():
     model(0.99)
     with pytest.raises(NotCoerciveError):
         model(1.01)
+
+
+def test_band_factor_reproduces_permuted_operator(tiny_problem1):
+    # the sparse L and U the fill metric counts are the real factor
+    model = tiny_problem1.model
+    a = model.assemble_interior(np.array([2.0, 0.5]))
+    fac = model.band.factor(a, "interior operator")
+    p = model.band.perm
+    diff = abs(fac.L @ fac.U - a[p][:, p])
+    assert diff.max() <= 1e-13 * abs(a).max()
+    assert fac.L.nnz > 0 and fac.U.nnz == fac.L.nnz
+
+
+def test_band_factor_rejects_entry_outside_band(tiny_problem1):
+    model = tiny_problem1.model
+    band = model.band
+    assert band.kd < band.n - 1
+    a = model.assemble_interior(model.k_star).tolil()
+    # the first and last unknowns of the band order, coupled symmetrically
+    i, j = band.perm[0], band.perm[-1]
+    a[i, j] = a[j, i] = 1e-3
+    with pytest.raises(ValueError, match="outside the band"):
+        band.factor(a.tocsr(), "widened operator")
+
+
+def test_band_solve_shapes_and_counts(tiny_problem1, rng):
+    model = tiny_problem1.model
+    band = model.band
+    before = band.counts()
+    fac = interior_factor(model, model.k_star)
+    f = rng.standard_normal(model.n_free)
+    fs = rng.standard_normal((model.n_free, 3))
+    x = fac.solve(f)
+    xs = fac.solve(fs)
+    assert x.shape == (model.n_free,) and xs.shape == (model.n_free, 3)
+    a = model.assemble_interior(model.k_star)
+    assert np.linalg.norm(a @ xs - fs) <= 1e-12 * np.linalg.norm(fs)
+    assert np.allclose(xs[:, 0], fac.solve(fs[:, 0]),
+                       rtol=0, atol=1e-14 * abs(xs).max())
+    # wider than one dpbtrs chunk
+    wide = rng.standard_normal((model.n_free, 130))
+    xw = fac.solve(wide)
+    assert np.linalg.norm(a @ xw - wide) <= 1e-12 * np.linalg.norm(wide)
+    after = band.counts()
+    assert after["factorizations"] == before["factorizations"] + 1
+    assert after["solves"] == before["solves"] + 135

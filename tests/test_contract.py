@@ -2,7 +2,7 @@
 
 The harness imports library functions by name, patches the traced layers
 by (module, attribute), reads fields of the online bundle and reads the
-fill of the SuperLU factor ``interior_factor`` returns; a change in the
+fill of the band factor ``interior_factor`` returns; a change in the
 package breaks it only when it runs.  These checks read the harness's own
 tables and imports and never modify them.
 """
@@ -88,8 +88,8 @@ def test_fill_hook_reads_interior_factor(tiny_problem1):
     assert out["fill_nnz"] > 0
 
 
-def test_only_assembly_imports_splu():
-    # every full-order factorization goes through assembly._spd_factor
+def test_no_module_imports_splu():
+    # every full-order factorization goes through the model's band layout
     pkg = os.path.join(ROOT, "src", "rb_operon")
     users = set()
     for fname in sorted(os.listdir(pkg)):
@@ -103,7 +103,7 @@ def test_only_assembly_imports_splu():
                     or (isinstance(node, ast.Attribute)
                         and node.attr == "splu")):
                 users.add(fname)
-    assert users == {"assembly.py"}
+    assert users == set()
 
 
 def test_online_bundle_fields():

@@ -68,6 +68,20 @@ def test_manifest_records_mesh_relaxation(tiny1_dir, tiny2_dir):
     assert "relaxation" not in ArtifactDir(tiny2_dir).read_manifest()["mesh"]
 
 
+def test_manifest_records_full_order_counts(tiny1_dir, tiny2_dir):
+    # the reference factor, one truth per greedy column and, with POD, one
+    # per pool snapshot; every factor solves at least one right-hand side
+    for path, pod in ((tiny1_dir, True), (tiny2_dir, False)):
+        manifest = ArtifactDir(path).read_manifest()
+        counts = manifest["full_order"]
+        want = 1 + manifest["dims_trunk"]["greedy_n"]
+        if pod:
+            want += manifest["sizes"]["n_pool"]
+        assert counts["factorizations"] == want
+        assert counts["solves"] >= (counts["factorizations"]
+                                    + manifest["mesh"]["n_dirichlet"])
+
+
 def test_theta_batch_values(tiny_problem3, rng):
     ks1 = np.array([[2.0, -0.5], [0.3, 0.9]])
     assert np.allclose(theta_batch(1, ks1), [[2.0, 1.0], [0.3, 1.0]])
