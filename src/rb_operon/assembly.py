@@ -360,8 +360,11 @@ class BandFactor:
 class ParametricModel:
     """Affine parametric operator with Dirichlet bookkeeping.
 
-    a_terms hold the full-node-set matrices A_p; theta_a maps a parameter
-    vector to their weights.  Optional affine load terms (theta_f, f_terms)
+    a_terms hold the full-node-set matrices A_p; theta_a maps parameters to
+    their weights, rows in, rows out: one parameter row (p,) gives (Q_a,),
+    and a stack of rows (n, p) gives (n, Q_a) in one call, the same values
+    row by row, so a sweep over a sample pool weighs it whole.  Optional
+    affine load terms (theta_f, f_terms)
     cover right-hand sides that share the parameterization.  k_star fixes
     the reference operator A_star used for lifting, the boundary metric and
     every norm downstream.

@@ -13,8 +13,9 @@ Three parametric elliptic problems exercise the toolkit end to end:
 All that differs per example lives in the benchmark objects ``Example1`` to
 ``Example3`` below, problem construction included: the Dirichlet sides,
 affine terms, loads and coercivity bound on a mesh, and the state read back
-from an artifact directory; theta(k), which serves the truth model, the
-batched stages and the online query alike; branch features; reduced load;
+from an artifact directory; theta(k), which takes one parameter row or a
+stack of rows and serves the truth model, the greedy sweep, the batched
+stages and the online query alike; branch features; reduced load;
 sample pools and truth solves; run defaults and gates.
 """
 
@@ -397,12 +398,14 @@ class Example1:
             model, samples=_box_corners(self.spec.param_ranges))
 
     def theta(self, k):
-        """Operator weights theta_a(k) of one parameter row."""
-        return np.array([k[0], 1.0])
-
-    def theta_batch(self, ks):
-        ks = np.atleast_2d(np.asarray(ks, dtype=float))
-        return np.vstack([self.theta(k) for k in ks])
+        """Operator weights theta_a(k): (Q_a,) for one parameter row (p,),
+        (n, Q_a) for a stack of rows (n, p)."""
+        k = np.asarray(k, dtype=float)
+        if k.ndim == 1:
+            return np.array([k[0], 1.0])
+        out = np.ones((len(k), 2))
+        out[:, 0] = k[:, 0]
+        return out
 
     def features(self, k, a, b):
         return np.asarray(k, dtype=float)
@@ -491,8 +494,9 @@ class Example3(Example1):
         return min(1.0, self.spec.param_ranges[0][0]) * floor * 0.95
 
     def theta(self, k):
-        alpha = eim_coefficients(self.eim, k[2])
-        return np.concatenate([alpha, k[0] * alpha])
+        k = np.asarray(k, dtype=float)
+        alpha = eim_coefficients(self.eim, k[..., 2])
+        return np.concatenate([alpha, k[..., 0, None] * alpha], axis=-1)
 
     def offline_data(self, problem, adir, rng, manifest):
         save_surrogate(adir, self.eim)

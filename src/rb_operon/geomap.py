@@ -16,7 +16,9 @@ samples restores an affine surrogate of rank Q for the online stage.
 
 import numpy as np
 from dataclasses import dataclass, field
+from functools import cached_property
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import MapDegenerateError
 
@@ -34,8 +36,13 @@ class RadialMap:
             raise ValueError("radii must satisfy 0 < r- <= rmin < rmax < r+ < 1")
 
     def _check(self, r):
-        if not (self.r_min <= r <= self.r_max):
-            raise ValueError(f"radius {r} outside [{self.r_min}, {self.r_max}]")
+        """``r`` as a float array, checked inside [r_min, r_max] entrywise."""
+        r = np.asarray(r, dtype=float)
+        ok = (r >= self.r_min) & (r <= self.r_max)
+        if not ok.all():
+            bad = float(r[~ok].flat[0])
+            raise ValueError(f"radius {bad} outside [{self.r_min}, {self.r_max}]")
+        return r
 
     def mapped_radius(self, rho, r):
         """s(rho) and its slope s'(rho), vectorized."""
@@ -130,11 +137,55 @@ class EimPivots:
     pivot_comps: np.ndarray     # (Q,) tensor component (xx, xy, yy) at each
     tri_mat: np.ndarray         # (Q, Q) unit lower-triangular pivot matrix
 
+    @cached_property
+    def _pivot_form(self):
+        """Per-pivot constants of G's closed form, fixed by the pivot radii.
+
+        Each pivot sits on one linear piece of s(rho) whatever r is, so
+        s' = w_in sl_in + w_out sl_out + w_id and
+        phi = (a + b s' + w_out r) / den, with 0/1 weights; an identity
+        piece gets a = den = 1, so phi = 1 exactly, as at rho = 0.
+        """
+        rm = self.radial_map
+        x = np.asarray(self.pivot_points, dtype=float)
+        rho = np.linalg.norm(x, axis=1)
+        inner = (rho >= rm.r_minus) & (rho < rm.r0)
+        outer = (rho >= rm.r0) & (rho < rm.r_plus)
+        ident = ~(inner | outer)
+        pos = rho > 0.0
+        e = np.zeros_like(x)
+        e[pos] = x[pos] / rho[pos, None]
+        # (xx, xy, yy) -> the two unit-vector coordinates of the component
+        ia = np.array([0, 0, 1])[self.pivot_comps]
+        ib = np.array([0, 1, 1])[self.pivot_comps]
+        eprod = e[np.arange(len(x)), ia] * e[np.arange(len(x)), ib]
+        a = np.where(inner, rm.r_minus, 0.0) + ident
+        b = np.where(inner, rho - rm.r_minus, np.where(outer, rho - rm.r0, 0.0))
+        den = np.where(ident, 1.0, rho)
+        return (inner.astype(float), outer.astype(float), ident.astype(float),
+                a, b, den, (self.pivot_comps != 1).astype(float), eprod)
+
     def pivot_values(self, r):
-        """G components at the pivot locations only; O(Q) work."""
-        g = self.radial_map.jacobian_tensor(self.pivot_points, r)
-        comps = np.stack([g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1)
-        return comps[np.arange(len(self.pivot_comps)), self.pivot_comps]
+        """G components at the pivot locations, (Q,) for one radius and
+        (n, Q) for a 1-D array of n radii; O(Q) work per radius.
+
+        G = lam_t I + (phi/s' - lam_t) e e^T with lam_t = s'/phi and e the
+        pivot's unit radial vector, evaluated in the operation order of
+        ``RadialMap.jacobian_tensor``, so each value equals its entry.
+        """
+        rm = self.radial_map
+        r = rm._check(r)[..., None]
+        w_in, w_out, w_id, a, b, den, diag, eprod = self._pivot_form
+        sl_in = (r - rm.r_minus) / (rm.r0 - rm.r_minus)
+        sl_out = (rm.r_plus - r) / (rm.r_plus - rm.r0)
+        ds = w_in * sl_in + w_out * sl_out + w_id
+        phi = (a + b * ds + w_out * r) / den
+        bad = phi * ds <= 0.0
+        if bad.any():
+            r_bad = float(np.broadcast_to(r, bad.shape)[bad][0])
+            raise MapDegenerateError(f"det J <= 0 for radius {r_bad}")
+        lam_t = ds / phi
+        return diag * lam_t + (phi / ds - lam_t) * eprod
 
 
 @dataclass
@@ -199,9 +250,15 @@ def eim_build(radial_map, points, radii, q_max, tol=None):
 
 
 def eim_coefficients(surrogate, r):
-    """Weights alpha(r) from any EimPivots' pivot values, O(Q^2) online."""
+    """Weights alpha(r) from any EimPivots' pivot values, O(Q^2) online:
+    (Q,) for one radius, (n, Q) for a 1-D array of n radii, by one
+    triangular solve with a right-hand side per radius."""
     rhs = surrogate.pivot_values(r)
-    return solve_triangular(surrogate.tri_mat, rhs, lower=True)
+    # the transposes are Fortran-ordered views, which LAPACK takes as is
+    alpha, info = dtrtrs(surrogate.tri_mat.T, rhs.T, lower=0, trans=1)
+    if info:
+        raise ValueError(f"dtrtrs failed with info={info}")
+    return alpha.T
 
 
 def eim_reconstruct(surrogate, r):

@@ -95,7 +95,7 @@ def spec_from_manifest(manifest):
 def theta_batch(example, ks, surrogate=None):
     """Operator weights theta_a for a batch of parameter rows."""
     bench = BENCHMARKS[example](example_spec(example), surrogate)
-    return bench.theta_batch(ks)
+    return bench.theta(np.atleast_2d(np.asarray(ks, dtype=float)))
 
 
 def _pool_snapshots(model, ks, f_hat_all):
@@ -211,7 +211,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
 
     if method == "rb":
         ks, a, b = bench.train_rows(adir, seed)
-        theta = bench.theta_batch(ks)
+        theta = bench.theta(ks)
         f_rb = bench.rhs(space, bench.load_blocks(adir, "greedy"), theta,
                          ks, a, b)
         c_n = solve_reduced_batch(space.a_blocks, theta, f_rb)
@@ -302,7 +302,7 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     rng = np.random.default_rng(seed)
     ks = sample_parameters(spec, n_test, rng)
     u_ref, lift, g_b, a, b = bench.eval_data(problem, adir, ks, rng)
-    theta = bench.theta_batch(ks)
+    theta = bench.theta(ks)
     f_rb = {name: bench.rhs(spaces[name], bench.load_blocks(adir, name),
                             theta, ks, a, b) for name in spaces}
 

@@ -18,12 +18,19 @@ form does.  s(k)^2 is kept as a downdated difference, the undeflated square
 minus the squares of the U coordinates of the load, which are the P_F rows.
 That difference is accurate except near the round-off floor, so s(k)^2 is
 recomputed exactly, by one reference solve per sample, only where its drift
-bound could change the argmax or the tolerance test.  The coefficients c(k)
-come from per-sample Cholesky factors of A_N(k) that grow by one border row
-per accepted trunk column, so the sweep never refactorizes one.  The factors
-are held sample-last: each factor row is one array with the samples along
-its last axis, so every substitution step is one contiguous update across
-the whole sweep set.
+bound could change the argmax or the tolerance test.
+
+The sweep works on the whole pool at once.  theta is evaluated once for
+every pool sample, in one call.  The second piece is one matrix product:
+the R_p blocks are held side by side, (U row, trunk column, term), and
+multiply the Khatri-Rao block whose row (j, p) is c_j(k) theta_p(k).  The
+coefficients c(k) come from per-sample inverse Cholesky factors
+X(k) = L(k)^-1 of A_N(k) that grow by one row per accepted trunk column:
+l = X col and v = X^T l for the new column col of A_N(k) give the new row
+[-v/d, 1/d] of X and the update c <- c + y_n x_new, so the sweep never
+refactorizes and never substitutes.  X is held sample-last, in blocks of
+rows, so each of the two passes is one einsum per block across the whole
+sweep set.
 
 Everything else the sweep grows (the trunk, the A_p images of its columns,
 U, P_F, the R_p blocks, the reduced loads and the reduced stiffness blocks)
@@ -34,7 +41,7 @@ nothing that came before it, except when a buffer doubles and in the
 contiguous copy of the trunk that ``v_orthonormalize`` projects on.
 
 Every reduced system is solved by a checked Cholesky factorization: the
-sweep's bordered factors, and one factor-and-solve kernel behind
+sweep's bordered inverse factors, and one factor-and-solve kernel behind
 ``solve_reduced`` and ``solve_reduced_batch``.  An operator that is not SPD,
 which a loss of coercivity would produce, raises NotCoerciveError naming
 its sample instead of yielding coefficients.
@@ -53,6 +60,7 @@ _STAR_CHUNK = 256   # load representers solved per star_solve call
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
 _DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
 _CAPACITY = 8       # trunk columns a greedy buffer holds before it first doubles
+_BLOCK = 8          # inverse-factor rows per block of _BorderedCholesky
 
 
 @dataclass
@@ -132,11 +140,9 @@ def coercivity_lower_bound(model, samples):
     positive semidefinite.
     """
     th_star = np.asarray(model.theta_a(model.k_star), dtype=float)
-    best = np.inf
-    for k in np.atleast_2d(np.asarray(samples, dtype=float)):
-        th = np.asarray(model.theta_a(k), dtype=float)
-        best = min(best, float(np.min(th / th_star)))
-    return max(best, 0.0)
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    th = np.asarray(model.theta_a(samples), dtype=float)
+    return max(float(np.min(th / th_star)), 0.0)
 
 
 def reduce_operators(model, psi):
@@ -252,7 +258,10 @@ class _SweepState:
         self._a = np.empty((qa, cap, cap))         # psi^T A_p psi
         self._u = np.empty((qa * cap, n_free))     # U^T
         self._p_f = np.empty((qa * cap, ns))
-        self._r = np.empty((qa, qa * cap, cap))    # R_p = U^T A_p psi
+        # R_p = U^T A_p psi as (U row, trunk column, term), so that the
+        # leading (m, n, Q_a) corner reshapes to [R_1 ... R_Q] by columns
+        # interleaved term-fastest without a copy
+        self._r = np.empty((qa * cap, cap, qa))
 
     @property
     def psi(self):
@@ -283,16 +292,16 @@ class _SweepState:
 
     def _append_u(self, u_new):
         m, n = self.m, self.n
-        bound = len(self._r) * self.bound
+        bound = len(self._w) * self.bound
         self._u = _reserve(self._u, m, bound)
         self._p_f = _reserve(self._p_f, m, bound)
-        self._r = _reserve(self._r, m, bound, axes=(1,))
+        self._r = _reserve(self._r, m, bound)
         self._u[m] = u_new
         row = np.matmul(u_new, self.f_hat, out=self._p_f[m])
         self.s2 -= row * row
         # one new R_p row against every trunk column seen so far
-        for p in range(len(self._r)):
-            np.matmul(self._w[p, :n], u_new, out=self._r[p, m, :n])
+        for p in range(len(self._w)):
+            self._r[m, :n, p] = self._w[p, :n] @ u_new
         self.m = m + 1
 
     def enrich(self, model, psi_new):
@@ -302,14 +311,14 @@ class _SweepState:
         self._w = _reserve(self._w, n, b, axes=(1,))
         self._f_rb = _reserve(self._f_rb, n, b)
         self._a = _reserve(self._a, n, b, axes=(1, 2))
-        self._r = _reserve(self._r, n, b, axes=(2,))
+        self._r = _reserve(self._r, n, b, axes=(1,))
         self._psi[n] = psi_new
         ut = self._u[:self.m]
         raw = []
         for p in range(len(self._w)):
             w_p = self._w[p, n]
             w_p[:] = model.affine_II.term(p) @ psi_new
-            self._r[p, :self.m, n] = ut @ w_p
+            self._r[:self.m, n, p] = ut @ w_p
             d = model.star_solve(w_p)
             raw.append((d, np.sqrt(max(d @ w_p, 0.0))))
         self.n = n + 1
@@ -327,38 +336,46 @@ class _SweepState:
 
     def estimator_sq(self, theta_all, idx, c, alpha_lb):
         """eta^2 over the samples in ``idx`` given their RB coefficients
-        ``c``, one column (N,) per sample."""
-        theta = theta_all[idx]
+        ``c``, one column (N,) per sample.
+
+        sum_p theta_p R_p c is one product of [R_1 ... R_Q] (columns
+        interleaved term-fastest) with the Khatri-Rao block of c and theta,
+        row (j, p) of which is c_j theta_p over the samples.
+        """
         m, n = self.m, self.n
-        y = np.zeros((m, len(idx)))
-        for p in range(len(self._r)):
-            y += (self._r[p, :m, :n] @ c) * theta[:, p][None, :]
-        y = self._p_f[:m, idx] - y
+        qa = self._r.shape[2]
+        kr = c[:, None, :] * theta_all[idx].T[None, :, :]
+        y = self._p_f[:m, idx]
+        y -= self._r[:m, :n].reshape(m, n * qa) @ kr.reshape(n * qa, -1)
         s2 = np.maximum(self.s2[idx], 0.0)
         return (s2 + np.einsum("ij,ij->j", y, y)) / alpha_lb ** 2
 
 
 class _BorderedCholesky:
-    """Cholesky factors L(k) of A_N(k) for a fixed set of samples.
+    """Inverse Cholesky factors X(k) = L(k)^-1 of A_N(k) for a fixed set of
+    samples, and the RB coefficients c(k) = X(k)^T X(k) f_N(k) they give.
 
-    The factors are held sample-last: row i of every factor is one
-    (i + 1, n_samples) array, and y(k) = L(k)^-1 f_N(k) is row-stacked in a
-    (capacity, n_samples) buffer, so each substitution step updates
-    contiguous rows across all samples at once.  Appending a trunk column
-    borders each factor by one row in O(N^2) per sample, instead of
-    refactorizing in O(N^3).  The capacity doubles when full, capped at
-    ``bound`` rows; the back substitution's scratch buffer and every array
-    ``solve`` returns have that same size.
+    X is lower triangular and held sample-last, in blocks of ``_BLOCK``
+    rows: block b is one (rows, width, n_samples) array of rows
+    [b _BLOCK, (b + 1) _BLOCK) of every X(k), zero beyond each row's
+    diagonal, and width (b + 1) _BLOCK capped at ``bound``.  Appending a
+    trunk column borders each L(k) by the row [l^T, d], with
+    L l = col[:n] and d^2 = col[n] - |l|^2 for the new column col of
+    A_N(k).  In terms of X that is l = X col[:n] and v = X^T l, one einsum
+    pair per block, and the new row [-v/d, 1/d] of X.  Since c = X^T y with y = X f_N, the coefficients update in O(N) per
+    sample, c <- c + y_n x_new, so no substitution runs at solve time.
+    y and c are row-stacked in (capacity, n_samples) buffers that double
+    when full, capped at ``bound`` rows.
     """
 
     def __init__(self, theta, bound):
         ns = theta.shape[0]
         self.theta = np.ascontiguousarray(theta.T)   # (Q_a, n_samples)
         self.bound = bound
-        self.rows = []
+        self.n = 0
+        self.blocks = []
         self.y = np.empty((min(_CAPACITY, bound), ns))
-        self._tmp = np.empty_like(self.y)
-        self._dot = np.empty(ns)
+        self.c = np.empty_like(self.y)
 
     def border(self, a_col, f_new):
         """Append one trunk column.
@@ -366,48 +383,45 @@ class _BorderedCholesky:
         ``a_col`` (Q_a, n + 1) is the new column of every reduced block and
         ``f_new`` (n_samples,) the new reduced load entry of every sample.
         """
-        n = len(self.rows)
+        n = self.n
         if n == len(self.y):
             self.y = _reserve(self.y, n, self.bound)
-            self._tmp = np.empty_like(self.y)
-        dot = self._dot
-        # the new column of every A_N(k), overwritten in place by the
-        # forward substitution L l = col[:n], one factor row at a time
-        row = a_col.T @ self.theta
-        for i, prev in enumerate(self.rows):
-            np.einsum("js,js->s", prev[:i], row[:i], out=dot)
-            row[i] -= dot
-            row[i] /= prev[i]
-        d2 = row[n] - np.einsum("js,js->s", row[:n], row[:n], out=dot)
+            self.c = _reserve(self.c, n, self.bound)
+        b, i = divmod(n, _BLOCK)
+        if i == 0:
+            self.blocks.append(np.zeros(
+                (min(_BLOCK, self.bound - n), min(n + _BLOCK, self.bound),
+                 len(f_new))))
+        x_new = self.blocks[b][i]     # still zero: v accumulates into it
+        # the new column of every A_N(k); l = X col[:n] overwrites its head
+        # block by block, last block first, so each block reads only the
+        # entries of col its rows reach, none of them yet overwritten
+        col = a_col.T @ self.theta
+        for j in range(b, -1, -1):
+            lo = j * _BLOCK
+            rows = self.blocks[j][:n - lo, :n]   # its filled rows
+            hi, w = lo + len(rows), rows.shape[1]
+            if hi > lo:
+                col[lo:hi] = np.einsum("ijs,js->is", rows, col[:w])
+                x_new[:w] += np.einsum("ijs,is->js", rows, col[lo:hi])
+        ell = col[:n]
+        d2 = col[n] - np.einsum("js,js->s", ell, ell)
         bad = np.flatnonzero(~(d2 > 0.0))
         if bad.size:
             raise NotCoerciveError(
                 f"reduced operator of sample {bad[0]} is not SPD at "
                 f"dimension {n + 1}")
-        np.sqrt(d2, out=row[n])
-        self.rows.append(row)
-        np.einsum("js,js->s", row[:n], self.y[:n], out=dot)
-        np.subtract(f_new, dot, out=self.y[n])
-        self.y[n] /= row[n]
+        d = np.sqrt(d2)
+        np.divide(1.0, d, out=x_new[n])
+        x_new[:n] *= -x_new[n]
+        self.y[n] = (f_new - np.einsum("js,js->s", ell, self.y[:n])) / d
+        self.c[:n] += self.y[n] * x_new[:n]
+        np.multiply(self.y[n], x_new[n], out=self.c[n])
+        self.n = n + 1
 
     def solve(self):
-        """RB coefficients (N, n_samples) by one back substitution.
-
-        The coefficients are formed in place in a new array of the y
-        buffer's size, so a later call never overwrites a result, and the
-        allocator can hand the same block back from call to call; products
-        go through the reused scratch buffer.
-        """
-        n = len(self.rows)
-        c = np.empty_like(self.y)
-        c[:n] = self.y[:n]
-        tmp = self._tmp
-        for j in range(n - 1, -1, -1):
-            row = self.rows[j]
-            c[j] /= row[j]
-            np.multiply(row[:j], c[j], out=tmp[:j])
-            c[:j] -= tmp[:j]
-        return c[:n]
+        """RB coefficients (N, n_samples), a copy later borders leave alone."""
+        return self.c[:self.n].copy()
 
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
@@ -429,7 +443,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     if f_hat_all is None:
         cols = [model.load_interior(k) for k in samples]
         f_hat_all = np.column_stack(cols)
-    theta_all = np.vstack([model.theta_a(k) for k in samples])
+    theta_all = np.asarray(model.theta_a(samples), dtype=float)
     n_cap = fixed_n if fixed_n is not None else min(ns, model.n_free)
     # each accepted column is a different pool sample's snapshot, A_star-
     # orthogonal to the rest, and the first is taken whatever fixed_n says

@@ -349,6 +349,25 @@ def test_example3_theta_structure(tiny_problem3):
     assert np.allclose(th[q:], 2.5 * th[:q])
 
 
+@pytest.mark.parametrize("name", ["tiny_problem1", "tiny_problem2",
+                                  "tiny_problem3"])
+def test_theta_rows_in_rows_out(name, request):
+    # one call on a stack of rows gives each row's own weights: exactly for
+    # the closed forms, to round-off for the EIM solve of example 3
+    prob = request.getfixturevalue(name)
+    spec = prob.bench.spec
+    ks = sample_parameters(spec, 40, np.random.default_rng(8))
+    ks[0] = spec.k_star
+    stacked = prob.model.theta_a(ks)
+    rows = np.vstack([prob.model.theta_a(k) for k in ks])
+    assert stacked.shape == rows.shape == (40, prob.model.affine_II.n_terms)
+    if spec.example == 3:
+        assert np.all(np.abs(stacked - rows)
+                      <= 1e-14 * np.abs(rows).max(axis=1, keepdims=True))
+    else:
+        assert np.array_equal(stacked, rows)
+
+
 def test_example3_eim_model_matches_direct_solve(tiny_problem3, rng):
     prob = tiny_problem3
     lo, hi = np.array(prob.bench.spec.param_ranges).T

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rb_operon.geomap import (RadialMap, eim_build, eim_reconstruct,
+from rb_operon.errors import MapDegenerateError
+from rb_operon.geomap import (EimPivots, RadialMap, eim_build,
+                              eim_coefficients, eim_reconstruct,
                               tensor_field_per_triangle, tensor_snapshot)
 
 RM = RadialMap()
@@ -134,6 +136,69 @@ def test_pivot_values_match_full_snapshot():
     r = 0.27
     snap = tensor_snapshot(RM, pts, r)
     assert np.allclose(sur.pivot_values(r), snap[sur.pivots])
+
+
+def test_pivot_values_equal_jacobian_tensor_at_pivots(rng):
+    # the closed form at the pivots, for one radius and for a vector of
+    # radii, is the pullback tensor itself, entry for entry
+    pts, radii, sur = eim_fixture()
+    rs = np.concatenate([[RM.r_min, RM.r0, RM.r_max],
+                         rng.uniform(RM.r_min, RM.r_max, 20)])
+    want = np.array([tensor_snapshot(RM, pts, r)[sur.pivots] for r in rs])
+    assert np.array_equal(sur.pivot_values(rs), want)
+    for r, row in zip(rs, want):
+        got = sur.pivot_values(r)
+        assert got.shape == (sur.rank,)
+        assert np.array_equal(got, row)
+    alpha = eim_coefficients(sur, rs)
+    assert alpha.shape == (len(rs), sur.rank)
+    for r, row in zip(rs, alpha):
+        assert np.allclose(eim_coefficients(sur, r), row, rtol=1e-14,
+                           atol=1e-14 * np.abs(row).max())
+
+
+def test_pivot_values_cover_every_piece_and_the_origin():
+    # one pivot on each piece of s(rho), the origin included, against the
+    # tensor at the same points
+    pts = np.array([[0.0, 0.0], [0.01, 0.02], [0.1, -0.05], [-0.15, 0.1],
+                    [0.3, 0.2], [0.0, -0.5], [0.45, 0.45]])
+    comps = np.array([0, 1, 2, 0, 1, 2, 1])
+    piv = EimPivots(RM, pts, comps, np.eye(len(pts)))
+    rs = np.array([0.07, 0.2, 0.41])
+    g = np.array([RM.jacobian_tensor(pts, r) for r in rs])
+    a = np.array([0, 0, 1])[comps]
+    b = np.array([0, 1, 1])[comps]
+    want = g[:, np.arange(len(pts)), a, b]
+    assert np.array_equal(piv.pivot_values(rs), want)
+    assert np.array_equal(eim_coefficients(piv, rs), want)
+
+
+def test_pivot_values_check_every_radius():
+    _, _, sur = eim_fixture()
+    inside = np.linspace(RM.r_min, RM.r_max, 5)
+    for bad in (RM.r_max + 1e-3, RM.r_min - 1e-3, np.nan):
+        radii = np.concatenate([inside[:2], [bad], inside[2:]])
+        with pytest.raises(ValueError, match="outside"):
+            sur.pivot_values(radii)
+        with pytest.raises(ValueError, match="outside"):
+            eim_coefficients(sur, radii)
+    with pytest.raises(ValueError, match="outside"):
+        sur.pivot_values(RM.r_max + 1e-3)
+
+
+def test_pivot_values_raise_on_degenerate_map():
+    # with r_minus = r_min the inner slope (r - r_minus)/(r0 - r_minus)
+    # vanishes at r = r_min, so det J = 0 on the inner annulus
+    rm = RadialMap(r_minus=0.05, r_min=0.05)
+    pts = np.array([[0.1, 0.0], [0.3, 0.1]])
+    piv = EimPivots(rm, pts, np.array([0, 2]), np.eye(2))
+    assert np.all(np.isfinite(piv.pivot_values(np.array([0.1, 0.3]))))
+    with pytest.raises(MapDegenerateError, match="radius 0.05"):
+        piv.pivot_values(np.array([0.1, 0.05, 0.3]))
+    with pytest.raises(MapDegenerateError):
+        piv.pivot_values(0.05)
+    with pytest.raises(MapDegenerateError):
+        rm.jacobian_tensor(pts, 0.05)
 
 
 def test_tensor_field_reshape_symmetry():

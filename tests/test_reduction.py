@@ -150,6 +150,36 @@ def test_bordered_cholesky_matches_batch_solve():
     assert len(chol.y) == n
 
 
+def test_bordered_cholesky_holds_inverse_factors():
+    # three row blocks, the last one cut at the bound: X(k) stays lower
+    # triangular with X A_N(k) X^T = I, and an array solve returned is not
+    # touched by the borders that follow
+    rng = np.random.default_rng(6)
+    blk_rows = reduction._BLOCK
+    n, qa, ns = 2 * blk_rows + 3, 2, 5
+    base = rng.standard_normal((qa, n, n))
+    blocks = np.einsum("qij,qkj->qik", base, base) + np.eye(n)
+    theta = rng.uniform(0.5, 2.0, size=(ns, qa))
+    f = rng.standard_normal((ns, n))
+    chol = _BorderedCholesky(theta, n)
+    handed = []
+    for j in range(n):
+        chol.border(blocks[:, :j + 1, j], f[:, j])
+        got = chol.solve()
+        for old, snap in handed:
+            assert np.array_equal(old, snap)
+        handed.append((got, got.copy()))
+    assert ([blk.shape[:2] for blk in chol.blocks]
+            == [(blk_rows, blk_rows), (blk_rows, 2 * blk_rows), (3, n)])
+    for s in range(ns):
+        x = np.vstack([np.pad(blk[:, :, s], ((0, 0), (0, n - blk.shape[1])))
+                       for blk in chol.blocks])
+        assert np.array_equal(x, np.tril(x))
+        a = np.tensordot(theta[s], blocks, axes=1)
+        assert np.allclose(x @ a @ x.T, np.eye(n), atol=1e-10)
+        assert np.allclose(a @ got[:, s], f[s], rtol=1e-10, atol=1e-10)
+
+
 def test_bordered_cholesky_names_indefinite_sample():
     rng = np.random.default_rng(4)
     n, qa, ns = 6, 3, 7
@@ -283,13 +313,18 @@ def full_order_estimators(model, space, ks, f_hat, n):
     return np.array(etas)
 
 
-def test_greedy_selection_matches_full_order_estimator(tiny_problem2):
+@pytest.mark.parametrize("name", ["tiny_problem2", "tiny_problem3"])
+def test_greedy_selection_matches_full_order_estimator(name, request):
     # a pool-sized trunk drives every estimator to the round-off floor, where
     # the downdated s^2 is noise; each pick and each recorded maximum must
-    # still be those of the full-order estimator
-    problem = tiny_problem2
+    # still be those of the full-order estimator.  Example 3 has Q_a = 2Q
+    # affine terms, the widest residual product of the sweep
+    problem = request.getfixturevalue(name)
     model = problem.model
-    ks, f_hat = data_pool_and_loads(problem, 24)
+    if name == "tiny_problem2":
+        ks, f_hat = data_pool_and_loads(problem, 24)
+    else:
+        ks, f_hat = pool_and_loads(problem, 24)
     space, trace = greedy_build(model, ks, f_hat_all=f_hat, fixed_n=24,
                                 alpha_lb=problem.alpha_lb)
     assert space.dim == 24
@@ -360,12 +395,17 @@ def test_greedy_buffers_grow_to_reachable_bound(tiny_problem2, monkeypatch):
     assert state._w.shape[1] <= bound
     assert state._f_rb.shape[0] <= bound
     assert max(state._a.shape[1:]) <= bound
-    assert state._r.shape[2] <= bound
+    # R is held (U row, trunk column, term)
+    assert state._r.shape[2] == qa
+    assert state._r.shape[1] <= bound
     assert state._u.shape[0] <= qa * bound
     assert state._p_f.shape[0] <= qa * bound
-    assert state._r.shape[1] <= qa * bound
-    for buf in (chol.y, chol._tmp):
+    assert state._r.shape[0] <= qa * bound
+    for buf in (chol.y, chol.c):
         assert space.dim <= buf.shape[0] <= bound
+    # the inverse-factor blocks hold no row and no column past the bound
+    assert sum(len(blk) for blk in chol.blocks) <= bound
+    assert max(blk.shape[1] for blk in chol.blocks) <= bound
     assert state.n == space.dim
     assert np.array_equal(space.psi, state.psi)
 
