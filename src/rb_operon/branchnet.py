@@ -23,13 +23,10 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ADAMW_BLOCK = 16384    # entries per AdamW block: 128 KiB per temporary
 
 
-def gelu(x):
-    """Exact GELU x * Phi(x) with the normal CDF via erf."""
-    return x * ndtr(x)
-
-
-def gelu_grad(x):
-    return ndtr(x) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x, cdf):
+    """Derivative Phi(x) + x phi(x) of the exact GELU x Phi(x), given the
+    normal CDF ``cdf`` = Phi(x) the forward pass computed."""
+    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def xavier_init(shape, rng):
@@ -84,23 +81,29 @@ class MLP:
         return self.weights + self.biases
 
     def forward(self, x, standardizer=None, want_cache=False):
+        """Output rows for the input rows ``x``; with ``want_cache`` also
+        the cache ``backward`` reads: every layer's input, and every hidden
+        layer's pre-activation z and normal CDF Phi(z)."""
         h = standardizer.transform(x) if standardizer is not None else np.asarray(x, dtype=float)
         acts = [h]
         pres = []
+        cdfs = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w + b
             if i < last:
+                cdf = ndtr(z)
                 pres.append(z)
-                h = gelu(z)
+                cdfs.append(cdf)
+                h = z * cdf      # exact GELU z Phi(z)
                 acts.append(h)
             else:
                 h = z
-        return (h, (acts, pres)) if want_cache else h
+        return (h, (acts, pres, cdfs)) if want_cache else h
 
     def backward(self, cache, dout):
         """Gradient of sum-of-(dout * output) w.r.t. ``flat``."""
-        acts, pres = cache
+        acts, pres, cdfs = cache
         grad = np.empty_like(self.flat)
         parts = self.split(grad)
         nw = len(self.weights)
@@ -109,7 +112,8 @@ class MLP:
             np.matmul(acts[i].T, g, out=parts[i])
             g.sum(axis=0, out=parts[nw + i])
             if i > 0:
-                g = (g @ self.weights[i].T) * gelu_grad(pres[i - 1])
+                g = (g @ self.weights[i].T) * gelu_grad(pres[i - 1],
+                                                        cdfs[i - 1])
         return grad
 
 

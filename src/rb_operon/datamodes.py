@@ -183,9 +183,11 @@ def case2_blocks(model, psi, bmodes, smodes):
 
 def reduced_rhs_case2(blocks, theta_a, a, b):
     """Online modal right-hand side; touches only reduced-size arrays."""
-    theta_a = np.asarray(theta_a, dtype=float)
+    qa, r_g, n = blocks.g_p.shape
     out = np.asarray(a, dtype=float) @ blocks.f_s
-    lift = np.tensordot(theta_a, blocks.g_p, axes=1)
+    # sum_p theta_p G_p as one matrix-vector product
+    lift = (np.asarray(theta_a, dtype=float)
+            @ blocks.g_p.reshape(qa, r_g * n)).reshape(r_g, n)
     return out - np.asarray(b, dtype=float) @ lift
 
 

@@ -61,40 +61,6 @@ class RadialMap:
         ds = np.select(conds, [1.0, sl_in, sl_out], default=1.0)
         return s, ds
 
-    def phi(self, rho, r):
-        """Radial scaling factor; phi(0) = 1 by the identity branch."""
-        scalar = np.isscalar(rho)
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        s, _ = self.mapped_radius(rho, r)
-        out = np.ones_like(rho)
-        pos = rho > 0.0
-        out[pos] = s[pos] / rho[pos]
-        return float(out[0]) if scalar else out
-
-    def map_points(self, x, r):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rho = np.linalg.norm(x, axis=1)
-        return x * self.phi(rho, r)[:, None]
-
-    def jacobian(self, x, r):
-        """Analytic Jacobian J = phi I + (phi'/rho) x x^T, shape (n, 2, 2)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rho = np.linalg.norm(x, axis=1)
-        s, ds = self.mapped_radius(rho, r)
-        n = len(x)
-        jac = np.zeros((n, 2, 2))
-        jac[:, 0, 0] = 1.0
-        jac[:, 1, 1] = 1.0
-        pos = rho > 0.0
-        phi = np.ones_like(rho)
-        phi[pos] = s[pos] / rho[pos]
-        # phi'/rho = (s' rho - s)/rho^3
-        fac = np.zeros_like(rho)
-        fac[pos] = (ds[pos] * rho[pos] - s[pos]) / rho[pos] ** 3
-        jac *= phi[:, None, None]
-        jac += fac[:, None, None] * np.einsum("ni,nj->nij", x, x)
-        return jac
-
     def jacobian_tensor(self, x, r):
         """Pulled-back diffusion tensor G = |det J| J^-T J^-1, shape (n, 2, 2).
 

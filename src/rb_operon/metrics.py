@@ -11,6 +11,8 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy.linalg.lapack import dtrtrs
 
+from .reduction import reduced_cholesky
+
 
 @dataclass
 class MetricContext:
@@ -18,7 +20,7 @@ class MetricContext:
 
     m_ii: object                 # sparse interior mass matrix
     a_ii_star: object            # sparse interior stiffness at k_star
-    chol_star_rb: np.ndarray     # Cholesky factor of A_rb(k_star)
+    chol_star_rb: np.ndarray     # lower Cholesky factor of A_rb(k_star)
 
 
 def metric_context(model, space, m_ii):
@@ -28,7 +30,7 @@ def metric_context(model, space, m_ii):
     return MetricContext(
         m_ii=m_ii,
         a_ii_star=model.a_star_II,
-        chol_star_rb=np.linalg.cholesky(a_star_rb),
+        chol_star_rb=reduced_cholesky(a_star_rb, "k_star"),
     )
 
 
@@ -41,9 +43,12 @@ def _rel_norm(mat, err, ref):
 
 
 def reduced_dual_norm(ell, r):
-    """||ell^-1 r||: the dual norm of r for the reduced operator ell ell^T."""
-    # the F-ordered transpose is the upper factor LAPACK takes without a copy
-    z, info = dtrtrs(ell.T, r, lower=0, trans=1)
+    """||ell^-1 r||: the dual norm of r for the reduced operator ell ell^T.
+
+    ``ell`` is lower triangular; only that triangle is read.  The F-ordered
+    factor ``reduced_cholesky`` returns reaches LAPACK without a copy.
+    """
+    z, info = dtrtrs(ell, r, lower=1)
     if info:
         raise ValueError(f"dtrtrs failed with info={info}")
     return float(np.linalg.norm(z))

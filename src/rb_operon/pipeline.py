@@ -31,8 +31,8 @@ from .examples import (BENCHMARKS, HIDDEN_SIZES, NOMINAL_PARAM_COUNTS,
 from .mesh import min_angle_deg, write_mesh_text
 from .metrics import (MethodMetrics, MetricsReport, metric_context,
                       reduced_dual_norm, sample_metrics)
-from .reduction import (OnlineRB, greedy_build, pod_build, solve_reduced,
-                        solve_reduced_batch)
+from .reduction import (OnlineRB, greedy_build, pod_build, reduced_cholesky,
+                        solve_reduced, solve_reduced_batch)
 from .svgplot import line_plot, mesh_heatmap
 
 FOOTNOTE = ("rows are limited to the methods implemented here; "
@@ -407,8 +407,8 @@ def load_online_bundle(adir):
     online = OnlineRB(a_blocks=a_blocks, f_blocks=f_blocks,
                       alpha_lb=float(meta["alpha_lb"]))
     k_star = np.asarray(manifest["k_star"], dtype=float)
-    chol_star = np.linalg.cholesky(
-        np.tensordot(bench.theta(k_star), a_blocks, axes=1))
+    chol_star = reduced_cholesky(
+        np.tensordot(bench.theta(k_star), a_blocks, axes=1), "k_star")
     if adir.has("rb_net.json"):
         net, std, _ = load_net(adir, "rb")
     else:
@@ -423,12 +423,23 @@ def load_online_bundle(adir):
 
 
 def online_query(bundle, k, a=None, b=None):
-    """One certified online prediction: branch, Galerkin, residual norm."""
+    """One certified online prediction: branch, Galerkin, residual norm.
+
+    Returns the branch coefficients c_net, the Galerkin coefficients c_gal
+    of the reduced system A_N(k) c = f_N(k), and the dual norm of the
+    branch's reduced residual f_N - A_N c_net in the A_N(k*)^-1 norm.
+    A_N(k) = sum_p theta_p A_p is one matrix-vector product of theta with
+    the flattened blocks, and the Galerkin solve is the checked Cholesky
+    kernel of ``solve_reduced``: a reduced operator that is not SPD raises
+    NotCoerciveError.  Every array touched has reduced size.
+    """
     bench = bundle.bench
     c_net = bundle.net.forward(bench.features(k, a, b)[None, :],
                                bundle.std)[0]
     theta = bundle.theta_fn(k)
-    a_rb = np.tensordot(theta, bundle.online.a_blocks, axes=1)
+    blocks = bundle.online.a_blocks
+    qa, n, _ = blocks.shape
+    a_rb = (theta @ blocks.reshape(qa, n * n)).reshape(n, n)
     f_rb = bench.rhs(bundle.online, bundle.blocks, theta, k, a, b)
     c_gal = solve_reduced(a_rb, f_rb)
     res = reduced_dual_norm(bundle.chol_star, f_rb - a_rb @ c_net)

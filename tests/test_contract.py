@@ -88,8 +88,8 @@ def test_fill_hook_reads_interior_factor(tiny_problem1):
     assert out["fill_nnz"] > 0
 
 
-def test_no_module_imports_splu():
-    # every full-order factorization goes through the model's band layout
+def _modules_using(name):
+    """Package modules that import ``name`` or reach it as an attribute."""
     pkg = os.path.join(ROOT, "src", "rb_operon")
     users = set()
     for fname in sorted(os.listdir(pkg)):
@@ -99,11 +99,21 @@ def test_no_module_imports_splu():
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if ((isinstance(node, ast.ImportFrom)
-                 and any(a.name == "splu" for a in node.names))
+                 and any(a.name == name for a in node.names))
                     or (isinstance(node, ast.Attribute)
-                        and node.attr == "splu")):
+                        and node.attr == name)):
                 users.add(fname)
-    assert users == set()
+    return users
+
+
+def test_no_module_imports_splu():
+    # every full-order factorization goes through the model's band layout
+    assert _modules_using("splu") == set()
+
+
+def test_no_module_calls_numpy_cholesky():
+    # every reduced factorization goes through the checked dpotrf kernel
+    assert _modules_using("cholesky") == set()
 
 
 def test_online_bundle_fields():

@@ -9,6 +9,39 @@ from rb_operon.geomap import (EimPivots, RadialMap, eim_build,
 RM = RadialMap()
 
 
+def phi(rm, rho, r):
+    """Oracle: the radial scaling factor s(rho)/rho, 1 at rho = 0."""
+    scalar = np.isscalar(rho)
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    s, _ = rm.mapped_radius(rho, r)
+    out = np.ones_like(rho)
+    pos = rho > 0.0
+    out[pos] = s[pos] / rho[pos]
+    return float(out[0]) if scalar else out
+
+
+def map_points(rm, x, r):
+    """Oracle: the radial map x -> phi(|x|) x."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return x * phi(rm, np.linalg.norm(x, axis=1), r)[:, None]
+
+
+def jacobian(rm, x, r):
+    """Oracle: the analytic Jacobian J = phi I + (phi'/rho) x x^T, (n, 2, 2)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rho = np.linalg.norm(x, axis=1)
+    s, ds = rm.mapped_radius(rho, r)
+    pos = rho > 0.0
+    ph = np.ones_like(rho)
+    ph[pos] = s[pos] / rho[pos]
+    # phi'/rho = (s' rho - s)/rho^3
+    fac = np.zeros_like(rho)
+    fac[pos] = (ds[pos] * rho[pos] - s[pos]) / rho[pos] ** 3
+    jac = ph[:, None, None] * np.eye(2)
+    jac += fac[:, None, None] * np.einsum("ni,nj->nij", x, x)
+    return jac
+
+
 def test_radial_map_validates():
     with pytest.raises(ValueError):
         RadialMap(r_minus=0.2, r0=0.1)
@@ -30,15 +63,15 @@ def test_mapped_radius_pins_and_monotone(r):
 
 
 def test_phi_values():
-    assert np.isclose(RM.phi(RM.r0, 0.37), 0.37 / RM.r0)
-    assert np.isclose(RM.phi(0.0, 0.1), 1.0)
-    assert np.isclose(RM.phi(0.9, 0.1), 1.0)
+    assert np.isclose(phi(RM, RM.r0, 0.37), 0.37 / RM.r0)
+    assert np.isclose(phi(RM, 0.0, 0.1), 1.0)
+    assert np.isclose(phi(RM, 0.9, 0.1), 1.0)
 
 
 def test_map_points_moves_ring():
     ang = np.linspace(0, 2 * np.pi, 7)[:-1]
     ring = RM.r0 * np.column_stack([np.cos(ang), np.sin(ang)])
-    mapped = RM.map_points(ring, 0.3)
+    mapped = map_points(RM, ring, 0.3)
     assert np.allclose(np.linalg.norm(mapped, axis=1), 0.3)
 
 
@@ -50,12 +83,12 @@ def test_jacobian_matches_finite_differences(rng):
     keep = np.all(np.abs(rho[:, None] - np.array([RM.r_minus, RM.r0, RM.r_plus]))
                   > 1e-3, axis=1) & (rho > 1e-2)
     pts = pts[keep]
-    jac = RM.jacobian(pts, r)
+    jac = jacobian(RM, pts, r)
     h = 1e-6
     for d in range(2):
         e = np.zeros(2)
         e[d] = h
-        fd = (RM.map_points(pts + e, r) - RM.map_points(pts - e, r)) / (2 * h)
+        fd = (map_points(RM, pts + e, r) - map_points(RM, pts - e, r)) / (2 * h)
         assert np.allclose(jac[:, :, d], fd, rtol=1e-5, atol=1e-7)
 
 
@@ -64,7 +97,7 @@ def test_tensor_equals_jacobian_algebra(rng):
     pts = rng.uniform(-0.45, 0.45, size=(40, 2))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-2]
     g = RM.jacobian_tensor(pts, r)
-    jac = RM.jacobian(pts, r)
+    jac = jacobian(RM, pts, r)
     det = np.linalg.det(jac)
     assert np.all(det > 0)
     inv = np.linalg.inv(jac)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,16 +10,18 @@ import pytest
 from rb_operon.artifacts import (ArtifactDir, load_case2_blocks, load_space,
                                  load_surrogate)
 from rb_operon.branchnet import MLP
+from rb_operon.errors import NotCoerciveError
 from rb_operon.examples import (BENCHMARKS, HIDDEN_SIZES, build_problem,
                                 example_spec, load_problem, open_benchmark)
 from rb_operon.geomap import eim_coefficients
 from rb_operon.mesh import square_with_inclusion_mesh
 from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
-                               percentile_95, sample_metrics)
+                               metric_context, percentile_95, sample_metrics)
 from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
                                 apply_overrides, bench_gates,
                                 load_online_bundle, online_query, run_eval,
                                 run_train, spec_from_manifest, theta_batch)
+from rb_operon.reduction import solve_reduced_batch
 from rb_operon.svgplot import line_plot, mesh_heatmap
 
 
@@ -229,6 +233,54 @@ def test_online_query_matches_reduced_solve(example, request, rng):
         r = f_rb - a_rb @ c_net
         want_res = np.sqrt(r @ np.linalg.solve(a_star_rb, r))
         assert np.isclose(res, want_res, rtol=1e-9)
+
+
+def _query_args(bundle, k, rng):
+    if bundle.blocks is None:
+        return (k, None, None)
+    return (k, rng.standard_normal(bundle.blocks.f_s.shape[0]),
+            rng.standard_normal(bundle.blocks.g_p.shape[1]))
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_online_query_galerkin_is_batch_kernel_bitwise(example, request, rng):
+    adir = ArtifactDir(request.getfixturevalue(f"tiny{example}_dir"))
+    bundle = load_online_bundle(adir)
+    lo, hi = np.array(adir.read_manifest()["param_ranges"]).T
+    for k in rng.uniform(lo, hi, size=(4, len(lo))):
+        args = _query_args(bundle, k, rng)
+        _, c_gal, _ = online_query(bundle, *args)
+        theta = bundle.theta_fn(k)
+        f_rb = bundle.bench.rhs(bundle.online, bundle.blocks, theta, *args)
+        ref = solve_reduced_batch(bundle.online.a_blocks, theta[None, :],
+                                  f_rb[None, :])[0]
+        assert np.array_equal(c_gal, ref)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_online_query_rejects_negative_weights(example, request, rng):
+    adir = ArtifactDir(request.getfixturevalue(f"tiny{example}_dir"))
+    bundle = load_online_bundle(adir)
+    flipped = dataclasses.replace(
+        bundle, theta_fn=lambda k: -bundle.theta_fn(k))
+    k = np.array(adir.read_manifest()["k_star"])
+    online_query(bundle, *_query_args(bundle, k, rng))
+    with pytest.raises(NotCoerciveError, match="not SPD"):
+        online_query(flipped, *_query_args(bundle, k, rng))
+
+
+def test_reference_factor_rejects_indefinite_operator(tiny1_dir, tmp_path,
+                                                      tiny_problem1):
+    # a reduced A_N(k*) that is not SPD fails when the online bundle and
+    # the eval metrics factor it, not when a residual is measured later
+    space = load_space(ArtifactDir(tiny1_dir), "greedy")
+    flipped = dataclasses.replace(space, a_blocks=-space.a_blocks)
+    with pytest.raises(NotCoerciveError, match="sample k_star "):
+        metric_context(tiny_problem1.model, flipped, tiny_problem1.m_ii)
+    copy = ArtifactDir(shutil.copytree(tiny1_dir, str(tmp_path / "neg")))
+    copy.save_array("greedy_a_blocks", flipped.a_blocks)
+    with pytest.raises(NotCoerciveError, match="sample k_star "):
+        load_online_bundle(copy)
 
 
 def _bench_of(outdir):

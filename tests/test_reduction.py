@@ -122,6 +122,26 @@ def test_solve_reduced_batch_names_indefinite_sample(rng):
     for chunk in (4, 512):
         with pytest.raises(NotCoerciveError, match="sample 6 "):
             solve_reduced_batch(blocks, theta, f, chunk=chunk)
+    # a zero operator is semidefinite: the factor's first pivot is zero
+    theta[6, 1] = 0.0
+    theta[2] = 0.0
+    with pytest.raises(NotCoerciveError, match="sample 2 "):
+        solve_reduced_batch(blocks, theta, f, chunk=4)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_reduced_leaves_operator_unchanged(rng, order):
+    n = 7
+    base = rng.standard_normal((n, n))
+    a = np.array(base @ base.T + n * np.eye(n), order=order)
+    f = rng.standard_normal(n)
+    a0, f0 = a.copy(), f.copy()
+    x = solve_reduced(a, f)
+    assert np.array_equal(a, a0) and np.array_equal(f, f0)
+    assert np.allclose(a @ x, f, rtol=1e-12)
+    ell = reduction.reduced_cholesky(a, 0)
+    assert np.array_equal(a, a0)
+    assert np.allclose(np.tril(ell) @ np.tril(ell).T, a, rtol=1e-12)
 
 
 def test_bordered_cholesky_matches_batch_solve():
