@@ -364,10 +364,10 @@ class ParametricModel:
     their weights, rows in, rows out: one parameter row (p,) gives (Q_a,),
     and a stack of rows (n, p) gives (n, Q_a) in one call, the same values
     row by row, so a sweep over a sample pool weighs it whole.  Optional
-    affine load terms (theta_f, f_terms)
-    cover right-hand sides that share the parameterization.  k_star fixes
-    the reference operator A_star used for lifting, the boundary metric and
-    every norm downstream.
+    affine load terms (theta_f, f_terms) cover right-hand sides that share
+    the parameterization; theta_f keeps the same contract, (p,) to (Q_f,)
+    and (n, p) to (n, Q_f).  k_star fixes the reference operator A_star
+    used for lifting, the boundary metric and every norm downstream.
     """
 
     mesh: object
@@ -475,8 +475,7 @@ def aggregated_load(model, k, f_free=None, g_b=None):
     out = np.zeros(model.n_free) if f_free is None else np.array(f_free, dtype=float)
     if g_b is not None and len(model.dirichlet):
         g_b = np.asarray(g_b, dtype=float)
-        th = np.array([model.theta_a(row)
-                       for row in np.atleast_2d(np.asarray(k, dtype=float))])
+        th = model.theta_a(np.atleast_2d(np.asarray(k, dtype=float)))
         lifted = model.lift_block @ g_b
         for p in range(model.affine_II.n_terms):
             out -= th[:, p] * (model.affine_II.term(p) @ lifted

@@ -383,7 +383,7 @@ class Example1:
         a_terms, a_star = self.operator_terms(mesh)
         model = build_model(mesh, free, bd, theta_a=self.theta,
                             a_terms=a_terms, k_star=self.spec.k_star,
-                            theta_f=lambda k: np.array([k[1]]),
+                            theta_f=self.theta_load,
                             f_terms=[f_base], a_star=a_star)
         return model, self.coercivity(model)
 
@@ -406,6 +406,11 @@ class Example1:
         out = np.ones((len(k), 2))
         out[:, 0] = k[:, 0]
         return out
+
+    def theta_load(self, k):
+        """Load weights theta_f(k) = (k2,): (1,) for one parameter row,
+        (n, 1) for a stack of rows."""
+        return np.asarray(k, dtype=float)[..., 1, None]
 
     def features(self, k, a, b):
         return np.asarray(k, dtype=float)
@@ -433,11 +438,15 @@ class Example1:
 
     def offline_data(self, problem, adir, rng, manifest):
         """Persist the pool and the example's own offline data; returns
-        (params, aggregated loads as columns, greedy sweep subset)."""
+        (params, aggregated loads as columns, greedy sweep subset).
+
+        The pool's loads are the model's affine loads k2 F_base, so None
+        stands for them: the greedy keeps them as terms and weights, and
+        each POD snapshot reads its own from ``model.load_interior``.
+        """
         ks = sample_parameters(self.spec, self.spec.n_pool, rng)
         adir.save_array("pool_params", ks)
-        loads = np.column_stack([problem.model.load_interior(k) for k in ks])
-        return ks, loads, None
+        return ks, None, None
 
     def pool_rows(self, adir):
         """(k, a, b) of the persisted pool."""

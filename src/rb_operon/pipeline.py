@@ -99,9 +99,12 @@ def theta_batch(example, ks, surrogate=None):
 
 
 def _pool_snapshots(model, ks, f_hat_all):
-    out = np.empty_like(f_hat_all)
+    """Truth solve of every pool row; ``f_hat_all`` None stands for the
+    model's affine loads, formed one row at a time."""
+    out = np.empty((model.n_free, len(ks)))
     for i, k in enumerate(ks):
-        out[:, i] = interior_factor(model, k).solve(f_hat_all[:, i])
+        f = model.load_interior(k) if f_hat_all is None else f_hat_all[:, i]
+        out[:, i] = interior_factor(model, k).solve(f)
     return out
 
 

@@ -17,8 +17,19 @@ of squares, so the sweep cannot go negative the way the expanded quadratic
 form does.  s(k)^2 is kept as a downdated difference, the undeflated square
 minus the squares of the U coordinates of the load, which are the P_F rows.
 That difference is accurate except near the round-off floor, so s(k)^2 is
-recomputed exactly, by one reference solve per sample, only where its drift
-bound could change the argmax or the tolerance test.
+recomputed exactly only where its drift bound could change the argmax or
+the tolerance test.
+
+The pool loads are held as terms and weights.  A caller that passes
+per-sample loads gets them as the terms, one per sample, and every recheck
+costs one reference solve per sample.  A caller that passes none gets the
+model's affine loads f(k) = sum_q theta_f,q(k) F_q: the Q_f terms F_q and
+the weights theta_f of the whole pool, and the n_free x n_pool load matrix
+is never formed.  Then P_F = (U^T F) theta_f^T and f_rb = (psi^T F)
+theta_f^T are weighed from Q_f columns, and s(k)^2 = theta_f^T G theta_f
+with G the Gram of the representers Z = A_star^-1 F, deflated against U
+for a recheck (Hesthaven, Rozza & Stamm 2016, ch. 3).  Z is solved once
+and kept, so the sweep's reference solves number Q_f, not one per sample.
 
 The sweep works on the whole pool at once.  theta is evaluated once for
 every pool sample, in one call.  The second piece is one matrix product:
@@ -240,14 +251,28 @@ def _reserve(buf, used, bound, axes=(0,)):
     return grown
 
 
+def _quadratic_rows(weights, gram):
+    """w G w^T for every row w of ``weights``."""
+    return np.einsum("iq,iq->i", weights @ gram, weights)
+
+
 class _SweepState:
     """Trunk, reduced blocks and deflated-load bookkeeping of the greedy sweep.
+
+    The pool loads are held as terms and weights: sample i's load is
+    ``terms @ weights[i]``.  With ``weights`` None the terms are the
+    per-sample loads themselves, one column per sample (weights the
+    identity).  Otherwise they are the Q_f affine load terms, and every
+    load-dependent quantity costs Q_f vectors, not one per sample: the P_F
+    and f_rb rows are held against the terms and weighed per sample when
+    read, and s^2 is a quadratic form of the weights in the Gram of the
+    load representers Z = A_star^-1 terms, which are kept.
 
     s^2 of every pool load is the reference-norm square of its representer
     minus the squares of its U coordinates, downdated once per appended U
     column.  The difference loses accuracy only near the round-off floor,
     so ``slack`` bounds its drift and ``exact_s2`` recomputes the samples a
-    decision depends on.  No representer block is held.
+    decision depends on.  No per-sample representer block is held.
 
     Every growing array is appended to in place, in a capacity buffer laid
     out so that an append is a contiguous write: psi, A_p psi and U are held
@@ -257,17 +282,22 @@ class _SweepState:
     columns, and Q_a times that for U.
     """
 
-    def __init__(self, model, f_hat_all, bound):
+    def __init__(self, model, terms, bound, weights=None):
         self.model = model
         self.a = model.a_star_II
-        self.f_hat = f_hat_all
-        n_free, ns = f_hat_all.shape
+        self.terms = terms
+        self.weights = weights
+        n_free, width = terms.shape
         qa = model.affine_II.n_terms
-        self.s2 = np.empty(ns)
-        for lo in range(0, ns, _STAR_CHUNK):
-            blk = f_hat_all[:, lo:lo + _STAR_CHUNK]
-            self.s2[lo:lo + _STAR_CHUNK] = np.einsum(
-                "ij,ij->j", model.star_solve(blk), blk)
+        if weights is None:
+            self.s2 = np.empty(width)
+            for lo in range(0, width, _STAR_CHUNK):
+                blk = terms[:, lo:lo + _STAR_CHUNK]
+                self.s2[lo:lo + _STAR_CHUNK] = np.einsum(
+                    "ij,ij->j", model.star_solve(blk), blk)
+        else:
+            self._z = model.star_solve(terms)
+            self.s2 = _quadratic_rows(weights, terms.T @ self._z)
         self.s0_sq = self.s2.copy()
         self.bound = bound
         self.n = 0                                 # trunk columns
@@ -275,10 +305,10 @@ class _SweepState:
         cap = min(_CAPACITY, bound)
         self._psi = np.empty((cap, n_free))        # psi^T
         self._w = np.empty((qa, cap, n_free))      # (A_p psi)^T
-        self._f_rb = np.empty((cap, ns))
+        self._f_rb = np.empty((cap, width))        # psi^T terms
         self._a = np.empty((qa, cap, cap))         # psi^T A_p psi
         self._u = np.empty((qa * cap, n_free))     # U^T
-        self._p_f = np.empty((qa * cap, ns))
+        self._p_f = np.empty((qa * cap, width))    # U^T terms
         # R_p = U^T A_p psi as (U row, trunk column, term), so that the
         # leading (m, n, Q_a) corner reshapes to [R_1 ... R_Q] by columns
         # interleaved term-fastest without a copy
@@ -292,23 +322,39 @@ class _SweepState:
     def a_blocks(self):
         return self._a[:, :self.n, :self.n]
 
-    @property
-    def f_rb(self):
-        return self._f_rb[:self.n]
+    def _weigh(self, rows, idx=slice(None)):
+        """Rows held against the terms, as values of the samples in ``idx``."""
+        if self.weights is None:
+            return rows[..., idx]
+        return rows @ self.weights[idx].T
+
+    def f_rb(self, idx=slice(None), j=slice(None)):
+        """Reduced load entries ``j`` of the samples in ``idx``."""
+        return self._weigh(self._f_rb[:self.n][j], idx)
 
     def slack(self, idx):
         """Bound on the downdate drift of s^2 for the samples in ``idx``."""
         return _DRIFT * (self.m + 1) * np.finfo(float).eps * self.s0_sq[idx]
 
-    def exact_s2(self, idx):
-        """Recompute s^2 of the samples in ``idx`` from deflated representers."""
+    def _deflate(self, z):
+        """``z`` with its U components taken out twice, in place."""
         ut = self._u[:self.m]
+        for _ in range(2):
+            if self.m:
+                z -= ut.T @ (ut @ (self.a @ z))
+        return z
+
+    def exact_s2(self, idx):
+        """Recompute s^2 of the samples in ``idx`` from deflated representers:
+        the per-sample loads' own, or the kept Z of the terms, weighed."""
+        if self.weights is not None:
+            z = self._deflate(self._z.copy())
+            self.s2[idx] = np.maximum(
+                _quadratic_rows(self.weights[idx], z.T @ (self.a @ z)), 0.0)
+            return
         for lo in range(0, len(idx), _STAR_CHUNK):
             sub = idx[lo:lo + _STAR_CHUNK]
-            z = self.model.star_solve(self.f_hat[:, sub])
-            for _ in range(2):
-                if self.m:
-                    z -= ut.T @ (ut @ (self.a @ z))
+            z = self._deflate(self.model.star_solve(self.terms[:, sub]))
             self.s2[sub] = np.maximum(np.einsum("ij,ij->j", z, self.a @ z), 0.0)
 
     def _append_u(self, u_new):
@@ -318,7 +364,8 @@ class _SweepState:
         self._p_f = _reserve(self._p_f, m, bound)
         self._r = _reserve(self._r, m, bound)
         self._u[m] = u_new
-        row = np.matmul(u_new, self.f_hat, out=self._p_f[m])
+        np.matmul(u_new, self.terms, out=self._p_f[m])
+        row = self._weigh(self._p_f[m])
         self.s2 -= row * row
         # one new R_p row against every trunk column seen so far
         for p in range(len(self._w)):
@@ -353,7 +400,7 @@ class _SweepState:
             nrm2 = d @ (self.a @ d)
             if nrm2 > (1e-13 * max(pre, 1e-300)) ** 2:
                 self._append_u(d / np.sqrt(nrm2))
-        np.matmul(psi_new, self.f_hat, out=self._f_rb[n])
+        np.matmul(psi_new, self.terms, out=self._f_rb[n])
 
     def estimator_sq(self, theta_all, idx, c, alpha_lb):
         """eta^2 over the samples in ``idx`` given their RB coefficients
@@ -366,7 +413,7 @@ class _SweepState:
         m, n = self.m, self.n
         qa = self._r.shape[2]
         kr = c[:, None, :] * theta_all[idx].T[None, :, :]
-        y = self._p_f[:m, idx]
+        y = self._weigh(self._p_f[:m], idx)
         y -= self._r[:m, :n].reshape(m, n * qa) @ kr.reshape(n * qa, -1)
         s2 = np.maximum(self.s2[idx], 0.0)
         return (s2 + np.einsum("ij,ij->j", y, y)) / alpha_lb ** 2
@@ -450,7 +497,11 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     """Weak greedy trunk construction driven by the certified estimator.
 
     ``samples`` is the training pool (n_s, p); ``f_hat_all`` the matching
-    aggregated loads as columns (defaults to the model's affine loads).
+    aggregated loads as columns, or None for the model's own affine loads.
+    None never forms the n_free x n_s load matrix: the sweep holds the Q_f
+    load terms and their weights theta_f(samples), so its load bookkeeping
+    and reference solves grow with Q_f, not with the pool, and each truth
+    snapshot reads its load from ``model.load_interior``.
     Stopping: ``tol`` on the max estimator, or ``fixed_n`` columns.  With
     ``sweep_subset`` the per-iteration argmax runs on a subset and the full
     pool is certified (and the subset extended) once the subset converges.
@@ -462,8 +513,12 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     if tol is None and fixed_n is None:
         raise ValueError("need a tolerance or a fixed dimension")
     if f_hat_all is None:
-        cols = [model.load_interior(k) for k in samples]
-        f_hat_all = np.column_stack(cols)
+        if not model.f_terms:
+            raise EmptySpaceError("the model has no affine loads")
+        terms = np.column_stack([f[model.free] for f in model.f_terms])
+        weights = np.asarray(model.theta_f(samples), dtype=float)
+    else:
+        terms, weights = f_hat_all, None
     theta_all = np.asarray(model.theta_a(samples), dtype=float)
     n_cap = fixed_n if fixed_n is not None else min(ns, model.n_free)
     # each accepted column is a different pool sample's snapshot, A_star-
@@ -471,13 +526,15 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     bound = max(1, min(n_cap, ns, model.n_free))
 
     sweep = np.arange(ns) if sweep_subset is None else np.asarray(sweep_subset, dtype=np.int64)
-    state = _SweepState(model, f_hat_all, bound)
+    state = _SweepState(model, terms, bound, weights)
     trace = GreedyTrace()
     round_id = 0
 
     def truth(idx):
         fac = interior_factor(model, samples[idx])
-        return fac.solve(f_hat_all[:, idx])
+        if weights is None:
+            return fac.solve(terms[:, idx])
+        return fac.solve(model.load_interior(samples[idx]))
 
     def recheck(idx, c, eta2, near):
         """Exact s^2 where the downdate drift could change a decision."""
@@ -489,7 +546,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     def factor_sweep():
         chol = _BorderedCholesky(theta_all[sweep], bound)
         for j in range(state.n):
-            chol.border(state.a_blocks[:, :j + 1, j], state.f_rb[j, sweep])
+            chol.border(state.a_blocks[:, :j + 1, j], state.f_rb(sweep, j))
         return chol
 
     # rank-one initial space from the first pool sample
@@ -526,7 +583,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                 # Small chunks let the solve reuse the factors' freed memory.
                 chol = None
                 c_all = solve_reduced_batch(state.a_blocks, theta_all,
-                                            state.f_rb.T, chunk=64).T
+                                            state.f_rb().T, chunk=64).T
                 pool = np.arange(ns)
                 eta2_all = state.estimator_sq(theta_all, pool, c_all, alpha_lb)
                 slack = state.slack(pool) / alpha_lb ** 2
@@ -552,7 +609,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
             trace.stop_reason = "dependent_snapshot"
             break
         state.enrich(model, v)
-        chol.border(state.a_blocks[:, :, -1], state.f_rb[-1, sweep])
+        chol.border(state.a_blocks[:, :, -1], state.f_rb(sweep, -1))
         selected.append(idx)
         trace.selected.append(idx)
         trace.params.append(samples[idx].copy())

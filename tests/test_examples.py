@@ -353,7 +353,9 @@ def test_example3_theta_structure(tiny_problem3):
                                   "tiny_problem3"])
 def test_theta_rows_in_rows_out(name, request):
     # one call on a stack of rows gives each row's own weights: exactly for
-    # the closed forms, to round-off for the EIM solve of example 3
+    # the closed forms, to round-off for the EIM solve of example 3.  The
+    # load weights theta_f, where the model has load terms, keep the same
+    # contract exactly
     prob = request.getfixturevalue(name)
     spec = prob.bench.spec
     ks = sample_parameters(spec, 40, np.random.default_rng(8))
@@ -365,6 +367,11 @@ def test_theta_rows_in_rows_out(name, request):
         assert np.all(np.abs(stacked - rows)
                       <= 1e-14 * np.abs(rows).max(axis=1, keepdims=True))
     else:
+        assert np.array_equal(stacked, rows)
+    if prob.model.f_terms:
+        stacked = prob.model.theta_f(ks)
+        rows = np.vstack([prob.model.theta_f(k) for k in ks])
+        assert stacked.shape == rows.shape == (40, len(prob.model.f_terms))
         assert np.array_equal(stacked, rows)
 
 

@@ -20,7 +20,8 @@ from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
 from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
                                 apply_overrides, bench_gates,
                                 load_online_bundle, online_query, run_eval,
-                                run_train, spec_from_manifest, theta_batch)
+                                run_offline, run_train, spec_from_manifest,
+                                theta_batch)
 from rb_operon.reduction import solve_reduced_batch
 from rb_operon.svgplot import line_plot, mesh_heatmap
 
@@ -84,6 +85,19 @@ def test_manifest_records_full_order_counts(tiny1_dir, tiny2_dir):
         assert counts["factorizations"] == want
         assert counts["solves"] >= (counts["factorizations"]
                                     + manifest["mesh"]["n_dirichlet"])
+
+
+def test_affine_greedy_solves_do_not_grow_with_pool(tmp_path):
+    # example 1's greedy runs on its one affine load term: a larger pool
+    # adds no reference solve, where one per pool load would add 72
+    from conftest import TINY1
+
+    solves = []
+    for n_pool in (24, 96):
+        adir = run_offline(1, str(tmp_path / str(n_pool)), seed=0, pod=False,
+                           overrides={**TINY1, "n_pool": n_pool})
+        solves.append(adir.read_manifest()["full_order"]["solves"])
+    assert solves[0] == solves[1]
 
 
 def test_theta_batch_values(tiny_problem3, rng):

@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rb_operon import reduction
+from rb_operon.assembly import assemble_load_volume, build_model
 from rb_operon.errors import (EmptySpaceError, NotCoerciveError,
                               StagnationError)
 from rb_operon.examples import _data_loads, sample_parameters, sample_xi
@@ -321,6 +325,102 @@ def test_greedy_data_loads_extend_sweep(tiny_problem2):
         assert estimator(model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
 
 
+@pytest.fixture
+def two_load_problem(tiny_problem1):
+    """tiny_problem1 with a second affine load term: the base flux weighted
+    by k2 and a unit volume source weighted by k1."""
+    m = tiny_problem1.model
+    f_vol = assemble_load_volume(m.mesh, lambda x: np.ones(len(x)))
+    model = build_model(m.mesh, m.free, m.dirichlet, m.theta_a, m.a_terms,
+                        m.k_star, f_terms=[m.f_terms[0], f_vol],
+                        theta_f=lambda k: np.asarray(k, dtype=float)[..., ::-1])
+    return dataclasses.replace(tiny_problem1, model=model)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("two_load_problem", {"fixed_n": 4}),
+    ("tiny_problem1", {"fixed_n": 3}),
+    ("tiny_problem1", {"tol": 1e-2, "sweep_subset": 3}),
+    ("tiny_problem3", {"fixed_n": 10}),
+    ("tiny_problem3", {"tol": 0.3, "sweep_subset": 8}),
+])
+def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
+    # f_hat_all None keeps the model's loads as terms and weights; the sweep
+    # must pick, recheck and stop as it does on the same loads passed as
+    # columns, and build the same trunk bit for bit.  The maxima agree to
+    # round-off; these settings keep every one far above the round-off
+    # floor, where their last digits would be noise in either form
+    problem = request.getfixturevalue(name)
+    model = problem.model
+    ks, f_hat = pool_and_loads(problem, 30)
+    if "sweep_subset" in kwargs:
+        kwargs = {**kwargs, "sweep_subset": np.arange(kwargs["sweep_subset"])}
+    affine = greedy_build(model, ks, alpha_lb=problem.alpha_lb, **kwargs)
+    columns = greedy_build(model, ks, f_hat_all=f_hat,
+                           alpha_lb=problem.alpha_lb, **kwargs)
+    (sa, ta), (sc, tc) = affine, columns
+    for key in ("selected", "rounds", "rechecks", "stop_reason"):
+        assert getattr(ta, key) == getattr(tc, key)
+    if "sweep_subset" in kwargs:
+        assert max(ta.rounds) == 1      # the pool certification extended it
+    assert np.array_equal(sa.psi, sc.psi)
+    assert np.array_equal(sa.a_blocks, sc.a_blocks)
+    assert np.allclose(ta.max_estimator, tc.max_estimator, rtol=1e-12, atol=0)
+
+
+def test_sweep_state_terms_match_load_columns(tiny_problem1):
+    # two load terms with pool weights against the same loads as columns:
+    # s^2, its downdate and exact recheck, the P_F and f_rb rows and the
+    # estimator agree term by term, cross terms of the Gram included, and a
+    # recheck on the terms runs no reference solve
+    model = tiny_problem1.model
+    rng = np.random.default_rng(4)
+    terms = np.column_stack([model.f_terms[0][model.free],
+                             rng.standard_normal(model.n_free)])
+    weights = rng.standard_normal((12, 2))
+    held = _SweepState(model, terms, 6, weights)
+    cols = _SweepState(model, terms @ weights.T, 6)
+    pool = np.arange(12)
+    assert np.allclose(held.s0_sq, cols.s0_sq, rtol=1e-12, atol=0)
+    for _ in range(3):
+        v = v_orthonormalize(model, held.psi if held.n else None,
+                             rng.standard_normal(model.n_free))
+        held.enrich(model, v)
+        cols.enrich(model, v)
+    assert held.m == cols.m == 6
+    assert np.allclose(held.s2, cols.s2, rtol=1e-10, atol=0)
+    assert np.allclose(held.f_rb(pool), cols.f_rb(pool), rtol=1e-12, atol=0)
+    assert np.allclose(held._weigh(held._p_f[:6], pool), cols._p_f[:6],
+                       rtol=1e-12, atol=1e-14)
+    solves = model.band.solves
+    held.exact_s2(pool)
+    assert model.band.solves == solves
+    cols.exact_s2(pool)
+    assert np.allclose(held.s2, cols.s2, rtol=1e-10, atol=0)
+    theta = model.theta_a(sample_parameters(tiny_problem1.bench.spec, 12, rng))
+    c = rng.standard_normal((3, 12))
+    assert np.allclose(held.estimator_sq(theta, pool, c, 0.5),
+                       cols.estimator_sq(theta, pool, c, 0.5), rtol=1e-10)
+
+
+def test_greedy_affine_loads_hold_no_load_matrix(tiny_problem1):
+    # on the model's affine loads the sweep holds a few vectors of the
+    # pool's length and Q_f of n_free, never the n_free x n_pool load
+    # matrix: at 4096 samples its peak stays under a quarter of that matrix
+    problem = tiny_problem1
+    model = problem.model
+    n = 4096
+    ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(3))
+    greedy_build(model, ks[:8], fixed_n=2, alpha_lb=problem.alpha_lb)
+    tracemalloc.start()
+    try:
+        greedy_build(model, ks, fixed_n=2, alpha_lb=problem.alpha_lb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.n_free * n * 8 / 4
+
+
 def full_order_estimators(model, space, ks, f_hat, n):
     """``estimator`` of every pool sample on the first n trunk columns."""
     sub = RBSpace(psi=space.psi[:, :n], a_blocks=space.a_blocks[:, :n, :n],
@@ -469,9 +569,12 @@ def test_greedy_stagnation_raises(tiny_problem1):
     assert trace.stop_reason == "dependent_snapshot"
 
 
-def test_greedy_empty_pool(tiny_problem1):
+def test_greedy_empty_pool(tiny_problem1, tiny_problem2):
     with pytest.raises(EmptySpaceError):
         greedy_build(tiny_problem1.model, np.empty((0, 2)), fixed_n=1)
+    # example 2's model has no affine loads to stand in for missing ones
+    with pytest.raises(EmptySpaceError, match="no affine loads"):
+        greedy_build(tiny_problem2.model, np.ones((3, 3)), fixed_n=1)
     with pytest.raises(ValueError):
         greedy_build(tiny_problem1.model, np.array([[1.0, 1.0]]))
 
