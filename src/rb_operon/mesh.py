@@ -6,14 +6,20 @@ boundary is resolved exactly by mesh edges.  The inclusion mesh is produced by
 a force-equilibrium relaxation (truss analogy) over a Delaunay triangulation,
 with the circle ring, the outer boundary and the corners held fixed.
 
-The relaxation retriangulates only when it must.  After each move, a Lawson
-certificate checks the last triangulation against the moved points: every
-point a vertex, the hull vertices unmoved, every triangle counterclockwise and
-every interior edge strictly locally Delaunay, each test with a margin far
-above its floating-point round-off.  When all pass, the triangulation is the
-unique Delaunay triangulation of the moved points, which is what ``Delaunay``
-would return, so its edges are reused; otherwise ``Delaunay`` runs again.  The
-mesh is therefore the same as with a triangulation on every iteration.
+The relaxation calls ``Delaunay`` once, on the seed points, and repairs its
+triangulation as the points move.  After each move, a Lawson certificate
+checks the last triangulation against the moved points: every point a vertex,
+the hull vertices unmoved, every triangle counterclockwise and every interior
+edge strictly locally Delaunay, each test with a margin far above its
+floating-point round-off.  Edges whose in-circle test fails by more than the
+margin are flipped (Lawson 1977), an independent set per round, and the
+certificate runs again.  A triangulation that passes is the unique Delaunay
+triangulation of the moved points, which is what ``Delaunay`` would return,
+so its edges are reused.  ``Delaunay`` runs again only when flips cannot be
+certified: a moved hull vertex, a point that is not a vertex, a triangle
+that is not counterclockwise by the margin, an edge within the margin of
+cocircular, or a repair that needs more than a few rounds.  The mesh is
+therefore the same as with a triangulation on every iteration.
 
 Boundary edges carry free-form segment names ("base", "top", ...).  Nodes at
 a junction between a Dirichlet segment and a Neumann/Robin segment belong to
@@ -42,8 +48,10 @@ class TriMesh:
     segment_names : tuple of str
     relaxation : dict or None
         How a relaxed mesh was made: ``iterations``, ``triangulations`` (the
-        ``Delaunay`` calls inside the loop) and ``stop_reason`` (``"step_tol"``
-        or ``"max_iters"``).  Not compared and not written to mesh text.
+        ``Delaunay`` calls inside the loop), ``flips`` (the edge flips that
+        repaired the triangulation in between) and ``stop_reason``
+        (``"step_tol"`` or ``"max_iters"``).  Not compared and not written to
+        mesh text.
     """
 
     nodes: np.ndarray
@@ -151,73 +159,153 @@ def _boundary_edges_of(triangles, n):
 # a-priori round-off bounds are about 3.3e-16 (orientation) and 1.1e-15
 # (in-circle) times the permanent, so a pass cannot be a rounding artefact.
 _LAWSON_MARGIN = 1e-12
+_FLIP_ROUNDS = 8    # flip rounds of one repair before Delaunay runs instead
 
 
 def _orient2d(p, t):
     """Twice the signed area of each triangle row of ``t``, and its permanent."""
-    ac = p[t[:, 0]] - p[t[:, 2]]
-    bc = p[t[:, 1]] - p[t[:, 2]]
-    left = ac[:, 0] * bc[:, 1]
-    right = ac[:, 1] * bc[:, 0]
+    x, y = np.ascontiguousarray(p.T)
+    x, y = x[t], y[t]
+    left = (x[:, 0] - x[:, 2]) * (y[:, 1] - y[:, 2])
+    right = (y[:, 0] - y[:, 2]) * (x[:, 1] - x[:, 2])
     return left - right, np.abs(left) + np.abs(right)
 
 
-def _incircle(p, a, b, c, d):
-    """In-circle determinant, positive when d lies inside the circle through
-    the counterclockwise (a, b, c), and its permanent."""
-    ad, bd, cd = p[a] - p[d], p[b] - p[d], p[c] - p[d]
-    alift = np.einsum("ij,ij->i", ad, ad)
-    blift = np.einsum("ij,ij->i", bd, bd)
-    clift = np.einsum("ij,ij->i", cd, cd)
-    bc1, bc2 = bd[:, 0] * cd[:, 1], cd[:, 0] * bd[:, 1]
-    ca1, ca2 = cd[:, 0] * ad[:, 1], ad[:, 0] * cd[:, 1]
-    ab1, ab2 = ad[:, 0] * bd[:, 1], bd[:, 0] * ad[:, 1]
-    det = alift * (bc1 - bc2) + blift * (ca1 - ca2) + clift * (ab1 - ab2)
-    perm = (alift * (np.abs(bc1) + np.abs(bc2)) + blift * (np.abs(ca1) + np.abs(ca2))
-            + clift * (np.abs(ab1) + np.abs(ab2)))
+def _incircle(p, quads):
+    """In-circle determinant of each column (a, b, c, d) of ``quads``,
+    positive when d lies inside the circle through the counterclockwise
+    (a, b, c), and its permanent."""
+    x, y = np.ascontiguousarray(p.T)
+    x, y = x[quads], y[quads]
+    rx, ry = x[:3] - x[3], y[:3] - y[3]
+    lift = rx * rx + ry * ry
+    det = np.zeros(quads.shape[1])
+    perm = np.zeros(quads.shape[1])
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        left, right = rx[j] * ry[k], rx[k] * ry[j]
+        det += lift[i] * (left - right)
+        perm += lift[i] * (np.abs(left) + np.abs(right))
     return det, perm
 
 
 class _LawsonCertificate:
-    """Test whether a Delaunay triangulation is still the unique Delaunay
-    triangulation of its points after they move.
+    """A triangulation of moving points, kept Delaunay by Lawson's flips.
 
     A triangulation of the convex hull whose interior edges are all locally
     Delaunay is a Delaunay triangulation (Lawson 1977).  If every edge passes
     the in-circle test strictly, each circumcircle is empty of all other
-    points, so it is the only one.  ``holds`` asks for that with a margin and
-    for the conditions that keep the old triangles a triangulation of the
-    hull: every point a vertex, the hull vertices where they were, and every
-    triangle counterclockwise.
+    points, so it is the only one.  ``check`` asks for that with a margin and
+    for the conditions that keep the triangles a triangulation of the hull:
+    every point a vertex, the hull vertices where they were, and every
+    triangle counterclockwise.  ``repair`` flips the edges that fail the
+    in-circle test strictly until all pass.
+
+    ``triangles`` (counterclockwise) and ``neighbors`` (``neighbors[i, j]``
+    is the triangle across the side facing ``triangles[i, j]``, -1 on the
+    hull) are flipped in place; ``keys`` is the sorted ``_edge_keys`` of
+    every edge, as ``np.unique`` returns them.
     """
 
-    def __init__(self, tri):
-        p = tri.points
+    def __init__(self, pts, triangles, neighbors):
+        n = len(pts)
+        self.n = n
+        self.triangles = triangles
+        self.neighbors = neighbors
+        self.all_vertices = bool(np.all(np.bincount(triangles.ravel(), minlength=n)))
+        # Side j of triangle i runs t[i, j+1] -> t[i, j+2] and faces t[i, j].
+        i, j = np.nonzero(neighbors < 0)
+        self.hull = np.unique([triangles[i, (j + 1) % 3], triangles[i, (j + 2) % 3]])
+        self.hull_xy = pts[self.hull]
+        self.keys = np.unique(_edge_keys(triangles, n))
+        self._list_sides()
+
+    @classmethod
+    def of(cls, tri):
+        """The certificate of a ``scipy.spatial.Delaunay`` triangulation."""
         s = tri.simplices.astype(np.int64)
         nb = tri.neighbors.astype(np.int64)
-        flip = _orient2d(p, s)[0] < 0
+        flip = _orient2d(tri.points, s)[0] < 0
         s[flip] = s[flip][:, [0, 2, 1]]
         nb[flip] = nb[flip][:, [0, 2, 1]]
-        self.all_vertices = len(tri.coplanar) == 0
-        self.triangles = s
-        # Side j of triangle i runs s[i, j+1] -> s[i, j+2] and faces s[i, j].
-        i, j = np.nonzero(nb < 0)
-        self.hull = np.unique([s[i, (j + 1) % 3], s[i, (j + 2) % 3]])
-        self.hull_xy = p[self.hull]
-        # List each interior side once, from the lower-numbered triangle.
-        i, j = np.nonzero(nb > np.arange(len(s))[:, None])
-        k = nb[i, j]
-        m = np.argmax(nb[k] == i[:, None], axis=1)
-        self.quads = (s[i, (j + 1) % 3], s[i, (j + 2) % 3], s[i, j], s[k, m])
+        return cls(tri.points, s, nb)
 
-    def holds(self, pts):
+    def _list_sides(self):
+        """Each interior side once, from the lower-numbered triangle i: its
+        position j, the triangle k across and the position m of i in k, and
+        as a column of ``quads`` its ends a, b, then c of i and d of k."""
+        t, nb = self.triangles, self.neighbors
+        i, j = np.nonzero(nb > np.arange(len(t))[:, None])
+        k = nb[i, j]
+        across = nb[k]
+        m = (across[:, 1] == i) + 2 * (across[:, 2] == i)
+        self.sides = (i, j, k, m)
+        self.quads = np.stack([t[i, (j + 1) % 3], t[i, (j + 2) % 3], t[i, j], t[k, m]])
+
+    def check(self, pts):
+        """Indices into ``sides`` of the interior sides that are strictly
+        not locally Delaunay at ``pts``: an empty array when the
+        triangulation is certified, and None when flips cannot certify it
+        (a point not a vertex, a moved hull vertex, a triangle not
+        counterclockwise by the margin, or an edge within the margin of
+        cocircular)."""
         if not self.all_vertices or not np.array_equal(pts[self.hull], self.hull_xy):
-            return False
+            return None
         det, perm = _orient2d(pts, self.triangles)
         if not np.all(det > _LAWSON_MARGIN * perm):
-            return False
-        det, perm = _incircle(pts, *self.quads)
-        return bool(np.all(det < -_LAWSON_MARGIN * perm))
+            return None
+        det, perm = _incircle(pts, self.quads)
+        margin = _LAWSON_MARGIN * perm
+        flip = det > margin
+        if not np.all(flip | (det < -margin)):
+            return None
+        return np.flatnonzero(flip)
+
+    def flip(self, sides):
+        """Flip the listed sides that share no triangle with an earlier one.
+
+        The side a-b of triangles (c, a, b) and (d, b, a) becomes c-d of
+        (c, a, d) and (d, b, c); returns the number of flips.
+        """
+        t, nb, n = self.triangles, self.neighbors, self.n
+        taken = set()
+        old, new = [], []
+        for i, j, k, m in zip(*(x[sides].tolist() for x in self.sides)):
+            if i in taken or k in taken:
+                continue
+            taken.update((i, k))
+            j1, j2, m1 = (j + 1) % 3, (j + 2) % 3, (m + 1) % 3
+            c, a, b, d = t[i, j], t[i, j1], t[i, j2], t[k, m]
+            across_bc, across_ad = nb[i, j1], nb[k, m1]
+            t[i, j2], nb[i, j], nb[i, j1] = d, across_ad, k
+            t[k, (m + 2) % 3], nb[k, m], nb[k, m1] = c, across_bc, i
+            if across_ad >= 0:
+                nb[across_ad, nb[across_ad] == k] = i
+            if across_bc >= 0:
+                nb[across_bc, nb[across_bc] == i] = k
+            old.append(min(a, b) * n + max(a, b))
+            new.append(min(c, d) * n + max(c, d))
+        keys = np.delete(self.keys, np.searchsorted(self.keys, old))
+        new = np.sort(np.array(new, dtype=np.int64))
+        self.keys = np.insert(keys, np.searchsorted(keys, new), new)
+        self._list_sides()
+        return len(new)
+
+    def repair(self, pts):
+        """Flip rounds until ``check`` certifies the triangulation at ``pts``.
+
+        Returns (certified, flips).  Not certified means ``check`` declined
+        or ``_FLIP_ROUNDS`` rounds did not suffice; only a retriangulation
+        can then give the Delaunay triangulation.
+        """
+        flips = 0
+        bad = self.check(pts)
+        for _ in range(_FLIP_ROUNDS):
+            if bad is None or bad.size == 0:
+                break
+            flips += self.flip(bad)
+            bad = self.check(pts)
+        return bad is not None and bad.size == 0, flips
 
 
 _MAX_ITERS = 120    # relaxation iteration cap of the inclusion mesh
@@ -226,21 +314,27 @@ _MAX_ITERS = 120    # relaxation iteration cap of the inclusion mesh
 def _relax(pts, movable, h, r0, ring_spacing, max_iters):
     """Move ``pts[movable]`` in place under repulsive edge forces.
 
-    Returns the relaxation record stored on :class:`TriMesh`.
+    The edges are those of the Delaunay triangulation of the points at the
+    start of each iteration.  The last triangulation is repaired by edge
+    flips (``_LawsonCertificate.repair``); ``Delaunay`` runs only on the
+    seed points and when a repair is not certified.  Returns the relaxation
+    record stored on :class:`TriMesh`.
     """
     n = len(pts)
     target = 1.18 * h
     cert = None
-    triangulations = 0
+    triangulations = flips = 0
     stop_reason = "max_iters"
     iterations = 0
     while iterations < max_iters:
         iterations += 1
-        if cert is None or not cert.holds(pts):
-            tri = Delaunay(pts)
+        certified, made = (False, 0) if cert is None else cert.repair(pts)
+        flips += made
+        if not certified:
+            cert = _LawsonCertificate.of(Delaunay(pts))
             triangulations += 1
-            cert = _LawsonCertificate(tri)
-            e0, e1 = np.divmod(np.unique(_edge_keys(tri.simplices, n)), n)
+        if made or not certified:
+            e0, e1 = np.divmod(cert.keys, n)
             ends = np.concatenate([e0, e1])
         vec = pts[e0] - pts[e1]
         length = np.linalg.norm(vec, axis=1)
@@ -268,7 +362,7 @@ def _relax(pts, movable, h, r0, ring_spacing, max_iters):
             stop_reason = "step_tol"
             break
     return {"iterations": iterations, "triangulations": triangulations,
-            "stop_reason": stop_reason}
+            "flips": flips, "stop_reason": stop_reason}
 
 
 def unit_square_mesh(n):

@@ -113,6 +113,7 @@ class GreedyTrace:
 
     selected: list = field(default_factory=list)   # sample indices
     params: list = field(default_factory=list)     # parameter vectors
+    # the sweep set's maximum per basis size; the pool's where it was certified
     max_estimator: list = field(default_factory=list)
     basis_size: list = field(default_factory=list)
     rounds: list = field(default_factory=list)     # sweep-set round ids
@@ -504,7 +505,9 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     snapshot reads its load from ``model.load_interior``.
     Stopping: ``tol`` on the max estimator, or ``fixed_n`` columns.  With
     ``sweep_subset`` the per-iteration argmax runs on a subset and the full
-    pool is certified (and the subset extended) once the subset converges.
+    pool is certified (and the subset extended) once the subset converges;
+    the trace's ``max_estimator`` then records the pool's maximum for that
+    basis size.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ns = samples.shape[0]
@@ -587,8 +590,12 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                 pool = np.arange(ns)
                 eta2_all = state.estimator_sq(theta_all, pool, c_all, alpha_lb)
                 slack = state.slack(pool) / alpha_lb ** 2
+                # rechecked near tol, for the decision, and near the pool's
+                # maximum, which this size records in place of the subset's
                 recheck(pool, c_all, eta2_all,
-                        np.abs(eta2_all - tol * tol) <= slack)
+                        (np.abs(eta2_all - tol * tol) <= slack)
+                        | (eta2_all + slack >= np.max(eta2_all - slack)))
+                trace.max_estimator[-1] = float(np.sqrt(max(np.max(eta2_all), 0.0)))
                 bad = np.flatnonzero(eta2_all > tol * tol)
                 bad = np.setdiff1d(bad, sweep)
                 if bad.size:

@@ -3,10 +3,10 @@ import pytest
 from scipy.spatial import Delaunay
 
 from rb_operon import mesh as mesh_mod
-from rb_operon.mesh import (_LawsonCertificate, _edge_keys, dirichlet_nodes,
-                            min_angle_deg, read_mesh_text,
-                            square_with_inclusion_mesh, unit_square_mesh,
-                            write_mesh_text)
+from rb_operon.mesh import (_LawsonCertificate, _edge_keys, _hex_lattice,
+                            _orient2d, dirichlet_nodes, min_angle_deg,
+                            read_mesh_text, square_with_inclusion_mesh,
+                            unit_square_mesh, write_mesh_text)
 
 
 def signed_areas(mesh):
@@ -140,29 +140,65 @@ def test_relaxation_matches_plain_loop(h, monkeypatch):
     rf, rp = fast.relaxation, plain.relaxation
     assert rf["iterations"] == rp["iterations"]
     assert rf["stop_reason"] == rp["stop_reason"]
-    assert 1 <= rf["triangulations"] < rf["iterations"]
+    assert rf["triangulations"] == 1
+    assert rf["flips"] > 0
+
+
+def test_relaxation_triangulates_only_seed_and_result(monkeypatch):
+    # flips repair every certificate failure at this size, so Delaunay runs
+    # on the seed points and once more for the final triangle order
+    calls = []
+
+    def counted(pts):
+        calls.append(None)
+        return Delaunay(pts)
+
+    monkeypatch.setattr(mesh_mod, "Delaunay", counted)
+    m = square_with_inclusion_mesh(h=1.0 / 24.0)
+    assert len(calls) == 2
+    assert m.relaxation["triangulations"] == 1
 
 
 def _delaunay_edges(pts):
     return np.unique(_edge_keys(Delaunay(pts).simplices, len(pts)))
 
 
+def _assert_consistent(cert, pts):
+    """The flipped arrays still describe one counterclockwise triangulation:
+    neighbours across every side agree, and ``keys`` lists its edges."""
+    t, nb = cert.triangles, cert.neighbors
+    assert np.all(_orient2d(pts, t)[0] > 0)
+    i, j = np.nonzero(nb >= 0)
+    k = nb[i, j]
+    for end in ((j + 1) % 3, (j + 2) % 3):
+        assert np.all((t[k] == t[i, end][:, None]).any(axis=1))
+    assert np.all((nb[k] == i[:, None]).any(axis=1))
+    assert np.array_equal(cert.keys, np.unique(_edge_keys(t, len(pts))))
+
+
+def _declined(cert, pts):
+    """``check`` sends the triangulation to Delaunay, and ``repair`` flips
+    nothing."""
+    return cert.check(pts) is None and cert.repair(pts) == (False, 0)
+
+
 def test_certificate_passes_on_delaunay_of_random_points():
     pts = np.random.default_rng(5).random((300, 2))
-    cert = _LawsonCertificate(Delaunay(pts))
-    assert cert.holds(pts)
+    cert = _LawsonCertificate.of(Delaunay(pts))
+    assert cert.check(pts).size == 0
+    assert np.array_equal(cert.keys, _delaunay_edges(pts))
     # a small move of the interior points keeps the same triangulation
     moved = pts.copy()
     inner = np.setdiff1d(np.arange(len(pts)), cert.hull)
     moved[inner] += 1e-7 * np.random.default_rng(6).standard_normal((len(inner), 2))
-    assert cert.holds(moved)
+    assert cert.check(moved).size == 0
     assert np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
 
 
 def test_certificate_fails_when_vertex_enters_neighbour_circumcircle():
     pts = np.random.default_rng(7).random((300, 2))
     tri = Delaunay(pts)
-    cert = _LawsonCertificate(tri)
+    cert = _LawsonCertificate.of(tri)
     # the interior vertex closest (relative to the radius) to the
     # circumcircle of a triangle across one of its opposite sides
     best = None
@@ -181,26 +217,47 @@ def test_certificate_fails_when_vertex_enters_neighbour_circumcircle():
     assert ratio > 1.0
     moved = pts.copy()
     moved[v] = o + (pts[v] - o) * (1.0 - 1e-3) / ratio
-    assert not cert.holds(moved)
+    assert cert.check(moved).size >= 1
     assert not np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
+    certified, flips = cert.repair(moved)
+    assert certified and flips >= 1
+    assert np.array_equal(cert.keys, _delaunay_edges(moved))
+    _assert_consistent(cert, moved)
+
+
+def test_certificate_repairs_jittered_lattice_in_rounds():
+    # eight edges fail at once; a round flips at most those, so more flips
+    # than failures means later rounds flipped edges the first one broke
+    rng = np.random.default_rng(8)
+    base = _hex_lattice(0.1)
+    pts = base + 0.01 * rng.standard_normal(base.shape)
+    inner = np.flatnonzero(np.all(np.abs(pts) < 0.3, axis=1))
+    cert = _LawsonCertificate.of(Delaunay(pts))
+    moved = pts.copy()
+    moved[inner] += 0.02 * rng.standard_normal((len(inner), 2))
+    bad = cert.check(moved).size
+    certified, flips = cert.repair(moved)
+    assert certified and flips > bad > 1
+    assert np.array_equal(cert.keys, _delaunay_edges(moved))
+    _assert_consistent(cert, moved)
 
 
 def test_certificate_fails_when_triangle_inverts():
     # v leaves triangle abc across side ab but stays inside its
     # circumcircle: every in-circle test still passes, triangle abv inverts
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.3]])
-    cert = _LawsonCertificate(Delaunay(pts))
-    assert cert.holds(pts)
+    cert = _LawsonCertificate.of(Delaunay(pts))
+    assert cert.check(pts).size == 0
     moved = pts.copy()
     moved[3] = [0.5, -0.1]
-    assert not cert.holds(moved)
+    assert _declined(cert, moved)
     assert not np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
 
 
 def test_certificate_fails_on_cocircular_points():
     g = np.arange(4.0)
     pts = np.column_stack([np.repeat(g, 4), np.tile(g, 4)])
-    assert not _LawsonCertificate(Delaunay(pts)).holds(pts)
+    assert _declined(_LawsonCertificate.of(Delaunay(pts)), pts)
 
 
 def test_certificate_fails_when_a_point_is_not_a_vertex():
@@ -208,7 +265,7 @@ def test_certificate_fails_when_a_point_is_not_a_vertex():
     pts = np.vstack([pts, pts[10]])               # a duplicate stays out
     tri = Delaunay(pts)
     assert len(tri.coplanar) == 1
-    assert not _LawsonCertificate(tri).holds(pts)
+    assert _declined(_LawsonCertificate.of(tri), pts)
 
 
 def test_certificate_fails_when_hull_vertex_moves():
@@ -216,11 +273,11 @@ def test_certificate_fails_when_hull_vertex_moves():
     # locally Delaunay, but the hull gains the triangle a, q, b
     pts = np.array([[0.0, 0.0], [1.0, -0.05], [2.0, 0.0], [1.1, 1.5],
                     [0.9, 0.5]])
-    cert = _LawsonCertificate(Delaunay(pts))
-    assert cert.holds(pts)
+    cert = _LawsonCertificate.of(Delaunay(pts))
+    assert cert.check(pts).size == 0
     moved = pts.copy()
     moved[1] = [1.0, 0.05]
-    assert not cert.holds(moved)
+    assert _declined(cert, moved)
     assert not np.array_equal(_delaunay_edges(moved), _delaunay_edges(pts))
 
 

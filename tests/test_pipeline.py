@@ -67,7 +67,8 @@ def test_manifest_records_mesh_relaxation(tiny1_dir, tiny2_dir):
 
     relax = ArtifactDir(tiny1_dir).read_manifest()["mesh"]["relaxation"]
     assert relax == square_with_inclusion_mesh(h=TINY1["h"]).relaxation
-    assert set(relax) == {"iterations", "triangulations", "stop_reason"}
+    assert set(relax) == {"iterations", "triangulations", "flips",
+                          "stop_reason"}
     assert relax["stop_reason"] in ("step_tol", "max_iters")
     # the structured mesh of example 2 is not relaxed
     assert "relaxation" not in ArtifactDir(tiny2_dir).read_manifest()["mesh"]

@@ -304,6 +304,30 @@ def test_greedy_subset_certify_and_extend(tiny_problem1):
     assert_rechecked(trace)
 
 
+def test_greedy_trace_records_pool_maximum_after_certification(tiny_problem3):
+    # round 0 sweeps a 5-sample subset, and its sizes before the pool
+    # certification record the subset's maximum.  The size the certification
+    # ran at records the pool's, and so does every later size, whose sweep set
+    # holds each pool sample the certification found above tol.
+    problem = tiny_problem3
+    model = problem.model
+    ks, f_hat = pool_and_loads(problem, 30)
+    space, trace = greedy_build(model, ks, tol=1e-4, alpha_lb=problem.alpha_lb,
+                                sweep_subset=np.arange(5))
+    assert trace.rounds[4:6] == [0, 1]
+    for pos in range(4, len(trace.basis_size)):
+        n = trace.basis_size[pos]
+        a_blocks, f_blocks = reduce_operators(model, space.psi[:, :n])
+        sub = dataclasses.replace(space, psi=space.psi[:, :n],
+                                  a_blocks=a_blocks, f_blocks=f_blocks)
+        pool_max = 0.0
+        for i, k in enumerate(ks):
+            c = solve_reduced(np.tensordot(model.theta_a(k), a_blocks, axes=1),
+                              model.theta_f(k) @ f_blocks)
+            pool_max = max(pool_max, estimator(model, sub, k, c, f_hat[:, i]))
+        assert trace.max_estimator[pos] >= pool_max * (1 - 1e-9), n
+
+
 def test_greedy_data_loads_extend_sweep(tiny_problem2):
     # example 2 draws its loads independently of the operator parameter, so
     # the trunk grows to N >> 3; the subset converges first, and the pool
