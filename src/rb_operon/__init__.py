@@ -42,7 +42,6 @@ _EXPORTS = {
     "greedy_build": ".reduction",
     "pod_build": ".reduction",
     "solve_reduced_batch": ".reduction",
-    "estimator": ".reduction",
     "coercivity_lower_bound": ".reduction",
     "v_orthonormalize": ".reduction",
     # geometry map and tensor interpolation
@@ -50,7 +49,6 @@ _EXPORTS = {
     "EimSurrogate": ".geomap",
     "eim_build": ".geomap",
     "eim_coefficients": ".geomap",
-    "eim_reconstruct": ".geomap",
     # data-family compression
     "BoundaryModes": ".datamodes",
     "SourceModes": ".datamodes",

@@ -181,12 +181,12 @@ def load_source_modes(adir):
                        selected=np.asarray(meta["selected"], dtype=np.int64))
 
 
-def save_case2_blocks(adir, blocks, prefix="case2"):
+def save_case2_blocks(adir, blocks, prefix):
     adir.save_array(prefix + "_f_s", blocks.f_s)
     adir.save_array(prefix + "_g_p", blocks.g_p)
 
 
-def load_case2_blocks(adir, prefix="case2"):
+def load_case2_blocks(adir, prefix):
     from .datamodes import Case2Blocks
 
     return Case2Blocks(f_s=adir.load_array(prefix + "_f_s"),

@@ -21,6 +21,7 @@ from .errors import TrainingDivergedError
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ADAMW_BLOCK = 16384    # entries per AdamW block: 128 KiB per temporary
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # AdamW moment decays and floor
 
 
 def gelu_grad(x, cdf):
@@ -148,8 +149,7 @@ class AdamWState:
         return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adamw_step(state, flat, grad, lr, weight_decay, n_decay=None,
-               beta1=0.9, beta2=0.999, eps=1e-8):
+def adamw_step(state, flat, grad, lr, weight_decay, n_decay=None):
     """One AdamW update of the vector ``flat`` in place.
 
     Decoupled decay, applied before the step, shrinks the first ``n_decay``
@@ -157,18 +157,18 @@ def adamw_step(state, flat, grad, lr, weight_decay, n_decay=None,
     The step runs block by block, so that its temporaries stay in cache.
     """
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - _BETA1 ** state.t
+    bc2 = 1.0 - _BETA2 ** state.t
     if weight_decay:
         flat[:n_decay] *= 1.0 - lr * weight_decay
     for lo in range(0, flat.size, _ADAMW_BLOCK):
         sl = slice(lo, lo + _ADAMW_BLOCK)
         m, v, g = state.m[sl], state.v[sl], grad[sl]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        flat[sl] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        flat[sl] -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 @dataclass

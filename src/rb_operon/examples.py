@@ -46,6 +46,10 @@ HIDDEN_SIZES = (256, 256, 256, 256)
 # branch shape is fixed; only the input/output widths vary per benchmark
 NOMINAL_PARAM_COUNTS = {1: 198915, 2: 288977, 3: 199685}
 
+# grid of the pullback tensor floor: radial positions, inclusion radii
+_FLOOR_RHO = 2000
+_FLOOR_RADII = 101
+
 
 @dataclass(frozen=True)
 class ExampleSpec:
@@ -57,7 +61,7 @@ class ExampleSpec:
     mesh_recipe: dict
     trunk: dict                # pod_tol / greedy_tol / greedy_fixed_n
     data: dict = field(default_factory=dict)
-    n_pool: int = 2000         # trunk snapshot/sweep pool
+    n_pool: int = 2000         # POD snapshots, greedy training set, data rows
     n_train: int = 2000
     n_val: int = 200
     n_test: int = 1000
@@ -107,6 +111,7 @@ def example_spec(example):
                 "mode_tol": 1e-7,
                 "r_f_max": 128,
                 "r_g_max": 16,
+                # the greedy's training set: the first sweep_subset pool draws
                 "sweep_subset": 3000,
             },
             n_pool=10000,
@@ -248,11 +253,11 @@ def _pencil_floor(a_part, a_star):
     return float(lam[0])
 
 
-def _radial_tensor_floor(rm, n_rho=2000, n_r=101):
+def _radial_tensor_floor(rm):
     """Min eigenvalue of the pullback tensor over radius and position."""
-    rho = np.linspace(1e-6, np.sqrt(2.0) / 2.0, n_rho)
+    rho = np.linspace(1e-6, np.sqrt(2.0) / 2.0, _FLOOR_RHO)
     best = np.inf
-    for r in np.linspace(rm.r_min, rm.r_max, n_r):
+    for r in np.linspace(rm.r_min, rm.r_max, _FLOOR_RADII):
         s, ds = rm.mapped_radius(rho, r)
         phi = s / rho
         lam = np.minimum(phi / ds, ds / phi)
@@ -438,7 +443,8 @@ class Example1:
 
     def offline_data(self, problem, adir, rng, manifest):
         """Persist the pool and the example's own offline data; returns
-        (params, aggregated loads as columns, greedy sweep subset).
+        (params, aggregated loads as columns, the number of leading pool
+        rows the greedy trains on).
 
         The pool's loads are the model's affine loads k2 F_base, so None
         stands for them: the greedy keeps them as terms and weights, and
@@ -446,7 +452,7 @@ class Example1:
         """
         ks = sample_parameters(self.spec, self.spec.n_pool, rng)
         adir.save_array("pool_params", ks)
-        return ks, None, None
+        return ks, None, len(ks)
 
     def pool_rows(self, adir):
         """(k, a, b) of the persisted pool."""
@@ -581,7 +587,8 @@ class Example2(Example1):
                                              self.smodes), "case2_" + trunk)
 
     def offline_data(self, problem, adir, rng, manifest):
-        """Also persists the data modes and the pool's coordinates in them."""
+        """Also persists the data modes and the pool's coordinates in them;
+        the greedy trains on the first ``sweep_subset`` pool rows."""
         spec, model = self.spec, problem.model
         ks = sample_parameters(spec, spec.n_pool, rng)
         adir.save_array("pool_params", ks)
@@ -599,8 +606,7 @@ class Example2(Example1):
                         encode_boundary(self.bmodes, model, g_data).T)
         self.ranks = (self.smodes.rank, self.bmodes.rank)
         manifest["dims_modes"] = {"r_f": self.ranks[0], "r_g": self.ranks[1]}
-        sweep = min(int(spec.data["sweep_subset"]), spec.n_pool)
-        return ks, f_hat_all, np.arange(sweep)
+        return ks, f_hat_all, min(int(spec.data["sweep_subset"]), spec.n_pool)
 
     def pool_rows(self, adir):
         return tuple(adir.load_array(name)

@@ -227,11 +227,6 @@ def eim_coefficients(surrogate, r):
     return alpha.T
 
 
-def eim_reconstruct(surrogate, r):
-    """Interpolated flattened tensor field at radius r (testing helper)."""
-    return eim_coefficients(surrogate, r) @ surrogate.basis
-
-
 def tensor_field_per_triangle(flat, n_tri):
     """Reshape a flattened (xx, xy, yy) vector into (n_tri, 2, 2) tensors."""
     comp = flat.reshape(n_tri, 3)

@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy.linalg.lapack import dtrtrs
 
-from .reduction import reduced_cholesky
+from .reduction import reduced_cholesky, reduced_operator
 
 
 @dataclass
@@ -24,9 +24,7 @@ class MetricContext:
 
 
 def metric_context(model, space, m_ii):
-    a_star_rb = np.tensordot(
-        np.asarray(model.theta_a(model.k_star), dtype=float),
-        space.a_blocks, axes=1)
+    a_star_rb = reduced_operator(space.a_blocks, model.theta_a(model.k_star))
     return MetricContext(
         m_ii=m_ii,
         a_ii_star=model.a_star_II,

@@ -32,7 +32,7 @@ from .mesh import min_angle_deg, write_mesh_text
 from .metrics import (MethodMetrics, MetricsReport, metric_context,
                       reduced_dual_norm, sample_metrics)
 from .reduction import (OnlineRB, greedy_build, pod_build, reduced_cholesky,
-                        solve_reduced, solve_reduced_batch)
+                        reduced_operator, solve_reduced, solve_reduced_batch)
 from .svgplot import line_plot, mesh_heatmap
 
 FOOTNOTE = ("rows are limited to the methods implemented here; "
@@ -149,12 +149,13 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     if problem.mesh.relaxation is not None:
         manifest["mesh"]["relaxation"] = problem.mesh.relaxation
 
-    ks, f_hat_all, sweep = bench.offline_data(problem, adir, rng, manifest)
+    ks, f_hat_all, n_greedy = bench.offline_data(problem, adir, rng, manifest)
     space_g, gtrace = greedy_build(
-        model, ks, f_hat_all=f_hat_all,
+        model, ks[:n_greedy],
+        f_hat_all=None if f_hat_all is None else f_hat_all[:, :n_greedy],
         tol=spec.trunk.get("greedy_tol"),
         fixed_n=spec.trunk.get("greedy_fixed_n"),
-        alpha_lb=problem.alpha_lb, sweep_subset=sweep)
+        alpha_lb=problem.alpha_lb)
 
     save_space(adir, "greedy", space_g)
     adir.save_json("greedy_trace", {
@@ -162,7 +163,6 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         "params": gtrace.params,
         "max_estimator": gtrace.max_estimator,
         "basis_size": gtrace.basis_size,
-        "rounds": gtrace.rounds,
         "stop_reason": gtrace.stop_reason,
         "rechecks": gtrace.rechecks,
     })
@@ -323,7 +323,7 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
 
     triples = {m: [] for m in methods}
     for i in range(n_test):
-        a_rb = {name: np.tensordot(theta[i], spaces[name].a_blocks, axes=1)
+        a_rb = {name: reduced_operator(spaces[name].a_blocks, theta[i])
                 for name in spaces}
         for method in methods:
             trunk = trunk_of[method]
@@ -406,12 +406,10 @@ def load_online_bundle(adir):
     bench = open_benchmark(spec_from_manifest(manifest), adir)
     a_blocks = adir.load_array("greedy_a_blocks")
     f_blocks = adir.load_array("greedy_f_blocks")
-    meta = adir.load_json("greedy_meta")
-    online = OnlineRB(a_blocks=a_blocks, f_blocks=f_blocks,
-                      alpha_lb=float(meta["alpha_lb"]))
+    online = OnlineRB(a_blocks=a_blocks, f_blocks=f_blocks)
     k_star = np.asarray(manifest["k_star"], dtype=float)
     chol_star = reduced_cholesky(
-        np.tensordot(bench.theta(k_star), a_blocks, axes=1), "k_star")
+        reduced_operator(a_blocks, bench.theta(k_star)), "k_star")
     if adir.has("rb_net.json"):
         net, std, _ = load_net(adir, "rb")
     else:
@@ -432,17 +430,16 @@ def online_query(bundle, k, a=None, b=None):
     of the reduced system A_N(k) c = f_N(k), and the dual norm of the
     branch's reduced residual f_N - A_N c_net in the A_N(k*)^-1 norm.
     A_N(k) = sum_p theta_p A_p is one matrix-vector product of theta with
-    the flattened blocks, and the Galerkin solve is the checked Cholesky
-    kernel of ``solve_reduced``: a reduced operator that is not SPD raises
-    NotCoerciveError.  Every array touched has reduced size.
+    the flattened blocks (``reduced_operator``), and the Galerkin solve is
+    the checked Cholesky kernel of ``solve_reduced``: a reduced operator
+    that is not SPD raises NotCoerciveError.  Every array touched has
+    reduced size.
     """
     bench = bundle.bench
     c_net = bundle.net.forward(bench.features(k, a, b)[None, :],
                                bundle.std)[0]
     theta = bundle.theta_fn(k)
-    blocks = bundle.online.a_blocks
-    qa, n, _ = blocks.shape
-    a_rb = (theta @ blocks.reshape(qa, n * n)).reshape(n, n)
+    a_rb = reduced_operator(bundle.online.a_blocks, theta)
     f_rb = bench.rhs(bundle.online, bundle.blocks, theta, k, a, b)
     c_gal = solve_reduced(a_rb, f_rb)
     res = reduced_dual_norm(bundle.chol_star, f_rb - a_rb @ c_net)

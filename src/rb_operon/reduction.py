@@ -31,8 +31,10 @@ with G the Gram of the representers Z = A_star^-1 F, deflated against U
 for a recheck (Hesthaven, Rozza & Stamm 2016, ch. 3).  Z is solved once
 and kept, so the sweep's reference solves number Q_f, not one per sample.
 
-The sweep works on the whole pool at once.  theta is evaluated once for
-every pool sample, in one call.  The second piece is one matrix product:
+The greedy is the weak greedy over the pool it is given: every iteration
+sweeps the whole pool, and a tolerance stop certifies every pool sample.  A
+caller that trains on fewer samples passes fewer.  theta is evaluated once
+for every pool sample, in one call.  The second piece is one matrix product:
 the R_p blocks are held side by side, (U row, trunk column, term), and
 multiply the Khatri-Rao block whose row (j, p) is c_j(k) theta_p(k).  The
 coefficients c(k) come from per-sample inverse Cholesky factors
@@ -41,7 +43,7 @@ l = X col and v = X^T l for the new column col of A_N(k) give the new row
 [-v/d, 1/d] of X and the update c <- c + y_n x_new, so the sweep never
 refactorizes and never substitutes.  X is held sample-last, in blocks of
 rows, so each of the two passes is one einsum per block across the whole
-sweep set.
+pool.
 
 Everything else the sweep grows (the trunk, the A_p images of its columns,
 U, P_F, the R_p blocks, the reduced loads and the reduced stiffness blocks)
@@ -104,7 +106,6 @@ class RBSpace:
 class OnlineRB:
     a_blocks: np.ndarray
     f_blocks: np.ndarray
-    alpha_lb: float
 
 
 @dataclass
@@ -113,10 +114,9 @@ class GreedyTrace:
 
     selected: list = field(default_factory=list)   # sample indices
     params: list = field(default_factory=list)     # parameter vectors
-    # the sweep set's maximum per basis size; the pool's where it was certified
+    # the pool's maximum per basis size
     max_estimator: list = field(default_factory=list)
     basis_size: list = field(default_factory=list)
-    rounds: list = field(default_factory=list)     # sweep-set round ids
     stop_reason: str = None    # "tolerance", "size" or "dependent_snapshot"
     rechecks: list = field(default_factory=list)   # exact s^2 per basis size
 
@@ -144,14 +144,6 @@ def v_orthonormalize(model, psi, candidate):
     if nrm < 1e-10 * pre:
         return None
     return v / nrm
-
-
-def estimator(model, space, k, c, f_hat):
-    """Certified error bound: residual dual norm over the coercivity bound."""
-    theta = np.asarray(model.theta_a(np.asarray(k, dtype=float)), dtype=float)
-    rho = np.asarray(f_hat, dtype=float) - model.affine_II.assemble(theta) @ (space.psi @ c)
-    z = model.star_solve(rho)
-    return float(np.sqrt(max(rho @ z, 0.0)) / space.alpha_lb)
 
 
 def coercivity_lower_bound(model, samples):
@@ -215,18 +207,24 @@ def solve_reduced(a_rb, f_rb):
     return _cholesky_solve(a_rb, np.asarray(f_rb, dtype=float))
 
 
+def reduced_operator(a_blocks, theta):
+    """A_N = sum_p theta_p A_p, one product of theta with the flattened
+    blocks: (N, N) for one theta row (Q_a,), (n, N, N) for a stack (n, Q_a)."""
+    qa, n, _ = a_blocks.shape
+    theta = np.asarray(theta, dtype=float)
+    return (theta @ a_blocks.reshape(qa, n * n)).reshape(theta.shape[:-1] + (n, n))
+
+
 def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
     """Batched reduced solves: one operator stack per chunk of parameters,
     each system solved by the checked Cholesky kernel."""
     theta_batch = np.asarray(theta_batch, dtype=float)
     f_batch = np.asarray(f_batch, dtype=float)
     ns, n = f_batch.shape
-    qa = a_blocks.shape[0]
-    flat = a_blocks.reshape(qa, n * n)
     out = np.empty((ns, n))
     for lo in range(0, ns, chunk):
         hi = min(lo + chunk, ns)
-        mats = (theta_batch[lo:hi] @ flat).reshape(hi - lo, n, n)
+        mats = reduced_operator(a_blocks, theta_batch[lo:hi])
         for i in range(lo, hi):
             out[i] = _cholesky_solve(mats[i - lo], f_batch[i], i)
         del mats   # freed before the next chunk's stack is built
@@ -329,13 +327,13 @@ class _SweepState:
             return rows[..., idx]
         return rows @ self.weights[idx].T
 
-    def f_rb(self, idx=slice(None), j=slice(None)):
-        """Reduced load entries ``j`` of the samples in ``idx``."""
-        return self._weigh(self._f_rb[:self.n][j], idx)
+    def f_rb(self, j=slice(None)):
+        """Reduced load entries ``j`` of every sample."""
+        return self._weigh(self._f_rb[:self.n][j])
 
-    def slack(self, idx):
-        """Bound on the downdate drift of s^2 for the samples in ``idx``."""
-        return _DRIFT * (self.m + 1) * np.finfo(float).eps * self.s0_sq[idx]
+    def slack(self):
+        """Bound on the downdate drift of s^2, per sample."""
+        return _DRIFT * (self.m + 1) * np.finfo(float).eps * self.s0_sq
 
     def _deflate(self, z):
         """``z`` with its U components taken out twice, in place."""
@@ -494,20 +492,18 @@ class _BorderedCholesky:
 
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
-                 alpha_lb=1.0, sweep_subset=None):
+                 alpha_lb=1.0):
     """Weak greedy trunk construction driven by the certified estimator.
 
-    ``samples`` is the training pool (n_s, p); ``f_hat_all`` the matching
-    aggregated loads as columns, or None for the model's own affine loads.
-    None never forms the n_free x n_s load matrix: the sweep holds the Q_f
-    load terms and their weights theta_f(samples), so its load bookkeeping
-    and reference solves grow with Q_f, not with the pool, and each truth
-    snapshot reads its load from ``model.load_interior``.
-    Stopping: ``tol`` on the max estimator, or ``fixed_n`` columns.  With
-    ``sweep_subset`` the per-iteration argmax runs on a subset and the full
-    pool is certified (and the subset extended) once the subset converges;
-    the trace's ``max_estimator`` then records the pool's maximum for that
-    basis size.
+    ``samples`` is the training pool (n_s, p), which every iteration sweeps
+    whole; ``f_hat_all`` the matching aggregated loads as columns, or None
+    for the model's own affine loads.  None never forms the n_free x n_s
+    load matrix: the sweep holds the Q_f load terms and their weights
+    theta_f(samples), so its load bookkeeping and reference solves grow
+    with Q_f, not with the pool, and each truth snapshot reads its load
+    from ``model.load_interior``.
+    Stopping: ``tol`` on the pool's max estimator, which then certifies
+    every pool sample, or ``fixed_n`` columns.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ns = samples.shape[0]
@@ -528,10 +524,12 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     # orthogonal to the rest, and the first is taken whatever fixed_n says
     bound = max(1, min(n_cap, ns, model.n_free))
 
-    sweep = np.arange(ns) if sweep_subset is None else np.asarray(sweep_subset, dtype=np.int64)
+    # an index array, not a slice: estimator_sq subtracts in place from the
+    # P_F rows it weighs, which a slice would leave views of the held rows
+    pool = np.arange(ns)
     state = _SweepState(model, terms, bound, weights)
+    chol = _BorderedCholesky(theta_all, bound)
     trace = GreedyTrace()
-    round_id = 0
 
     def truth(idx):
         fac = interior_factor(model, samples[idx])
@@ -539,95 +537,52 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
             return fac.solve(terms[:, idx])
         return fac.solve(model.load_interior(samples[idx]))
 
-    def recheck(idx, c, eta2, near):
-        """Exact s^2 where the downdate drift could change a decision."""
-        near = np.flatnonzero(near)
-        state.exact_s2(idx[near])
-        eta2[near] = state.estimator_sq(theta_all, idx[near], c[:, near], alpha_lb)
-        trace.rechecks[-1] += near.size
-
-    def factor_sweep():
-        chol = _BorderedCholesky(theta_all[sweep], bound)
-        for j in range(state.n):
-            chol.border(state.a_blocks[:, :j + 1, j], state.f_rb(sweep, j))
-        return chol
+    def accept(idx, v):
+        state.enrich(model, v)
+        chol.border(state.a_blocks[:, :, -1], state.f_rb(-1))
+        trace.selected.append(idx)
+        trace.params.append(samples[idx].copy())
+        trace.basis_size.append(state.n)
 
     # rank-one initial space from the first pool sample
-    first = int(sweep[0])
-    v = v_orthonormalize(model, None, truth(first))
+    v = v_orthonormalize(model, None, truth(0))
     if v is None:
         raise EmptySpaceError("initial snapshot is zero")
-    state.enrich(model, v)
-    chol = factor_sweep()
-    selected = [first]
-    trace.selected.append(first)
-    trace.params.append(samples[first].copy())
-    trace.basis_size.append(1)
-    trace.rounds.append(round_id)
+    accept(0, v)
 
     while True:
-        if len(trace.rechecks) < len(trace.selected):
-            trace.rechecks.append(0)
         c = chol.solve()
-        eta2 = state.estimator_sq(theta_all, sweep, c, alpha_lb)
-        slack = state.slack(sweep) / alpha_lb ** 2
-        recheck(sweep, c, eta2, eta2 + slack >= np.max(eta2 - slack))
-        i_loc = int(np.argmax(eta2))
-        eta_max = float(np.sqrt(max(eta2[i_loc], 0.0)))
-        if len(trace.max_estimator) < len(trace.selected):
-            trace.max_estimator.append(eta_max)
-        done_tol = tol is not None and eta_max <= tol
-        done_n = state.n >= n_cap
-        if done_tol or done_n:
-            if done_tol and not done_n and sweep_subset is not None and len(sweep) < ns:
-                # certify the full pool; pull violators into the sweep set.
-                # The sweep factors are dropped first, so they are not held
-                # together with the chunked solve; an extension rebuilds them.
-                # Small chunks let the solve reuse the factors' freed memory.
-                chol = None
-                c_all = solve_reduced_batch(state.a_blocks, theta_all,
-                                            state.f_rb().T, chunk=64).T
-                pool = np.arange(ns)
-                eta2_all = state.estimator_sq(theta_all, pool, c_all, alpha_lb)
-                slack = state.slack(pool) / alpha_lb ** 2
-                # rechecked near tol, for the decision, and near the pool's
-                # maximum, which this size records in place of the subset's
-                recheck(pool, c_all, eta2_all,
-                        (np.abs(eta2_all - tol * tol) <= slack)
-                        | (eta2_all + slack >= np.max(eta2_all - slack)))
-                trace.max_estimator[-1] = float(np.sqrt(max(np.max(eta2_all), 0.0)))
-                bad = np.flatnonzero(eta2_all > tol * tol)
-                bad = np.setdiff1d(bad, sweep)
-                if bad.size:
-                    sweep = np.concatenate([sweep, bad])
-                    round_id += 1
-                    chol = factor_sweep()
-                    continue
-            trace.stop_reason = "tolerance" if done_tol else "size"
+        eta2 = state.estimator_sq(theta_all, pool, c, alpha_lb)
+        # exact s^2 where the downdate drift could change the argmax
+        slack = state.slack() / alpha_lb ** 2
+        near = np.flatnonzero(eta2 + slack >= np.max(eta2 - slack))
+        state.exact_s2(near)
+        eta2[near] = state.estimator_sq(theta_all, near, c[:, near], alpha_lb)
+        trace.rechecks.append(near.size)
+        idx = int(np.argmax(eta2))
+        eta_max = float(np.sqrt(max(eta2[idx], 0.0)))
+        trace.max_estimator.append(eta_max)
+        if tol is not None and eta_max <= tol:
+            trace.stop_reason = "tolerance"
             break
-        idx = int(sweep[i_loc])
-        w = truth(idx)
-        v = v_orthonormalize(model, state.psi, w)
+        if state.n >= n_cap:
+            trace.stop_reason = "size"
+            break
+        v = v_orthonormalize(model, state.psi, truth(idx))
         if v is None:
-            if tol is not None and eta_max > tol:
+            if tol is not None:
                 raise StagnationError(
                     f"snapshot at sample {idx} rejected with estimator "
                     f"{eta_max:.3e} above tolerance {tol:.3e}")
             trace.stop_reason = "dependent_snapshot"
             break
-        state.enrich(model, v)
-        chol.border(state.a_blocks[:, :, -1], state.f_rb(sweep, -1))
-        selected.append(idx)
-        trace.selected.append(idx)
-        trace.params.append(samples[idx].copy())
-        trace.basis_size.append(state.n)
-        trace.rounds.append(round_id)
+        accept(idx, v)
 
     psi = np.ascontiguousarray(state.psi)
     a_blocks, f_blocks = reduce_operators(model, psi)
     gram = psi.T @ (model.a_star_II @ psi)
     prov = dict(method="greedy", tol=tol, fixed_n=fixed_n,
-                selected=list(selected), pool_size=int(ns))
+                selected=list(trace.selected), pool_size=int(ns))
     space = RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
                     gram_ref=gram, alpha_lb=float(alpha_lb), provenance=prov)
     return space, trace

@@ -180,8 +180,8 @@ def test_case2_blocks_roundtrip(tmp_path, rng):
     adir = ArtifactDir(tmp_path / "run")
     blocks = Case2Blocks(f_s=rng.standard_normal((3, 4)),
                          g_p=rng.standard_normal((2, 2, 4)))
-    save_case2_blocks(adir, blocks)
-    back = load_case2_blocks(adir)
+    save_case2_blocks(adir, blocks, "case2_greedy")
+    back = load_case2_blocks(adir, "case2_greedy")
     assert np.array_equal(back.f_s, blocks.f_s)
     assert np.array_equal(back.g_p, blocks.g_p)
     assert back.dims == blocks.dims

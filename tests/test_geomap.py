@@ -3,10 +3,15 @@ import pytest
 
 from rb_operon.errors import MapDegenerateError
 from rb_operon.geomap import (EimPivots, RadialMap, eim_build,
-                              eim_coefficients, eim_reconstruct,
-                              tensor_field_per_triangle, tensor_snapshot)
+                              eim_coefficients, tensor_field_per_triangle,
+                              tensor_snapshot)
 
 RM = RadialMap()
+
+
+def eim_reconstruct(surrogate, r):
+    """The interpolated flattened tensor field at radius r."""
+    return eim_coefficients(surrogate, r) @ surrogate.basis
 
 
 def phi(rm, rho, r):

@@ -101,6 +101,24 @@ def test_affine_greedy_solves_do_not_grow_with_pool(tmp_path):
     assert solves[0] == solves[1]
 
 
+def test_example2_greedy_trains_on_leading_pool_rows(tmp_path):
+    # sweep_subset names the greedy's training set, the first draws of the
+    # pool: the greedy sweeps and picks from those alone, while the data
+    # modes, the persisted pool and the branch rows keep every draw
+    from conftest import TINY2
+
+    adir = run_offline(2, str(tmp_path / "ex2"), seed=0, pod=False,
+                       overrides={**TINY2, "sweep_subset": 10})
+    prov = load_space(adir, "greedy").provenance
+    trace = adir.load_json("greedy_trace")
+    assert prov["pool_size"] == 10
+    assert prov["selected"] == trace["selected"]
+    assert len(trace["selected"]) == TINY2["greedy_fixed_n"]
+    assert max(trace["selected"]) < 10
+    for name in ("pool_params", "pool_xi", "pool_a", "pool_b"):
+        assert len(adir.load_array(name)) == TINY2["n_pool"] == 24
+
+
 def test_theta_batch_values(tiny_problem3, rng):
     ks1 = np.array([[2.0, -0.5], [0.3, 0.9]])
     assert np.allclose(theta_batch(1, ks1), [[2.0, 1.0], [0.3, 1.0]])

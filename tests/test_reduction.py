@@ -11,9 +11,18 @@ from rb_operon.errors import (EmptySpaceError, NotCoerciveError,
 from rb_operon.examples import _data_loads, sample_parameters, sample_xi
 from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
                                  _border_update, coercivity_lower_bound,
-                                 estimator, greedy_build, pod_build,
-                                 reduce_operators, solve_reduced,
-                                 solve_reduced_batch, v_orthonormalize)
+                                 greedy_build, pod_build, reduce_operators,
+                                 solve_reduced, solve_reduced_batch,
+                                 v_orthonormalize)
+
+
+def estimator(model, space, k, c, f_hat):
+    """Full-order oracle of the certified bound: the residual's dual norm,
+    by one reference solve, over the coercivity bound."""
+    theta = np.asarray(model.theta_a(np.asarray(k, dtype=float)), dtype=float)
+    rho = np.asarray(f_hat, dtype=float) - model.affine_II.assemble(theta) @ (space.psi @ c)
+    z = model.star_solve(rho)
+    return float(np.sqrt(max(rho @ z, 0.0)) / space.alpha_lb)
 
 
 def pool_and_loads(problem, n, seed=5):
@@ -288,59 +297,17 @@ def test_estimator_bounds_energy_error(tiny_problem1):
         assert err_k <= eta * (1 + 1e-9)
 
 
-def test_greedy_subset_certify_and_extend(tiny_problem1):
-    problem = tiny_problem1
-    ks, f_hat = pool_and_loads(problem, 30)
-    tol = 1e-6
-    space, trace = greedy_build(problem.model, ks, f_hat_all=f_hat, tol=tol,
-                                alpha_lb=problem.alpha_lb,
-                                sweep_subset=np.arange(5))
-    for i, k in enumerate(ks):
-        a_rb = np.tensordot(problem.model.theta_a(k), space.a_blocks, axes=1)
-        c = solve_reduced(a_rb, problem.model.theta_f(k) @ space.f_blocks)
-        assert estimator(problem.model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
-    # rounds are recorded monotonically
-    assert trace.rounds == sorted(trace.rounds)
-    assert_rechecked(trace)
-
-
-def test_greedy_trace_records_pool_maximum_after_certification(tiny_problem3):
-    # round 0 sweeps a 5-sample subset, and its sizes before the pool
-    # certification record the subset's maximum.  The size the certification
-    # ran at records the pool's, and so does every later size, whose sweep set
-    # holds each pool sample the certification found above tol.
-    problem = tiny_problem3
-    model = problem.model
-    ks, f_hat = pool_and_loads(problem, 30)
-    space, trace = greedy_build(model, ks, tol=1e-4, alpha_lb=problem.alpha_lb,
-                                sweep_subset=np.arange(5))
-    assert trace.rounds[4:6] == [0, 1]
-    for pos in range(4, len(trace.basis_size)):
-        n = trace.basis_size[pos]
-        a_blocks, f_blocks = reduce_operators(model, space.psi[:, :n])
-        sub = dataclasses.replace(space, psi=space.psi[:, :n],
-                                  a_blocks=a_blocks, f_blocks=f_blocks)
-        pool_max = 0.0
-        for i, k in enumerate(ks):
-            c = solve_reduced(np.tensordot(model.theta_a(k), a_blocks, axes=1),
-                              model.theta_f(k) @ f_blocks)
-            pool_max = max(pool_max, estimator(model, sub, k, c, f_hat[:, i]))
-        assert trace.max_estimator[pos] >= pool_max * (1 - 1e-9), n
-
-
 def test_greedy_data_loads_extend_sweep(tiny_problem2):
     # example 2 draws its loads independently of the operator parameter, so
-    # the trunk grows to N >> 3; the subset converges first, and the pool
-    # certification pulls violators in, which rebuilds the sweep factors
+    # the trunk grows to N >> 3 before a tolerance stop, which certifies
+    # every sample of the pool it swept
     problem = tiny_problem2
     model = problem.model
     ks, f_hat = data_pool_and_loads(problem, 24)
     tol = 0.1
     space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=tol,
-                                alpha_lb=problem.alpha_lb,
-                                sweep_subset=np.arange(6))
+                                alpha_lb=problem.alpha_lb)
     assert space.dim >= 12
-    assert max(trace.rounds) >= 1
     assert trace.stop_reason == "tolerance"
     assert_rechecked(trace)
     for i, k in enumerate(ks):
@@ -364,9 +331,9 @@ def two_load_problem(tiny_problem1):
 @pytest.mark.parametrize("name, kwargs", [
     ("two_load_problem", {"fixed_n": 4}),
     ("tiny_problem1", {"fixed_n": 3}),
-    ("tiny_problem1", {"tol": 1e-2, "sweep_subset": 3}),
+    ("tiny_problem1", {"tol": 1e-2}),
     ("tiny_problem3", {"fixed_n": 10}),
-    ("tiny_problem3", {"tol": 0.3, "sweep_subset": 8}),
+    ("tiny_problem3", {"tol": 0.3}),
 ])
 def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
     # f_hat_all None keeps the model's loads as terms and weights; the sweep
@@ -377,16 +344,12 @@ def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
     problem = request.getfixturevalue(name)
     model = problem.model
     ks, f_hat = pool_and_loads(problem, 30)
-    if "sweep_subset" in kwargs:
-        kwargs = {**kwargs, "sweep_subset": np.arange(kwargs["sweep_subset"])}
     affine = greedy_build(model, ks, alpha_lb=problem.alpha_lb, **kwargs)
     columns = greedy_build(model, ks, f_hat_all=f_hat,
                            alpha_lb=problem.alpha_lb, **kwargs)
     (sa, ta), (sc, tc) = affine, columns
-    for key in ("selected", "rounds", "rechecks", "stop_reason"):
+    for key in ("selected", "rechecks", "stop_reason"):
         assert getattr(ta, key) == getattr(tc, key)
-    if "sweep_subset" in kwargs:
-        assert max(ta.rounds) == 1      # the pool certification extended it
     assert np.array_equal(sa.psi, sc.psi)
     assert np.array_equal(sa.a_blocks, sc.a_blocks)
     assert np.allclose(ta.max_estimator, tc.max_estimator, rtol=1e-12, atol=0)
@@ -413,7 +376,7 @@ def test_sweep_state_terms_match_load_columns(tiny_problem1):
         cols.enrich(model, v)
     assert held.m == cols.m == 6
     assert np.allclose(held.s2, cols.s2, rtol=1e-10, atol=0)
-    assert np.allclose(held.f_rb(pool), cols.f_rb(pool), rtol=1e-12, atol=0)
+    assert np.allclose(held.f_rb(), cols.f_rb(), rtol=1e-12, atol=0)
     assert np.allclose(held._weigh(held._p_f[:6], pool), cols._p_f[:6],
                        rtol=1e-12, atol=1e-14)
     solves = model.band.solves
@@ -571,7 +534,7 @@ def test_sweep_state_downdate_within_slack(tiny_problem2):
         if step == 12 or state.m == model.n_free:
             down = state.s2.copy()
             state.exact_s2(pool)
-            assert np.all(np.abs(down - state.s2) <= state.slack(pool))
+            assert np.all(np.abs(down - state.s2) <= state.slack())
             assert np.all(state.s2 >= 0.0)
         if state.m == model.n_free:
             break
