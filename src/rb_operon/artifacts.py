@@ -105,11 +105,7 @@ def save_space(adir, prefix, space):
     adir.save_array(prefix + "_psi", space.psi)
     adir.save_array(prefix + "_a_blocks", space.a_blocks)
     adir.save_array(prefix + "_f_blocks", space.f_blocks)
-    adir.save_array(prefix + "_gram_ref", space.gram_ref)
-    adir.save_json(prefix + "_meta", {
-        "alpha_lb": space.alpha_lb,
-        "provenance": space.provenance,
-    })
+    adir.save_json(prefix + "_meta", {"provenance": space.provenance})
 
 
 def load_space(adir, prefix):
@@ -120,8 +116,6 @@ def load_space(adir, prefix):
         psi=adir.load_array(prefix + "_psi"),
         a_blocks=adir.load_array(prefix + "_a_blocks"),
         f_blocks=adir.load_array(prefix + "_f_blocks"),
-        gram_ref=adir.load_array(prefix + "_gram_ref"),
-        alpha_lb=float(meta["alpha_lb"]),
         provenance=meta["provenance"],
     )
 
@@ -153,7 +147,6 @@ def load_net(adir, prefix):
 
 def save_boundary_modes(adir, modes):
     adir.save_array("bmodes_eta", modes.eta)
-    adir.save_array("bmodes_lifted", modes.lifted)
     adir.save_json("bmodes_meta", {"trace": modes.trace, "selected": modes.selected})
 
 
@@ -162,7 +155,6 @@ def load_boundary_modes(adir):
 
     meta = adir.load_json("bmodes_meta")
     return BoundaryModes(eta=adir.load_array("bmodes_eta"),
-                         lifted=adir.load_array("bmodes_lifted"),
                          trace=np.asarray(meta["trace"], dtype=float),
                          selected=np.asarray(meta["selected"], dtype=np.int64))
 

@@ -18,10 +18,9 @@ from .errors import EmptySpaceError
 
 @dataclass
 class BoundaryModes:
-    """W_Gamma-orthonormal Dirichlet trace modes and their liftings."""
+    """W_Gamma-orthonormal Dirichlet trace modes."""
 
     eta: np.ndarray        # (n_bd, r_g)
-    lifted: np.ndarray     # (n_free, r_g) interior lifting of each mode
     trace: np.ndarray      # greedy max-indicator per iteration
     selected: np.ndarray   # snapshot indices chosen (first is the seed)
 
@@ -54,9 +53,9 @@ def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
     n_dim, n_snap = snaps.shape
     if n_snap == 0:
         raise EmptySpaceError("no snapshots to compress")
-    m_snaps = apply_metric(snaps)
     if solve_col is None:
         elems = snaps
+        m_snaps = apply_metric(snaps)
         norms2 = np.einsum("ij,ij->j", snaps, m_snaps)
     else:
         elems = solve_col(snaps)
@@ -113,15 +112,14 @@ def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
 
 
 def boundary_greedy(model, trace_snaps, tol=None, r_max=None, rng=None):
-    """Greedy trace compression in the W_Gamma metric, then lift each mode."""
+    """Greedy trace compression in the W_Gamma metric."""
     rng = rng or np.random.default_rng(0)
     trace_snaps = np.asarray(trace_snaps, dtype=float)
     r_max = r_max or trace_snaps.shape[0]
     w = model.w_gamma
     modes, picked, trace = _metric_greedy(
         trace_snaps, lambda b: w @ b, tol, r_max, rng)
-    lifted = model.lift_block @ modes
-    return BoundaryModes(eta=modes, lifted=lifted, trace=trace, selected=picked)
+    return BoundaryModes(eta=modes, trace=trace, selected=picked)
 
 
 def source_greedy(model, load_snaps, tol=None, r_max=None, rng=None):
@@ -172,10 +170,11 @@ def case2_blocks(model, psi, bmodes, smodes):
     """
     s = model.a_star_II @ smodes.w
     f_s = s.T @ psi
+    lifted = model.lift_block @ bmodes.eta     # interior lifting of each mode
     qa = model.affine_II.n_terms
     g_p = np.empty((qa, bmodes.rank, psi.shape[1]))
     for p in range(qa):
-        x = model.affine_II.term(p) @ bmodes.lifted
+        x = model.affine_II.term(p) @ lifted
         x += model.affine_IB.term(p) @ bmodes.eta
         g_p[p] = x.T @ psi
     return Case2Blocks(f_s=f_s, g_p=g_p)

@@ -59,7 +59,9 @@ class ExampleSpec:
     param_ranges: tuple        # ((lo, hi), ...) per parameter coordinate
     k_star: tuple
     mesh_recipe: dict
-    trunk: dict                # pod_tol / greedy_tol / greedy_fixed_n
+    # pod_tol / pod_fixed_n, and the greedy's required cap greedy_fixed_n
+    # with an optional greedy_tol that stops it earlier
+    trunk: dict
     data: dict = field(default_factory=dict)
     n_pool: int = 2000         # POD snapshots, greedy training set, data rows
     n_train: int = 2000
@@ -593,7 +595,6 @@ class Example2(Example1):
         ks = sample_parameters(spec, spec.n_pool, rng)
         adir.save_array("pool_params", ks)
         xis = sample_xi(spec, spec.n_pool, rng)
-        adir.save_array("pool_xi", xis)
         f_data, g_data, f_hat_all = _data_loads(problem, ks, xis)
         self.smodes = source_greedy(model, f_data, tol=spec.data["mode_tol"],
                                     r_max=spec.data["r_f_max"], rng=rng)

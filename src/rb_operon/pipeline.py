@@ -113,8 +113,9 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
 
     Writes mesh, sampled pools, data modes (example 2), EIM surrogate
     (example 3), greedy trunk with its certification trace, optional POD
-    trunk with supervised targets, and a manifest of every constant and of
-    the full-order factorizations and right-hand sides solved.
+    trunk with its Gram and supervised targets, and a manifest of every
+    constant and of the full-order factorizations and right-hand sides
+    solved.
     """
     spec = apply_overrides(example_spec(example), overrides)
     # pod_build would reject this only after every other offline step
@@ -178,10 +179,11 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         snaps = _pool_snapshots(model, ks, f_hat_all)
         space_p = pod_build(model, snaps, tol=spec.trunk.get("pod_tol"),
                             fixed_n=spec.trunk.get("pod_fixed_n"))
-        space_p.alpha_lb = problem.alpha_lb
         save_space(adir, "pod", space_p)
+        psi = space_p.psi
+        adir.save_array("pod_gram", psi.T @ (model.a_star_II @ psi))
         a_snaps = model.a_star_II @ snaps
-        adir.save_array("pod_targets", (space_p.psi.T @ a_snaps).T)
+        adir.save_array("pod_targets", (psi.T @ a_snaps).T)
         adir.save_array("pod_squares", np.einsum("ij,ij->j", snaps, a_snaps))
         manifest["dims_trunk"]["pod_n"] = space_p.dim
         bench.save_blocks(adir, model, space_p.psi, "pod")
@@ -224,11 +226,12 @@ def run_train(outdir, method="rb", seed=1, config=None):
                                 a_blocks=space.a_blocks, c_n=c_n[sl])
     else:
         ks, a, b = bench.pool_rows(adir)
+        gram = adir.load_array("pod_gram")
         targets = adir.load_array("pod_targets")
         squares = adir.load_array("pod_squares")
 
         def subset(sl):
-            return SupervisedData(features=feats[sl], gram=space.gram_ref,
+            return SupervisedData(features=feats[sl], gram=gram,
                                   targets=targets[sl], squares=squares[sl])
 
     feats = bench.features(ks, a, b)

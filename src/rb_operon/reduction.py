@@ -45,13 +45,14 @@ refactorizes and never substitutes.  X is held sample-last, in blocks of
 rows, so each of the two passes is one einsum per block across the whole
 pool.
 
-Everything else the sweep grows (the trunk, the A_p images of its columns,
-U, P_F, the R_p blocks, the reduced loads and the reduced stiffness blocks)
-is appended in place to a capacity buffer that doubles when full, capped at
-the largest size the trunk can reach: min(fixed_n, pool size, n_free)
-columns, and Q_a times that for U.  An accepted column therefore copies
-nothing that came before it, except when a buffer doubles and in the
-contiguous copy of the trunk that ``v_orthonormalize`` projects on.
+The build needs its maximal dimension ``fixed_n``; a tolerance stops it
+earlier.  Everything else the sweep grows (the trunk, the A_p images of its
+columns, U, P_F, the R_p blocks, the reduced loads and the reduced stiffness
+blocks) is appended in place to a buffer allocated once, at the largest
+size the trunk can reach: min(fixed_n, pool size, n_free) columns, and Q_a
+times that for U.  An accepted column therefore copies nothing that came
+before it, except in the contiguous copy of the trunk that
+``v_orthonormalize`` projects on.
 
 Every reduced system is solved by a checked Cholesky factorization: the
 sweep's bordered inverse factors, and one factor-and-solve kernel behind
@@ -82,19 +83,16 @@ from .errors import EmptySpaceError, NotCoerciveError, StagnationError
 _STAR_CHUNK = 256   # load representers solved per star_solve call
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
 _DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
-_CAPACITY = 8       # trunk columns a greedy buffer holds before it first doubles
 _BLOCK = 8          # inverse-factor rows per block of _BorderedCholesky
 
 
 @dataclass
 class RBSpace:
-    """Trunk matrix plus reduced operator blocks and certification data."""
+    """Trunk matrix, its reduced operator blocks and its provenance."""
 
     psi: np.ndarray              # (n_free, N) A_star-orthonormal columns
     a_blocks: np.ndarray         # (Q_a, N, N) reduced stiffness terms
     f_blocks: np.ndarray         # (Q_f, N) reduced affine load terms
-    gram_ref: np.ndarray         # psi^T A_star_II psi
-    alpha_lb: float
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -231,25 +229,6 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
     return out
 
 
-def _reserve(buf, used, bound, axes=(0,)):
-    """``buf``, or a copy of it with room for entry ``used`` along ``axes``.
-
-    A buffer that is full along ``axes`` is replaced by one twice as long
-    there, capped at ``bound`` entries, that holds the same first ``used``
-    entries; its other axes are copied whole.
-    """
-    if buf.shape[axes[0]] > used:
-        return buf
-    shape = list(buf.shape)
-    keep = [slice(None)] * buf.ndim
-    for ax in axes:
-        shape[ax] = min(2 * used, bound)
-        keep[ax] = slice(0, used)
-    grown = np.empty(shape)
-    grown[tuple(keep)] = buf[tuple(keep)]
-    return grown
-
-
 def _quadratic_rows(weights, gram):
     """w G w^T for every row w of ``weights``."""
     return np.einsum("iq,iq->i", weights @ gram, weights)
@@ -273,12 +252,12 @@ class _SweepState:
     so ``slack`` bounds its drift and ``exact_s2`` recomputes the samples a
     decision depends on.  No per-sample representer block is held.
 
-    Every growing array is appended to in place, in a capacity buffer laid
-    out so that an append is a contiguous write: psi, A_p psi and U are held
-    transposed, one column per buffer row, like the P_F and f_rb rows; the
-    R_p and reduced-block borders go into the unused part of their buffers.
-    A full buffer doubles, capped at the reachable bound: ``bound`` trunk
-    columns, and Q_a times that for U.
+    Every growing array is appended to in place, in a buffer allocated once
+    at the reachable bound, ``bound`` trunk columns and Q_a times that for
+    U, and laid out so that an append is a contiguous write: psi, A_p psi
+    and U are held transposed, one column per buffer row, like the P_F and
+    f_rb rows; the R_p and reduced-block borders go into the unused part of
+    their buffers.
     """
 
     def __init__(self, model, terms, bound, weights=None):
@@ -298,20 +277,18 @@ class _SweepState:
             self._z = model.star_solve(terms)
             self.s2 = _quadratic_rows(weights, terms.T @ self._z)
         self.s0_sq = self.s2.copy()
-        self.bound = bound
-        self.n = 0                                 # trunk columns
-        self.m = 0                                 # U columns
-        cap = min(_CAPACITY, bound)
-        self._psi = np.empty((cap, n_free))        # psi^T
-        self._w = np.empty((qa, cap, n_free))      # (A_p psi)^T
-        self._f_rb = np.empty((cap, width))        # psi^T terms
-        self._a = np.empty((qa, cap, cap))         # psi^T A_p psi
-        self._u = np.empty((qa * cap, n_free))     # U^T
-        self._p_f = np.empty((qa * cap, width))    # U^T terms
+        self.n = 0                                   # trunk columns
+        self.m = 0                                   # U columns
+        self._psi = np.empty((bound, n_free))        # psi^T
+        self._w = np.empty((qa, bound, n_free))      # (A_p psi)^T
+        self._f_rb = np.empty((bound, width))        # psi^T terms
+        self._a = np.empty((qa, bound, bound))       # psi^T A_p psi
+        self._u = np.empty((qa * bound, n_free))     # U^T
+        self._p_f = np.empty((qa * bound, width))    # U^T terms
         # R_p = U^T A_p psi as (U row, trunk column, term), so that the
         # leading (m, n, Q_a) corner reshapes to [R_1 ... R_Q] by columns
         # interleaved term-fastest without a copy
-        self._r = np.empty((qa * cap, cap, qa))
+        self._r = np.empty((qa * bound, bound, qa))
 
     @property
     def psi(self):
@@ -358,10 +335,6 @@ class _SweepState:
 
     def _append_u(self, u_new):
         m, n = self.m, self.n
-        bound = len(self._w) * self.bound
-        self._u = _reserve(self._u, m, bound)
-        self._p_f = _reserve(self._p_f, m, bound)
-        self._r = _reserve(self._r, m, bound)
         self._u[m] = u_new
         np.matmul(u_new, self.terms, out=self._p_f[m])
         row = self._weigh(self._p_f[m])
@@ -373,12 +346,7 @@ class _SweepState:
 
     def enrich(self, model, psi_new):
         """Append one accepted trunk column and border every block by it."""
-        n, b = self.n, self.bound
-        self._psi = _reserve(self._psi, n, b)
-        self._w = _reserve(self._w, n, b, axes=(1,))
-        self._f_rb = _reserve(self._f_rb, n, b)
-        self._a = _reserve(self._a, n, b, axes=(1, 2))
-        self._r = _reserve(self._r, n, b, axes=(1,))
+        n = self.n
         self._psi[n] = psi_new
         ut = self._u[:self.m]
         raw = []
@@ -429,10 +397,10 @@ class _BorderedCholesky:
     trunk column borders each L(k) by the row [l^T, d], with
     L l = col[:n] and d^2 = col[n] - |l|^2 for the new column col of
     A_N(k).  In terms of X that is l = X col[:n] and v = X^T l, one einsum
-    pair per block, and the new row [-v/d, 1/d] of X.  Since c = X^T y with y = X f_N, the coefficients update in O(N) per
-    sample, c <- c + y_n x_new, so no substitution runs at solve time.
-    y and c are row-stacked in (capacity, n_samples) buffers that double
-    when full, capped at ``bound`` rows.
+    pair per block, and the new row [-v/d, 1/d] of X.  Since c = X^T y with
+    y = X f_N, the coefficients update in O(N) per sample,
+    c <- c + y_n x_new, so no substitution runs at solve time.  y and c are
+    row-stacked in (bound, n_samples) buffers allocated once.
     """
 
     def __init__(self, theta, bound):
@@ -441,7 +409,7 @@ class _BorderedCholesky:
         self.bound = bound
         self.n = 0
         self.blocks = []
-        self.y = np.empty((min(_CAPACITY, bound), ns))
+        self.y = np.empty((bound, ns))
         self.c = np.empty_like(self.y)
 
     def border(self, a_col, f_new):
@@ -451,9 +419,6 @@ class _BorderedCholesky:
         ``f_new`` (n_samples,) the new reduced load entry of every sample.
         """
         n = self.n
-        if n == len(self.y):
-            self.y = _reserve(self.y, n, self.bound)
-            self.c = _reserve(self.c, n, self.bound)
         b, i = divmod(n, _BLOCK)
         if i == 0:
             self.blocks.append(np.zeros(
@@ -502,15 +467,17 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     theta_f(samples), so its load bookkeeping and reference solves grow
     with Q_f, not with the pool, and each truth snapshot reads its load
     from ``model.load_interior``.
-    Stopping: ``tol`` on the pool's max estimator, which then certifies
-    every pool sample, or ``fixed_n`` columns.
+    Stopping: the maximal dimension ``fixed_n`` is required, and the build
+    stops at ``fixed_n`` columns, or at as many as the pool and the space
+    hold; ``tol`` on the pool's max estimator stops it earlier and then
+    certifies every pool sample.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ns = samples.shape[0]
     if ns == 0:
         raise EmptySpaceError("empty greedy training set")
-    if tol is None and fixed_n is None:
-        raise ValueError("need a tolerance or a fixed dimension")
+    if fixed_n is None:
+        raise ValueError("the greedy needs its maximal dimension fixed_n")
     if f_hat_all is None:
         if not model.f_terms:
             raise EmptySpaceError("the model has no affine loads")
@@ -519,10 +486,9 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     else:
         terms, weights = f_hat_all, None
     theta_all = np.asarray(model.theta_a(samples), dtype=float)
-    n_cap = fixed_n if fixed_n is not None else min(ns, model.n_free)
     # each accepted column is a different pool sample's snapshot, A_star-
     # orthogonal to the rest, and the first is taken whatever fixed_n says
-    bound = max(1, min(n_cap, ns, model.n_free))
+    bound = max(1, min(fixed_n, ns, model.n_free))
 
     # an index array, not a slice: estimator_sq subtracts in place from the
     # P_F rows it weighs, which a slice would leave views of the held rows
@@ -565,7 +531,7 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         if tol is not None and eta_max <= tol:
             trace.stop_reason = "tolerance"
             break
-        if state.n >= n_cap:
+        if state.n >= bound:
             trace.stop_reason = "size"
             break
         v = v_orthonormalize(model, state.psi, truth(idx))
@@ -580,12 +546,10 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
 
     psi = np.ascontiguousarray(state.psi)
     a_blocks, f_blocks = reduce_operators(model, psi)
-    gram = psi.T @ (model.a_star_II @ psi)
     prov = dict(method="greedy", tol=tol, fixed_n=fixed_n,
                 selected=list(trace.selected), pool_size=int(ns))
-    space = RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
-                    gram_ref=gram, alpha_lb=float(alpha_lb), provenance=prov)
-    return space, trace
+    return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
+                   provenance=prov), trace
 
 
 def _border_update(a_blocks, psi, w_new):
@@ -658,8 +622,7 @@ def pod_build(model, snapshots, tol=None, fixed_n=None):
         kept += 1
     psi = psi[:, :kept].copy()
     a_blocks, f_blocks = reduce_operators(model, psi)
-    gram_ref = psi.T @ (model.a_star_II @ psi)
     prov = dict(method="pod", tol=tol, fixed_n=fixed_n, n_snapshots=int(nk),
                 eigenvalues=lam, trace=total)
     return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
-                   gram_ref=gram_ref, alpha_lb=1.0, provenance=prov)
+                   provenance=prov)

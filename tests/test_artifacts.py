@@ -81,16 +81,13 @@ def test_space_roundtrip(tmp_path, rng):
         psi=rng.standard_normal((12, 3)),
         a_blocks=rng.standard_normal((2, 3, 3)),
         f_blocks=rng.standard_normal((1, 3)),
-        gram_ref=np.eye(3),
-        alpha_lb=0.25,
         provenance={"method": "greedy", "tol": 1e-6,
                     "spectrum": np.array([1.0, 0.1])},
     )
     save_space(adir, "trunk", space)
     back = load_space(adir, "trunk")
-    for name in ("psi", "a_blocks", "f_blocks", "gram_ref"):
+    for name in ("psi", "a_blocks", "f_blocks"):
         assert np.array_equal(getattr(back, name), getattr(space, name))
-    assert back.alpha_lb == 0.25
     assert back.provenance["method"] == "greedy"
     assert back.provenance["spectrum"] == [1.0, 0.1]
 
@@ -100,12 +97,11 @@ def test_space_roundtrip_without_mass(tmp_path, rng):
     space = RBSpace(psi=rng.standard_normal((5, 2)),
                     a_blocks=rng.standard_normal((1, 2, 2)),
                     f_blocks=rng.standard_normal((1, 2)),
-                    gram_ref=np.eye(2), alpha_lb=1.0, provenance={})
+                    provenance={})
     save_space(adir, "t", space)
-    # four arrays and the meta; no reduced mass block is written
+    # three arrays and the meta; no reduced mass block is written
     assert sorted(os.listdir(adir.path)) == [
-        "t_a_blocks.arr", "t_f_blocks.arr", "t_gram_ref.arr", "t_meta.json",
-        "t_psi.arr"]
+        "t_a_blocks.arr", "t_f_blocks.arr", "t_meta.json", "t_psi.arr"]
     assert load_space(adir, "t").provenance == {}
 
 
@@ -157,13 +153,11 @@ def test_net_load_rejects_size_mismatch(tmp_path, rng):
 def test_modes_roundtrip(tmp_path, rng):
     adir = ArtifactDir(tmp_path / "run")
     bm = BoundaryModes(eta=rng.standard_normal((6, 2)),
-                       lifted=rng.standard_normal((10, 2)),
                        trace=np.array([1.0, 0.1]),
                        selected=np.array([4, 1], dtype=np.int64))
     save_boundary_modes(adir, bm)
     back = load_boundary_modes(adir)
     assert np.array_equal(back.eta, bm.eta)
-    assert np.array_equal(back.lifted, bm.lifted)
     assert np.array_equal(back.trace, bm.trace)
     assert np.array_equal(back.selected, bm.selected)
 

@@ -37,6 +37,15 @@ def test_rb_build_without_pod_rule_fails_before_writing(tmp_path, capsys):
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
+def test_rb_build_without_greedy_cap_exits_2(tmp_path, capsys):
+    # a greedy tolerance does not stand in for the greedy's maximal dimension
+    out = str(tmp_path / "run")
+    args = (["rb-build", "--example", "1", "--out", out, "--no-pod"] + TINY
+            + ["--set", "greedy_fixed_n=none", "--set", "greedy_tol=0.01"])
+    assert main(args) == 2
+    assert "fixed_n" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli") / "run")

@@ -66,7 +66,6 @@ def test_boundary_modes_orthonormal(tiny_problem2):
     modes = boundary_greedy(model, g, r_max=5)
     gram = modes.eta.T @ (model.w_gamma @ modes.eta)
     assert np.allclose(gram, np.eye(modes.rank), atol=1e-10)
-    assert np.allclose(modes.lifted, model.lift_block @ modes.eta)
 
 
 def test_boundary_modes_full_rank_exact(tiny_problem2):

@@ -115,8 +115,37 @@ def test_example2_greedy_trains_on_leading_pool_rows(tmp_path):
     assert prov["selected"] == trace["selected"]
     assert len(trace["selected"]) == TINY2["greedy_fixed_n"]
     assert max(trace["selected"]) < 10
-    for name in ("pool_params", "pool_xi", "pool_a", "pool_b"):
+    for name in ("pool_params", "pool_a", "pool_b"):
         assert len(adir.load_array(name)) == TINY2["n_pool"] == 24
+
+
+@pytest.mark.parametrize("example, pod", [(1, True), (2, False), (3, True)])
+def test_every_persisted_array_has_a_reader(example, pod, tmp_path,
+                                            monkeypatch):
+    # training, evaluation and the online bundle load every array the
+    # offline stage writes.  Examples 1 and 3 build their POD trunk, since
+    # only POD training reads pool_params there
+    import conftest
+    from rb_operon import artifacts
+
+    out = str(tmp_path / f"ex{example}")
+    run_offline(example, out, seed=0, pod=pod,
+                overrides=getattr(conftest, f"TINY{example}"))
+    loaded = set()
+    load = artifacts.load_array
+
+    def recording(path):
+        loaded.add(os.path.basename(path))
+        return load(path)
+
+    monkeypatch.setattr(artifacts, "load_array", recording)
+    config = {"epochs": 1, "early_stop": 10 ** 9}
+    for method in ("rb", "pod") if pod else ("rb",):
+        run_train(out, method, seed=1, config=config)
+    run_eval(out, seed=2)
+    load_online_bundle(ArtifactDir(out))
+    written = {name for name in os.listdir(out) if name.endswith(".arr")}
+    assert written - loaded == set()
 
 
 def test_theta_batch_values(tiny_problem3, rng):

@@ -16,13 +16,13 @@ from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
                                  v_orthonormalize)
 
 
-def estimator(model, space, k, c, f_hat):
+def estimator(model, space, k, c, f_hat, alpha_lb):
     """Full-order oracle of the certified bound: the residual's dual norm,
-    by one reference solve, over the coercivity bound."""
+    by one reference solve, over the coercivity bound ``alpha_lb``."""
     theta = np.asarray(model.theta_a(np.asarray(k, dtype=float)), dtype=float)
     rho = np.asarray(f_hat, dtype=float) - model.affine_II.assemble(theta) @ (space.psi @ c)
     z = model.star_solve(rho)
-    return float(np.sqrt(max(rho @ z, 0.0)) / space.alpha_lb)
+    return float(np.sqrt(max(rho @ z, 0.0)) / alpha_lb)
 
 
 def pool_and_loads(problem, n, seed=5):
@@ -164,8 +164,6 @@ def test_bordered_cholesky_matches_batch_solve():
     blocks = np.einsum("qij,qkj->qik", base, base) + np.eye(n)
     theta = rng.uniform(0.5, 2.0, size=(ns, qa))
     f = rng.standard_normal((ns, n))
-    # n exceeds the initial capacity, so the y buffer grows on the way
-    assert n > reduction._CAPACITY
     chol = _BorderedCholesky(theta, n)
     kept = None
     for j in range(n):
@@ -247,14 +245,17 @@ def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     assert_rechecked(trace)
     assert all(np.diff(trace.max_estimator) < 0)
     # trunk is orthonormal in the reference inner product
-    assert np.allclose(space.gram_ref, np.eye(3), atol=1e-10)
+    psi = space.psi
+    assert np.allclose(psi.T @ (problem.model.a_star_II @ psi), np.eye(3),
+                       atol=1e-10)
     # the deflated-representer sweep must agree with the direct dual-norm
     # estimator evaluated one sample at a time on the final space
     etas = []
     for i, k in enumerate(ks):
         a_rb = np.tensordot(problem.model.theta_a(k), space.a_blocks, axes=1)
         c = solve_reduced(a_rb, problem.model.theta_f(k) @ space.f_blocks)
-        etas.append(estimator(problem.model, space, k, c, f_hat[:, i]))
+        etas.append(estimator(problem.model, space, k, c, f_hat[:, i],
+                              problem.alpha_lb))
     assert np.isclose(max(etas), trace.max_estimator[-1], rtol=1e-8)
 
 
@@ -263,7 +264,8 @@ def test_greedy_tolerance_mode_certifies(tiny_problem1):
     ks, f_hat = pool_and_loads(problem, 20)
     tol = 1e-6
     space, trace = greedy_build(problem.model, ks, f_hat_all=f_hat,
-                                tol=tol, alpha_lb=problem.alpha_lb)
+                                tol=tol, fixed_n=len(ks),
+                                alpha_lb=problem.alpha_lb)
     assert trace.max_estimator[-1] <= tol
     assert trace.stop_reason == "tolerance"
     assert_rechecked(trace)
@@ -271,7 +273,8 @@ def test_greedy_tolerance_mode_certifies(tiny_problem1):
     for i, k in enumerate(ks):
         a_rb = np.tensordot(problem.model.theta_a(k), space.a_blocks, axes=1)
         c = solve_reduced(a_rb, problem.model.theta_f(k) @ space.f_blocks)
-        assert estimator(problem.model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
+        assert estimator(problem.model, space, k, c, f_hat[:, i],
+                         problem.alpha_lb) <= tol * (1 + 1e-9)
 
 
 def test_estimator_bounds_energy_error(tiny_problem1):
@@ -290,7 +293,7 @@ def test_estimator_bounds_energy_error(tiny_problem1):
         a_rb = np.tensordot(model.theta_a(k), space.a_blocks, axes=1)
         c = solve_reduced(a_rb, model.theta_f(k) @ space.f_blocks)
         e = u - space.psi @ c
-        eta = estimator(model, space, k, c, f)
+        eta = estimator(model, space, k, c, f, problem.alpha_lb)
         err_star = np.sqrt(e @ (model.a_star_II @ e))
         err_k = np.sqrt(e @ (model.assemble_interior(k) @ e))
         assert err_star <= eta * (1 + 1e-9)
@@ -300,20 +303,21 @@ def test_estimator_bounds_energy_error(tiny_problem1):
 def test_greedy_data_loads_extend_sweep(tiny_problem2):
     # example 2 draws its loads independently of the operator parameter, so
     # the trunk grows to N >> 3 before a tolerance stop, which certifies
-    # every sample of the pool it swept
+    # every sample of the pool it swept, those left out of the trunk too
     problem = tiny_problem2
     model = problem.model
     ks, f_hat = data_pool_and_loads(problem, 24)
-    tol = 0.1
+    tol = 1.0
     space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=tol,
-                                alpha_lb=problem.alpha_lb)
-    assert space.dim >= 12
+                                fixed_n=len(ks), alpha_lb=problem.alpha_lb)
+    assert 12 <= space.dim < len(ks)
     assert trace.stop_reason == "tolerance"
     assert_rechecked(trace)
     for i, k in enumerate(ks):
         a_rb = np.tensordot(model.theta_a(k), space.a_blocks, axes=1)
         c = solve_reduced(a_rb, space.psi.T @ f_hat[:, i])
-        assert estimator(model, space, k, c, f_hat[:, i]) <= tol * (1 + 1e-9)
+        assert estimator(model, space, k, c, f_hat[:, i],
+                         problem.alpha_lb) <= tol * (1 + 1e-9)
 
 
 @pytest.fixture
@@ -331,9 +335,9 @@ def two_load_problem(tiny_problem1):
 @pytest.mark.parametrize("name, kwargs", [
     ("two_load_problem", {"fixed_n": 4}),
     ("tiny_problem1", {"fixed_n": 3}),
-    ("tiny_problem1", {"tol": 1e-2}),
+    ("tiny_problem1", {"tol": 1e-2, "fixed_n": 30}),
     ("tiny_problem3", {"fixed_n": 10}),
-    ("tiny_problem3", {"tol": 0.3}),
+    ("tiny_problem3", {"tol": 0.3, "fixed_n": 30}),
 ])
 def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
     # f_hat_all None keeps the model's loads as terms and weights; the sweep
@@ -408,15 +412,15 @@ def test_greedy_affine_loads_hold_no_load_matrix(tiny_problem1):
     assert peak < model.n_free * n * 8 / 4
 
 
-def full_order_estimators(model, space, ks, f_hat, n):
+def full_order_estimators(model, space, ks, f_hat, n, alpha_lb):
     """``estimator`` of every pool sample on the first n trunk columns."""
     sub = RBSpace(psi=space.psi[:, :n], a_blocks=space.a_blocks[:, :n, :n],
-                  f_blocks=None, gram_ref=None, alpha_lb=space.alpha_lb)
+                  f_blocks=None)
     etas = []
     for i, k in enumerate(ks):
         a_rb = np.tensordot(model.theta_a(k), sub.a_blocks, axes=1)
         c = solve_reduced(a_rb, sub.psi.T @ f_hat[:, i])
-        etas.append(estimator(model, sub, k, c, f_hat[:, i]))
+        etas.append(estimator(model, sub, k, c, f_hat[:, i], alpha_lb))
     return np.array(etas)
 
 
@@ -438,83 +442,14 @@ def test_greedy_selection_matches_full_order_estimator(name, request):
     assert_rechecked(trace)
     top = trace.max_estimator[0]
     for n in range(1, space.dim + 1):
-        etas = full_order_estimators(model, space, ks, f_hat, n)
+        etas = full_order_estimators(model, space, ks, f_hat, n,
+                                     problem.alpha_lb)
         if n < space.dim:
             assert trace.selected[n] == int(np.argmax(etas))
         if trace.max_estimator[n - 1] > 1e-10 * top:
             assert np.isclose(trace.max_estimator[n - 1], max(etas),
                               rtol=1e-8, atol=0.0)
     assert trace.max_estimator[-1] <= 1e-10 * top
-
-
-def test_greedy_buffers_grow_to_reachable_bound(tiny_problem2, monkeypatch):
-    # a tolerance-only build starts from small buffers and doubles them as
-    # the trunk grows; the picks must not notice, and no buffer may reserve
-    # more than the trunk can reach
-    problem = tiny_problem2
-    model = problem.model
-    qa = model.affine_II.n_terms
-    ks, f_hat = data_pool_and_loads(problem, 24)
-    built = []
-
-    class State(_SweepState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.start = (self._psi.shape[0], self._u.shape[0])
-            built.append(self)
-
-    class Chol(_BorderedCholesky):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.start = len(self.y)
-            built.append(self)
-
-    grown = []
-    reserve = reduction._reserve
-
-    def recording_reserve(buf, used, bound, axes=(0,)):
-        out = reserve(buf, used, bound, axes)
-        if out is not buf:
-            grown.append((buf.shape[axes[0]], out.shape[axes[0]], bound))
-        return out
-
-    monkeypatch.setattr(reduction, "_SweepState", State)
-    monkeypatch.setattr(reduction, "_BorderedCholesky", Chol)
-    monkeypatch.setattr(reduction, "_reserve", recording_reserve)
-    space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=0.4,
-                                alpha_lb=problem.alpha_lb)
-    assert trace.stop_reason == "tolerance"
-    assert space.dim > 2 * reduction._CAPACITY   # outgrown twice
-    for n in range(1, space.dim):
-        etas = full_order_estimators(model, space, ks, f_hat, n)
-        assert trace.selected[n] == int(np.argmax(etas))
-        assert np.isclose(trace.max_estimator[n - 1], max(etas), rtol=1e-8)
-    bound = min(len(ks), model.n_free)
-    # every growth doubles, capped at the bound; the trunk buffers start
-    # below it and double twice
-    cap = reduction._CAPACITY
-    assert all(new == min(2 * old, top) for old, new, top in grown)
-    assert (cap, 2 * cap, bound) in grown and (2 * cap, bound, bound) in grown
-    state, chol = built
-    assert state.bound == chol.bound == bound
-    assert state.start == (cap, qa * cap) and chol.start == cap
-    assert state._psi.shape[0] <= bound
-    assert state._w.shape[1] <= bound
-    assert state._f_rb.shape[0] <= bound
-    assert max(state._a.shape[1:]) <= bound
-    # R is held (U row, trunk column, term)
-    assert state._r.shape[2] == qa
-    assert state._r.shape[1] <= bound
-    assert state._u.shape[0] <= qa * bound
-    assert state._p_f.shape[0] <= qa * bound
-    assert state._r.shape[0] <= qa * bound
-    for buf in (chol.y, chol.c):
-        assert space.dim <= buf.shape[0] <= bound
-    # the inverse-factor blocks hold no row and no column past the bound
-    assert sum(len(blk) for blk in chol.blocks) <= bound
-    assert max(blk.shape[1] for blk in chol.blocks) <= bound
-    assert state.n == space.dim
-    assert np.array_equal(space.psi, state.psi)
 
 
 def test_sweep_state_downdate_within_slack(tiny_problem2):
@@ -549,7 +484,7 @@ def test_greedy_stagnation_raises(tiny_problem1):
     # above tolerance
     ks = np.array([[1.0, 0.5], [1.0, 1.0], [1.0, -0.3]])
     with pytest.raises(StagnationError):
-        greedy_build(problem.model, ks, tol=1e-13, alpha_lb=1e-12)
+        greedy_build(problem.model, ks, tol=1e-13, fixed_n=3, alpha_lb=1e-12)
     # without a tolerance the dependent snapshot ends the loop instead
     space, trace = greedy_build(problem.model, ks, fixed_n=3, alpha_lb=1e-12)
     assert space.dim == 1
@@ -562,8 +497,39 @@ def test_greedy_empty_pool(tiny_problem1, tiny_problem2):
     # example 2's model has no affine loads to stand in for missing ones
     with pytest.raises(EmptySpaceError, match="no affine loads"):
         greedy_build(tiny_problem2.model, np.ones((3, 3)), fixed_n=1)
-    with pytest.raises(ValueError):
-        greedy_build(tiny_problem1.model, np.array([[1.0, 1.0]]))
+
+
+def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
+    # the cap sizes every buffer of the sweep, so a tolerance alone is not
+    # enough to build; it only stops the build before the cap
+    model = tiny_problem1.model
+    ks, f_hat = pool_and_loads(tiny_problem1, 8)
+    with pytest.raises(ValueError, match="fixed_n"):
+        greedy_build(model, ks)
+    for loads in (None, f_hat):
+        with pytest.raises(ValueError, match="fixed_n"):
+            greedy_build(model, ks, f_hat_all=loads, tol=1e-2)
+    # a cap above the pool size allocates and stops at the pool size
+    built = []
+
+    class Chol(_BorderedCholesky):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    class State(_SweepState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(reduction, "_SweepState", State)
+    monkeypatch.setattr(reduction, "_BorderedCholesky", Chol)
+    space, trace = greedy_build(model, ks[:4], fixed_n=10)
+    assert space.dim == 4 and trace.stop_reason == "size"
+    state, chol = built
+    qa = model.affine_II.n_terms
+    assert state._psi.shape[0] == state._a.shape[1] == chol.y.shape[0] == 4
+    assert state._u.shape[0] == state._r.shape[0] == qa * 4
 
 
 def test_pod_optimality_identity(tiny_problem1):
@@ -582,7 +548,8 @@ def test_pod_optimality_identity(tiny_problem1):
     mean_err2 = np.einsum("ij,ij->j", proj, a @ proj).mean()
     tail = lam[4:].sum()
     assert np.isclose(mean_err2, tail, rtol=1e-10, atol=1e-14 * lam[0])
-    assert np.allclose(space.gram_ref, np.eye(space.dim), atol=1e-10)
+    assert np.allclose(space.psi.T @ (a @ space.psi), np.eye(space.dim),
+                       atol=1e-10)
     assert np.all(np.diff(lam) <= 1e-12 * lam[0])
 
 
