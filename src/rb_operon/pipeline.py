@@ -118,7 +118,10 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     solved.
     """
     spec = apply_overrides(example_spec(example), overrides)
-    # pod_build would reject this only after every other offline step
+    # the builders would reject these only after the steps before them
+    if spec.trunk.get("greedy_fixed_n") is None:
+        raise ValueError("the greedy needs its maximal dimension "
+                         "greedy_fixed_n")
     if pod and all(spec.trunk.get(key) is None
                    for key in ("pod_tol", "pod_fixed_n")):
         raise ValueError("the POD trunk needs pod_tol or pod_fixed_n")

@@ -31,19 +31,22 @@ with G the Gram of the representers Z = A_star^-1 F, deflated against U
 for a recheck (Hesthaven, Rozza & Stamm 2016, ch. 3).  Z is solved once
 and kept, so the sweep's reference solves number Q_f, not one per sample.
 
-The greedy is the weak greedy over the pool it is given: every iteration
-sweeps the whole pool, and a tolerance stop certifies every pool sample.  A
-caller that trains on fewer samples passes fewer.  theta is evaluated once
-for every pool sample, in one call.  The second piece is one matrix product:
-the R_p blocks are held side by side, (U row, trunk column, term), and
-multiply the Khatri-Rao block whose row (j, p) is c_j(k) theta_p(k).  The
-coefficients c(k) come from per-sample inverse Cholesky factors
-X(k) = L(k)^-1 of A_N(k) that grow by one row per accepted trunk column:
-l = X col and v = X^T l for the new column col of A_N(k) give the new row
-[-v/d, 1/d] of X and the update c <- c + y_n x_new, so the sweep never
-refactorizes and never substitutes.  X is held sample-last, in blocks of
-rows, so each of the two passes is one einsum per block across the whole
-pool.
+The greedy is the weak greedy over the pool it is given.  A selected
+sample's snapshot lies in the trunk, so its Galerkin solution is exact and
+its estimator 0: each iteration sweeps only the samples outside the trunk,
+and borders no factor, forms no coefficients and multiplies no residual
+block for the others.  The trunk samples are certified with eta = 0, so a
+tolerance stop still certifies every pool sample.  A caller that trains on
+fewer samples passes fewer.  theta is evaluated once for every pool sample,
+in one call.  The second piece is one matrix product: the R_p blocks are
+held side by side, (U row, trunk column, term), and multiply the Khatri-Rao
+block whose row (j, p) is c_j(k) theta_p(k).  The coefficients c(k) come
+from per-sample inverse Cholesky factors X(k) = L(k)^-1 of A_N(k) that grow
+by one row per accepted trunk column: l = X col and v = X^T l for the new
+column col of A_N(k) give the new row [-v/d, 1/d] of X and the update
+c <- c + y_n x_new, so the sweep never refactorizes and never substitutes.
+X is held sample-last, in blocks of rows, so each of the two passes is one
+einsum per block across the samples outside the trunk.
 
 The build needs its maximal dimension ``fixed_n``; a tolerance stops it
 earlier.  Everything else the sweep grows (the trunk, the A_p images of its
@@ -112,7 +115,8 @@ class GreedyTrace:
 
     selected: list = field(default_factory=list)   # sample indices
     params: list = field(default_factory=list)     # parameter vectors
-    # the pool's maximum per basis size
+    # the pool's maximum per basis size: the maximum over the samples
+    # outside the trunk, since a trunk sample's estimator is 0
     max_estimator: list = field(default_factory=list)
     basis_size: list = field(default_factory=list)
     stop_reason: str = None    # "tolerance", "size" or "dependent_snapshot"
@@ -286,8 +290,8 @@ class _SweepState:
         self._u = np.empty((qa * bound, n_free))     # U^T
         self._p_f = np.empty((qa * bound, width))    # U^T terms
         # R_p = U^T A_p psi as (U row, trunk column, term), so that the
-        # leading (m, n, Q_a) corner reshapes to [R_1 ... R_Q] by columns
-        # interleaved term-fastest without a copy
+        # leading (m, n, Q_a) corner of the buffer flattened by rows is
+        # [R_1 ... R_Q], columns interleaved term-fastest, as a strided view
         self._r = np.empty((qa * bound, bound, qa))
 
     @property
@@ -381,17 +385,18 @@ class _SweepState:
         qa = self._r.shape[2]
         kr = c[:, None, :] * theta_all[idx].T[None, :, :]
         y = self._weigh(self._p_f[:m], idx)
-        y -= self._r[:m, :n].reshape(m, n * qa) @ kr.reshape(n * qa, -1)
+        r = self._r.reshape(len(self._r), -1)[:m, :n * qa]
+        y -= r @ kr.reshape(n * qa, -1)
         s2 = np.maximum(self.s2[idx], 0.0)
         return (s2 + np.einsum("ij,ij->j", y, y)) / alpha_lb ** 2
 
 
 class _BorderedCholesky:
-    """Inverse Cholesky factors X(k) = L(k)^-1 of A_N(k) for a fixed set of
+    """Inverse Cholesky factors X(k) = L(k)^-1 of A_N(k) for the live pool
     samples, and the RB coefficients c(k) = X(k)^T X(k) f_N(k) they give.
 
     X is lower triangular and held sample-last, in blocks of ``_BLOCK``
-    rows: block b is one (rows, width, n_samples) array of rows
+    rows: block b is one (rows, width, samples) array of rows
     [b _BLOCK, (b + 1) _BLOCK) of every X(k), zero beyond each row's
     diagonal, and width (b + 1) _BLOCK capped at ``bound``.  Appending a
     trunk column borders each L(k) by the row [l^T, d], with
@@ -401,6 +406,13 @@ class _BorderedCholesky:
     y = X f_N, the coefficients update in O(N) per sample,
     c <- c + y_n x_new, so no substitution runs at solve time.  y and c are
     row-stacked in (bound, n_samples) buffers allocated once.
+
+    The sample axis is in live order: position s holds pool sample
+    ``pool[s]``, and only the leading ``live`` positions are bordered and
+    solved.  ``retire`` takes a sample out of that order, as the greedy
+    does with each sample whose snapshot enters the trunk, by moving the
+    last live sample into its place; a block appended later is allocated
+    only ``live`` samples wide.
     """
 
     def __init__(self, theta, bound):
@@ -411,27 +423,30 @@ class _BorderedCholesky:
         self.blocks = []
         self.y = np.empty((bound, ns))
         self.c = np.empty_like(self.y)
+        self.pool = np.arange(ns)    # live position -> pool sample
+        self.live = ns
 
     def border(self, a_col, f_new):
         """Append one trunk column.
 
         ``a_col`` (Q_a, n + 1) is the new column of every reduced block and
-        ``f_new`` (n_samples,) the new reduced load entry of every sample.
+        ``f_new`` (live,) the new reduced load entry of every live sample,
+        in live order.
         """
-        n = self.n
+        n, live = self.n, self.live
         b, i = divmod(n, _BLOCK)
         if i == 0:
             self.blocks.append(np.zeros(
                 (min(_BLOCK, self.bound - n), min(n + _BLOCK, self.bound),
-                 len(f_new))))
-        x_new = self.blocks[b][i]     # still zero: v accumulates into it
+                 live)))
+        x_new = self.blocks[b][i, :, :live]   # still zero: v accumulates in it
         # the new column of every A_N(k); l = X col[:n] overwrites its head
         # block by block, last block first, so each block reads only the
         # entries of col its rows reach, none of them yet overwritten
-        col = a_col.T @ self.theta
+        col = a_col.T @ self.theta[:, :live]
         for j in range(b, -1, -1):
             lo = j * _BLOCK
-            rows = self.blocks[j][:n - lo, :n]   # its filled rows
+            rows = self.blocks[j][:n - lo, :n, :live]   # its filled rows
             hi, w = lo + len(rows), rows.shape[1]
             if hi > lo:
                 col[lo:hi] = np.einsum("ijs,js->is", rows, col[:w])
@@ -441,36 +456,51 @@ class _BorderedCholesky:
         bad = np.flatnonzero(~(d2 > 0.0))
         if bad.size:
             raise NotCoerciveError(
-                f"reduced operator of sample {bad[0]} is not SPD at "
-                f"dimension {n + 1}")
+                f"reduced operator of sample {self.pool[bad[0]]} is not SPD "
+                f"at dimension {n + 1}")
         d = np.sqrt(d2)
         np.divide(1.0, d, out=x_new[n])
         x_new[:n] *= -x_new[n]
-        self.y[n] = (f_new - np.einsum("js,js->s", ell, self.y[:n])) / d
-        self.c[:n] += self.y[n] * x_new[:n]
-        np.multiply(self.y[n], x_new[n], out=self.c[n])
+        y, c = self.y[:, :live], self.c[:, :live]
+        y[n] = (f_new - np.einsum("js,js->s", ell, y[:n])) / d
+        c[:n] += y[n] * x_new[:n]
+        np.multiply(y[n], x_new[n], out=c[n])
         self.n = n + 1
 
+    def retire(self, sample):
+        """Take pool sample ``sample`` out of the live order: the last live
+        sample moves into its position, O(N^2) entries of X with it."""
+        s = int(np.flatnonzero(self.pool[:self.live] == sample)[0])
+        last = self.live - 1
+        for blk in self.blocks:
+            blk[:, :, s] = blk[:, :, last]
+        for arr in (self.y[:self.n], self.c[:self.n], self.theta, self.pool):
+            arr[..., s] = arr[..., last]
+        self.live = last
+
     def solve(self):
-        """RB coefficients (N, n_samples), a copy later borders leave alone."""
-        return self.c[:self.n].copy()
+        """RB coefficients (N, live) in live order, a copy later borders and
+        retirements leave alone."""
+        return self.c[:self.n, :self.live].copy()
 
 
 def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
                  alpha_lb=1.0):
     """Weak greedy trunk construction driven by the certified estimator.
 
-    ``samples`` is the training pool (n_s, p), which every iteration sweeps
-    whole; ``f_hat_all`` the matching aggregated loads as columns, or None
-    for the model's own affine loads.  None never forms the n_free x n_s
-    load matrix: the sweep holds the Q_f load terms and their weights
-    theta_f(samples), so its load bookkeeping and reference solves grow
-    with Q_f, not with the pool, and each truth snapshot reads its load
-    from ``model.load_interior``.
+    ``samples`` is the training pool (n_s, p); every iteration sweeps the
+    samples outside the trunk, and each selected sample, certified with
+    eta = 0 from then on, leaves the sweep.  ``f_hat_all`` holds the
+    matching aggregated loads as columns, or is None for the model's own
+    affine loads.  None never forms the n_free x n_s load matrix: the sweep
+    holds the Q_f load terms and their weights theta_f(samples), so its
+    load bookkeeping and reference solves grow with Q_f, not with the pool,
+    and each truth snapshot reads its load from ``model.load_interior``.
     Stopping: the maximal dimension ``fixed_n`` is required, and the build
     stops at ``fixed_n`` columns, or at as many as the pool and the space
     hold; ``tol`` on the pool's max estimator stops it earlier and then
-    certifies every pool sample.
+    certifies every pool sample, the trunk samples included.  A trunk that
+    holds the whole pool records a maximum of 0.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ns = samples.shape[0]
@@ -490,9 +520,6 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     # orthogonal to the rest, and the first is taken whatever fixed_n says
     bound = max(1, min(fixed_n, ns, model.n_free))
 
-    # an index array, not a slice: estimator_sq subtracts in place from the
-    # P_F rows it weighs, which a slice would leave views of the held rows
-    pool = np.arange(ns)
     state = _SweepState(model, terms, bound, weights)
     chol = _BorderedCholesky(theta_all, bound)
     trace = GreedyTrace()
@@ -505,7 +532,10 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
 
     def accept(idx, v):
         state.enrich(model, v)
-        chol.border(state.a_blocks[:, :, -1], state.f_rb(-1))
+        chol.border(state.a_blocks[:, :, -1],
+                    state.f_rb(-1)[chol.pool[:chol.live]])
+        # a trunk sample's snapshot is in the trunk: its estimator is 0
+        chol.retire(idx)
         trace.selected.append(idx)
         trace.params.append(samples[idx].copy())
         trace.basis_size.append(state.n)
@@ -517,16 +547,24 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
     accept(0, v)
 
     while True:
-        c = chol.solve()
-        eta2 = state.estimator_sq(theta_all, pool, c, alpha_lb)
-        # exact s^2 where the downdate drift could change the argmax
-        slack = state.slack() / alpha_lb ** 2
-        near = np.flatnonzero(eta2 + slack >= np.max(eta2 - slack))
-        state.exact_s2(near)
-        eta2[near] = state.estimator_sq(theta_all, near, c[:, near], alpha_lb)
+        # the samples outside the trunk, in the factors' order: an index
+        # array, not a slice, since estimator_sq subtracts in place from the
+        # P_F rows it weighs, and a copy, which retire leaves as it is
+        live = chol.pool[:chol.live].copy()
+        eta_max, near = 0.0, live     # a pool-sized trunk certifies the pool
+        if live.size:
+            c = chol.solve()
+            eta2 = state.estimator_sq(theta_all, live, c, alpha_lb)
+            # exact s^2 where the downdate drift could change the argmax
+            slack = state.slack()[live] / alpha_lb ** 2
+            near = np.flatnonzero(eta2 + slack >= np.max(eta2 - slack))
+            state.exact_s2(live[near])
+            eta2[near] = state.estimator_sq(theta_all, live[near], c[:, near],
+                                            alpha_lb)
+            best = int(np.argmax(eta2))
+            idx = int(live[best])
+            eta_max = float(np.sqrt(max(eta2[best], 0.0)))
         trace.rechecks.append(near.size)
-        idx = int(np.argmax(eta2))
-        eta_max = float(np.sqrt(max(eta2[idx], 0.0)))
         trace.max_estimator.append(eta_max)
         if tol is not None and eta_max <= tol:
             trace.stop_reason = "tolerance"

@@ -38,12 +38,14 @@ def test_rb_build_without_pod_rule_fails_before_writing(tmp_path, capsys):
 
 
 def test_rb_build_without_greedy_cap_exits_2(tmp_path, capsys):
-    # a greedy tolerance does not stand in for the greedy's maximal dimension
+    # a greedy tolerance does not stand in for the greedy's maximal
+    # dimension, and the missing cap is rejected before anything is written
     out = str(tmp_path / "run")
     args = (["rb-build", "--example", "1", "--out", out, "--no-pod"] + TINY
             + ["--set", "greedy_fixed_n=none", "--set", "greedy_tol=0.01"])
     assert main(args) == 2
     assert "fixed_n" in capsys.readouterr().err
+    assert not os.path.exists(out) or os.listdir(out) == []
 
 
 @pytest.fixture(scope="module")

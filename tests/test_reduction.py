@@ -39,10 +39,12 @@ def data_pool_and_loads(problem, n, seed=7):
     return ks, _data_loads(problem, ks, xis)[2]
 
 
-def assert_rechecked(trace):
-    # the sweep maximum is recomputed exactly at every basis size
+def assert_rechecked(trace, pool_size=None):
+    # the sweep maximum is recomputed exactly at every basis size that
+    # leaves a pool sample outside the trunk; a pool-sized trunk leaves none
     assert len(trace.rechecks) == len(trace.selected)
-    assert min(trace.rechecks) >= 1
+    for n, count in zip(trace.basis_size, trace.rechecks):
+        assert count == 0 if n == pool_size else count >= 1
 
 
 def test_v_orthonormalize_properties(tiny_problem1, rng):
@@ -226,11 +228,43 @@ def test_bordered_cholesky_names_indefinite_sample():
     theta[3, qa] = 1.0
     f = rng.standard_normal((ns, n))
     chol = _BorderedCholesky(theta, n)
-    for j in range(4):
-        chol.border(blocks[:, :j + 1, j], f[:, j])
+    # the retirements move sample 6 into position 0, then sample 3 into
+    # position 1: the error names the pool sample, not its position
+    for j, gone in enumerate((0, 5, 4, 1)):
+        chol.border(blocks[:, :j + 1, j], f[chol.pool[:chol.live], j])
+        chol.retire(gone)
+    assert list(chol.pool[:chol.live]) == [6, 3, 2]
     with pytest.raises(NotCoerciveError,
                        match="sample 3 is not SPD at dimension 5"):
-        chol.border(blocks[:, :5, 4], f[:, 4])
+        chol.border(blocks[:, :5, 4], f[chol.pool[:chol.live], 4])
+
+
+def test_bordered_cholesky_retires_samples():
+    # retirements between borders reorder the live samples, and each block
+    # appended after them is only as wide as the samples still live; every
+    # survivor's coefficients still solve its own system, found by pool
+    # index
+    rng = np.random.default_rng(5)
+    n, qa, ns = 2 * reduction._BLOCK + 3, 3, 11
+    base = rng.standard_normal((qa, n, n))
+    blocks = np.einsum("qij,qkj->qik", base, base) + np.eye(n)
+    theta = rng.uniform(0.5, 2.0, size=(ns, qa))
+    f = rng.standard_normal((ns, n))
+    chol = _BorderedCholesky(theta, n)
+    gone = [4, 0, 10, 7, 5]
+    for j in range(n):
+        chol.border(blocks[:, :j + 1, j], f[chol.pool[:chol.live], j])
+        if j % 4 == 0:
+            chol.retire(gone[j // 4])
+        live = chol.pool[:chol.live]
+        want = solve_reduced_batch(blocks[:, :j + 1, :j + 1], theta[live],
+                                   f[live, :j + 1])
+        got = chol.solve()
+        assert got.shape == (j + 1, len(live))
+        assert np.all(np.linalg.norm(got.T - want, axis=1)
+                      <= 1e-12 * np.linalg.norm(want, axis=1))
+    assert sorted(chol.pool[:chol.live]) == [1, 2, 3, 6, 8, 9]
+    assert [blk.shape[2] for blk in chol.blocks] == [11, 9, 7]
 
 
 def test_greedy_trace_and_estimator_consistency(tiny_problem1):
@@ -426,10 +460,10 @@ def full_order_estimators(model, space, ks, f_hat, n, alpha_lb):
 
 @pytest.mark.parametrize("name", ["tiny_problem2", "tiny_problem3"])
 def test_greedy_selection_matches_full_order_estimator(name, request):
-    # a pool-sized trunk drives every estimator to the round-off floor, where
-    # the downdated s^2 is noise; each pick and each recorded maximum must
-    # still be those of the full-order estimator.  Example 3 has Q_a = 2Q
-    # affine terms, the widest residual product of the sweep
+    # a trunk near the pool size drives every estimator to the round-off
+    # floor, where the downdated s^2 is noise; each pick and each recorded
+    # maximum must still be those of the full-order estimator.  Example 3
+    # has Q_a = 2Q affine terms, the widest residual product of the sweep
     problem = request.getfixturevalue(name)
     model = problem.model
     if name == "tiny_problem2":
@@ -439,7 +473,7 @@ def test_greedy_selection_matches_full_order_estimator(name, request):
     space, trace = greedy_build(model, ks, f_hat_all=f_hat, fixed_n=24,
                                 alpha_lb=problem.alpha_lb)
     assert space.dim == 24
-    assert_rechecked(trace)
+    assert_rechecked(trace, len(ks))
     top = trace.max_estimator[0]
     for n in range(1, space.dim + 1):
         etas = full_order_estimators(model, space, ks, f_hat, n,
@@ -509,7 +543,9 @@ def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
     for loads in (None, f_hat):
         with pytest.raises(ValueError, match="fixed_n"):
             greedy_build(model, ks, f_hat_all=loads, tol=1e-2)
-    # a cap above the pool size allocates and stops at the pool size
+    # a cap above the pool size allocates and stops at the pool size, where
+    # the trunk holds every sample: nothing is left to sweep, and the size
+    # records a maximum of exactly 0 after no recheck
     built = []
 
     class Chol(_BorderedCholesky):
@@ -526,7 +562,10 @@ def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
     monkeypatch.setattr(reduction, "_BorderedCholesky", Chol)
     space, trace = greedy_build(model, ks[:4], fixed_n=10)
     assert space.dim == 4 and trace.stop_reason == "size"
+    assert trace.max_estimator[-1] == 0.0 < min(trace.max_estimator[:-1])
+    assert_rechecked(trace, 4)
     state, chol = built
+    assert chol.live == 0
     qa = model.affine_II.n_terms
     assert state._psi.shape[0] == state._a.shape[1] == chol.y.shape[0] == 4
     assert state._u.shape[0] == state._r.shape[0] == qa * 4
