@@ -5,9 +5,18 @@ parameters, the reduced right-hand side cannot be precomputed from a fixed
 affine expansion.  Instead, traces are compressed by a greedy in the
 boundary energy metric W_Gamma and load functionals by a greedy on their
 Riesz representers in the reference inner product.  The resulting coordinate
-vectors (a, b) are small, feed the branch network as extra features, and
-combine with precomputed blocks into the reduced load at online cost
-O(N(r_f + Q_a r_g)).
+vectors (a, b) are small and feed the branch network as extra features.
+
+The load they encode is affine in (a, theta (x) b):
+
+    f_enc(k, a, b) = A_star W a - sum_p theta_p(k) (A_p,II Lambda + A_p,IB eta) b
+
+with W the source modes, eta the boundary modes and Lambda their interior
+lifting.  ``encoded_load_terms`` holds its r_f + Q_a r_g terms and
+``encoded_load_weights`` the weights [a, theta_1 b, ..., theta_Q b], so the
+greedy certifies the system every answer solves.  The trunk projections of
+the terms are the blocks that combine (theta, a, b) into the reduced load
+at online cost O(N(r_f + Q_a r_g)).
 """
 
 import numpy as np
@@ -161,22 +170,33 @@ class Case2Blocks:
         return self.f_s.shape[0], self.g_p.shape[1], self.f_s.shape[1]
 
 
-def case2_blocks(model, psi, bmodes, smodes):
-    """Assemble the offline blocks of the modal reduced right-hand side.
-
-    F^(s)_{m,rb} projects the Riesz image of source mode m; G^(p)_{n,rb}
-    projects the full lifting contribution of boundary mode n through
-    affine term p (interior block plus Dirichlet coupling).
-    """
-    s = model.a_star_II @ smodes.w
-    f_s = s.T @ psi
+def encoded_load_terms(model, bmodes, smodes):
+    """The encoded load's terms, n_free x (r_f + Q_a r_g): [A_star W | -(A_p,II
+    Lambda + A_p,IB eta) for each p], the Riesz images of the source modes,
+    then the lifting of the boundary modes through each affine term."""
     lifted = model.lift_block @ bmodes.eta     # interior lifting of each mode
-    qa = model.affine_II.n_terms
-    g_p = np.empty((qa, bmodes.rank, psi.shape[1]))
-    for p in range(qa):
-        x = model.affine_II.term(p) @ lifted
-        x += model.affine_IB.term(p) @ bmodes.eta
-        g_p[p] = x.T @ psi
+    cols = [model.a_star_II @ smodes.w]
+    for p in range(model.affine_II.n_terms):
+        cols.append(-(model.affine_II.term(p) @ lifted
+                      + model.affine_IB.term(p) @ bmodes.eta))
+    return np.hstack(cols)
+
+
+def encoded_load_weights(theta, a, b):
+    """The encoded load's weights [a, theta_1 b, ..., theta_Q b], one row per
+    row of the stacks (theta, a, b)."""
+    tb = theta[:, :, None] * b[:, None, :]
+    return np.hstack([a, tb.reshape(len(tb), -1)])
+
+
+def case2_blocks(model, psi, bmodes, smodes):
+    """Assemble the offline blocks of the modal reduced right-hand side: the
+    trunk projection of ``encoded_load_terms``, split into the source rows
+    F^(s)_{m,rb} and the lifting blocks G^(p)_{n,rb} per affine term."""
+    proj = encoded_load_terms(model, bmodes, smodes).T @ psi
+    r_f = smodes.rank
+    f_s = proj[:r_f]
+    g_p = -proj[r_f:].reshape(model.affine_II.n_terms, bmodes.rank, -1)
     return Case2Blocks(f_s=f_s, g_p=g_p)
 
 

@@ -22,7 +22,7 @@ sample pools and truth solves; run defaults and gates.
 import numpy as np
 from dataclasses import dataclass, field
 from functools import cached_property
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .artifacts import (load_boundary_modes, load_case2_blocks,
                         load_source_modes, load_surrogate,
@@ -32,7 +32,8 @@ from .assembly import (aggregated_load, assemble_stiffness, assemble_mass,
                        assemble_boundary_mass, assemble_load_boundary,
                        build_model, load_quadrature, truth_solve)
 from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
-                        encode_source, reduced_rhs_case2,
+                        encode_source, encoded_load_terms,
+                        encoded_load_weights, reduced_rhs_case2,
                         reduced_rhs_case2_batch, source_greedy)
 from .geomap import (EimPivots, RadialMap, assemble_eim_terms, eim_build,
                      eim_coefficients)
@@ -246,12 +247,16 @@ class Problem:
         return assemble_mass(self.mesh)[free][:, free].tocsr()
 
 
-def _pencil_floor(a_part, a_star):
-    """Smallest generalized eigenvalue of a_part v = lam a_star v."""
+def _diffusion_floor(model):
+    """Smallest generalized eigenvalue of K v = lam A_star v, K the diffusion
+    block, by shift-invert about 0 through the model's band factor of K."""
+    kii = model.affine_II.term(0)
+    fac = model.band.factor(kii, "diffusion block")
+    op_inv = LinearOperator(kii.shape, matvec=fac.solve, dtype=float)
     # a fixed start vector keeps ARPACK, and so alpha_lb, deterministic
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, a_part.shape[0])
-    lam = eigsh(a_part.tocsc(), k=1, M=a_star.tocsc(), sigma=0.0,
-                which="LM", v0=v0, return_eigenvectors=False)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, kii.shape[0])
+    lam = eigsh(kii, k=1, M=model.a_star_II, sigma=0.0, which="LM", v0=v0,
+                OPinv=op_inv, return_eigenvectors=False)
     return float(lam[0])
 
 
@@ -331,7 +336,7 @@ _LOAD_CHUNK = 32
 
 
 def _data_loads(problem, ks, xis):
-    """Loads, Dirichlet traces and aggregated loads of data draws (columns).
+    """Loads and Dirichlet traces of data draws (columns).
 
     The quadrature maps are built once; the draws are then loaded in chunks
     of ``_LOAD_CHUNK``, so no array spans quadrature points times all draws.
@@ -340,14 +345,11 @@ def _data_loads(problem, ks, xis):
     maps = [load_quadrature(mesh, seg) for seg in (None, "bottom", "right")]
     f_data = np.empty((model.n_free, len(ks)))
     g_data = np.empty((len(model.dirichlet), len(ks)))
-    f_hat = np.empty_like(f_data)
     for lo in range(0, len(ks), _LOAD_CHUNK):
         sl = slice(lo, lo + _LOAD_CHUNK)
         f_data[:, sl], g_data[:, sl] = example2_load(
             problem, ks[sl], ManufacturedSolution(xis[sl]), maps)
-        f_hat[:, sl] = aggregated_load(model, ks[sl], f_data[:, sl],
-                                       g_data[:, sl])
-    return f_data, g_data, f_hat
+    return f_data, g_data
 
 
 class Example1:
@@ -445,16 +447,17 @@ class Example1:
 
     def offline_data(self, problem, adir, rng, manifest):
         """Persist the pool and the example's own offline data; returns
-        (params, aggregated loads as columns, the number of leading pool
-        rows the greedy trains on).
+        (params, load terms, their weights per pool row, the number of
+        leading pool rows the greedy trains on).
 
-        The pool's loads are the model's affine loads k2 F_base, so None
-        stands for them: the greedy keeps them as terms and weights, and
-        each POD snapshot reads its own from ``model.load_interior``.
+        The pool's loads are the model's affine loads: the terms are the
+        F_q on the free nodes, the weights theta_f of the pool.
         """
+        model = problem.model
         ks = sample_parameters(self.spec, self.spec.n_pool, rng)
         adir.save_array("pool_params", ks)
-        return ks, None, len(ks)
+        terms = np.column_stack([f[model.free] for f in model.f_terms])
+        return ks, terms, model.theta_f(ks), len(ks)
 
     def pool_rows(self, adir):
         """(k, a, b) of the persisted pool."""
@@ -556,9 +559,7 @@ class Example2(Example1):
                             a_terms=a_terms, k_star=self.spec.k_star)
         # reaction and Robin weights may vanish, so certify against the
         # diffusion block alone: a(v,v;k) >= kappa0_min * lam_min(K vs A_star).
-        kii = model.affine_II.term(0)
-        return model, (self.spec.param_ranges[0][0]
-                       * _pencil_floor(kii, model.a_star_II))
+        return model, self.spec.param_ranges[0][0] * _diffusion_floor(model)
 
     def theta(self, k):
         return np.asarray(k, dtype=float)
@@ -589,25 +590,30 @@ class Example2(Example1):
                                              self.smodes), "case2_" + trunk)
 
     def offline_data(self, problem, adir, rng, manifest):
-        """Also persists the data modes and the pool's coordinates in them;
-        the greedy trains on the first ``sweep_subset`` pool rows."""
+        """Also persists the data modes and the pool's coordinates (a, b) in
+        them.  The loads are the encoded ones every answer solves: the terms
+        ``encoded_load_terms``, the weights [a, theta b] of each pool row.
+        The greedy trains on the first ``sweep_subset`` pool rows."""
         spec, model = self.spec, problem.model
         ks = sample_parameters(spec, spec.n_pool, rng)
         adir.save_array("pool_params", ks)
         xis = sample_xi(spec, spec.n_pool, rng)
-        f_data, g_data, f_hat_all = _data_loads(problem, ks, xis)
+        f_data, g_data = _data_loads(problem, ks, xis)
         self.smodes = source_greedy(model, f_data, tol=spec.data["mode_tol"],
                                     r_max=spec.data["r_f_max"], rng=rng)
         self.bmodes = boundary_greedy(model, g_data, tol=spec.data["mode_tol"],
                                       r_max=spec.data["r_g_max"], rng=rng)
         save_source_modes(adir, self.smodes)
         save_boundary_modes(adir, self.bmodes)
-        adir.save_array("pool_a", encode_source(self.smodes, f_data).T)
-        adir.save_array("pool_b",
-                        encode_boundary(self.bmodes, model, g_data).T)
+        a = encode_source(self.smodes, f_data).T
+        b = encode_boundary(self.bmodes, model, g_data).T
+        adir.save_array("pool_a", a)
+        adir.save_array("pool_b", b)
         self.ranks = (self.smodes.rank, self.bmodes.rank)
         manifest["dims_modes"] = {"r_f": self.ranks[0], "r_g": self.ranks[1]}
-        return ks, f_hat_all, min(int(spec.data["sweep_subset"]), spec.n_pool)
+        return (ks, encoded_load_terms(model, self.bmodes, self.smodes),
+                encoded_load_weights(self.theta(ks), a, b),
+                min(int(spec.data["sweep_subset"]), spec.n_pool))
 
     def pool_rows(self, adir):
         return tuple(adir.load_array(name)
@@ -619,7 +625,8 @@ class Example2(Example1):
     def eval_data(self, problem, adir, ks, rng):
         model = problem.model
         xis = sample_xi(self.spec, len(ks), rng)
-        f_data, g_b, f_hat = _data_loads(problem, ks, xis)
+        f_data, g_b = _data_loads(problem, ks, xis)
+        f_hat = aggregated_load(model, ks, f_data, g_b)
         lift = (model.lift_block @ g_b).T
         u_ref = np.vstack([truth_solve(model, k, f_hat[:, i])
                            for i, k in enumerate(ks)]) + lift

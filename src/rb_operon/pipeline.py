@@ -98,13 +98,11 @@ def theta_batch(example, ks, surrogate=None):
     return bench.theta(np.atleast_2d(np.asarray(ks, dtype=float)))
 
 
-def _pool_snapshots(model, ks, f_hat_all):
-    """Truth solve of every pool row; ``f_hat_all`` None stands for the
-    model's affine loads, formed one row at a time."""
+def _pool_snapshots(model, ks, terms, weights):
+    """Truth solve of every pool row, on its load ``terms @ weights[i]``."""
     out = np.empty((model.n_free, len(ks)))
     for i, k in enumerate(ks):
-        f = model.load_interior(k) if f_hat_all is None else f_hat_all[:, i]
-        out[:, i] = interior_factor(model, k).solve(f)
+        out[:, i] = interior_factor(model, k).solve(terms @ weights[i])
     return out
 
 
@@ -153,10 +151,10 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     if problem.mesh.relaxation is not None:
         manifest["mesh"]["relaxation"] = problem.mesh.relaxation
 
-    ks, f_hat_all, n_greedy = bench.offline_data(problem, adir, rng, manifest)
+    ks, terms, weights, n_greedy = bench.offline_data(problem, adir, rng,
+                                                      manifest)
     space_g, gtrace = greedy_build(
-        model, ks[:n_greedy],
-        f_hat_all=None if f_hat_all is None else f_hat_all[:, :n_greedy],
+        model, ks[:n_greedy], terms, weights[:n_greedy],
         tol=spec.trunk.get("greedy_tol"),
         fixed_n=spec.trunk.get("greedy_fixed_n"),
         alpha_lb=problem.alpha_lb)
@@ -179,7 +177,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     bench.save_blocks(adir, model, space_g.psi, "greedy")
 
     if pod:
-        snaps = _pool_snapshots(model, ks, f_hat_all)
+        snaps = _pool_snapshots(model, ks, terms, weights)
         space_p = pod_build(model, snaps, tol=spec.trunk.get("pod_tol"),
                             fixed_n=spec.trunk.get("pod_fixed_n"))
         save_space(adir, "pod", space_p)

@@ -18,18 +18,18 @@ form does.  s(k)^2 is kept as a downdated difference, the undeflated square
 minus the squares of the U coordinates of the load, which are the P_F rows.
 That difference is accurate except near the round-off floor, so s(k)^2 is
 recomputed exactly only where its drift bound could change the argmax or
-the tolerance test.
+the tolerance test; the recheck replaces s(k)^2 alone and keeps the second
+piece.
 
-The pool loads are held as terms and weights.  A caller that passes
-per-sample loads gets them as the terms, one per sample, and every recheck
-costs one reference solve per sample.  A caller that passes none gets the
-model's affine loads f(k) = sum_q theta_f,q(k) F_q: the Q_f terms F_q and
-the weights theta_f of the whole pool, and the n_free x n_pool load matrix
-is never formed.  Then P_F = (U^T F) theta_f^T and f_rb = (psi^T F)
-theta_f^T are weighed from Q_f columns, and s(k)^2 = theta_f^T G theta_f
-with G the Gram of the representers Z = A_star^-1 F, deflated against U
-for a recheck (Hesthaven, Rozza & Stamm 2016, ch. 3).  Z is solved once
-and kept, so the sweep's reference solves number Q_f, not one per sample.
+The pool loads are affine: sample i's load is f(k_i) = F w(k_i), with Q_f
+terms F and a weight row w(k_i) per sample (Hesthaven, Rozza & Stamm 2016,
+ch. 3).  Examples 1 and 3 pass their affine load terms with weights
+theta_f, example 2 the terms of its encoded data load (``datamodes``).  The
+n_free x n_pool load matrix is never formed: each P_F and f_rb row is
+formed per sample once, as (v^T F) w^T, when its column is appended, and
+s(k)^2 = ||Z w(k)||^2 in the reference norm, with Z = A_star^-1 F.  Z is
+solved once, so the sweep's reference solves number Q_f, not one per
+sample, and it is kept deflated against U, so a recheck costs no solve.
 
 The greedy is the weak greedy over the pool it is given.  A selected
 sample's snapshot lies in the trunk, so its Galerkin solution is exact and
@@ -83,7 +83,6 @@ from scipy.sparse.linalg import eigsh
 from .assembly import interior_factor
 from .errors import EmptySpaceError, NotCoerciveError, StagnationError
 
-_STAR_CHUNK = 256   # load representers solved per star_solve call
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
 _DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
 _BLOCK = 8          # inverse-factor rows per block of _BorderedCholesky
@@ -233,28 +232,21 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
     return out
 
 
-def _quadratic_rows(weights, gram):
-    """w G w^T for every row w of ``weights``."""
-    return np.einsum("iq,iq->i", weights @ gram, weights)
-
-
 class _SweepState:
     """Trunk, reduced blocks and deflated-load bookkeeping of the greedy sweep.
 
     The pool loads are held as terms and weights: sample i's load is
-    ``terms @ weights[i]``.  With ``weights`` None the terms are the
-    per-sample loads themselves, one column per sample (weights the
-    identity).  Otherwise they are the Q_f affine load terms, and every
-    load-dependent quantity costs Q_f vectors, not one per sample: the P_F
-    and f_rb rows are held against the terms and weighed per sample when
-    read, and s^2 is a quadratic form of the weights in the Gram of the
-    load representers Z = A_star^-1 terms, which are kept.
+    ``terms @ weights[i]``.  The P_F and f_rb rows are held per sample, each
+    formed once, when its U or trunk column is appended, as
+    ``(v @ terms) @ weights.T``.
 
     s^2 of every pool load is the reference-norm square of its representer
     minus the squares of its U coordinates, downdated once per appended U
     column.  The difference loses accuracy only near the round-off floor,
     so ``slack`` bounds its drift and ``exact_s2`` recomputes the samples a
-    decision depends on.  No per-sample representer block is held.
+    decision depends on, as the reference-norm square of Z w: the
+    representers Z = A_star^-1 terms are kept, deflated against every U
+    column as it is appended.  No per-sample representer block is held.
 
     Every growing array is appended to in place, in a buffer allocated once
     at the reachable bound, ``bound`` trunk columns and Q_a times that for
@@ -264,31 +256,25 @@ class _SweepState:
     their buffers.
     """
 
-    def __init__(self, model, terms, bound, weights=None):
-        self.model = model
+    def __init__(self, model, terms, weights, bound):
         self.a = model.a_star_II
         self.terms = terms
         self.weights = weights
-        n_free, width = terms.shape
+        n_free = terms.shape[0]
+        ns = weights.shape[0]
         qa = model.affine_II.n_terms
-        if weights is None:
-            self.s2 = np.empty(width)
-            for lo in range(0, width, _STAR_CHUNK):
-                blk = terms[:, lo:lo + _STAR_CHUNK]
-                self.s2[lo:lo + _STAR_CHUNK] = np.einsum(
-                    "ij,ij->j", model.star_solve(blk), blk)
-        else:
-            self._z = model.star_solve(terms)
-            self.s2 = _quadratic_rows(weights, terms.T @ self._z)
+        self._z = model.star_solve(terms)
+        # w G w^T for every weight row w, G the Gram of the representers
+        self.s2 = np.einsum("iq,iq->i", weights @ (terms.T @ self._z), weights)
         self.s0_sq = self.s2.copy()
         self.n = 0                                   # trunk columns
         self.m = 0                                   # U columns
         self._psi = np.empty((bound, n_free))        # psi^T
         self._w = np.empty((qa, bound, n_free))      # (A_p psi)^T
-        self._f_rb = np.empty((bound, width))        # psi^T terms
+        self._f_rb = np.empty((bound, ns))           # psi^T f(k)
         self._a = np.empty((qa, bound, bound))       # psi^T A_p psi
         self._u = np.empty((qa * bound, n_free))     # U^T
-        self._p_f = np.empty((qa * bound, width))    # U^T terms
+        self._p_f = np.empty((qa * bound, ns))       # U^T f(k)
         # R_p = U^T A_p psi as (U row, trunk column, term), so that the
         # leading (m, n, Q_a) corner of the buffer flattened by rows is
         # [R_1 ... R_Q], columns interleaved term-fastest, as a strided view
@@ -302,46 +288,24 @@ class _SweepState:
     def a_blocks(self):
         return self._a[:, :self.n, :self.n]
 
-    def _weigh(self, rows, idx=slice(None)):
-        """Rows held against the terms, as values of the samples in ``idx``."""
-        if self.weights is None:
-            return rows[..., idx]
-        return rows @ self.weights[idx].T
-
-    def f_rb(self, j=slice(None)):
-        """Reduced load entries ``j`` of every sample."""
-        return self._weigh(self._f_rb[:self.n][j])
+    @property
+    def f_rb(self):
+        """Reduced loads, one row per trunk column, one column per sample."""
+        return self._f_rb[:self.n]
 
     def slack(self):
         """Bound on the downdate drift of s^2, per sample."""
         return _DRIFT * (self.m + 1) * np.finfo(float).eps * self.s0_sq
 
-    def _deflate(self, z):
-        """``z`` with its U components taken out twice, in place."""
-        ut = self._u[:self.m]
-        for _ in range(2):
-            if self.m:
-                z -= ut.T @ (ut @ (self.a @ z))
-        return z
-
     def exact_s2(self, idx):
-        """Recompute s^2 of the samples in ``idx`` from deflated representers:
-        the per-sample loads' own, or the kept Z of the terms, weighed."""
-        if self.weights is not None:
-            z = self._deflate(self._z.copy())
-            self.s2[idx] = np.maximum(
-                _quadratic_rows(self.weights[idx], z.T @ (self.a @ z)), 0.0)
-            return
-        for lo in range(0, len(idx), _STAR_CHUNK):
-            sub = idx[lo:lo + _STAR_CHUNK]
-            z = self._deflate(self.model.star_solve(self.terms[:, sub]))
-            self.s2[sub] = np.maximum(np.einsum("ij,ij->j", z, self.a @ z), 0.0)
+        """Recompute s^2 of the samples in ``idx`` from the deflated Z."""
+        zw = self._z @ self.weights[idx].T
+        self.s2[idx] = np.maximum(np.einsum("ij,ij->j", zw, self.a @ zw), 0.0)
 
     def _append_u(self, u_new):
         m, n = self.m, self.n
         self._u[m] = u_new
-        np.matmul(u_new, self.terms, out=self._p_f[m])
-        row = self._weigh(self._p_f[m])
+        row = np.matmul(u_new @ self.terms, self.weights.T, out=self._p_f[m])
         self.s2 -= row * row
         # one new R_p row against every trunk column seen so far
         for p in range(len(self._w)):
@@ -350,7 +314,7 @@ class _SweepState:
 
     def enrich(self, model, psi_new):
         """Append one accepted trunk column and border every block by it."""
-        n = self.n
+        n, m0 = self.n, self.m
         self._psi[n] = psi_new
         ut = self._u[:self.m]
         raw = []
@@ -371,11 +335,19 @@ class _SweepState:
             nrm2 = d @ (self.a @ d)
             if nrm2 > (1e-13 * max(pre, 1e-300)) ** 2:
                 self._append_u(d / np.sqrt(nrm2))
-        np.matmul(psi_new, self.terms, out=self._f_rb[n])
+        # and Z against the U columns just appended, as one block, twice;
+        # A_star is symmetric, so U^T A_star Z is (A_star U)^T Z, a sparse
+        # product with the few new columns, not with the Q_f of Z
+        if self.m > m0:
+            ut = self._u[m0:self.m]
+            aut = (self.a @ ut.T).T
+            for _ in range(2):
+                self._z -= ut.T @ (aut @ self._z)
+        np.matmul(psi_new @ self.terms, self.weights.T, out=self._f_rb[n])
 
-    def estimator_sq(self, theta_all, idx, c, alpha_lb):
-        """eta^2 over the samples in ``idx`` given their RB coefficients
-        ``c``, one column (N,) per sample.
+    def residual_sq(self, theta_all, idx, c):
+        """||P_F w - sum_p theta_p R_p c||^2 over the samples in ``idx``
+        given their RB coefficients ``c``, one column (N,) per sample.
 
         sum_p theta_p R_p c is one product of [R_1 ... R_Q] (columns
         interleaved term-fastest) with the Khatri-Rao block of c and theta,
@@ -384,11 +356,10 @@ class _SweepState:
         m, n = self.m, self.n
         qa = self._r.shape[2]
         kr = c[:, None, :] * theta_all[idx].T[None, :, :]
-        y = self._weigh(self._p_f[:m], idx)
+        y = self._p_f[:m, idx]
         r = self._r.reshape(len(self._r), -1)[:m, :n * qa]
         y -= r @ kr.reshape(n * qa, -1)
-        s2 = np.maximum(self.s2[idx], 0.0)
-        return (s2 + np.einsum("ij,ij->j", y, y)) / alpha_lb ** 2
+        return np.einsum("ij,ij->j", y, y)
 
 
 class _BorderedCholesky:
@@ -484,23 +455,22 @@ class _BorderedCholesky:
         return self.c[:self.n, :self.live].copy()
 
 
-def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
+def greedy_build(model, samples, terms, weights, tol=None, fixed_n=None,
                  alpha_lb=1.0):
     """Weak greedy trunk construction driven by the certified estimator.
 
     ``samples`` is the training pool (n_s, p); every iteration sweeps the
     samples outside the trunk, and each selected sample, certified with
-    eta = 0 from then on, leaves the sweep.  ``f_hat_all`` holds the
-    matching aggregated loads as columns, or is None for the model's own
-    affine loads.  None never forms the n_free x n_s load matrix: the sweep
-    holds the Q_f load terms and their weights theta_f(samples), so its
-    load bookkeeping and reference solves grow with Q_f, not with the pool,
-    and each truth snapshot reads its load from ``model.load_interior``.
-    Stopping: the maximal dimension ``fixed_n`` is required, and the build
-    stops at ``fixed_n`` columns, or at as many as the pool and the space
-    hold; ``tol`` on the pool's max estimator stops it earlier and then
-    certifies every pool sample, the trunk samples included.  A trunk that
-    holds the whole pool records a maximum of 0.
+    eta = 0 from then on, leaves the sweep.  Sample i's load is
+    ``terms @ weights[i]``: ``terms`` (n_free, Q_f) are the load terms and
+    ``weights`` (n_s, Q_f) their weights, so the sweep's load bookkeeping
+    and reference solves grow with Q_f, not with the pool, and each truth
+    snapshot solves its sample's load.  Stopping: the maximal dimension
+    ``fixed_n`` is required, and the build stops at ``fixed_n`` columns, or
+    at as many as the pool and the space hold; ``tol`` on the pool's max
+    estimator stops it earlier and then certifies every pool sample, the
+    trunk samples included.  A trunk that holds the whole pool records a
+    maximum of 0.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ns = samples.shape[0]
@@ -508,32 +478,27 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
         raise EmptySpaceError("empty greedy training set")
     if fixed_n is None:
         raise ValueError("the greedy needs its maximal dimension fixed_n")
-    if f_hat_all is None:
-        if not model.f_terms:
-            raise EmptySpaceError("the model has no affine loads")
-        terms = np.column_stack([f[model.free] for f in model.f_terms])
-        weights = np.asarray(model.theta_f(samples), dtype=float)
-    else:
-        terms, weights = f_hat_all, None
+    terms = np.asarray(terms, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (ns, terms.shape[1]):
+        raise ValueError(f"load weights of shape {weights.shape} do not "
+                         f"match {ns} samples and {terms.shape[1]} terms")
     theta_all = np.asarray(model.theta_a(samples), dtype=float)
     # each accepted column is a different pool sample's snapshot, A_star-
     # orthogonal to the rest, and the first is taken whatever fixed_n says
     bound = max(1, min(fixed_n, ns, model.n_free))
 
-    state = _SweepState(model, terms, bound, weights)
+    state = _SweepState(model, terms, weights, bound)
     chol = _BorderedCholesky(theta_all, bound)
     trace = GreedyTrace()
 
     def truth(idx):
-        fac = interior_factor(model, samples[idx])
-        if weights is None:
-            return fac.solve(terms[:, idx])
-        return fac.solve(model.load_interior(samples[idx]))
+        return interior_factor(model, samples[idx]).solve(terms @ weights[idx])
 
     def accept(idx, v):
         state.enrich(model, v)
         chol.border(state.a_blocks[:, :, -1],
-                    state.f_rb(-1)[chol.pool[:chol.live]])
+                    state.f_rb[-1, chol.pool[:chol.live]])
         # a trunk sample's snapshot is in the trunk: its estimator is 0
         chol.retire(idx)
         trace.selected.append(idx)
@@ -548,19 +513,18 @@ def greedy_build(model, samples, f_hat_all=None, tol=None, fixed_n=None,
 
     while True:
         # the samples outside the trunk, in the factors' order: an index
-        # array, not a slice, since estimator_sq subtracts in place from the
-        # P_F rows it weighs, and a copy, which retire leaves as it is
+        # array, not a slice, since residual_sq subtracts in place from the
+        # P_F rows it reads, and a copy, which retire leaves as it is
         live = chol.pool[:chol.live].copy()
         eta_max, near = 0.0, live     # a pool-sized trunk certifies the pool
         if live.size:
-            c = chol.solve()
-            eta2 = state.estimator_sq(theta_all, live, c, alpha_lb)
+            res2 = state.residual_sq(theta_all, live, chol.solve())
+            eta2 = (np.maximum(state.s2[live], 0.0) + res2) / alpha_lb ** 2
             # exact s^2 where the downdate drift could change the argmax
             slack = state.slack()[live] / alpha_lb ** 2
             near = np.flatnonzero(eta2 + slack >= np.max(eta2 - slack))
             state.exact_s2(live[near])
-            eta2[near] = state.estimator_sq(theta_all, live[near], c[:, near],
-                                            alpha_lb)
+            eta2[near] = (state.s2[live[near]] + res2[near]) / alpha_lb ** 2
             best = int(np.argmax(eta2))
             idx = int(live[best])
             eta_max = float(np.sqrt(max(eta2[best], 0.0)))

@@ -3,6 +3,7 @@ import pytest
 
 from rb_operon.datamodes import (boundary_greedy, case2_blocks,
                                  encode_boundary, encode_source,
+                                 encoded_load_terms, encoded_load_weights,
                                  reduced_rhs_case2, reduced_rhs_case2_batch,
                                  source_greedy)
 from rb_operon.errors import EmptySpaceError
@@ -132,3 +133,29 @@ def test_reduced_rhs_batch_matches_loop(tiny_problem2, rng):
     for s in range(ns):
         row = reduced_rhs_case2(blocks, theta[s], a[s], b[s])
         assert np.abs(row - batch[s]).max() <= 1e-14 * np.abs(batch[s]).max()
+
+
+def test_encoded_load_projects_to_modal_rhs(tiny_problem2, rng):
+    # the encoded load is affine in (a, theta b): its trunk projection is
+    # the modal reduced right-hand side of every row of (theta, a, b)
+    problem = tiny_problem2
+    model = problem.model
+    f, g = snapshots(problem, 5)
+    loads = model.a_star_II @ f
+    smodes = source_greedy(model, loads, r_max=5)
+    bmodes = boundary_greedy(model, g, r_max=4)
+    psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
+    ns = 8
+    theta = rng.uniform(0.5, 2.0, size=(ns, model.affine_II.n_terms))
+    a = rng.standard_normal((ns, smodes.rank))
+    b = rng.standard_normal((ns, bmodes.rank))
+    terms = encoded_load_terms(model, bmodes, smodes)
+    weights = encoded_load_weights(theta, a, b)
+    assert terms.shape == (model.n_free,
+                           smodes.rank + model.affine_II.n_terms * bmodes.rank)
+    assert weights.shape == (ns, terms.shape[1])
+    want = reduced_rhs_case2_batch(case2_blocks(model, psi, bmodes, smodes),
+                                   theta, a, b)
+    got = (psi.T @ (terms @ weights.T)).T
+    assert np.all(np.linalg.norm(got - want, axis=1)
+                  <= 1e-13 * np.linalg.norm(want, axis=1))

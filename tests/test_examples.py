@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import splu
 
-from rb_operon.assembly import (assemble_load_boundary, assemble_mass,
-                                assemble_stiffness, full_field,
+from rb_operon.assembly import (aggregated_load, assemble_load_boundary,
+                                assemble_mass, assemble_stiffness, full_field,
                                 interior_factor, truth_solve,
                                 triangle_geometry)
 from rb_operon.errors import NotCoerciveError
@@ -221,12 +221,14 @@ def test_manufactured_solution_derivatives(rng):
 
 
 def test_data_loads_match_per_draw_loads(tiny_problem2):
-    # not a multiple of the chunk, so the last chunk is a partial one
+    # not a multiple of the chunk, so the last chunk is a partial one; the
+    # batched lifting of the draws matches the per-draw one too
     n = _LOAD_CHUNK + 13
     rng = np.random.default_rng(4)
     ks = sample_parameters(tiny_problem2.bench.spec, n, rng)
     xis = sample_xi(tiny_problem2.bench.spec, n, rng)
-    batched = _data_loads(tiny_problem2, ks, xis)
+    f, g = _data_loads(tiny_problem2, ks, xis)
+    batched = (f, g, aggregated_load(tiny_problem2.model, ks, f, g))
     for got, want in zip(batched, per_draw_loads(tiny_problem2, ks, xis)):
         assert got.shape == want.shape == (len(want), n)
         rel = (np.linalg.norm(got - want, axis=0)
@@ -301,7 +303,8 @@ def test_example2_manufactured_convergence(tiny_problem2):
     k = np.array([1.2, 0.6, 1.0])
     errs = []
     for prob in (prob8, prob16):
-        _, g_b, f_hat = (c[:, 0] for c in _data_loads(prob, k[None], xi))
+        f, g_b = (c[:, 0] for c in _data_loads(prob, k[None], xi))
+        f_hat = aggregated_load(prob.model, k, f, g_b)
         w = truth_solve(prob.model, k, f_hat)
         u_h = full_field(prob.model, w, g_b)
         u = ManufacturedSolution(xi[0]).value(prob.mesh.nodes)
@@ -314,8 +317,12 @@ def test_example2_manufactured_convergence(tiny_problem2):
 
 
 def test_example2_coercivity_bound(tiny_problem2, rng):
+    # kappa0_min times the floor of the diffusion block against A_star, which
+    # ARPACK finds through the model's band factor
     prob = tiny_problem2
     lo, hi = np.array(prob.bench.spec.param_ranges).T
+    floor = _pencil_min(prob.model.affine_II.term(0), prob.model.a_star_II)
+    assert np.isclose(prob.alpha_lb, lo[0] * floor, rtol=1e-10, atol=0)
     assert prob.alpha_lb > 0
     for k in rng.uniform(lo, hi, size=(4, 3)):
         lam = _pencil_min(prob.model.assemble_interior(k), prob.model.a_star_II)

@@ -76,11 +76,12 @@ def test_manifest_records_mesh_relaxation(tiny1_dir, tiny2_dir):
 
 def test_manifest_records_full_order_counts(tiny1_dir, tiny2_dir):
     # the reference factor, one truth per greedy column and, with POD, one
-    # per pool snapshot; every factor solves at least one right-hand side
-    for path, pod in ((tiny1_dir, True), (tiny2_dir, False)):
+    # per pool snapshot; example 2 also factors its diffusion block for its
+    # coercivity bound.  Every factor solves at least one right-hand side
+    for path, pod, extra in ((tiny1_dir, True, 0), (tiny2_dir, False, 1)):
         manifest = ArtifactDir(path).read_manifest()
         counts = manifest["full_order"]
-        want = 1 + manifest["dims_trunk"]["greedy_n"]
+        want = 1 + extra + manifest["dims_trunk"]["greedy_n"]
         if pod:
             want += manifest["sizes"]["n_pool"]
         assert counts["factorizations"] == want
@@ -88,16 +89,31 @@ def test_manifest_records_full_order_counts(tiny1_dir, tiny2_dir):
                                     + manifest["mesh"]["n_dirichlet"])
 
 
-def test_affine_greedy_solves_do_not_grow_with_pool(tmp_path):
-    # example 1's greedy runs on its one affine load term: a larger pool
-    # adds no reference solve, where one per pool load would add 72
-    from conftest import TINY1
+@pytest.mark.parametrize("example", [1, 2])
+def test_affine_greedy_solves_do_not_grow_with_pool(example, tmp_path,
+                                                     monkeypatch):
+    # the greedy runs on its affine load terms, example 2's the encoded
+    # ones: a larger pool adds no reference solve to the build, where one
+    # per pool load would add 72
+    import conftest
+    from rb_operon import pipeline
 
+    build = pipeline.greedy_build
     solves = []
+
+    def counting(model, *args, **kwargs):
+        before = model.band.solves
+        out = build(model, *args, **kwargs)
+        solves.append(model.band.solves - before)
+        return out
+
+    monkeypatch.setattr(pipeline, "greedy_build", counting)
     for n_pool in (24, 96):
-        adir = run_offline(1, str(tmp_path / str(n_pool)), seed=0, pod=False,
-                           overrides={**TINY1, "n_pool": n_pool})
-        solves.append(adir.read_manifest()["full_order"]["solves"])
+        overrides = {**getattr(conftest, f"TINY{example}"), "n_pool": n_pool}
+        if example == 2:
+            overrides["sweep_subset"] = n_pool
+        run_offline(example, str(tmp_path / str(n_pool)), seed=0, pod=False,
+                    overrides=overrides)
     assert solves[0] == solves[1]
 
 
@@ -119,12 +135,14 @@ def test_example2_greedy_trains_on_leading_pool_rows(tmp_path):
         assert len(adir.load_array(name)) == TINY2["n_pool"] == 24
 
 
-@pytest.mark.parametrize("example, pod", [(1, True), (2, False), (3, True)])
+@pytest.mark.parametrize("example, pod", [(1, True), (2, False), (2, True),
+                                          (3, True)])
 def test_every_persisted_array_has_a_reader(example, pod, tmp_path,
                                             monkeypatch):
     # training, evaluation and the online bundle load every array the
     # offline stage writes.  Examples 1 and 3 build their POD trunk, since
-    # only POD training reads pool_params there
+    # only POD training reads pool_params there; example 2's POD trunk is
+    # built from truths of its encoded loads
     import conftest
     from rb_operon import artifacts
 

@@ -8,6 +8,9 @@ from rb_operon import reduction
 from rb_operon.assembly import assemble_load_volume, build_model
 from rb_operon.errors import (EmptySpaceError, NotCoerciveError,
                               StagnationError)
+from rb_operon.datamodes import (boundary_greedy, encode_boundary,
+                                 encode_source, encoded_load_terms,
+                                 encoded_load_weights, source_greedy)
 from rb_operon.examples import _data_loads, sample_parameters, sample_xi
 from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
                                  _border_update, coercivity_lower_bound,
@@ -31,12 +34,33 @@ def pool_and_loads(problem, n, seed=5):
     return ks, f_hat
 
 
-def data_pool_and_loads(problem, n, seed=7):
-    """Example 2 pool: operator parameters with independent data loads."""
+def affine_pool(problem, n, seed=5):
+    """Pool parameters with the model's affine load terms and weights."""
+    model = problem.model
+    ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(seed))
+    terms = np.column_stack([f[model.free] for f in model.f_terms])
+    return ks, terms, model.theta_f(ks)
+
+
+def encoded_pool(problem, n, seed=7):
+    """Example 2 pool: operator parameters with independent data draws, and
+    the encoded load terms and weights of the modes built on those draws."""
+    model, spec = problem.model, problem.bench.spec
     rng = np.random.default_rng(seed)
-    ks = sample_parameters(problem.bench.spec, n, rng)
-    xis = sample_xi(problem.bench.spec, n, rng)
-    return ks, _data_loads(problem, ks, xis)[2]
+    ks = sample_parameters(spec, n, rng)
+    f, g = _data_loads(problem, ks, sample_xi(spec, n, rng))
+    smodes = source_greedy(model, f, tol=spec.data["mode_tol"])
+    bmodes = boundary_greedy(model, g, tol=spec.data["mode_tol"])
+    weights = encoded_load_weights(model.theta_a(ks),
+                                   encode_source(smodes, f).T,
+                                   encode_boundary(bmodes, model, g).T)
+    return ks, encoded_load_terms(model, bmodes, smodes), weights
+
+
+def load_columns(terms, weights):
+    """The pool's loads, one column per sample, each formed as the greedy
+    forms its truth's load, so a truth snapshot is the same either way."""
+    return np.column_stack([terms @ w for w in weights])
 
 
 def assert_rechecked(trace, pool_size=None):
@@ -92,8 +116,8 @@ def test_border_update_equals_full_projection(tiny_problem1, rng):
     model = tiny_problem1.model
     qa = model.affine_II.n_terms
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
-    _, f_hat = pool_and_loads(tiny_problem1, 5)
-    state = _SweepState(model, f_hat, 4)
+    _, terms, weights = affine_pool(tiny_problem1, 5)
+    state = _SweepState(model, terms, weights, 4)
     for j in range(4):
         state.enrich(model, psi[:, j])
     # enrich keeps A_p times each column, the one sparse apply per term, and
@@ -269,8 +293,9 @@ def test_bordered_cholesky_retires_samples():
 
 def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     problem = tiny_problem1
-    ks, f_hat = pool_and_loads(problem, 20)
-    space, trace = greedy_build(problem.model, ks, f_hat_all=f_hat,
+    ks, terms, weights = affine_pool(problem, 20)
+    f_hat = load_columns(terms, weights)
+    space, trace = greedy_build(problem.model, ks, terms, weights,
                                 fixed_n=3, alpha_lb=problem.alpha_lb)
     assert space.dim == 3
     assert len(trace.selected) == len(trace.max_estimator) == len(trace.basis_size)
@@ -295,9 +320,10 @@ def test_greedy_trace_and_estimator_consistency(tiny_problem1):
 
 def test_greedy_tolerance_mode_certifies(tiny_problem1):
     problem = tiny_problem1
-    ks, f_hat = pool_and_loads(problem, 20)
+    ks, terms, weights = affine_pool(problem, 20)
+    f_hat = load_columns(terms, weights)
     tol = 1e-6
-    space, trace = greedy_build(problem.model, ks, f_hat_all=f_hat,
+    space, trace = greedy_build(problem.model, ks, terms, weights,
                                 tol=tol, fixed_n=len(ks),
                                 alpha_lb=problem.alpha_lb)
     assert trace.max_estimator[-1] <= tol
@@ -316,8 +342,8 @@ def test_estimator_bounds_energy_error(tiny_problem1):
     # and the parametric-energy error of the reduced solution
     problem = tiny_problem1
     model = problem.model
-    ks, f_hat = pool_and_loads(problem, 16)
-    space, _ = greedy_build(model, ks, f_hat_all=f_hat, fixed_n=2,
+    ks, terms, weights = affine_pool(problem, 16)
+    space, _ = greedy_build(model, ks, terms, weights, fixed_n=2,
                             alpha_lb=problem.alpha_lb)
     test_ks = sample_parameters(problem.bench.spec, 25,
                                 np.random.default_rng(99))
@@ -337,12 +363,14 @@ def test_estimator_bounds_energy_error(tiny_problem1):
 def test_greedy_data_loads_extend_sweep(tiny_problem2):
     # example 2 draws its loads independently of the operator parameter, so
     # the trunk grows to N >> 3 before a tolerance stop, which certifies
-    # every sample of the pool it swept, those left out of the trunk too
+    # every sample of the pool it swept, those left out of the trunk too.
+    # The same loads passed one per sample pick, recheck and stop alike
     problem = tiny_problem2
     model = problem.model
-    ks, f_hat = data_pool_and_loads(problem, 24)
+    ks, terms, weights = encoded_pool(problem, 24)
+    f_hat = load_columns(terms, weights)
     tol = 1.0
-    space, trace = greedy_build(model, ks, f_hat_all=f_hat, tol=tol,
+    space, trace = greedy_build(model, ks, terms, weights, tol=tol,
                                 fixed_n=len(ks), alpha_lb=problem.alpha_lb)
     assert 12 <= space.dim < len(ks)
     assert trace.stop_reason == "tolerance"
@@ -352,6 +380,10 @@ def test_greedy_data_loads_extend_sweep(tiny_problem2):
         c = solve_reduced(a_rb, space.psi.T @ f_hat[:, i])
         assert estimator(model, space, k, c, f_hat[:, i],
                          problem.alpha_lb) <= tol * (1 + 1e-9)
+    _, columns = greedy_build(model, ks, f_hat, np.eye(len(ks)), tol=tol,
+                              fixed_n=len(ks), alpha_lb=problem.alpha_lb)
+    for key in ("selected", "rechecks", "stop_reason"):
+        assert getattr(columns, key) == getattr(trace, key)
 
 
 @pytest.fixture
@@ -374,17 +406,20 @@ def two_load_problem(tiny_problem1):
     ("tiny_problem3", {"tol": 0.3, "fixed_n": 30}),
 ])
 def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
-    # f_hat_all None keeps the model's loads as terms and weights; the sweep
-    # must pick, recheck and stop as it does on the same loads passed as
-    # columns, and build the same trunk bit for bit.  The maxima agree to
-    # round-off; these settings keep every one far above the round-off
-    # floor, where their last digits would be noise in either form
+    # the model's loads as Q_f terms and weights against the same loads as
+    # terms, one per sample, with identity weights: the sweep must pick,
+    # recheck and stop alike, and build the same trunk bit for bit.  The
+    # maxima agree to round-off; these settings keep every one far above
+    # the round-off floor, where their last digits would be noise in either
+    # form
     problem = request.getfixturevalue(name)
     model = problem.model
-    ks, f_hat = pool_and_loads(problem, 30)
-    affine = greedy_build(model, ks, alpha_lb=problem.alpha_lb, **kwargs)
-    columns = greedy_build(model, ks, f_hat_all=f_hat,
-                           alpha_lb=problem.alpha_lb, **kwargs)
+    ks, terms, weights = affine_pool(problem, 30)
+    affine = greedy_build(model, ks, terms, weights,
+                          alpha_lb=problem.alpha_lb, **kwargs)
+    columns = greedy_build(model, ks, load_columns(terms, weights),
+                           np.eye(len(ks)), alpha_lb=problem.alpha_lb,
+                           **kwargs)
     (sa, ta), (sc, tc) = affine, columns
     for key in ("selected", "rechecks", "stop_reason"):
         assert getattr(ta, key) == getattr(tc, key)
@@ -394,17 +429,17 @@ def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
 
 
 def test_sweep_state_terms_match_load_columns(tiny_problem1):
-    # two load terms with pool weights against the same loads as columns:
-    # s^2, its downdate and exact recheck, the P_F and f_rb rows and the
-    # estimator agree term by term, cross terms of the Gram included, and a
-    # recheck on the terms runs no reference solve
+    # two load terms with pool weights against the same loads as terms with
+    # identity weights: s^2, its downdate and exact recheck, the P_F and
+    # f_rb rows and the residual agree sample by sample, cross terms of the
+    # Gram included, and a recheck runs no reference solve
     model = tiny_problem1.model
     rng = np.random.default_rng(4)
     terms = np.column_stack([model.f_terms[0][model.free],
                              rng.standard_normal(model.n_free)])
     weights = rng.standard_normal((12, 2))
-    held = _SweepState(model, terms, 6, weights)
-    cols = _SweepState(model, terms @ weights.T, 6)
+    held = _SweepState(model, terms, weights, 6)
+    cols = _SweepState(model, terms @ weights.T, np.eye(12), 6)
     pool = np.arange(12)
     assert np.allclose(held.s0_sq, cols.s0_sq, rtol=1e-12, atol=0)
     for _ in range(3):
@@ -414,18 +449,17 @@ def test_sweep_state_terms_match_load_columns(tiny_problem1):
         cols.enrich(model, v)
     assert held.m == cols.m == 6
     assert np.allclose(held.s2, cols.s2, rtol=1e-10, atol=0)
-    assert np.allclose(held.f_rb(), cols.f_rb(), rtol=1e-12, atol=0)
-    assert np.allclose(held._weigh(held._p_f[:6], pool), cols._p_f[:6],
-                       rtol=1e-12, atol=1e-14)
+    assert np.allclose(held.f_rb, cols.f_rb, rtol=1e-12, atol=0)
+    assert np.allclose(held._p_f[:6], cols._p_f[:6], rtol=1e-12, atol=1e-14)
     solves = model.band.solves
     held.exact_s2(pool)
-    assert model.band.solves == solves
     cols.exact_s2(pool)
+    assert model.band.solves == solves
     assert np.allclose(held.s2, cols.s2, rtol=1e-10, atol=0)
     theta = model.theta_a(sample_parameters(tiny_problem1.bench.spec, 12, rng))
     c = rng.standard_normal((3, 12))
-    assert np.allclose(held.estimator_sq(theta, pool, c, 0.5),
-                       cols.estimator_sq(theta, pool, c, 0.5), rtol=1e-10)
+    assert np.allclose(held.residual_sq(theta, pool, c),
+                       cols.residual_sq(theta, pool, c), rtol=1e-10)
 
 
 def test_greedy_affine_loads_hold_no_load_matrix(tiny_problem1):
@@ -435,11 +469,13 @@ def test_greedy_affine_loads_hold_no_load_matrix(tiny_problem1):
     problem = tiny_problem1
     model = problem.model
     n = 4096
-    ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(3))
-    greedy_build(model, ks[:8], fixed_n=2, alpha_lb=problem.alpha_lb)
+    ks, terms, weights = affine_pool(problem, n, seed=3)
+    greedy_build(model, ks[:8], terms, weights[:8], fixed_n=2,
+                 alpha_lb=problem.alpha_lb)
     tracemalloc.start()
     try:
-        greedy_build(model, ks, fixed_n=2, alpha_lb=problem.alpha_lb)
+        greedy_build(model, ks, terms, weights, fixed_n=2,
+                     alpha_lb=problem.alpha_lb)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,15 +498,20 @@ def full_order_estimators(model, space, ks, f_hat, n, alpha_lb):
 def test_greedy_selection_matches_full_order_estimator(name, request):
     # a trunk near the pool size drives every estimator to the round-off
     # floor, where the downdated s^2 is noise; each pick and each recorded
-    # maximum must still be those of the full-order estimator.  Example 3
-    # has Q_a = 2Q affine terms, the widest residual product of the sweep
+    # maximum must still be those of the full-order estimator.  Example 2
+    # sweeps its encoded loads, Q_f = r_f + Q_a r_g terms; example 3 has
+    # Q_a = 2Q affine terms, the widest residual product of the sweep.  The
+    # oracle's own residual loses digits to cancellation on example 3
     problem = request.getfixturevalue(name)
     model = problem.model
     if name == "tiny_problem2":
-        ks, f_hat = data_pool_and_loads(problem, 24)
+        ks, terms, weights = encoded_pool(problem, 24)
+        rtol = 1e-9
     else:
-        ks, f_hat = pool_and_loads(problem, 24)
-    space, trace = greedy_build(model, ks, f_hat_all=f_hat, fixed_n=24,
+        ks, terms, weights = affine_pool(problem, 24)
+        rtol = 1e-8
+    f_hat = load_columns(terms, weights)
+    space, trace = greedy_build(model, ks, terms, weights, fixed_n=24,
                                 alpha_lb=problem.alpha_lb)
     assert space.dim == 24
     assert_rechecked(trace, len(ks))
@@ -482,33 +523,36 @@ def test_greedy_selection_matches_full_order_estimator(name, request):
             assert trace.selected[n] == int(np.argmax(etas))
         if trace.max_estimator[n - 1] > 1e-10 * top:
             assert np.isclose(trace.max_estimator[n - 1], max(etas),
-                              rtol=1e-8, atol=0.0)
+                              rtol=rtol, atol=0.0)
     assert trace.max_estimator[-1] <= 1e-10 * top
 
 
 def test_sweep_state_downdate_within_slack(tiny_problem2):
     # enrich until U spans the whole space: the downdated s^2 falls to the
     # round-off floor, where it may go negative, but it must stay within the
-    # drift slack of the exact recomputation, which is never negative
+    # drift slack of the exact recomputation, which is never negative, on
+    # the encoded load terms and on the same loads one per sample
     problem = tiny_problem2
     model = problem.model
-    ks, f_hat = data_pool_and_loads(problem, 24)
-    pool = np.arange(f_hat.shape[1])
-    state = _SweepState(model, f_hat, 40)
-    rng = np.random.default_rng(2)
-    for step in range(1, 41):
-        v = v_orthonormalize(model, state.psi if state.n else None,
-                             rng.standard_normal(model.n_free))
-        state.enrich(model, v)
-        if step == 12 or state.m == model.n_free:
-            down = state.s2.copy()
-            state.exact_s2(pool)
-            assert np.all(np.abs(down - state.s2) <= state.slack())
-            assert np.all(state.s2 >= 0.0)
-        if state.m == model.n_free:
-            break
-    assert step > 12
-    assert np.all(down <= 1e-12 * state.s0_sq)
+    ks, terms, weights = encoded_pool(problem, 24)
+    pool = np.arange(len(ks))
+    for loads in ((terms, weights),
+                  (load_columns(terms, weights), np.eye(len(ks)))):
+        state = _SweepState(model, *loads, 40)
+        rng = np.random.default_rng(2)
+        for step in range(1, 41):
+            v = v_orthonormalize(model, state.psi if state.n else None,
+                                 rng.standard_normal(model.n_free))
+            state.enrich(model, v)
+            if step == 12 or state.m == model.n_free:
+                down = state.s2.copy()
+                state.exact_s2(pool)
+                assert np.all(np.abs(down - state.s2) <= state.slack())
+                assert np.all(state.s2 >= 0.0)
+            if state.m == model.n_free:
+                break
+        assert step > 12
+        assert np.all(down <= 1e-12 * state.s0_sq)
 
 
 def test_greedy_stagnation_raises(tiny_problem1):
@@ -517,32 +561,41 @@ def test_greedy_stagnation_raises(tiny_problem1):
     # second pick is linearly dependent while the inflated estimator stays
     # above tolerance
     ks = np.array([[1.0, 0.5], [1.0, 1.0], [1.0, -0.3]])
+    loads = affine_pool(problem, 1)[1], problem.model.theta_f(ks)
     with pytest.raises(StagnationError):
-        greedy_build(problem.model, ks, tol=1e-13, fixed_n=3, alpha_lb=1e-12)
+        greedy_build(problem.model, ks, *loads, tol=1e-13, fixed_n=3,
+                     alpha_lb=1e-12)
     # without a tolerance the dependent snapshot ends the loop instead
-    space, trace = greedy_build(problem.model, ks, fixed_n=3, alpha_lb=1e-12)
+    space, trace = greedy_build(problem.model, ks, *loads, fixed_n=3,
+                                alpha_lb=1e-12)
     assert space.dim == 1
     assert trace.stop_reason == "dependent_snapshot"
 
 
 def test_greedy_empty_pool(tiny_problem1, tiny_problem2):
+    model = tiny_problem1.model
+    terms = affine_pool(tiny_problem1, 1)[1]
     with pytest.raises(EmptySpaceError):
-        greedy_build(tiny_problem1.model, np.empty((0, 2)), fixed_n=1)
-    # example 2's model has no affine loads to stand in for missing ones
-    with pytest.raises(EmptySpaceError, match="no affine loads"):
-        greedy_build(tiny_problem2.model, np.ones((3, 3)), fixed_n=1)
+        greedy_build(model, np.empty((0, 2)), terms, np.empty((0, 1)),
+                     fixed_n=1)
+    # every sample needs one weight per load term
+    model2 = tiny_problem2.model
+    terms2 = np.ones((model2.n_free, 2))
+    for weights in (np.ones((2, 2)), np.ones((3, 1)), np.ones(3)):
+        with pytest.raises(ValueError, match="load weights"):
+            greedy_build(model2, np.ones((3, 3)), terms2, weights, fixed_n=1)
 
 
 def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
     # the cap sizes every buffer of the sweep, so a tolerance alone is not
     # enough to build; it only stops the build before the cap
     model = tiny_problem1.model
-    ks, f_hat = pool_and_loads(tiny_problem1, 8)
-    with pytest.raises(ValueError, match="fixed_n"):
-        greedy_build(model, ks)
-    for loads in (None, f_hat):
+    ks, terms, weights = affine_pool(tiny_problem1, 8)
+    for loads in ((terms, weights), (load_columns(terms, weights), np.eye(8))):
         with pytest.raises(ValueError, match="fixed_n"):
-            greedy_build(model, ks, f_hat_all=loads, tol=1e-2)
+            greedy_build(model, ks, *loads)
+        with pytest.raises(ValueError, match="fixed_n"):
+            greedy_build(model, ks, *loads, tol=1e-2)
     # a cap above the pool size allocates and stops at the pool size, where
     # the trunk holds every sample: nothing is left to sweep, and the size
     # records a maximum of exactly 0 after no recheck
@@ -560,7 +613,7 @@ def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
 
     monkeypatch.setattr(reduction, "_SweepState", State)
     monkeypatch.setattr(reduction, "_BorderedCholesky", Chol)
-    space, trace = greedy_build(model, ks[:4], fixed_n=10)
+    space, trace = greedy_build(model, ks[:4], terms, weights[:4], fixed_n=10)
     assert space.dim == 4 and trace.stop_reason == "size"
     assert trace.max_estimator[-1] == 0.0 < min(trace.max_estimator[:-1])
     assert_rechecked(trace, 4)
