@@ -422,8 +422,6 @@ class ParametricModel:
 
     def load_interior(self, k):
         """Affine right-hand side restricted to free nodes (no lifting)."""
-        if not self.f_terms:
-            return np.zeros(self.n_free)
         th = np.asarray(self.theta_f(np.asarray(k, dtype=float)), dtype=float)
         out = th[0] * self.f_terms[0]
         for q in range(1, len(self.f_terms)):
@@ -462,7 +460,7 @@ def discrete_lifting(model, g_b):
     return out
 
 
-def aggregated_load(model, k, f_free=None, g_b=None):
+def aggregated_load(model, k, f_free, g_b):
     """Right-hand side on free nodes after lifting the Dirichlet data.
 
     ``f_free`` is the assembled load vector (volume plus natural-boundary
@@ -472,14 +470,13 @@ def aggregated_load(model, k, f_free=None, g_b=None):
     sum_p theta_p(k) (A_p,II lift_block g + A_p,IB g), without assembling
     A(k).
     """
-    out = np.zeros(model.n_free) if f_free is None else np.array(f_free, dtype=float)
-    if g_b is not None and len(model.dirichlet):
-        g_b = np.asarray(g_b, dtype=float)
-        th = model.theta_a(np.atleast_2d(np.asarray(k, dtype=float)))
-        lifted = model.lift_block @ g_b
-        for p in range(model.affine_II.n_terms):
-            out -= th[:, p] * (model.affine_II.term(p) @ lifted
-                               + model.affine_IB.term(p) @ g_b)
+    out = np.array(f_free, dtype=float)
+    g_b = np.asarray(g_b, dtype=float)
+    th = model.theta_a(np.atleast_2d(np.asarray(k, dtype=float)))
+    lifted = model.lift_block @ g_b
+    for p in range(model.affine_II.n_terms):
+        out -= th[:, p] * (model.affine_II.term(p) @ lifted
+                           + model.affine_IB.term(p) @ g_b)
     return out
 
 

@@ -14,9 +14,10 @@ The load they encode is affine in (a, theta (x) b):
 with W the source modes, eta the boundary modes and Lambda their interior
 lifting.  ``encoded_load_terms`` holds its r_f + Q_a r_g terms and
 ``encoded_load_weights`` the weights [a, theta_1 b, ..., theta_Q b], so the
-greedy certifies the system every answer solves.  The trunk projections of
-the terms are the blocks that combine (theta, a, b) into the reduced load
-at online cost O(N(r_f + Q_a r_g)).
+greedy certifies the system every answer solves.  The trunk's ``f_blocks``
+project these terms; ``case2_blocks`` splits them into the blocks that
+combine (theta, a, b) into the reduced load at online cost
+O(N(r_f + Q_a r_g)).
 """
 
 import numpy as np
@@ -160,14 +161,11 @@ def encode_source(modes, f_hat):
 
 @dataclass
 class Case2Blocks:
-    """Precomputed reduced blocks turning (a, b, theta) into F_rb."""
+    """The trunk's ``f_blocks`` split into the reduced blocks turning
+    (a, b, theta) into F_rb."""
 
     f_s: np.ndarray        # (r_f, N): rows are F^(s)_{m,rb}
     g_p: np.ndarray        # (Q_a, r_g, N): lifting blocks per affine term
-
-    @property
-    def dims(self):
-        return self.f_s.shape[0], self.g_p.shape[1], self.f_s.shape[1]
 
 
 def encoded_load_terms(model, bmodes, smodes):
@@ -189,15 +187,12 @@ def encoded_load_weights(theta, a, b):
     return np.hstack([a, tb.reshape(len(tb), -1)])
 
 
-def case2_blocks(model, psi, bmodes, smodes):
-    """Assemble the offline blocks of the modal reduced right-hand side: the
-    trunk projection of ``encoded_load_terms``, split into the source rows
-    F^(s)_{m,rb} and the lifting blocks G^(p)_{n,rb} per affine term."""
-    proj = encoded_load_terms(model, bmodes, smodes).T @ psi
-    r_f = smodes.rank
-    f_s = proj[:r_f]
-    g_p = -proj[r_f:].reshape(model.affine_II.n_terms, bmodes.rank, -1)
-    return Case2Blocks(f_s=f_s, g_p=g_p)
+def case2_blocks(f_blocks, r_f, r_g):
+    """Split a trunk's projection of ``encoded_load_terms``, (r_f + Q_a r_g,
+    N), into the source rows F^(s)_{m,rb} and the lifting blocks
+    G^(p)_{n,rb} per affine term."""
+    return Case2Blocks(f_s=f_blocks[:r_f],
+                       g_p=-f_blocks[r_f:].reshape(-1, r_g, f_blocks.shape[1]))
 
 
 def reduced_rhs_case2(blocks, theta_a, a, b):

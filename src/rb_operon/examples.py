@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .artifacts import (load_boundary_modes, load_case2_blocks,
-                        load_source_modes, load_surrogate,
-                        save_boundary_modes, save_case2_blocks,
+from .artifacts import (load_boundary_modes, load_source_modes,
+                        load_surrogate, save_boundary_modes,
                         save_source_modes, save_surrogate)
 from .assembly import (aggregated_load, assemble_stiffness, assemble_mass,
                        assemble_boundary_mass, assemble_load_boundary,
@@ -278,12 +277,14 @@ def _box_corners(ranges):
     return np.column_stack([g.ravel() for g in grids])
 
 
-def build_problem(spec, mesh=None, surrogate=None):
+def build_problem(spec, mesh=None, bench=None):
     """Mesh, boundary split, affine operator family and coercivity bound;
-    ``surrogate`` is example 3's, built on the mesh when None."""
+    ``bench`` is a fresh benchmark object when None (example 3's builds its
+    surrogate on the mesh)."""
     if mesh is None:
         mesh = build_mesh(spec)
-    bench = BENCHMARKS[spec.example](spec, surrogate)
+    if bench is None:
+        bench = BENCHMARKS[spec.example](spec, None)
     model, alpha_lb = bench.build(mesh)
     return Problem(mesh=mesh, model=model, alpha_lb=alpha_lb, bench=bench)
 
@@ -292,7 +293,7 @@ def load_problem(spec, adir):
     """The problem a finished offline stage in ``adir`` was built on."""
     return build_problem(
         spec, mesh=read_mesh_text(adir.file("mesh.txt")),
-        surrogate=BENCHMARKS[spec.example].saved_surrogate(adir))
+        bench=BENCHMARKS[spec.example].reopen(spec, adir))
 
 
 def example2_load(problem, ks, ms, maps):
@@ -378,10 +379,11 @@ class Example1:
         """The benchmark with the mesh-free state it reads from ``adir``."""
         return cls(spec, None)
 
-    @staticmethod
-    def saved_surrogate(adir):
-        """What ``build_problem`` takes back from ``adir`` besides the mesh."""
-        return None
+    @classmethod
+    def reopen(cls, spec, adir):
+        """The benchmark ``load_problem`` rebuilds the problem with: what
+        ``open`` reads, but example 3's full surrogate for its pivots."""
+        return cls.open(spec, adir)
 
     def build(self, mesh):
         """Affine operator family on ``mesh`` and its coercivity bound:
@@ -436,14 +438,13 @@ class Example1:
         return {}
 
     def rhs(self, space, blocks, theta, k, a, b):
-        """Reduced load; ``blocks`` are what ``load_blocks`` returned."""
+        """Reduced load; ``blocks`` are what ``rhs_blocks`` split from the
+        space."""
         return k[..., 1, None] * space.f_blocks[0]
 
-    def load_blocks(self, adir, trunk):
+    def rhs_blocks(self, space):
+        """What ``rhs`` needs besides the space's own arrays."""
         return None
-
-    def save_blocks(self, adir, model, psi, trunk):
-        pass
 
     def offline_data(self, problem, adir, rng, manifest):
         """Persist the pool and the example's own offline data; returns
@@ -495,7 +496,9 @@ class Example3(Example1):
                         adir.load_array("eim_tri_mat"))
         return cls(spec, eim)
 
-    saved_surrogate = staticmethod(load_surrogate)
+    @classmethod
+    def reopen(cls, spec, adir):
+        return cls(spec, load_surrogate(adir))
 
     def operator_terms(self, mesh):
         """EIM terms outside, then inside the inclusion, against the plain
@@ -582,36 +585,34 @@ class Example2(Example1):
             return reduced_rhs_case2(blocks, theta, a, b)
         return reduced_rhs_case2_batch(blocks, theta, a, b)
 
-    def load_blocks(self, adir, trunk):
-        return load_case2_blocks(adir, "case2_" + trunk)
-
-    def save_blocks(self, adir, model, psi, trunk):
-        save_case2_blocks(adir, case2_blocks(model, psi, self.bmodes,
-                                             self.smodes), "case2_" + trunk)
+    def rhs_blocks(self, space):
+        """The modal blocks split from the space's ``f_blocks``."""
+        return case2_blocks(space.f_blocks, *self.ranks)
 
     def offline_data(self, problem, adir, rng, manifest):
         """Also persists the data modes and the pool's coordinates (a, b) in
         them.  The loads are the encoded ones every answer solves: the terms
         ``encoded_load_terms``, the weights [a, theta b] of each pool row.
-        The greedy trains on the first ``sweep_subset`` pool rows."""
+        The trunks' ``f_blocks`` project these terms, and ``rhs_blocks``
+        splits them into the modal blocks.  The greedy trains on the first
+        ``sweep_subset`` pool rows."""
         spec, model = self.spec, problem.model
         ks = sample_parameters(spec, spec.n_pool, rng)
         adir.save_array("pool_params", ks)
         xis = sample_xi(spec, spec.n_pool, rng)
         f_data, g_data = _data_loads(problem, ks, xis)
-        self.smodes = source_greedy(model, f_data, tol=spec.data["mode_tol"],
-                                    r_max=spec.data["r_f_max"], rng=rng)
-        self.bmodes = boundary_greedy(model, g_data, tol=spec.data["mode_tol"],
-                                      r_max=spec.data["r_g_max"], rng=rng)
-        save_source_modes(adir, self.smodes)
-        save_boundary_modes(adir, self.bmodes)
-        a = encode_source(self.smodes, f_data).T
-        b = encode_boundary(self.bmodes, model, g_data).T
+        smodes = source_greedy(model, f_data, tol=spec.data["mode_tol"],
+                               r_max=spec.data["r_f_max"], rng=rng)
+        bmodes = boundary_greedy(model, g_data, tol=spec.data["mode_tol"],
+                                 r_max=spec.data["r_g_max"], rng=rng)
+        save_source_modes(adir, smodes)
+        save_boundary_modes(adir, bmodes)
+        a = encode_source(smodes, f_data).T
+        b = encode_boundary(bmodes, model, g_data).T
         adir.save_array("pool_a", a)
         adir.save_array("pool_b", b)
-        self.ranks = (self.smodes.rank, self.bmodes.rank)
-        manifest["dims_modes"] = {"r_f": self.ranks[0], "r_g": self.ranks[1]}
-        return (ks, encoded_load_terms(model, self.bmodes, self.smodes),
+        manifest["dims_modes"] = {"r_f": smodes.rank, "r_g": bmodes.rank}
+        return (ks, encoded_load_terms(model, bmodes, smodes),
                 encoded_load_weights(self.theta(ks), a, b),
                 min(int(spec.data["sweep_subset"]), spec.n_pool))
 

@@ -174,11 +174,10 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
               title=f"example {spec.example}: greedy certification",
               xlabel="basis size", ylabel="max estimator", logy=True)
 
-    bench.save_blocks(adir, model, space_g.psi, "greedy")
-
     if pod:
         snaps = _pool_snapshots(model, ks, terms, weights)
-        space_p = pod_build(model, snaps, tol=spec.trunk.get("pod_tol"),
+        space_p = pod_build(model, snaps, terms,
+                            tol=spec.trunk.get("pod_tol"),
                             fixed_n=spec.trunk.get("pod_fixed_n"))
         save_space(adir, "pod", space_p)
         psi = space_p.psi
@@ -187,7 +186,6 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         adir.save_array("pod_targets", (psi.T @ a_snaps).T)
         adir.save_array("pod_squares", np.einsum("ij,ij->j", snaps, a_snaps))
         manifest["dims_trunk"]["pod_n"] = space_p.dim
-        bench.save_blocks(adir, model, space_p.psi, "pod")
 
     manifest["full_order"] = model.band.counts()
     adir.write_manifest(manifest)
@@ -218,8 +216,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
     if method == "rb":
         ks, a, b = bench.train_rows(adir, seed)
         theta = bench.theta(ks)
-        f_rb = bench.rhs(space, bench.load_blocks(adir, "greedy"), theta,
-                         ks, a, b)
+        f_rb = bench.rhs(space, bench.rhs_blocks(space), theta, ks, a, b)
         c_n = solve_reduced_batch(space.a_blocks, theta, f_rb)
 
         def subset(sl):
@@ -310,7 +307,7 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     ks = sample_parameters(spec, n_test, rng)
     u_ref, lift, g_b, a, b = bench.eval_data(problem, adir, ks, rng)
     theta = bench.theta(ks)
-    f_rb = {name: bench.rhs(spaces[name], bench.load_blocks(adir, name),
+    f_rb = {name: bench.rhs(spaces[name], bench.rhs_blocks(spaces[name]),
                             theta, ks, a, b) for name in spaces}
 
     contexts = {name: metric_context(model, spaces[name], problem.m_ii)
@@ -381,7 +378,7 @@ class OnlineBundle:
     std: object
     theta_fn: object           # the benchmark's theta
     bench: object
-    blocks: object = None      # modal right-hand-side blocks (example 2)
+    blocks: object = None      # modal blocks split from f_blocks (example 2)
     n_free: int = 0
 
     def arrays(self):
@@ -423,7 +420,7 @@ def load_online_bundle(adir):
     return OnlineBundle(example=bench.spec.example, online=online,
                         chol_star=chol_star, net=net, std=std,
                         theta_fn=bench.theta, bench=bench,
-                        blocks=bench.load_blocks(adir, "greedy"),
+                        blocks=bench.rhs_blocks(online),
                         n_free=int(manifest["mesh"]["n_free"]))
 
 

@@ -24,7 +24,8 @@ piece.
 The pool loads are affine: sample i's load is f(k_i) = F w(k_i), with Q_f
 terms F and a weight row w(k_i) per sample (Hesthaven, Rozza & Stamm 2016,
 ch. 3).  Examples 1 and 3 pass their affine load terms with weights
-theta_f, example 2 the terms of its encoded data load (``datamodes``).  The
+theta_f, example 2 the terms of its encoded data load (``datamodes``); the
+trunk's ``f_blocks`` are the projection F^T Psi of the same terms.  The
 n_free x n_pool load matrix is never formed: each P_F and f_rb row is
 formed per sample once, as (v^T F) w^T, when its column is appended, and
 s(k)^2 = ||Z w(k)||^2 in the reference norm, with Z = A_star^-1 F.  Z is
@@ -94,7 +95,8 @@ class RBSpace:
 
     psi: np.ndarray              # (n_free, N) A_star-orthonormal columns
     a_blocks: np.ndarray         # (Q_a, N, N) reduced stiffness terms
-    f_blocks: np.ndarray         # (Q_f, N) reduced affine load terms
+    f_blocks: np.ndarray         # (Q_f, N) projection of the load terms
+                                 # the greedy swept
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -160,19 +162,17 @@ def coercivity_lower_bound(model, samples):
     return max(float(np.min(th / th_star)), 0.0)
 
 
-def reduce_operators(model, psi):
-    """Galerkin-project the affine stiffness and load terms onto the trunk."""
+def reduce_operators(model, psi, terms):
+    """Galerkin-project the affine stiffness terms and the load ``terms``
+    (n_free, Q_f), the free-node load terms the trunk was built on, onto the
+    trunk."""
     n = psi.shape[1]
     qa = model.affine_II.n_terms
     a_blocks = np.empty((qa, n, n))
     for p in range(qa):
         prod = psi.T @ (model.affine_II.term(p) @ psi)
         a_blocks[p] = 0.5 * (prod + prod.T)
-    if model.f_terms:
-        f_blocks = np.vstack([f[model.free] @ psi for f in model.f_terms])
-    else:
-        f_blocks = np.zeros((0, n))
-    return a_blocks, f_blocks
+    return a_blocks, terms.T @ psi
 
 
 def reduced_cholesky(a, sample):
@@ -547,7 +547,7 @@ def greedy_build(model, samples, terms, weights, tol=None, fixed_n=None,
         accept(idx, v)
 
     psi = np.ascontiguousarray(state.psi)
-    a_blocks, f_blocks = reduce_operators(model, psi)
+    a_blocks, f_blocks = reduce_operators(model, psi, terms)
     prov = dict(method="greedy", tol=tol, fixed_n=fixed_n,
                 selected=list(trace.selected), pool_size=int(ns))
     return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
@@ -568,14 +568,15 @@ def _border_update(a_blocks, psi, w_new):
         a_blocks[p, n - 1, :n] = col
 
 
-def pod_build(model, snapshots, tol=None, fixed_n=None):
+def pod_build(model, snapshots, terms, tol=None, fixed_n=None):
     """Method-of-snapshots POD in the A_star inner product.
 
-    ``snapshots`` holds one solution per column.  The correlation matrix
-    G_ij = (w_i, w_j)_star / n_k is diagonalized; modes below the energy
-    criterion (tail fraction <= tol^2) are discarded, or exactly ``fixed_n``
-    modes are kept.  Returns an RBSpace and stores the spectrum in its
-    provenance.
+    ``snapshots`` holds one solution per column, each the truth of a load
+    in the span of ``terms`` (n_free, Q_f), which the space's ``f_blocks``
+    project.  The correlation matrix G_ij = (w_i, w_j)_star / n_k is
+    diagonalized; modes below the energy criterion (tail fraction <= tol^2)
+    are discarded, or exactly ``fixed_n`` modes are kept.  Returns an
+    RBSpace and stores the spectrum in its provenance.
     """
     if tol is None and fixed_n is None:
         raise ValueError("need a tolerance or a fixed dimension")
@@ -623,7 +624,7 @@ def pod_build(model, snapshots, tol=None, fixed_n=None):
         psi[:, kept] = v
         kept += 1
     psi = psi[:, :kept].copy()
-    a_blocks, f_blocks = reduce_operators(model, psi)
+    a_blocks, f_blocks = reduce_operators(model, psi, terms)
     prov = dict(method="pod", tol=tol, fixed_n=fixed_n, n_snapshots=int(nk),
                 eigenvalues=lam, trace=total)
     return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from rb_operon.artifacts import (ArtifactDir, load_array, load_boundary_modes,
-                                 load_case2_blocks, load_net, load_source_modes,
-                                 load_space, load_surrogate, save_array,
-                                 save_boundary_modes, save_case2_blocks,
-                                 save_net, save_source_modes, save_space,
-                                 save_surrogate)
+                                 load_net, load_source_modes, load_space,
+                                 load_surrogate, save_array,
+                                 save_boundary_modes, save_net,
+                                 save_source_modes, save_space, save_surrogate)
 from rb_operon.branchnet import MLP, Standardizer, TrainHistory
-from rb_operon.datamodes import BoundaryModes, Case2Blocks, SourceModes
+from rb_operon.datamodes import BoundaryModes, SourceModes
 from rb_operon.geomap import EimSurrogate, RadialMap
 from rb_operon.reduction import RBSpace
 
@@ -168,17 +167,6 @@ def test_modes_roundtrip(tmp_path, rng):
     back = load_source_modes(adir)
     assert np.array_equal(back.w, sm.w)
     assert np.array_equal(back.selected, sm.selected)
-
-
-def test_case2_blocks_roundtrip(tmp_path, rng):
-    adir = ArtifactDir(tmp_path / "run")
-    blocks = Case2Blocks(f_s=rng.standard_normal((3, 4)),
-                         g_p=rng.standard_normal((2, 2, 4)))
-    save_case2_blocks(adir, blocks, "case2_greedy")
-    back = load_case2_blocks(adir, "case2_greedy")
-    assert np.array_equal(back.f_s, blocks.f_s)
-    assert np.array_equal(back.g_p, blocks.g_p)
-    assert back.dims == blocks.dims
 
 
 def test_surrogate_roundtrip(tmp_path, rng):

@@ -169,7 +169,7 @@ def test_affine_solve_reproduces_affine_field():
     exact = 1.0 + 2.0 * model.mesh.nodes[:, 0] - 0.7 * model.mesh.nodes[:, 1]
     g = exact[model.dirichlet]
     k = np.array([3.0])
-    f_hat = aggregated_load(model, k, None, g)
+    f_hat = aggregated_load(model, k, np.zeros(model.n_free), g)
     w = truth_solve(model, k, f_hat)
     field = full_field(model, w, g)
     assert np.allclose(field, exact, atol=1e-11)

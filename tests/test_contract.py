@@ -14,6 +14,8 @@ import importlib.util
 import os
 import re
 
+import numpy as np
+
 import rb_operon
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -121,3 +123,28 @@ def test_online_bundle_fields():
 
     fields = {f.name for f in dataclasses.fields(OnlineBundle)}
     assert {"example", "online", "blocks", "theta_fn"} <= fields
+
+
+def test_example2_bundle_blocks_serve_the_harness(tiny2_dir):
+    # QueryInputs and setup_probe.py size example 2's query inputs (a, b)
+    # from the bundle's blocks, and Stream.failed holds every answer to the
+    # batched reduced load of those blocks at theta_batch's weights
+    from rb_operon.artifacts import ArtifactDir
+    from rb_operon.datamodes import reduced_rhs_case2_batch
+    from rb_operon.pipeline import load_online_bundle, theta_batch
+
+    adir = ArtifactDir(tiny2_dir)
+    bundle = load_online_bundle(adir)
+    modes = adir.read_manifest()["dims_modes"]
+    assert bundle.blocks.f_s.shape[0] == modes["r_f"]
+    assert bundle.blocks.g_p.shape[1] == modes["r_g"]
+    rng = np.random.default_rng(4)
+    ks, a, b = (np.array(col) for col in
+                zip(*bundle.bench.draw_queries(8, rng)))
+    theta = theta_batch(2, ks)
+    batch = reduced_rhs_case2_batch(bundle.blocks, theta, a, b)
+    for i in range(len(ks)):
+        row = bundle.bench.rhs(bundle.online, bundle.blocks, theta[i], ks[i],
+                               a[i], b[i])
+        assert (np.abs(row - batch[i]).max()
+                <= 1e-14 * np.abs(batch[i]).max())

@@ -10,6 +10,12 @@ from rb_operon.errors import EmptySpaceError
 from rb_operon.assembly import aggregated_load
 
 
+def split_projection(model, psi, bmodes, smodes):
+    # the modal blocks of a trunk, split from its f_blocks
+    return case2_blocks(encoded_load_terms(model, bmodes, smodes).T @ psi,
+                        smodes.rank, bmodes.rank)
+
+
 def snapshots(problem, n_snap, seed=21):
     rng = np.random.default_rng(seed)
     model = problem.model
@@ -104,8 +110,9 @@ def test_case2_blocks_reproduce_aggregated_load(tiny_problem2, rng):
     smodes = source_greedy(model, loads, r_max=6)
     bmodes = boundary_greedy(model, g, r_max=6)
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
-    blocks = case2_blocks(model, psi, bmodes, smodes)
-    assert blocks.dims == (6, 6, 4)
+    blocks = split_projection(model, psi, bmodes, smodes)
+    assert blocks.f_s.shape == (6, 4)
+    assert blocks.g_p.shape == (model.affine_II.n_terms, 6, 4)
     ks = np.array([1.3, 0.4, 2.0]) + 0.1 * np.arange(3)[:, None]
     f_hat = aggregated_load(model, ks, loads[:, :3], g[:, :3])
     for j, k in enumerate(ks):
@@ -124,7 +131,7 @@ def test_reduced_rhs_batch_matches_loop(tiny_problem2, rng):
     smodes = source_greedy(model, loads, r_max=5)
     bmodes = boundary_greedy(model, g, r_max=5)
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
-    blocks = case2_blocks(model, psi, bmodes, smodes)
+    blocks = split_projection(model, psi, bmodes, smodes)
     ns = 8
     theta = rng.uniform(0.5, 2.0, size=(ns, model.affine_II.n_terms))
     a = rng.standard_normal((ns, smodes.rank))
@@ -154,8 +161,8 @@ def test_encoded_load_projects_to_modal_rhs(tiny_problem2, rng):
     assert terms.shape == (model.n_free,
                            smodes.rank + model.affine_II.n_terms * bmodes.rank)
     assert weights.shape == (ns, terms.shape[1])
-    want = reduced_rhs_case2_batch(case2_blocks(model, psi, bmodes, smodes),
-                                   theta, a, b)
+    want = reduced_rhs_case2_batch(split_projection(model, psi, bmodes,
+                                                    smodes), theta, a, b)
     got = (psi.T @ (terms @ weights.T)).T
     assert np.all(np.linalg.norm(got - want, axis=1)
                   <= 1e-13 * np.linalg.norm(want, axis=1))

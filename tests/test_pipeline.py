@@ -7,9 +7,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rb_operon.artifacts import (ArtifactDir, load_case2_blocks, load_space,
+from rb_operon.artifacts import (ArtifactDir, load_boundary_modes,
+                                 load_source_modes, load_space,
                                  load_surrogate)
 from rb_operon.branchnet import MLP
+from rb_operon.datamodes import encoded_load_terms
 from rb_operon.errors import NotCoerciveError
 from rb_operon.examples import (BENCHMARKS, HIDDEN_SIZES, build_problem,
                                 example_spec, load_problem, open_benchmark)
@@ -147,8 +149,24 @@ def test_every_persisted_array_has_a_reader(example, pod, tmp_path,
     from rb_operon import artifacts
 
     out = str(tmp_path / f"ex{example}")
-    run_offline(example, out, seed=0, pod=pod,
-                overrides=getattr(conftest, f"TINY{example}"))
+    adir = run_offline(example, out, seed=0, pod=pod,
+                       overrides=getattr(conftest, f"TINY{example}"))
+    if example == 2:
+        # one set of load blocks per trunk: each trunk's f_blocks project
+        # the encoded load terms of the persisted modes, and no second
+        # projection is written
+        man = adir.read_manifest()
+        model = load_problem(spec_from_manifest(man), adir).model
+        terms = encoded_load_terms(model, load_boundary_modes(adir),
+                                   load_source_modes(adir))
+        r_f, r_g = man["dims_modes"]["r_f"], man["dims_modes"]["r_g"]
+        for trunk in ("greedy", "pod") if pod else ("greedy",):
+            f_blocks = adir.load_array(trunk + "_f_blocks")
+            assert f_blocks.shape == (r_f + model.affine_II.n_terms * r_g,
+                                      man["dims_trunk"][trunk + "_n"])
+            assert np.array_equal(
+                f_blocks, terms.T @ adir.load_array(trunk + "_psi"))
+        assert [n for n in os.listdir(out) if n.startswith("case2_")] == []
     loaded = set()
     load = artifacts.load_array
 
@@ -161,9 +179,16 @@ def test_every_persisted_array_has_a_reader(example, pod, tmp_path,
     for method in ("rb", "pod") if pod else ("rb",):
         run_train(out, method, seed=1, config=config)
     run_eval(out, seed=2)
-    load_online_bundle(ArtifactDir(out))
+    bundle = load_online_bundle(adir)
     written = {name for name in os.listdir(out) if name.endswith(".arr")}
     assert written - loaded == set()
+    if example == 2:
+        # the modal blocks are the split of the greedy trunk's f_blocks
+        proj = adir.load_array("greedy_f_blocks")
+        assert np.array_equal(bundle.blocks.f_s, proj[:r_f])
+        assert np.array_equal(
+            bundle.blocks.g_p,
+            -proj[r_f:].reshape(model.affine_II.n_terms, r_g, -1))
 
 
 def test_theta_batch_values(tiny_problem3, rng):
@@ -295,7 +320,7 @@ def test_online_query_matches_reduced_solve(example, request, rng):
     lo, hi = np.array(man["param_ranges"]).T
     for k in rng.uniform(lo, hi, size=(5, len(lo))):
         if example == 2:
-            blocks = load_case2_blocks(adir, "case2_greedy")
+            blocks = bundle.blocks
             a = rng.standard_normal(blocks.f_s.shape[0])
             b = rng.standard_normal(blocks.g_p.shape[1])
             args = (k, a, b)

@@ -34,12 +34,16 @@ def pool_and_loads(problem, n, seed=5):
     return ks, f_hat
 
 
+def affine_terms(model):
+    """The model's affine load terms on the free nodes, one per column."""
+    return np.column_stack([f[model.free] for f in model.f_terms])
+
+
 def affine_pool(problem, n, seed=5):
     """Pool parameters with the model's affine load terms and weights."""
     model = problem.model
     ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(seed))
-    terms = np.column_stack([f[model.free] for f in model.f_terms])
-    return ks, terms, model.theta_f(ks)
+    return ks, affine_terms(model), model.theta_f(ks)
 
 
 def encoded_pool(problem, n, seed=7):
@@ -104,12 +108,18 @@ def test_v_orthonormalize_ignores_buffer_layout(tiny_problem1, rng):
 def test_reduce_operators_match_dense(tiny_problem1, rng):
     model = tiny_problem1.model
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
-    a_blocks, f_blocks = reduce_operators(model, psi)
+    a_blocks, f_blocks = reduce_operators(model, psi, affine_terms(model))
     assert a_blocks.shape == (2, 3, 3)
     for p in range(2):
         dense = psi.T @ (model.affine_II.term(p) @ psi)
         assert np.allclose(a_blocks[p], 0.5 * (dense + dense.T))
-    assert np.allclose(f_blocks[0], model.f_terms[0][model.free] @ psi)
+    # one load term projects to the bits of its own vector product
+    assert f_blocks.shape == (1, 3)
+    assert np.array_equal(f_blocks[0], model.f_terms[0][model.free] @ psi)
+    # the load blocks are the projection of whatever terms are passed
+    terms = rng.standard_normal((model.n_free, 4))
+    _, f_blocks = reduce_operators(model, psi, terms)
+    assert np.array_equal(f_blocks, terms.T @ psi)
 
 
 def test_border_update_equals_full_projection(tiny_problem1, rng):
@@ -124,11 +134,11 @@ def test_border_update_equals_full_projection(tiny_problem1, rng):
     # borders the reduced blocks with it in place
     for p in range(qa):
         assert np.array_equal(state._w[p, 3], model.affine_II.term(p) @ psi[:, 3])
-    full, _ = reduce_operators(model, psi)
+    full, _ = reduce_operators(model, psi, terms)
     assert np.allclose(state.a_blocks, full)
     assert np.allclose(state.psi, psi)
     # the border goes into the unused part of a wider buffer and nowhere else
-    small, _ = reduce_operators(model, psi[:, :3])
+    small, _ = reduce_operators(model, psi[:, :3], terms)
     buf = np.full((qa, 6, 6), np.nan)
     buf[:, :3, :3] = small
     _border_update(buf, psi, state._w[:, 3])
@@ -633,7 +643,7 @@ def test_pod_optimality_identity(tiny_problem1):
     snaps = np.column_stack([
         np.linalg.solve(model.assemble_interior(k).toarray(), f_hat[:, i])
         for i, k in enumerate(ks)])
-    space = pod_build(model, snaps, fixed_n=4)
+    space = pod_build(model, snaps, affine_terms(model), fixed_n=4)
     lam = space.provenance["eigenvalues"]
     a = model.a_star_II
     proj = snaps - space.psi @ (space.psi.T @ (a @ snaps))
@@ -653,7 +663,7 @@ def test_pod_energy_tolerance(tiny_problem1):
         np.linalg.solve(model.assemble_interior(k).toarray(), f_hat[:, i])
         for i, k in enumerate(ks)])
     tol = 1e-4
-    space = pod_build(model, snaps, tol=tol)
+    space = pod_build(model, snaps, affine_terms(model), tol=tol)
     lam = space.provenance["eigenvalues"]
     total = space.provenance["trace"]
     n = space.dim
@@ -668,7 +678,8 @@ def test_pod_sparse_eigensolver_deterministic(tiny_problem1, monkeypatch):
     monkeypatch.setattr(reduction, "_DENSE_LIMIT", 10)
     model = tiny_problem1.model
     snaps = np.random.default_rng(3).standard_normal((model.n_free, 30))
-    lam = [pod_build(model, snaps, fixed_n=3).provenance["eigenvalues"]
+    terms = affine_terms(model)
+    lam = [pod_build(model, snaps, terms, fixed_n=3).provenance["eigenvalues"]
            for _ in range(3)]
     assert np.array_equal(lam[0], lam[1])
     assert np.array_equal(lam[0], lam[2])
@@ -678,16 +689,16 @@ def test_pod_needs_tolerance_or_dimension(tiny_problem1):
     model = tiny_problem1.model
     snaps = np.random.default_rng(3).standard_normal((model.n_free, 4))
     with pytest.raises(ValueError, match="need a tolerance or a fixed"):
-        pod_build(model, snaps)
+        pod_build(model, snaps, affine_terms(model))
 
 
 def test_pod_rejects_empty(tiny_problem1):
+    model = tiny_problem1.model
+    terms = affine_terms(model)
     with pytest.raises(EmptySpaceError):
-        pod_build(tiny_problem1.model, np.empty((tiny_problem1.model.n_free, 0)),
-                  fixed_n=1)
+        pod_build(model, np.empty((model.n_free, 0)), terms, fixed_n=1)
     with pytest.raises(EmptySpaceError):
-        pod_build(tiny_problem1.model,
-                  np.zeros((tiny_problem1.model.n_free, 3)), fixed_n=1)
+        pod_build(model, np.zeros((model.n_free, 3)), terms, fixed_n=1)
 
 
 def test_coercivity_lower_bound_modes(tiny_problem1):
