@@ -31,7 +31,6 @@ _EXPORTS = {
     "assemble_load_boundary": ".assembly",
     "load_quadrature": ".assembly",
     "ParametricModel": ".assembly",
-    "build_model": ".assembly",
     "truth_solve": ".assembly",
     "aggregated_load": ".assembly",
     "discrete_lifting": ".assembly",

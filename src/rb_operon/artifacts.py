@@ -120,15 +120,14 @@ def load_space(adir, prefix):
     )
 
 
-def save_net(adir, prefix, net, standardizer, history=None):
-    """Persist branch weights as one flat vector plus layer sizes."""
+def save_net(adir, prefix, net, standardizer, history):
+    """Persist branch weights as one flat vector plus layer sizes, and the
+    training history."""
     adir.save_array(prefix + "_params", net.flat)
     adir.save_array(prefix + "_feat_mean", standardizer.mean)
     adir.save_array(prefix + "_feat_std", standardizer.std)
-    meta = {"sizes": net.sizes}
-    if history is not None:
-        meta["history"] = dataclasses.asdict(history)
-    adir.save_json(prefix + "_net", meta)
+    adir.save_json(prefix + "_net", {"sizes": net.sizes,
+                                     "history": dataclasses.asdict(history)})
 
 
 def load_net(adir, prefix):
@@ -142,7 +141,7 @@ def load_net(adir, prefix):
     net.flat[...] = flat
     std = Standardizer(mean=adir.load_array(prefix + "_feat_mean"),
                        std=adir.load_array(prefix + "_feat_std"))
-    return net, std, meta.get("history")
+    return net, std, meta["history"]
 
 
 def save_boundary_modes(adir, modes):

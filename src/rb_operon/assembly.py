@@ -15,6 +15,7 @@ Gauss per edge.
 A ParametricModel packages an affine family A(k) = sum_p theta_p(k) A_p with
 its Dirichlet/free split, the reference operator A_star, the factorized
 interior block, an implicit lifting map and the boundary energy metric.
+It holds no load: each benchmark keeps its own load terms and weights.
 
 Every full-order SPD system (reference factor, interior factors, truth
 solves, example 3's exact pullback solve) is factored by the model's
@@ -26,24 +27,13 @@ an operator that fails raises NotCoerciveError.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import EmptyMatrixError, NotCoerciveError
 from .mesh import _edge_keys
-
-
-def _region_mask(mesh, region):
-    if region is None:
-        return np.ones(mesh.n_triangles, dtype=bool)
-    if isinstance(region, (int, np.integer)):
-        return mesh.triangle_tags == region
-    region = np.asarray(region)
-    if region.dtype == bool:
-        return region
-    return np.isin(mesh.triangle_tags, region)
 
 
 def triangle_geometry(mesh, mask=None):
@@ -76,41 +66,23 @@ def _scatter(mesh, tris, local):
     return out
 
 
-def _coefficient_values(mesh, mask, coefficient):
-    """Per-triangle scalar or 2x2 tensor values on the selected triangles."""
-    m = int(np.count_nonzero(mask))
-    if coefficient is None:
-        return np.ones(m)
-    if callable(coefficient):
-        cent = mesh.nodes[mesh.triangles[mask]].mean(axis=1)
-        return np.asarray(coefficient(cent), dtype=float)
-    coefficient = np.asarray(coefficient, dtype=float)
-    if coefficient.ndim == 0:
-        return np.full(m, float(coefficient))
-    # per-triangle array given over the full mesh
-    if coefficient.shape[0] == mesh.n_triangles:
-        return coefficient[mask]
-    if coefficient.shape[0] == m:
-        return coefficient
-    raise ValueError("coefficient shape does not match selected triangles")
-
-
 def assemble_stiffness(mesh, region=None, coefficient=None):
-    """Stiffness matrix int c grad(u).grad(v) over the selected subdomain.
+    """Stiffness matrix int c grad(u).grad(v) over the whole mesh or the
+    triangles tagged ``region``.
 
-    ``coefficient`` may be None (unit), a scalar, a callable of centroid
-    coordinates, a per-triangle array, or a per-triangle (m, 2, 2) tensor
-    field; tensors are contracted as grad(v).G.grad(u).
+    ``coefficient`` is None (unit) or a whole-mesh (n_triangles, 2, 2)
+    tensor field, contracted as grad(v).G.grad(u).
     """
-    mask = _region_mask(mesh, region)
+    mask = (np.ones(mesh.n_triangles, dtype=bool) if region is None
+            else mesh.triangle_tags == region)
     if not np.any(mask):
         raise EmptyMatrixError("stiffness region selects no triangles")
     areas, grads = triangle_geometry(mesh, mask)
-    c = _coefficient_values(mesh, mask, coefficient)
-    if c.ndim == 3:
-        local = np.einsum("t,tai,tij,tbj->tab", areas, grads, c, grads)
+    if coefficient is None:
+        local = np.einsum("t,tai,tbi->tab", areas, grads, grads)
     else:
-        local = np.einsum("t,tai,tbi->tab", areas * c, grads, grads)
+        local = np.einsum("t,tai,tij,tbj->tab", areas, grads,
+                          coefficient[mask], grads)
     return _scatter(mesh, mesh.triangles[mask], local)
 
 
@@ -363,11 +335,9 @@ class ParametricModel:
     a_terms hold the full-node-set matrices A_p; theta_a maps parameters to
     their weights, rows in, rows out: one parameter row (p,) gives (Q_a,),
     and a stack of rows (n, p) gives (n, Q_a) in one call, the same values
-    row by row, so a sweep over a sample pool weighs it whole.  Optional
-    affine load terms (theta_f, f_terms) cover right-hand sides that share
-    the parameterization; theta_f keeps the same contract, (p,) to (Q_f,)
-    and (n, p) to (n, Q_f).  k_star fixes the reference operator A_star
-    used for lifting, the boundary metric and every norm downstream.
+    row by row, so a sweep over a sample pool weighs it whole.  k_star fixes
+    the reference operator A_star used for lifting, the boundary metric and
+    every norm downstream; ``a_star`` replaces it where it is not A(k_star).
     """
 
     mesh: object
@@ -376,77 +346,48 @@ class ParametricModel:
     theta_a: object
     a_terms: list
     k_star: np.ndarray
-    theta_f: object = None
-    f_terms: list = field(default_factory=list)
-    a_star_override: object = None
+    a_star: object = None
 
     def __post_init__(self):
-        n = self.mesh.n_nodes
-        if len(self.free) + len(self.dirichlet) != n:
+        self.free = np.asarray(self.free, dtype=np.int64)
+        self.dirichlet = np.asarray(self.dirichlet, dtype=np.int64)
+        self.a_terms = list(self.a_terms)
+        self.k_star = np.asarray(self.k_star, dtype=float)
+        free, bd = self.free, self.dirichlet
+        if len(free) + len(bd) != self.mesh.n_nodes:
             raise ValueError("free/dirichlet split does not cover the node set")
-        self.affine_II = AffineSparse(
-            [m[self.free][:, self.free].tocsr() for m in self.a_terms])
-        self.affine_IB = AffineSparse(
-            [m[self.free][:, self.dirichlet].tocsr() for m in self.a_terms])
-        if self.a_star_override is not None:
-            a_star = self.a_star_override.tocsr()
-        else:
-            a_star = self.assemble_full(self.k_star)
-        self.a_star = a_star
-        self.a_star_II = a_star[self.free][:, self.free].tocsr()
-        self.a_star_IB = a_star[self.free][:, self.dirichlet].tocsr()
-        self.a_star_BB = a_star[self.dirichlet][:, self.dirichlet].toarray()
+        self.affine_II = AffineSparse([m[free][:, free].tocsr()
+                                       for m in self.a_terms])
+        self.affine_IB = AffineSparse([m[free][:, bd].tocsr()
+                                       for m in self.a_terms])
+        a_star = self.a_star
+        if a_star is None:
+            th = np.asarray(self.theta_a(self.k_star), dtype=float)
+            a_star = sum((t * m for t, m in zip(th[1:], self.a_terms[1:])),
+                         th[0] * self.a_terms[0])
+        a_star = a_star.tocsr()
+        self.a_star_II = a_star[free][:, free].tocsr()
+        a_star_ib = a_star[free][:, bd].tocsr()
         self.band = BandLayout(self.affine_II.template)
         self.star_factor = self.band.factor(self.a_star_II, "reference operator")
-        if len(self.dirichlet):
-            x = self.star_factor.solve(self.a_star_IB.toarray())
+        if len(bd):
+            x = self.star_factor.solve(a_star_ib.toarray())
             self.lift_block = -x
-            self.w_gamma = self.a_star_BB - self.a_star_IB.T @ x
+            self.w_gamma = a_star[bd][:, bd].toarray() - a_star_ib.T @ x
         else:
-            self.lift_block = np.zeros((len(self.free), 0))
+            self.lift_block = np.zeros((len(free), 0))
             self.w_gamma = np.zeros((0, 0))
 
     @property
     def n_free(self):
         return len(self.free)
 
-    def assemble_full(self, k):
-        th = np.asarray(self.theta_a(np.asarray(k, dtype=float)), dtype=float)
-        out = th[0] * self.a_terms[0]
-        for p in range(1, len(self.a_terms)):
-            out = out + th[p] * self.a_terms[p]
-        return out.tocsr()
-
     def assemble_interior(self, k):
         return self.affine_II.assemble(self.theta_a(np.asarray(k, dtype=float)))
-
-    def load_interior(self, k):
-        """Affine right-hand side restricted to free nodes (no lifting)."""
-        th = np.asarray(self.theta_f(np.asarray(k, dtype=float)), dtype=float)
-        out = th[0] * self.f_terms[0]
-        for q in range(1, len(self.f_terms)):
-            out = out + th[q] * self.f_terms[q]
-        return out[self.free]
 
     def star_solve(self, rhs):
         """Solve A_star_II x = rhs for one vector or a column stack."""
         return self.star_factor.solve(np.asarray(rhs, dtype=float))
-
-
-def build_model(mesh, free, dirichlet, theta_a, a_terms, k_star,
-                theta_f=None, f_terms=(), a_star=None):
-    """Assemble-once constructor for :class:`ParametricModel`."""
-    return ParametricModel(
-        mesh=mesh,
-        free=np.asarray(free, dtype=np.int64),
-        dirichlet=np.asarray(dirichlet, dtype=np.int64),
-        theta_a=theta_a,
-        a_terms=list(a_terms),
-        k_star=np.asarray(k_star, dtype=float),
-        theta_f=theta_f,
-        f_terms=list(f_terms),
-        a_star_override=a_star,
-    )
 
 
 def discrete_lifting(model, g_b):

@@ -14,15 +14,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-_TRAIN_KEYS = {"epochs", "batch", "lr", "weight_decay", "plateau_factor",
-               "plateau_patience", "early_stop", "min_lr", "improve_rtol"}
 
 
 def _cap_threads():
@@ -122,12 +120,15 @@ def _cmd_audit(args):
 
 
 def _cmd_bench(args):
+    from .branchnet import TrainConfig
     from .pipeline import run_bench
 
     cfg = _load_config(args)
     pod = cfg.pop("pod", None)
     audit = cfg.pop("audit", None)
-    train_cfg = {k: cfg.pop(k) for k in list(cfg) if k in _TRAIN_KEYS}
+    # the seed comes from --seed, not from the config file
+    train_keys = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+    train_cfg = {k: cfg.pop(k) for k in list(cfg) if k in train_keys}
     report, fails = run_bench(args.example, args.out, seed=args.seed,
                               check=args.check, pod=pod, audit=audit,
                               train_config=train_cfg or None,

@@ -181,10 +181,11 @@ def encoded_load_terms(model, bmodes, smodes):
 
 
 def encoded_load_weights(theta, a, b):
-    """The encoded load's weights [a, theta_1 b, ..., theta_Q b], one row per
-    row of the stacks (theta, a, b)."""
-    tb = theta[:, :, None] * b[:, None, :]
-    return np.hstack([a, tb.reshape(len(tb), -1)])
+    """The encoded load's weights [a, theta_1 b, ..., theta_Q b]: one row
+    (r_f + Q_a r_g,) for one row each of (theta, a, b), and a row per row
+    for stacks of them."""
+    tb = theta[..., :, None] * b[..., None, :]
+    return np.concatenate([a, tb.reshape(tb.shape[:-2] + (-1,))], axis=-1)
 
 
 def case2_blocks(f_blocks, r_f, r_g):

@@ -12,11 +12,13 @@ Three parametric elliptic problems exercise the toolkit end to end:
 
 All that differs per example lives in the benchmark objects ``Example1`` to
 ``Example3`` below, problem construction included: the Dirichlet sides,
-affine terms, loads and coercivity bound on a mesh, and the state read back
-from an artifact directory; theta(k), which takes one parameter row or a
-stack of rows and serves the truth model, the greedy sweep, the batched
-stages and the online query alike; branch features; reduced load;
-sample pools and truth solves; run defaults and gates.
+affine terms and coercivity bound on a mesh, and the state read back from
+an artifact directory; theta(k), which takes one parameter row or a stack
+of rows and serves the truth model, the greedy sweep, the batched stages
+and the online query alike; the load, held once as load terms and
+``load_weights(k, a, b)`` with the same rows-in, rows-out contract (the
+model holds none); branch features; reduced load; sample pools and truth
+solves; run defaults and gates.
 """
 
 import numpy as np
@@ -27,9 +29,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .artifacts import (load_boundary_modes, load_source_modes,
                         load_surrogate, save_boundary_modes,
                         save_source_modes, save_surrogate)
-from .assembly import (aggregated_load, assemble_stiffness, assemble_mass,
-                       assemble_boundary_mass, assemble_load_boundary,
-                       build_model, load_quadrature, truth_solve)
+from .assembly import (ParametricModel, aggregated_load, assemble_stiffness,
+                       assemble_mass, assemble_boundary_mass,
+                       assemble_load_boundary, load_quadrature, truth_solve)
 from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
                         encode_source, encoded_load_terms,
                         encoded_load_weights, reduced_rhs_case2,
@@ -329,7 +331,8 @@ def example3_direct_solve(problem, k):
     free = problem.model.free
     fac = problem.model.band.factor(a[free][:, free],
                                     "exact pullback interior operator")
-    return fac.solve(problem.model.load_interior(k))
+    bench = problem.bench
+    return fac.solve(bench.load_terms @ bench.load_weights(k, None, None))
 
 
 # draws whose quadrature-point values are held at once
@@ -373,6 +376,7 @@ class Example1:
         self.spec = spec
         self.eim = eim        # example 3: EimSurrogate or its EimPivots
         self.ranks = ranks    # example 2: (r_f, r_g), mode coordinates in features
+        self.load_terms = None    # examples 1 and 3: F_base[free], set by build
 
     @classmethod
     def open(cls, spec, adir):
@@ -386,16 +390,15 @@ class Example1:
         return cls.open(spec, adir)
 
     def build(self, mesh):
-        """Affine operator family on ``mesh`` and its coercivity bound:
-        Dirichlet top, flux load k2 on the base."""
+        """Affine operator family on ``mesh`` and its coercivity bound
+        (Dirichlet top); sets the load term, the unit flux on the base."""
         bd = dirichlet_nodes(mesh, ["top"])
         free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
         f_base = assemble_load_boundary(mesh, "base", lambda x: np.ones(len(x)))
+        self.load_terms = f_base[free, None]
         a_terms, a_star = self.operator_terms(mesh)
-        model = build_model(mesh, free, bd, theta_a=self.theta,
-                            a_terms=a_terms, k_star=self.spec.k_star,
-                            theta_f=self.theta_load,
-                            f_terms=[f_base], a_star=a_star)
+        model = ParametricModel(mesh, free, bd, self.theta, a_terms,
+                                self.spec.k_star, a_star=a_star)
         return model, self.coercivity(model)
 
     def operator_terms(self, mesh):
@@ -418,8 +421,8 @@ class Example1:
         out[:, 0] = k[:, 0]
         return out
 
-    def theta_load(self, k):
-        """Load weights theta_f(k) = (k2,): (1,) for one parameter row,
+    def load_weights(self, k, a, b):
+        """Weights of ``load_terms``, (k2,): (1,) for one parameter row,
         (n, 1) for a stack of rows."""
         return np.asarray(k, dtype=float)[..., 1, None]
 
@@ -440,7 +443,7 @@ class Example1:
     def rhs(self, space, blocks, theta, k, a, b):
         """Reduced load; ``blocks`` are what ``rhs_blocks`` split from the
         space."""
-        return k[..., 1, None] * space.f_blocks[0]
+        return self.load_weights(k, a, b) @ space.f_blocks
 
     def rhs_blocks(self, space):
         """What ``rhs`` needs besides the space's own arrays."""
@@ -451,14 +454,12 @@ class Example1:
         (params, load terms, their weights per pool row, the number of
         leading pool rows the greedy trains on).
 
-        The pool's loads are the model's affine loads: the terms are the
-        F_q on the free nodes, the weights theta_f of the pool.
+        The pool's loads are the benchmark's own: ``load_terms`` weighted
+        by ``load_weights`` of each pool row.
         """
-        model = problem.model
         ks = sample_parameters(self.spec, self.spec.n_pool, rng)
         adir.save_array("pool_params", ks)
-        terms = np.column_stack([f[model.free] for f in model.f_terms])
-        return ks, terms, model.theta_f(ks), len(ks)
+        return ks, self.load_terms, self.load_weights(ks, None, None), len(ks)
 
     def pool_rows(self, adir):
         """(k, a, b) of the persisted pool."""
@@ -477,7 +478,8 @@ class Example1:
         return u_ref, np.zeros_like(u_ref), g_b, None, None
 
     def truth(self, problem, k):
-        return truth_solve(problem.model, k, problem.model.load_interior(k))
+        return truth_solve(problem.model, k,
+                           self.load_terms @ self.load_weights(k, None, None))
 
 
 class Example3(Example1):
@@ -558,14 +560,19 @@ class Example2(Example1):
         free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
         a_terms = [assemble_stiffness(mesh), assemble_mass(mesh),
                    assemble_boundary_mass(mesh, "right")]
-        model = build_model(mesh, free, bd, theta_a=self.theta,
-                            a_terms=a_terms, k_star=self.spec.k_star)
+        model = ParametricModel(mesh, free, bd, self.theta, a_terms,
+                                self.spec.k_star)
         # reaction and Robin weights may vanish, so certify against the
         # diffusion block alone: a(v,v;k) >= kappa0_min * lam_min(K vs A_star).
         return model, self.spec.param_ranges[0][0] * _diffusion_floor(model)
 
     def theta(self, k):
         return np.asarray(k, dtype=float)
+
+    def load_weights(self, k, a, b):
+        """Weights [a, theta_1 b, ..., theta_Q b] of the encoded load, row
+        by row as ``encoded_load_weights``."""
+        return encoded_load_weights(self.theta(k), a, b)
 
     def features(self, k, a, b):
         return np.concatenate([k, a, b], axis=-1)
@@ -613,7 +620,7 @@ class Example2(Example1):
         adir.save_array("pool_b", b)
         manifest["dims_modes"] = {"r_f": smodes.rank, "r_g": bmodes.rank}
         return (ks, encoded_load_terms(model, bmodes, smodes),
-                encoded_load_weights(self.theta(ks), a, b),
+                self.load_weights(ks, a, b),
                 min(int(spec.data["sweep_subset"]), spec.n_pool))
 
     def pool_rows(self, adir):

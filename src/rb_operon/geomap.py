@@ -175,11 +175,11 @@ class EimSurrogate(EimPivots):
         return self.basis.shape[0]
 
 
-def eim_build(radial_map, points, radii, q_max, tol=None):
+def eim_build(radial_map, points, radii, q_max):
     """Discrete EIM greedy over snapshots of G on the training radii.
 
     Returns an EimSurrogate of rank at most q_max; stops early when the
-    sup-norm training error drops below ``tol`` (or machine precision).
+    sup-norm training error reaches the round-off floor.
     """
     radii = np.asarray(radii, dtype=float)
     snaps = np.vstack([tensor_snapshot(radial_map, points, r) for r in radii])
@@ -199,7 +199,7 @@ def eim_build(radial_map, points, radii, q_max, tol=None):
         resid = snaps - alpha @ b
         err = np.max(np.abs(resid), axis=1)
         m = int(np.argmax(err))
-        if err[m] <= (tol if tol is not None else floor):
+        if err[m] <= floor:
             trace.append(float(err[m]))
             break
         sel.append(m)
@@ -251,6 +251,6 @@ def assemble_eim_terms(mesh, surrogate):
     inside, outside = [], []
     for q in range(surrogate.rank):
         h = tensor_field_per_triangle(surrogate.basis[q], n_tri)
-        inside.append(assemble_stiffness(mesh, region=0, coefficient=h[mesh.triangle_tags == 0]))
-        outside.append(assemble_stiffness(mesh, region=1, coefficient=h[mesh.triangle_tags == 1]))
+        inside.append(assemble_stiffness(mesh, region=0, coefficient=h))
+        outside.append(assemble_stiffness(mesh, region=1, coefficient=h))
     return inside, outside

@@ -23,8 +23,9 @@ piece.
 
 The pool loads are affine: sample i's load is f(k_i) = F w(k_i), with Q_f
 terms F and a weight row w(k_i) per sample (Hesthaven, Rozza & Stamm 2016,
-ch. 3).  Examples 1 and 3 pass their affine load terms with weights
-theta_f, example 2 the terms of its encoded data load (``datamodes``); the
+ch. 3).  Each benchmark passes its own load terms and its
+``load_weights`` of the pool: examples 1 and 3 the base flux weighted by
+k2, example 2 the terms of its encoded data load (``datamodes``); the
 trunk's ``f_blocks`` are the projection F^T Psi of the same terms.  The
 n_free x n_pool load matrix is never formed: each P_F and f_rb row is
 formed per sample once, as (v^T F) w^T, when its column is appended, and

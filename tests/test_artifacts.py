@@ -132,7 +132,7 @@ def test_net_parameters_are_views_of_flat(tmp_path, rng):
     net.biases[1][2] = 7.0
     assert net.flat[net.n_weights + 8 + 2] == 7.0
     save_net(ArtifactDir(tmp_path / "run"), "branch", net,
-             Standardizer.fit(rng.standard_normal((20, 3))))
+             Standardizer.fit(rng.standard_normal((20, 3))), TrainHistory())
     stored = load_array(tmp_path / "run" / "branch_params.arr")
     assert np.array_equal(stored, net.flat)
 
@@ -141,7 +141,7 @@ def test_net_load_rejects_size_mismatch(tmp_path, rng):
     adir = ArtifactDir(tmp_path / "run")
     net = MLP([3, 8, 2], seed=9)
     std = Standardizer.fit(rng.standard_normal((20, 3)))
-    save_net(adir, "branch", net, std)
+    save_net(adir, "branch", net, std, TrainHistory())
     meta = adir.load_json("branch_net")
     meta["sizes"] = [3, 4, 2]
     adir.save_json("branch_net", meta)

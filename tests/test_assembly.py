@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from rb_operon.assembly import (AffineSparse, aggregated_load, assemble_boundary_mass,
-                                assemble_load_boundary, assemble_load_volume,
-                                assemble_mass, assemble_stiffness, build_model,
-                                discrete_lifting, full_field, interior_factor,
+from rb_operon.assembly import (AffineSparse, ParametricModel, aggregated_load,
+                                assemble_boundary_mass, assemble_load_boundary,
+                                assemble_load_volume, assemble_mass,
+                                assemble_stiffness, discrete_lifting,
+                                full_field, interior_factor,
                                 triangle_geometry, truth_solve)
 from rb_operon.errors import EmptyMatrixError, NotCoerciveError
-from rb_operon.mesh import dirichlet_nodes, unit_square_mesh
+from rb_operon.mesh import (dirichlet_nodes, square_with_inclusion_mesh,
+                            unit_square_mesh)
 
 
 def nodal(mesh, fn):
@@ -36,9 +38,10 @@ def test_stiffness_against_exact_integral():
     mesh = unit_square_mesh(3)
     u = nodal(mesh, lambda x, y: x + 2 * y)
     v = nodal(mesh, lambda x, y: 3 * x - y)
-    a = assemble_stiffness(mesh, coefficient=2.0)
-    # integrand: 2 * (1,2).(3,-1) = 2 over the unit square
-    assert np.isclose(u @ (a @ v), 2.0)
+    # integrand: (1,2).(3,-1) = 1 over the unit square, twice that for 2 I
+    assert np.isclose(u @ (assemble_stiffness(mesh) @ v), 1.0)
+    two = np.tile(2.0 * np.eye(2), (mesh.n_triangles, 1, 1))
+    assert np.isclose(u @ (assemble_stiffness(mesh, coefficient=two) @ v), 2.0)
 
 
 def test_stiffness_tensor_coefficient():
@@ -53,15 +56,21 @@ def test_stiffness_tensor_coefficient():
     assert np.isclose(w @ (a @ w), 2.0 + 1.0 + 1.0 + 3.0)
 
 
-def test_stiffness_callable_region():
-    mesh = unit_square_mesh(4)
-    left = mesh.nodes[mesh.triangles].mean(axis=1)[:, 0] < 0.5
-    a_l = assemble_stiffness(mesh, region=left)
-    a_r = assemble_stiffness(mesh, region=~left)
-    a = assemble_stiffness(mesh)
-    assert np.allclose((a_l + a_r - a).toarray(), 0.0)
+def test_stiffness_region_tags():
+    # the inclusion (tag 0) and the matrix (tag 1) partition the mesh; a
+    # whole-mesh tensor field is read on the tagged triangles alone
+    mesh = square_with_inclusion_mesh(r0=0.2, h=1.0 / 8.0)
+    a_in = assemble_stiffness(mesh, region=0)
+    a_out = assemble_stiffness(mesh, region=1)
+    assert np.allclose((a_in + a_out - assemble_stiffness(mesh)).toarray(), 0.0)
+    g = np.tile(np.eye(2), (mesh.n_triangles, 1, 1))
+    g[mesh.triangle_tags == 1] *= 3.0
+    assert np.allclose(assemble_stiffness(mesh, region=0, coefficient=g)
+                       .toarray(), a_in.toarray())
+    assert np.allclose(assemble_stiffness(mesh, region=1, coefficient=g)
+                       .toarray(), 3.0 * a_out.toarray())
     with pytest.raises(EmptyMatrixError):
-        assemble_stiffness(mesh, region=np.zeros(mesh.n_triangles, dtype=bool))
+        assemble_stiffness(mesh, region=2)
 
 
 def test_mass_against_exact_integral():
@@ -135,16 +144,16 @@ def make_laplace_model(n=8, segments=("left", "top")):
     bd = dirichlet_nodes(mesh, list(segments))
     free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
     a = assemble_stiffness(mesh)
-    return build_model(mesh, free, bd, theta_a=lambda k: np.array([k[0]]),
-                       a_terms=[a], k_star=(1.0,))
+    return ParametricModel(mesh, free, bd, lambda k: np.array([k[0]]), [a],
+                           (1.0,))
 
 
 def test_lifting_is_reference_harmonic(rng):
     model = make_laplace_model()
     g = rng.standard_normal(len(model.dirichlet))
     lift = discrete_lifting(model, g)
-    # interior rows of A_star annihilate the lifted field
-    resid = (model.a_star @ lift)[model.free]
+    # interior rows of A_star = 1.0 A_0 annihilate the lifted field
+    resid = (model.a_terms[0] @ lift)[model.free]
     assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(g)
     assert np.allclose(lift[model.dirichlet], g)
 
@@ -159,7 +168,7 @@ def test_schur_boundary_metric_spd(rng):
     # the Schur energy equals the full energy of the lifted field
     g = rng.standard_normal(w.shape[0])
     lift = discrete_lifting(model, g)
-    assert np.isclose(g @ (w @ g), lift @ (model.a_star @ lift))
+    assert np.isclose(g @ (w @ g), lift @ (model.a_terms[0] @ lift))
 
 
 def test_affine_solve_reproduces_affine_field():
@@ -213,8 +222,8 @@ def test_negative_definite_reference_rejected():
     free = np.setdiff1d(np.arange(mesh.n_nodes), bd)
     a = assemble_stiffness(mesh)
     with pytest.raises(NotCoerciveError):
-        build_model(mesh, free, bd, theta_a=lambda k: np.array([k[0]]),
-                    a_terms=[-a], k_star=(1.0,))
+        ParametricModel(mesh, free, bd, lambda k: np.array([k[0]]), [-a],
+                        (1.0,))
     # shifted just past its smallest eigenvalue, the reference operator has
     # one slightly negative direction; the Cholesky test is exact, so a shift
     # just short of it passes and one just past it fails
@@ -222,9 +231,8 @@ def test_negative_definite_reference_rejected():
     eye = sparse.identity(mesh.n_nodes, format="csr")
 
     def model(c):
-        return build_model(mesh, free, bd, theta_a=lambda k: np.array([1.0]),
-                           a_terms=[a], k_star=(1.0,),
-                           a_star=a - c * lam * eye)
+        return ParametricModel(mesh, free, bd, lambda k: np.array([1.0]),
+                               [a], (1.0,), a_star=a - c * lam * eye)
 
     model(0.99)
     with pytest.raises(NotCoerciveError):

@@ -269,7 +269,41 @@ def test_example1_boundary_load_keeps_scatter_order(tiny_problem1):
     f_base = assemble_load_boundary(mesh, "base", ones)
     assert f_base.tobytes() == scatter_boundary_load(mesh, "base",
                                                      ones).tobytes()
-    assert tiny_problem1.model.f_terms[0].tobytes() == f_base.tobytes()
+    terms = tiny_problem1.bench.load_terms
+    assert terms.shape == (tiny_problem1.model.n_free, 1)
+    assert terms.tobytes() == f_base[tiny_problem1.model.free].tobytes()
+
+
+@pytest.mark.parametrize("name", ["tiny_problem1", "tiny_problem3"])
+def test_load_is_k2_times_base_flux(name, request):
+    # examples 1 and 3 hold one load term, F_base[free], weighted by k2:
+    # the truth solves exactly k2 F_base[free], and the reduced load is the
+    # weights times the trunk's f_blocks, bit for bit, one row or a stack.
+    # The full-order products equal k2 F_base[free] in value: a matrix
+    # product sums from +0, so a zero entry of the load drops its sign
+    prob = request.getfixturevalue(name)
+    bench, model = prob.bench, prob.model
+    f_base = assemble_load_boundary(prob.mesh, "base",
+                                    lambda x: np.ones(len(x)))[model.free]
+    ks = sample_parameters(bench.spec, 3, np.random.default_rng(21))
+    for k in ks:
+        load = bench.load_terms @ bench.load_weights(k, None, None)
+        assert np.array_equal(load, k[1] * f_base)
+    k = ks[0]
+    if bench.spec.example == 1:
+        want = truth_solve(model, k, k[1] * f_base)
+    else:
+        a0, a1 = example3_direct_operator(prob, float(k[2]))
+        a = (float(k[0]) * a0 + a1).tocsr()[model.free][:, model.free]
+        want = model.band.factor(a, "exact").solve(k[1] * f_base)
+    assert np.array_equal(bench.truth(prob, k), want)
+    space = types.SimpleNamespace(
+        f_blocks=np.random.default_rng(22).standard_normal((1, 5)))
+    theta = bench.theta(ks)
+    for row, rhs in zip(ks, bench.rhs(space, None, theta, ks, None, None)):
+        assert rhs.tobytes() == (row[1] * space.f_blocks[0]).tobytes()
+        one = bench.rhs(space, None, bench.theta(row), row, None, None)
+        assert one.tobytes() == rhs.tobytes()
 
 
 def _pencil_min(a_ii, a_star_ii):
@@ -289,8 +323,10 @@ def test_example1_structure_and_coercivity(tiny_problem1, rng):
         lam = _pencil_min(model.assemble_interior(k), model.a_star_II)
         assert lam >= prob.alpha_lb * (1.0 - 1e-9)
     # affine load: one boundary functional weighted by the second parameter
-    f = model.load_interior([2.0, 0.25])
-    assert np.allclose(f, 0.25 * model.load_interior([9.9, 1.0]))
+    bench = prob.bench
+    f = bench.load_terms @ bench.load_weights([2.0, 0.25], None, None)
+    assert np.allclose(f, 0.25 * (bench.load_terms
+                                  @ bench.load_weights([9.9, 1.0], None, None)))
 
 
 def test_example2_manufactured_convergence(tiny_problem2):
@@ -361,8 +397,8 @@ def test_example3_theta_structure(tiny_problem3):
 def test_theta_rows_in_rows_out(name, request):
     # one call on a stack of rows gives each row's own weights: exactly for
     # the closed forms, to round-off for the EIM solve of example 3.  The
-    # load weights theta_f, where the model has load terms, keep the same
-    # contract exactly
+    # load weights keep the same contract exactly, with example 2's data
+    # coordinates (a, b) given row by row alongside k
     prob = request.getfixturevalue(name)
     spec = prob.bench.spec
     ks = sample_parameters(spec, 40, np.random.default_rng(8))
@@ -375,18 +411,26 @@ def test_theta_rows_in_rows_out(name, request):
                       <= 1e-14 * np.abs(rows).max(axis=1, keepdims=True))
     else:
         assert np.array_equal(stacked, rows)
-    if prob.model.f_terms:
-        stacked = prob.model.theta_f(ks)
-        rows = np.vstack([prob.model.theta_f(k) for k in ks])
-        assert stacked.shape == rows.shape == (40, len(prob.model.f_terms))
-        assert np.array_equal(stacked, rows)
+    a = b = [None] * len(ks)
+    width = 1
+    if spec.example == 2:
+        gen = np.random.default_rng(9)
+        a, b = gen.standard_normal((40, 4)), gen.standard_normal((40, 2))
+        width = 4 + 2 * prob.model.affine_II.n_terms
+    stacked = prob.bench.load_weights(ks, a, b)
+    rows = np.vstack([prob.bench.load_weights(k, ai, bi)
+                      for k, ai, bi in zip(ks, a, b)])
+    assert stacked.shape == rows.shape == (40, width)
+    assert np.array_equal(stacked, rows)
 
 
 def test_example3_eim_model_matches_direct_solve(tiny_problem3, rng):
     prob = tiny_problem3
     lo, hi = np.array(prob.bench.spec.param_ranges).T
+    bench = prob.bench
     for k in rng.uniform(lo, hi, size=(3, 3)):
-        w_eim = truth_solve(prob.model, k, prob.model.load_interior(k))
+        w_eim = truth_solve(prob.model, k, bench.load_terms
+                            @ bench.load_weights(k, None, None))
         w_dir = example3_direct_solve(prob, k)
         rel = np.linalg.norm(w_eim - w_dir) / np.linalg.norm(w_dir)
         assert rel < 1e-2
@@ -439,7 +483,7 @@ def test_full_order_solves_match_plain_splu(fixture, request):
     if prob.bench.spec.example == 3:
         a0, a1 = example3_direct_operator(prob, k[2])
         a = (k[0] * a0 + a1).tocsr()[model.free][:, model.free]
-        want = splu(a.tocsc()).solve(model.load_interior(k))
+        want = splu(a.tocsc()).solve(k[1] * prob.bench.load_terms[:, 0])
         assert _rel(example3_direct_solve(prob, k), want) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from rb_operon import reduction
-from rb_operon.assembly import assemble_load_volume, build_model
+from rb_operon.assembly import assemble_load_volume
 from rb_operon.errors import (EmptySpaceError, NotCoerciveError,
                               StagnationError)
 from rb_operon.datamodes import (boundary_greedy, encode_boundary,
@@ -28,22 +29,15 @@ def estimator(model, space, k, c, f_hat, alpha_lb):
     return float(np.sqrt(max(rho @ z, 0.0)) / alpha_lb)
 
 
-def pool_and_loads(problem, n, seed=5):
-    ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(seed))
-    f_hat = np.column_stack([problem.model.load_interior(k) for k in ks])
-    return ks, f_hat
-
-
-def affine_terms(model):
-    """The model's affine load terms on the free nodes, one per column."""
-    return np.column_stack([f[model.free] for f in model.f_terms])
+def load_weights(problem, k):
+    """Weights of the benchmark's load terms at one row or a stack of rows."""
+    return problem.bench.load_weights(k, None, None)
 
 
 def affine_pool(problem, n, seed=5):
-    """Pool parameters with the model's affine load terms and weights."""
-    model = problem.model
+    """Pool parameters with the benchmark's load terms and their weights."""
     ks = sample_parameters(problem.bench.spec, n, np.random.default_rng(seed))
-    return ks, affine_terms(model), model.theta_f(ks)
+    return ks, problem.bench.load_terms, load_weights(problem, ks)
 
 
 def encoded_pool(problem, n, seed=7):
@@ -108,14 +102,15 @@ def test_v_orthonormalize_ignores_buffer_layout(tiny_problem1, rng):
 def test_reduce_operators_match_dense(tiny_problem1, rng):
     model = tiny_problem1.model
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
-    a_blocks, f_blocks = reduce_operators(model, psi, affine_terms(model))
+    terms = tiny_problem1.bench.load_terms
+    a_blocks, f_blocks = reduce_operators(model, psi, terms)
     assert a_blocks.shape == (2, 3, 3)
     for p in range(2):
         dense = psi.T @ (model.affine_II.term(p) @ psi)
         assert np.allclose(a_blocks[p], 0.5 * (dense + dense.T))
     # one load term projects to the bits of its own vector product
     assert f_blocks.shape == (1, 3)
-    assert np.array_equal(f_blocks[0], model.f_terms[0][model.free] @ psi)
+    assert np.array_equal(f_blocks[0], terms[:, 0] @ psi)
     # the load blocks are the projection of whatever terms are passed
     terms = rng.standard_normal((model.n_free, 4))
     _, f_blocks = reduce_operators(model, psi, terms)
@@ -322,7 +317,7 @@ def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     etas = []
     for i, k in enumerate(ks):
         a_rb = np.tensordot(problem.model.theta_a(k), space.a_blocks, axes=1)
-        c = solve_reduced(a_rb, problem.model.theta_f(k) @ space.f_blocks)
+        c = solve_reduced(a_rb, load_weights(problem, k) @ space.f_blocks)
         etas.append(estimator(problem.model, space, k, c, f_hat[:, i],
                               problem.alpha_lb))
     assert np.isclose(max(etas), trace.max_estimator[-1], rtol=1e-8)
@@ -342,7 +337,7 @@ def test_greedy_tolerance_mode_certifies(tiny_problem1):
     # every pool sample is now certified below the tolerance
     for i, k in enumerate(ks):
         a_rb = np.tensordot(problem.model.theta_a(k), space.a_blocks, axes=1)
-        c = solve_reduced(a_rb, problem.model.theta_f(k) @ space.f_blocks)
+        c = solve_reduced(a_rb, load_weights(problem, k) @ space.f_blocks)
         assert estimator(problem.model, space, k, c, f_hat[:, i],
                          problem.alpha_lb) <= tol * (1 + 1e-9)
 
@@ -358,10 +353,10 @@ def test_estimator_bounds_energy_error(tiny_problem1):
     test_ks = sample_parameters(problem.bench.spec, 25,
                                 np.random.default_rng(99))
     for k in test_ks:
-        f = model.load_interior(k)
+        f = problem.bench.load_terms @ load_weights(problem, k)
         u = np.linalg.solve(model.assemble_interior(k).toarray(), f)
         a_rb = np.tensordot(model.theta_a(k), space.a_blocks, axes=1)
-        c = solve_reduced(a_rb, model.theta_f(k) @ space.f_blocks)
+        c = solve_reduced(a_rb, load_weights(problem, k) @ space.f_blocks)
         e = u - space.psi @ c
         eta = estimator(model, space, k, c, f, problem.alpha_lb)
         err_star = np.sqrt(e @ (model.a_star_II @ e))
@@ -398,14 +393,14 @@ def test_greedy_data_loads_extend_sweep(tiny_problem2):
 
 @pytest.fixture
 def two_load_problem(tiny_problem1):
-    """tiny_problem1 with a second affine load term: the base flux weighted
-    by k2 and a unit volume source weighted by k1."""
-    m = tiny_problem1.model
-    f_vol = assemble_load_volume(m.mesh, lambda x: np.ones(len(x)))
-    model = build_model(m.mesh, m.free, m.dirichlet, m.theta_a, m.a_terms,
-                        m.k_star, f_terms=[m.f_terms[0], f_vol],
-                        theta_f=lambda k: np.asarray(k, dtype=float)[..., ::-1])
-    return dataclasses.replace(tiny_problem1, model=model)
+    """tiny_problem1 with a second load term: the base flux weighted by k2
+    and a unit volume source weighted by k1."""
+    model = tiny_problem1.model
+    f_vol = assemble_load_volume(model.mesh, lambda x: np.ones(len(x)))
+    bench = copy.copy(tiny_problem1.bench)
+    bench.load_terms = np.column_stack([bench.load_terms, f_vol[model.free]])
+    bench.load_weights = lambda k, a, b: np.asarray(k, dtype=float)[..., ::-1]
+    return dataclasses.replace(tiny_problem1, bench=bench)
 
 
 @pytest.mark.parametrize("name, kwargs", [
@@ -445,7 +440,7 @@ def test_sweep_state_terms_match_load_columns(tiny_problem1):
     # Gram included, and a recheck runs no reference solve
     model = tiny_problem1.model
     rng = np.random.default_rng(4)
-    terms = np.column_stack([model.f_terms[0][model.free],
+    terms = np.column_stack([tiny_problem1.bench.load_terms,
                              rng.standard_normal(model.n_free)])
     weights = rng.standard_normal((12, 2))
     held = _SweepState(model, terms, weights, 6)
@@ -571,7 +566,7 @@ def test_greedy_stagnation_raises(tiny_problem1):
     # second pick is linearly dependent while the inflated estimator stays
     # above tolerance
     ks = np.array([[1.0, 0.5], [1.0, 1.0], [1.0, -0.3]])
-    loads = affine_pool(problem, 1)[1], problem.model.theta_f(ks)
+    loads = problem.bench.load_terms, load_weights(problem, ks)
     with pytest.raises(StagnationError):
         greedy_build(problem.model, ks, *loads, tol=1e-13, fixed_n=3,
                      alpha_lb=1e-12)
@@ -584,7 +579,7 @@ def test_greedy_stagnation_raises(tiny_problem1):
 
 def test_greedy_empty_pool(tiny_problem1, tiny_problem2):
     model = tiny_problem1.model
-    terms = affine_pool(tiny_problem1, 1)[1]
+    terms = tiny_problem1.bench.load_terms
     with pytest.raises(EmptySpaceError):
         greedy_build(model, np.empty((0, 2)), terms, np.empty((0, 1)),
                      fixed_n=1)
@@ -639,11 +634,12 @@ def test_pod_optimality_identity(tiny_problem1):
     # truncated eigenvalue tail of the snapshot correlation operator
     problem = tiny_problem1
     model = problem.model
-    ks, f_hat = pool_and_loads(problem, 30, seed=11)
+    ks, terms, weights = affine_pool(problem, 30, seed=11)
+    f_hat = load_columns(terms, weights)
     snaps = np.column_stack([
         np.linalg.solve(model.assemble_interior(k).toarray(), f_hat[:, i])
         for i, k in enumerate(ks)])
-    space = pod_build(model, snaps, affine_terms(model), fixed_n=4)
+    space = pod_build(model, snaps, terms, fixed_n=4)
     lam = space.provenance["eigenvalues"]
     a = model.a_star_II
     proj = snaps - space.psi @ (space.psi.T @ (a @ snaps))
@@ -658,12 +654,13 @@ def test_pod_optimality_identity(tiny_problem1):
 def test_pod_energy_tolerance(tiny_problem1):
     problem = tiny_problem1
     model = problem.model
-    ks, f_hat = pool_and_loads(problem, 25, seed=13)
+    ks, terms, weights = affine_pool(problem, 25, seed=13)
+    f_hat = load_columns(terms, weights)
     snaps = np.column_stack([
         np.linalg.solve(model.assemble_interior(k).toarray(), f_hat[:, i])
         for i, k in enumerate(ks)])
     tol = 1e-4
-    space = pod_build(model, snaps, affine_terms(model), tol=tol)
+    space = pod_build(model, snaps, terms, tol=tol)
     lam = space.provenance["eigenvalues"]
     total = space.provenance["trace"]
     n = space.dim
@@ -678,7 +675,7 @@ def test_pod_sparse_eigensolver_deterministic(tiny_problem1, monkeypatch):
     monkeypatch.setattr(reduction, "_DENSE_LIMIT", 10)
     model = tiny_problem1.model
     snaps = np.random.default_rng(3).standard_normal((model.n_free, 30))
-    terms = affine_terms(model)
+    terms = tiny_problem1.bench.load_terms
     lam = [pod_build(model, snaps, terms, fixed_n=3).provenance["eigenvalues"]
            for _ in range(3)]
     assert np.array_equal(lam[0], lam[1])
@@ -689,12 +686,12 @@ def test_pod_needs_tolerance_or_dimension(tiny_problem1):
     model = tiny_problem1.model
     snaps = np.random.default_rng(3).standard_normal((model.n_free, 4))
     with pytest.raises(ValueError, match="need a tolerance or a fixed"):
-        pod_build(model, snaps, affine_terms(model))
+        pod_build(model, snaps, tiny_problem1.bench.load_terms)
 
 
 def test_pod_rejects_empty(tiny_problem1):
     model = tiny_problem1.model
-    terms = affine_terms(model)
+    terms = tiny_problem1.bench.load_terms
     with pytest.raises(EmptySpaceError):
         pod_build(model, np.empty((model.n_free, 0)), terms, fixed_n=1)
     with pytest.raises(EmptySpaceError):
