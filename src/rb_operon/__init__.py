@@ -64,7 +64,6 @@ _EXPORTS = {
     "ResidualData": ".branchnet",
     "SupervisedData": ".branchnet",
     "train": ".branchnet",
-    "forward": ".branchnet",
     "supervised_loss": ".branchnet",
     # benchmarks
     "ExampleSpec": ".examples",

@@ -401,6 +401,16 @@ def discrete_lifting(model, g_b):
     return out
 
 
+def lifting_terms(model, g_b):
+    """A_p,II lift_block g + A_p,IB g for each affine term p in turn: what
+    the Dirichlet data ``g_b`` (one trace per column) put on the free nodes
+    through term p, with the sign of the operator."""
+    lifted = model.lift_block @ g_b
+    for p in range(model.affine_II.n_terms):
+        yield (model.affine_II.term(p) @ lifted
+               + model.affine_IB.term(p) @ g_b)
+
+
 def aggregated_load(model, k, f_free, g_b):
     """Right-hand side on free nodes after lifting the Dirichlet data.
 
@@ -408,16 +418,13 @@ def aggregated_load(model, k, f_free, g_b):
     contributions) restricted to free nodes; ``g_b`` holds nodal Dirichlet
     values.  For a batch, ``k`` stacks one parameter row per column of
     ``f_free`` and ``g_b``.  The lifting correction is applied term by term,
-    sum_p theta_p(k) (A_p,II lift_block g + A_p,IB g), without assembling
-    A(k).
+    sum_p theta_p(k) ``lifting_terms``, without assembling A(k).
     """
     out = np.array(f_free, dtype=float)
     g_b = np.asarray(g_b, dtype=float)
     th = model.theta_a(np.atleast_2d(np.asarray(k, dtype=float)))
-    lifted = model.lift_block @ g_b
-    for p in range(model.affine_II.n_terms):
-        out -= th[:, p] * (model.affine_II.term(p) @ lifted
-                           + model.affine_IB.term(p) @ g_b)
+    for p, lift in enumerate(lifting_terms(model, g_b)):
+        out -= th[:, p] * lift
     return out
 
 

@@ -22,6 +22,10 @@ from .errors import TrainingDivergedError
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ADAMW_BLOCK = 16384    # entries per AdamW block: 128 KiB per temporary
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # AdamW moment decays and floor
+# the training recipe; TrainConfig holds what a run sets
+_BATCH, _LR, _WEIGHT_DECAY = 64, 5e-4, 1e-6     # rows per step, AdamW
+_PLATEAU_FACTOR, _PLATEAU_PATIENCE, _MIN_LR = 0.5, 20, 1e-7   # lr halving
+_IMPROVE_RTOL = 1e-8    # relative validation-loss gain that is progress
 
 
 def gelu_grad(x, cdf):
@@ -81,11 +85,11 @@ class MLP:
     def parameters(self):
         return self.weights + self.biases
 
-    def forward(self, x, standardizer=None, want_cache=False):
-        """Output rows for the input rows ``x``; with ``want_cache`` also
-        the cache ``backward`` reads: every layer's input, and every hidden
-        layer's pre-activation z and normal CDF Phi(z)."""
-        h = standardizer.transform(x) if standardizer is not None else np.asarray(x, dtype=float)
+    def forward(self, x, standardizer, want_cache=False):
+        """Output rows for the ``standardizer``-scaled input rows ``x``; with
+        ``want_cache`` also the cache ``backward`` reads: every layer's input,
+        and every hidden layer's pre-activation z and normal CDF Phi(z)."""
+        h = standardizer.transform(x)
         acts = [h]
         pres = []
         cdfs = []
@@ -118,11 +122,6 @@ class MLP:
         return grad
 
 
-def forward(net, standardizer, features):
-    """Branch prediction for a batch of feature rows."""
-    return net.forward(np.atleast_2d(features), standardizer)
-
-
 def supervised_loss(gram, targets, squares, c):
     """Exact A_star-energy discrepancy ||Psi c - u_h||^2 and its gradient.
 
@@ -149,18 +148,17 @@ class AdamWState:
         return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adamw_step(state, flat, grad, lr, weight_decay, n_decay=None):
+def adamw_step(state, flat, grad, lr, n_decay):
     """One AdamW update of the vector ``flat`` in place.
 
     Decoupled decay, applied before the step, shrinks the first ``n_decay``
-    entries (all by default): the weights of an ``MLP.flat``, not its biases.
-    The step runs block by block, so that its temporaries stay in cache.
+    entries: the weights of an ``MLP.flat``, not its biases.  The step runs
+    block by block, so that its temporaries stay in cache.
     """
     state.t += 1
     bc1 = 1.0 - _BETA1 ** state.t
     bc2 = 1.0 - _BETA2 ** state.t
-    if weight_decay:
-        flat[:n_decay] *= 1.0 - lr * weight_decay
+    flat[:n_decay] *= 1.0 - lr * _WEIGHT_DECAY
     for lo in range(0, flat.size, _ADAMW_BLOCK):
         sl = slice(lo, lo + _ADAMW_BLOCK)
         m, v, g = state.m[sl], state.v[sl], grad[sl]
@@ -173,20 +171,15 @@ def adamw_step(state, flat, grad, lr, weight_decay, n_decay=None):
 
 @dataclass
 class TrainConfig:
+    """What a run sets; the rest of the recipe is the module constants."""
     epochs: int = 2000
-    batch: int = 64
-    lr: float = 5e-4
-    weight_decay: float = 1e-6
-    plateau_factor: float = 0.5
-    plateau_patience: int = 20
-    early_stop: int = 200
-    min_lr: float = 1e-7
-    improve_rtol: float = 1e-8
+    early_stop: int = 200      # epochs without improvement before stopping
     seed: int = 0
 
-    def __post_init__(self):
-        if not 0 < self.plateau_factor < 1:
-            raise ValueError("plateau factor must lie in (0, 1)")
+    def record(self):
+        """The manifest's record of the recipe a run trained with."""
+        return {"epochs": self.epochs, "batch": _BATCH, "lr": _LR,
+                "weight_decay": _WEIGHT_DECAY}
 
 
 @dataclass
@@ -261,7 +254,7 @@ def train(net, train_data, val_data, config):
     state = AdamWState.init(net.flat)
     history = TrainHistory()
     n = len(train_data)
-    lr = config.lr
+    lr = _LR
     best_val = np.inf
     best_params = net.flat.copy()
     since_improve = 0
@@ -270,14 +263,14 @@ def train(net, train_data, val_data, config):
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for lo in range(0, n, config.batch):
-            idx = order[lo:lo + config.batch]
+        for lo in range(0, n, _BATCH):
+            idx = order[lo:lo + _BATCH]
             c, cache = net.forward(train_data.features[idx], standardizer,
                                    want_cache=True)
             loss, dldc = train_data.batch_loss(idx, c)
             epoch_loss += loss * len(idx)
             adamw_step(state, net.flat, net.backward(cache, dldc), lr,
-                       config.weight_decay, net.n_weights)
+                       net.n_weights)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
@@ -288,7 +281,7 @@ def train(net, train_data, val_data, config):
         history.val_loss.append(val)
         history.lr.append(lr)
 
-        if val < best_val * (1.0 - config.improve_rtol) or epoch == 0:
+        if val < best_val * (1.0 - _IMPROVE_RTOL) or epoch == 0:
             best_val = val
             best_params[...] = net.flat
             history.best_epoch = epoch
@@ -297,8 +290,8 @@ def train(net, train_data, val_data, config):
         else:
             since_improve += 1
             since_plateau += 1
-        if since_plateau >= config.plateau_patience:
-            lr = max(lr * config.plateau_factor, config.min_lr)
+        if since_plateau >= _PLATEAU_PATIENCE:
+            lr = max(lr * _PLATEAU_FACTOR, _MIN_LR)
             since_plateau = 0
         if since_improve >= config.early_stop:
             history.stop_reason = "early_stop"

@@ -50,13 +50,13 @@ def _parse_value(text):
 
 def _load_config(args):
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         cfg.update(loaded)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         key, sep, val = item.partition("=")
         if not sep or not key.strip():
             raise ValueError(f"expected KEY=VALUE, got {item!r}")
@@ -149,11 +149,15 @@ def _add_common(sub, name, handler, helptext, example=True, seed=0):
         p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--seed", type=int, default=seed)
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _add_config(p):
+    """The configuration flags, for the commands that read them."""
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one configuration entry")
     p.add_argument("--config", help="JSON file of configuration entries")
-    p.set_defaults(handler=handler)
-    return p
 
 
 def build_parser():
@@ -167,11 +171,13 @@ def build_parser():
                     "run the full offline stage (trunks, blocks, manifest)")
     p.add_argument("--no-pod", action="store_true",
                    help="skip the snapshot-based trunk")
+    _add_config(p)
 
     p = _add_common(sub, "train", _cmd_train,
                     "fit a branch network on persisted reduced systems",
                     example=False, seed=1)
     p.add_argument("--method", choices=("rb", "pod"), default="rb")
+    _add_config(p)
 
     p = _add_common(sub, "eval", _cmd_eval,
                     "evaluate all trained surrogates on fresh samples",
@@ -191,6 +197,7 @@ def build_parser():
                     "offline + train + eval with pinned quality gates")
     p.add_argument("--check", action="store_true",
                    help="exit 4 when a quality gate fails")
+    _add_config(p)
     return parser
 
 

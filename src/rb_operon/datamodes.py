@@ -23,6 +23,7 @@ O(N(r_f + Q_a r_g)).
 import numpy as np
 from dataclasses import dataclass, field
 
+from .assembly import lifting_terms
 from .errors import EmptySpaceError
 
 
@@ -52,24 +53,17 @@ class SourceModes:
         return self.w.shape[1]
 
 
-def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
+def _metric_greedy(elems, m_elems, apply_metric, tol, r_max, rng):
     """Shared greedy core: argmax of metric-norm projection error.
 
-    ``snaps`` has one snapshot per column.  ``apply_metric`` maps a block of
-    columns to metric-weighted columns.  ``solve_col`` optionally converts a
-    snapshot column into the element actually spanned (Riesz representer);
-    identity by default.  Returns (modes, picked indices, error trace).
+    ``elems`` has one element per column, and ``m_elems`` their images
+    under the metric, which ``apply_metric`` applies to a block of columns.
+    Returns (modes, picked indices, error trace).
     """
-    n_dim, n_snap = snaps.shape
+    n_dim, n_snap = elems.shape
     if n_snap == 0:
         raise EmptySpaceError("no snapshots to compress")
-    if solve_col is None:
-        elems = snaps
-        m_snaps = apply_metric(snaps)
-        norms2 = np.einsum("ij,ij->j", snaps, m_snaps)
-    else:
-        elems = solve_col(snaps)
-        norms2 = np.einsum("ij,ij->j", elems, snaps)
+    norms2 = np.einsum("ij,ij->j", elems, m_elems)
     if np.max(norms2) <= 0.0:
         raise EmptySpaceError("all snapshots are zero")
 
@@ -94,10 +88,7 @@ def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
             return False
         v /= nrm
         modes = np.column_stack([modes, v])
-        if solve_col is None:
-            new_row = v @ m_snaps
-        else:
-            new_row = v @ snaps   # (v, q_n)_star = v^T A_star q_n = v^T F_n
+        new_row = v @ m_elems      # the metric products (v, q_n)
         err2 = np.maximum(err2 - new_row * new_row, 0.0)
         picked.append(int(idx))
         return True
@@ -121,31 +112,29 @@ def _metric_greedy(snaps, apply_metric, tol, r_max, rng, solve_col=None):
     return modes, np.asarray(picked, dtype=np.int64), np.asarray(trace)
 
 
-def boundary_greedy(model, trace_snaps, tol=None, r_max=None, rng=None):
-    """Greedy trace compression in the W_Gamma metric."""
-    rng = rng or np.random.default_rng(0)
+def boundary_greedy(model, trace_snaps, tol, r_max, rng):
+    """Greedy trace compression in the W_Gamma metric: the elements are the
+    traces g, their metric images W_Gamma g."""
     trace_snaps = np.asarray(trace_snaps, dtype=float)
-    r_max = r_max or trace_snaps.shape[0]
     w = model.w_gamma
     modes, picked, trace = _metric_greedy(
-        trace_snaps, lambda b: w @ b, tol, r_max, rng)
+        trace_snaps, w @ trace_snaps, lambda b: w @ b, tol, r_max, rng)
     return BoundaryModes(eta=modes, trace=trace, selected=picked)
 
 
-def source_greedy(model, load_snaps, tol=None, r_max=None, rng=None):
+def source_greedy(model, load_snaps, tol, r_max, rng):
     """Greedy compression of load functionals via their Riesz representers.
 
-    The projection error in the A_star norm of the representer equals the
-    dual-norm best-approximation error of the functional, so the stopping
-    tolerance certifies the functional approximation directly.
+    The elements are the representers A_star^-1 F, their metric images the
+    loads F.  The projection error in the A_star norm of the representer
+    equals the dual-norm best-approximation error of the functional, so the
+    stopping tolerance certifies the functional approximation directly.
     """
-    rng = rng or np.random.default_rng(0)
     load_snaps = np.asarray(load_snaps, dtype=float)
-    r_max = r_max or load_snaps.shape[1]
     a_star = model.a_star_II
     modes, picked, trace = _metric_greedy(
-        load_snaps, lambda b: a_star @ b, tol, r_max, rng,
-        solve_col=lambda b: model.star_solve(b))
+        model.star_solve(load_snaps), load_snaps, lambda b: a_star @ b, tol,
+        r_max, rng)
     return SourceModes(w=modes, trace=trace, selected=picked)
 
 
@@ -172,11 +161,8 @@ def encoded_load_terms(model, bmodes, smodes):
     """The encoded load's terms, n_free x (r_f + Q_a r_g): [A_star W | -(A_p,II
     Lambda + A_p,IB eta) for each p], the Riesz images of the source modes,
     then the lifting of the boundary modes through each affine term."""
-    lifted = model.lift_block @ bmodes.eta     # interior lifting of each mode
     cols = [model.a_star_II @ smodes.w]
-    for p in range(model.affine_II.n_terms):
-        cols.append(-(model.affine_II.term(p) @ lifted
-                      + model.affine_IB.term(p) @ bmodes.eta))
+    cols += [-lift for lift in lifting_terms(model, bmodes.eta)]
     return np.hstack(cols)
 
 

@@ -61,8 +61,8 @@ class ExampleSpec:
     param_ranges: tuple        # ((lo, hi), ...) per parameter coordinate
     k_star: tuple
     mesh_recipe: dict
-    # pod_tol / pod_fixed_n, and the greedy's required cap greedy_fixed_n
-    # with an optional greedy_tol that stops it earlier
+    # pod_fixed_n (absent: POD's energy criterion), and the greedy's required
+    # cap greedy_fixed_n with an optional greedy_tol that stops it earlier
     trunk: dict
     data: dict = field(default_factory=dict)
     n_pool: int = 2000         # POD snapshots, greedy training set, data rows
@@ -93,7 +93,7 @@ def example_spec(example):
             param_ranges=((0.1, 10.0), (-1.0, 1.0)),
             k_star=(1.0, 1.0),
             mesh_recipe={"kind": "inclusion", "r0": 0.2, "h": 1.0 / 43.0},
-            trunk={"pod_tol": 1e-7, "pod_fixed_n": 3, "greedy_fixed_n": 3},
+            trunk={"pod_fixed_n": 3, "greedy_fixed_n": 3},
             n_pool=2100,
             n_train=2000,
             n_val=200,
@@ -107,7 +107,7 @@ def example_spec(example):
             # target ranks cap the certified greedy; the configured
             # tolerances stay active and the reached indicator is recorded
             # in each greedy trace
-            trunk={"pod_tol": 1e-7, "greedy_tol": 1e-7, "greedy_fixed_n": 209},
+            trunk={"greedy_tol": 1e-7, "greedy_fixed_n": 209},
             data={
                 # (a1, a2, a3, a4, xc, yc, sigma)
                 "xi_ranges": ((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
@@ -128,7 +128,7 @@ def example_spec(example):
             param_ranges=((0.1, 10.0), (-1.0, 1.0), (0.05, 0.45)),
             k_star=(1.0, 1.0, 0.2),
             mesh_recipe={"kind": "inclusion", "r0": 0.2, "h": 1.0 / 43.0},
-            trunk={"pod_tol": 1e-7, "pod_fixed_n": 5, "greedy_fixed_n": 5},
+            trunk={"pod_fixed_n": 5, "greedy_fixed_n": 5},
             data={
                 "radial": {"r_minus": 0.03, "r0": 0.2, "r_plus": 0.6,
                            "r_min": 0.05, "r_max": 0.45},

@@ -25,11 +25,12 @@ from .errors import MapDegenerateError
 
 @dataclass(frozen=True)
 class RadialMap:
-    r_minus: float = 0.03
-    r0: float = 0.2
-    r_plus: float = 0.6
-    r_min: float = 0.05
-    r_max: float = 0.45
+    """Radii of the map; example 3's spec pins them."""
+    r_minus: float
+    r0: float
+    r_plus: float
+    r_min: float
+    r_max: float
 
     def __post_init__(self):
         if not (0.0 < self.r_minus <= self.r_min < self.r_max < self.r_plus < 1.0):

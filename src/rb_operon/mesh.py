@@ -413,7 +413,9 @@ def unit_square_mesh(n):
     )
 
 
-def _hex_lattice(h, lo=-0.5, hi=0.5, margin=0.0):
+def _hex_lattice(h, margin):
+    """Hexagonal lattice of spacing ``h``, ``margin`` inside the square."""
+    lo, hi = -0.5, 0.5
     dy = h * np.sqrt(3.0) / 2.0
     rows = int(np.floor((hi - lo - 2 * margin) / dy)) + 1
     pts = []
@@ -425,7 +427,7 @@ def _hex_lattice(h, lo=-0.5, hi=0.5, margin=0.0):
     return np.vstack(pts)
 
 
-def square_with_inclusion_mesh(r0=0.2, h=1.0 / 43.0):
+def square_with_inclusion_mesh(r0, h):
     """Unstructured mesh of (-0.5,0.5)^2 conforming to the circle |x| = r0.
 
     Nodes are seeded on a hexagonal lattice, the circle ring and the outer

@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import ArtifactDir, load_net, load_space, save_net, save_space
 from .assembly import full_field, interior_factor
 from .branchnet import (MLP, ResidualData, Standardizer, SupervisedData,
-                        TrainConfig, forward, train)
+                        TrainConfig, train)
 from .examples import (BENCHMARKS, HIDDEN_SIZES, NOMINAL_PARAM_COUNTS,
                        ExampleSpec, build_problem, example_spec, load_problem,
                        open_benchmark, sample_parameters)
@@ -39,10 +39,11 @@ FOOTNOTE = ("rows are limited to the methods implemented here; "
             "external baselines are omitted.")
 
 _SIZE_KEYS = ("n_pool", "n_train", "n_val", "n_test")
-_TRUNK_KEYS = ("pod_tol", "pod_fixed_n", "greedy_tol", "greedy_fixed_n")
-_MESH_KEYS = ("h", "n", "r0")
+_TRUNK_KEYS = ("pod_fixed_n", "greedy_tol", "greedy_fixed_n")
+_MESH_KEYS = ("h", "n")   # not r0: example 3's radial map shares the mesh's
 _DATA_KEYS = ("mode_tol", "r_f_max", "r_g_max", "sweep_subset",
               "eim_q", "eim_train")
+_TIMING_ROUNDS, _ALLOC_REPS = 7, 15   # audit: timed rounds, traced queries
 
 
 def apply_overrides(spec, overrides):
@@ -120,9 +121,6 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     if spec.trunk.get("greedy_fixed_n") is None:
         raise ValueError("the greedy needs its maximal dimension "
                          "greedy_fixed_n")
-    if pod and all(spec.trunk.get(key) is None
-                   for key in ("pod_tol", "pod_fixed_n")):
-        raise ValueError("the POD trunk needs pod_tol or pod_fixed_n")
     adir = ArtifactDir(outdir)
     rng = np.random.default_rng(seed)
     problem = build_problem(spec)
@@ -177,8 +175,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     if pod:
         snaps = _pool_snapshots(model, ks, terms, weights)
         space_p = pod_build(model, snaps, terms,
-                            tol=spec.trunk.get("pod_tol"),
-                            fixed_n=spec.trunk.get("pod_fixed_n"))
+                            spec.trunk.get("pod_fixed_n"))
         save_space(adir, "pod", space_p)
         psi = space_p.psi
         adir.save_array("pod_gram", psi.T @ (model.a_star_II @ psi))
@@ -259,8 +256,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
         "stopped_epoch": hist.stopped_epoch,
         "stop_reason": hist.stop_reason,
         "n_params": net.n_params,
-        "config": {"epochs": cfg.epochs, "batch": cfg.batch, "lr": cfg.lr,
-                   "weight_decay": cfg.weight_decay},
+        "config": cfg.record(),
     }})
     return net, std, hist
 
@@ -320,7 +316,7 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
                                                  theta, f_rb[trunk])
         else:
             net, std = nets["rb" if method == "rb_deeponet" else "pod"]
-            coeffs[method] = forward(net, std, bench.features(ks, a, b))
+            coeffs[method] = net.forward(bench.features(ks, a, b), std)
 
     triples = {m: [] for m in methods}
     for i in range(n_test):
@@ -447,10 +443,10 @@ def online_query(bundle, k, a=None, b=None):
     return c_net, c_gal, res
 
 
-def _time_queries(bundle, queries, rounds=7):
+def _time_queries(bundle, queries):
     """Best per-query seconds over the rounds, and every round's seconds."""
     times = []
-    for _ in range(rounds):
+    for _ in range(_TIMING_ROUNDS):
         t0 = time.perf_counter()
         for q in queries:
             online_query(bundle, *q)
@@ -458,12 +454,12 @@ def _time_queries(bundle, queries, rounds=7):
     return min(times) / len(queries), times
 
 
-def _alloc_peak(bundle, queries, reps=15):
+def _alloc_peak(bundle, queries):
     """Median per-query transient allocation (bytes above the pre-call line)."""
     tracemalloc.start()
     online_query(bundle, *queries[0])
     peaks = []
-    for q in queries[1:reps + 1]:
+    for q in queries[1:_ALLOC_REPS + 1]:
         cur0 = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         online_query(bundle, *q)
@@ -494,7 +490,11 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
         doubled_dir = adir.path.rstrip("/\\") + "_x2"
     d_adir = ArtifactDir(doubled_dir)
     if not d_adir.has("manifest.json"):
-        overrides = dict(_doubled_recipe(manifest["mesh_recipe"]))
+        # the base run's sizes and data knobs on the finer mesh, N pinned
+        overrides = dict(manifest["sizes"])
+        overrides.update((k, v) for k, v in manifest["data"].items()
+                         if k in _DATA_KEYS)
+        overrides.update(_doubled_recipe(manifest["mesh_recipe"]))
         overrides["greedy_fixed_n"] = int(manifest["dims_trunk"]["greedy_n"])
         overrides["greedy_tol"] = None
         overrides.update(base.bench.data_overrides())

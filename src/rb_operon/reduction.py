@@ -87,6 +87,7 @@ from .errors import EmptySpaceError, NotCoerciveError, StagnationError
 
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
 _DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
+_POD_TOL = 1e-7     # POD energy criterion: kept tail fraction <= _POD_TOL^2
 _BLOCK = 8          # inverse-factor rows per block of _BorderedCholesky
 
 
@@ -456,8 +457,7 @@ class _BorderedCholesky:
         return self.c[:self.n, :self.live].copy()
 
 
-def greedy_build(model, samples, terms, weights, tol=None, fixed_n=None,
-                 alpha_lb=1.0):
+def greedy_build(model, samples, terms, weights, tol, fixed_n, alpha_lb):
     """Weak greedy trunk construction driven by the certified estimator.
 
     ``samples`` is the training pool (n_s, p); every iteration sweeps the
@@ -466,19 +466,17 @@ def greedy_build(model, samples, terms, weights, tol=None, fixed_n=None,
     ``terms @ weights[i]``: ``terms`` (n_free, Q_f) are the load terms and
     ``weights`` (n_s, Q_f) their weights, so the sweep's load bookkeeping
     and reference solves grow with Q_f, not with the pool, and each truth
-    snapshot solves its sample's load.  Stopping: the maximal dimension
-    ``fixed_n`` is required, and the build stops at ``fixed_n`` columns, or
-    at as many as the pool and the space hold; ``tol`` on the pool's max
-    estimator stops it earlier and then certifies every pool sample, the
-    trunk samples included.  A trunk that holds the whole pool records a
-    maximum of 0.
+    snapshot solves its sample's load.  Stopping: the build stops at the
+    maximal dimension ``fixed_n``, or at as many columns as the pool and
+    the space hold; ``tol`` on the pool's max estimator, unless None, stops
+    it earlier and then certifies every pool sample, the trunk samples
+    included.  A trunk that holds the whole pool records a maximum of 0.
+    ``alpha_lb`` is the coercivity bound that scales the estimator.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ns = samples.shape[0]
     if ns == 0:
         raise EmptySpaceError("empty greedy training set")
-    if fixed_n is None:
-        raise ValueError("the greedy needs its maximal dimension fixed_n")
     terms = np.asarray(terms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (ns, terms.shape[1]):
@@ -569,18 +567,16 @@ def _border_update(a_blocks, psi, w_new):
         a_blocks[p, n - 1, :n] = col
 
 
-def pod_build(model, snapshots, terms, tol=None, fixed_n=None):
+def pod_build(model, snapshots, terms, fixed_n):
     """Method-of-snapshots POD in the A_star inner product.
 
     ``snapshots`` holds one solution per column, each the truth of a load
     in the span of ``terms`` (n_free, Q_f), which the space's ``f_blocks``
     project.  The correlation matrix G_ij = (w_i, w_j)_star / n_k is
-    diagonalized; modes below the energy criterion (tail fraction <= tol^2)
-    are discarded, or exactly ``fixed_n`` modes are kept.  Returns an
-    RBSpace and stores the spectrum in its provenance.
+    diagonalized; ``fixed_n`` modes are kept, or if None, those above the
+    energy criterion (tail fraction <= _POD_TOL^2).  Returns an RBSpace and
+    stores the spectrum in its provenance.
     """
-    if tol is None and fixed_n is None:
-        raise ValueError("need a tolerance or a fixed dimension")
     s = np.asarray(snapshots, dtype=float)
     if s.ndim != 2 or s.shape[1] == 0:
         raise EmptySpaceError("no snapshots given")
@@ -610,7 +606,7 @@ def pod_build(model, snapshots, terms, tol=None, fixed_n=None):
     else:
         csum = np.cumsum(lam[:keep])
         tail = 1.0 - csum / total
-        ok = np.flatnonzero(tail <= tol * tol)
+        ok = np.flatnonzero(tail <= _POD_TOL * _POD_TOL)
         if ok.size == 0:
             n = keep
         else:
@@ -626,7 +622,7 @@ def pod_build(model, snapshots, terms, tol=None, fixed_n=None):
         kept += 1
     psi = psi[:, :kept].copy()
     a_blocks, f_blocks = reduce_operators(model, psi, terms)
-    prov = dict(method="pod", tol=tol, fixed_n=fixed_n, n_snapshots=int(nk),
-                eigenvalues=lam, trace=total)
+    prov = dict(method="pod", tol=_POD_TOL, fixed_n=fixed_n,
+                n_snapshots=int(nk), eigenvalues=lam, trace=total)
     return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
                    provenance=prov)

@@ -113,7 +113,7 @@ def test_net_roundtrip(tmp_path, rng):
     save_net(adir, "branch", net, std, hist)
     net2, std2, hist2 = load_net(adir, "branch")
     x = rng.standard_normal((6, 3))
-    assert np.array_equal(net2.forward(x), net.forward(x))
+    assert np.array_equal(net2.forward(x, std2), net.forward(x, std))
     assert np.array_equal(std2.mean, std.mean)
     assert np.array_equal(std2.std, std.std)
     assert hist2["best_epoch"] == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -5,9 +7,12 @@ from scipy.special import ndtr
 from rb_operon import branchnet
 from rb_operon.branchnet import (MLP, AdamWState, ResidualData, Standardizer,
                                  SupervisedData, TrainConfig, _dataset_loss,
-                                 adamw_step, forward, gelu_grad,
-                                 supervised_loss, train)
+                                 adamw_step, gelu_grad, supervised_loss,
+                                 train)
 from rb_operon.errors import TrainingDivergedError
+
+# leaves its input rows as they are
+IDENTITY = Standardizer(mean=0.0, std=1.0)
 
 
 def spd_batch(rng, ns, n):
@@ -80,7 +85,7 @@ def test_mlp_forward_matches_manual(rng):
     net = MLP([3, 5, 2], seed=7)
     x = rng.standard_normal((4, 3))
     manual = gelu(x @ net.weights[0] + net.biases[0]) @ net.weights[1] + net.biases[1]
-    assert np.allclose(net.forward(x), manual)
+    assert np.allclose(net.forward(x, IDENTITY), manual)
     assert net.n_params == 3 * 5 + 5 + 5 * 2 + 2
 
 
@@ -88,7 +93,7 @@ def test_mlp_backward_matches_finite_differences(rng):
     # composite check: d/dp of 0.5 ||net(x)||^2 via backward vs central FD
     net = MLP([2, 4, 3], seed=1)
     x = rng.standard_normal((5, 2))
-    out, cache = net.forward(x, want_cache=True)
+    out, cache = net.forward(x, IDENTITY, want_cache=True)
     grads = net.split(net.backward(cache, out))   # dout = out for this loss
     params = net.parameters()
     h = 1e-6
@@ -99,9 +104,9 @@ def test_mlp_backward_matches_finite_differences(rng):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + h
-            lp = 0.5 * np.sum(net.forward(x) ** 2)
+            lp = 0.5 * np.sum(net.forward(x, IDENTITY) ** 2)
             p[idx] = orig - h
-            lm = 0.5 * np.sum(net.forward(x) ** 2)
+            lm = 0.5 * np.sum(net.forward(x, IDENTITY) ** 2)
             p[idx] = orig
             fd = (lp - lm) / (2 * h)
             assert np.isclose(grads[pi][idx], fd, rtol=1e-5, atol=1e-8)
@@ -175,15 +180,16 @@ def test_supervised_loss_matches_dense(rng):
     assert np.isclose(grad[1, 2], (lp - loss) / h, rtol=1e-4)
 
 
-def test_adamw_matches_scalar_recursion():
+def test_adamw_matches_scalar_recursion(monkeypatch):
     # one parameter, three steps, hand-rolled reference
     lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
+    monkeypatch.setattr(branchnet, "_WEIGHT_DECAY", wd)
     p = np.array([1.0])
     state = AdamWState.init(p)
     grads = [0.3, -0.2, 0.7]
     ref_p, m, v = 1.0, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
-        adamw_step(state, p, np.array([g]), lr, wd)
+        adamw_step(state, p, np.array([g]), lr, 1)
         ref_p *= 1.0 - lr * wd
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -193,11 +199,12 @@ def test_adamw_matches_scalar_recursion():
         assert np.isclose(p[0], ref_p, rtol=0, atol=1e-12)
 
 
-def test_adamw_decay_skips_biases():
+def test_adamw_decay_skips_biases(monkeypatch):
     # the first n_decay entries are the weights; the bias behind them is kept
+    monkeypatch.setattr(branchnet, "_WEIGHT_DECAY", 0.5)
     p = np.array([1.0, 1.0])
     state = AdamWState.init(p)
-    adamw_step(state, p, np.zeros(2), lr=0.1, weight_decay=0.5, n_decay=1)
+    adamw_step(state, p, np.zeros(2), lr=0.1, n_decay=1)
     assert p[0] < 1.0
     assert p[1] == 1.0
 
@@ -206,6 +213,7 @@ def test_flat_steps_match_per_array_loop_bitwise(rng, monkeypatch):
     # backward and AdamW on the flat vector against the per-array forms;
     # small AdamW blocks that straddle the weight/bias boundary
     monkeypatch.setattr(branchnet, "_ADAMW_BLOCK", 7)
+    monkeypatch.setattr(branchnet, "_WEIGHT_DECAY", 0.1)
     net = MLP([3, 7, 6, 2], seed=3)
     ref = [p.copy() for p in net.parameters()]
     ref_state = {"t": 0, "m": [np.zeros_like(p) for p in ref],
@@ -216,15 +224,16 @@ def test_flat_steps_match_per_array_loop_bitwise(rng, monkeypatch):
     for _ in range(4):
         x = rng.standard_normal((5, 3))
         dout = rng.standard_normal((5, 2))
-        grad = net.backward(net.forward(x, want_cache=True)[1], dout)
+        grad = net.backward(net.forward(x, IDENTITY, want_cache=True)[1],
+                            dout)
         for w, b, rw, rb in zip(ref_net.weights, ref_net.biases,
                                 ref[:3], ref[3:]):
             w[...], b[...] = rw, rb
         ref_grads = per_array_backward(
-            ref_net, ref_net.forward(x, want_cache=True)[1], dout)
+            ref_net, ref_net.forward(x, IDENTITY, want_cache=True)[1], dout)
         assert np.array_equal(grad, np.concatenate(
             [g.ravel() for g in ref_grads]))
-        adamw_step(state, net.flat, grad, 1e-2, 0.1, net.n_weights)
+        adamw_step(state, net.flat, grad, 1e-2, net.n_weights)
         per_array_adamw(ref_state, ref, ref_grads, 1e-2, 0.1, mask)
         assert np.array_equal(net.flat,
                               np.concatenate([p.ravel() for p in ref]))
@@ -261,11 +270,13 @@ def test_dataset_loss_is_row_weighted_mean(rng):
                       rtol=1e-12)
 
 
-def test_train_learns_and_early_stops(rng):
+def test_train_learns_and_early_stops(rng, monkeypatch):
+    monkeypatch.setattr(branchnet, "_BATCH", 16)
+    monkeypatch.setattr(branchnet, "_LR", 3e-3)
     data_tr = residual_dataset(rng, 120)
     data_va = residual_dataset(rng, 30)
     net = MLP([2, 16, 3], seed=2)
-    cfg = TrainConfig(epochs=400, batch=16, lr=3e-3, early_stop=40, seed=0)
+    cfg = TrainConfig(epochs=400, early_stop=40, seed=0)
     net, st, hist = train(net, data_tr, data_va, cfg)
     first, best = hist.val_loss[0], min(hist.val_loss)
     assert best < 0.05 * first          # the toy map is learnable
@@ -276,62 +287,72 @@ def test_train_learns_and_early_stops(rng):
     assert len(hist.val_loss) == hist.stopped_epoch + 1
 
 
-def test_train_stop_reason_early_stop(rng):
+def test_train_stop_reason_early_stop(rng, monkeypatch):
+    monkeypatch.setattr(branchnet, "_BATCH", 8)
+    monkeypatch.setattr(branchnet, "_IMPROVE_RTOL", 0.5)
     data_tr = residual_dataset(rng, 30)
     data_va = residual_dataset(rng, 10)
     net = MLP([2, 4, 3], seed=3)
     # no epoch improves on the first by half, so the third one stops
-    cfg = TrainConfig(epochs=50, batch=8, improve_rtol=0.5, early_stop=2,
-                      seed=1)
+    cfg = TrainConfig(epochs=50, early_stop=2, seed=1)
     _, _, hist = train(net, data_tr, data_va, cfg)
     assert hist.stop_reason == "early_stop"
     assert hist.stopped_epoch == 2
     assert len(hist.val_loss) == 3
 
 
-def test_train_stop_reason_epochs(rng):
+def test_train_stop_reason_epochs(rng, monkeypatch):
+    monkeypatch.setattr(branchnet, "_BATCH", 8)
     data_tr = residual_dataset(rng, 30)
     data_va = residual_dataset(rng, 10)
     net = MLP([2, 4, 3], seed=3)
-    cfg = TrainConfig(epochs=4, batch=8, early_stop=1000, seed=1)
+    cfg = TrainConfig(epochs=4, early_stop=1000, seed=1)
     _, _, hist = train(net, data_tr, data_va, cfg)
     assert hist.stop_reason == "epochs"
     assert hist.stopped_epoch == 3
     assert len(hist.val_loss) == 4
 
 
-def test_train_plateau_halves_lr(rng):
+def test_train_plateau_halves_lr(rng, monkeypatch):
+    for name, value in (("_BATCH", 8), ("_LR", 1e-3), ("_PLATEAU_PATIENCE", 5),
+                        ("_IMPROVE_RTOL", 0.5)):
+        monkeypatch.setattr(branchnet, name, value)
     data_tr = residual_dataset(rng, 30)
     data_va = residual_dataset(rng, 10)
     net = MLP([2, 4, 3], seed=3)
-    cfg = TrainConfig(epochs=100, batch=8, lr=1e-3, plateau_patience=5,
-                      improve_rtol=0.5, early_stop=1000, seed=1)
+    cfg = TrainConfig(epochs=100, early_stop=1000, seed=1)
     _, _, hist = train(net, data_tr, data_va, cfg)
     assert min(hist.lr) < 1e-3
-    assert min(hist.lr) >= cfg.min_lr
+    assert min(hist.lr) >= branchnet._MIN_LR
 
 
-def test_train_diverges_raises(rng):
+def test_train_diverges_raises(rng, monkeypatch):
+    monkeypatch.setattr(branchnet, "_BATCH", 8)
+    monkeypatch.setattr(branchnet, "_LR", 1e12)
     data_tr = residual_dataset(rng, 30)
     data_va = residual_dataset(rng, 10)
     net = MLP([2, 4, 3], seed=4)
-    cfg = TrainConfig(epochs=50, batch=8, lr=1e12, seed=2)
+    cfg = TrainConfig(epochs=50, seed=2)
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
         train(net, data_tr, data_va, cfg)
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(plateau_factor=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(plateau_factor=0.0)
+def test_train_config_fields_are_the_settable_ones():
+    # the rest of the recipe is fixed; the manifest still records it
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert fields == ["epochs", "early_stop", "seed"]
+    assert TrainConfig(epochs=3).record() == {
+        "epochs": 3, "batch": 64, "lr": 5e-4, "weight_decay": 1e-6}
+    with pytest.raises(TypeError):
+        TrainConfig(lr=1e-3)
 
 
 def test_forward_helper_standardizes(rng):
     net = MLP([2, 4, 2], seed=5)
     st = Standardizer(mean=np.array([1.0, -1.0]), std=np.array([2.0, 0.5]))
     x = rng.standard_normal((3, 2))
-    assert np.allclose(forward(net, st, x), net.forward(st.transform(x)))
+    assert np.array_equal(net.forward(x, st),
+                          net.forward(st.transform(x), IDENTITY))
 
 
 def test_supervised_data_batch_loss(rng):

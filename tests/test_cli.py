@@ -25,16 +25,16 @@ def test_parse_value():
     assert _parse_value("inclusion") == "inclusion"
 
 
-def test_rb_build_without_pod_rule_fails_before_writing(tmp_path, capsys):
-    # a POD trunk with neither pod_tol nor pod_fixed_n is rejected before
-    # the data modes, the greedy and the pool solves run
-    out = str(tmp_path / "run")
-    args = ["rb-build", "--example", "2", "--out", out, "--set", "pod_tol=none",
-            "--set", "n=24", "--set", "n_pool=400", "--set", "sweep_subset=400",
-            "--set", "greedy_fixed_n=30"]
-    assert main(args) == 2
-    assert "pod_tol or pod_fixed_n" in capsys.readouterr().err
-    assert not os.path.exists(out) or os.listdir(out) == []
+def test_rb_build_rejects_unsettable_keys(tmp_path, capsys):
+    # the POD tolerance and the inclusion radius are constants, not knobs,
+    # and are rejected before anything is written
+    for key in ("pod_tol=1e-6", "r0=0.25"):
+        out = str(tmp_path / key.partition("=")[0])
+        args = (["rb-build", "--example", "1", "--out", out] + TINY
+                + ["--set", key])
+        assert main(args) == 2
+        assert "unknown override" in capsys.readouterr().err
+        assert not os.path.exists(out) or os.listdir(out) == []
 
 
 def test_rb_build_without_greedy_cap_exits_2(tmp_path, capsys):
@@ -120,13 +120,25 @@ def test_eval_and_audit(cli_dir, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_train_divergence_exit_code(cli_dir, tmp_path, capsys):
+def test_train_divergence_exit_code(cli_dir, tmp_path, capsys, monkeypatch):
+    from rb_operon import branchnet
+
     scratch = str(tmp_path / "copy")
     shutil.copytree(cli_dir, scratch)
-    code = main(["train", "--out", scratch, "--set", "lr=1e12",
-                 "--set", "epochs=40"])
+    monkeypatch.setattr(branchnet, "_LR", 1e12)
+    code = main(["train", "--out", scratch, "--set", "epochs=40"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_train_rejects_fixed_recipe_keys(cli_dir, tmp_path, capsys):
+    # only epochs and early_stop are settable; the step size, batch and the
+    # rest of the recipe are constants
+    scratch = str(tmp_path / "copy")
+    shutil.copytree(cli_dir, scratch)
+    for key in ("lr=1e-3", "batch=32", "weight_decay=0"):
+        assert main(["train", "--out", scratch, "--set", key]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_threads_env_validation(cli_dir, tmp_path, monkeypatch, capsys):
@@ -147,6 +159,10 @@ def test_argparse_failures():
     with pytest.raises(SystemExit) as exc:
         main(["rb-build", "--example", "1"])      # --out missing
     assert exc.value.code == 2
+    for command in ("eval", "audit"):     # they read no configuration
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", "x", "--set", "n_test=3"])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

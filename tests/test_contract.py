@@ -148,3 +148,38 @@ def test_example2_bundle_blocks_serve_the_harness(tiny2_dir):
                                a[i], b[i])
         assert (np.abs(row - batch[i]).max()
                 <= 1e-14 * np.abs(batch[i]).max())
+
+
+def test_harness_settings_are_accepted(monkeypatch):
+    # every override dict of the workload size tables is accepted for its
+    # example, and every training key the harness passes is a TrainConfig
+    # field, so deleting an option cannot break the benchmark at run time
+    from rb_operon.branchnet import TrainConfig
+    from rb_operon.examples import example_spec
+    from rb_operon.pipeline import apply_overrides
+
+    monkeypatch.syspath_prepend(RBBENCH)
+    spec = importlib.util.spec_from_file_location(
+        "rbbench_workloads", os.path.join(RBBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    checked = 0
+    for table in (workloads.FULL, workloads.TINY):
+        for cfg in table.values():
+            runs = ([(cfg["example"], cfg["overrides"])] if "example" in cfg
+                    else list(cfg["dirs"].items()))
+            for example, overrides in runs:
+                apply_overrides(example_spec(example), overrides)
+                checked += 1
+    assert checked == 10
+
+    with open(os.path.join(RBBENCH, "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "train_cfg"
+                        for t in node.targets)):
+            keys |= {k.value for k in node.value.keys}
+    assert keys == {"epochs", "early_stop"}
+    assert keys <= {f.name for f in dataclasses.fields(TrainConfig)}

@@ -131,8 +131,7 @@ def test_spec_pinned_constants():
 
     s2 = example_spec(2)
     assert s2.mesh_recipe == {"kind": "unit_square", "n": 64}
-    assert s2.trunk == {"pod_tol": 1e-7, "greedy_tol": 1e-7,
-                        "greedy_fixed_n": 209}
+    assert s2.trunk == {"greedy_tol": 1e-7, "greedy_fixed_n": 209}
     assert len(s2.data["xi_ranges"]) == 7
     assert (s2.n_pool, s2.n_train, s2.n_val) == (10000, 8000, 2000)
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from rb_operon.errors import MapDegenerateError
+from rb_operon.examples import example_spec
 from rb_operon.geomap import (EimPivots, RadialMap, eim_build,
                               eim_coefficients, tensor_field_per_triangle,
                               tensor_snapshot)
 
-RM = RadialMap()
+RADIAL = example_spec(3).data["radial"]
+RM = RadialMap(**RADIAL)
 
 
 def eim_reconstruct(surrogate, r):
@@ -49,7 +51,7 @@ def jacobian(rm, x, r):
 
 def test_radial_map_validates():
     with pytest.raises(ValueError):
-        RadialMap(r_minus=0.2, r0=0.1)
+        RadialMap(**dict(RADIAL, r_minus=0.2, r0=0.1))
     with pytest.raises(ValueError):
         RM.mapped_radius(np.array([0.1]), 0.5)   # outside [r_min, r_max]
 
@@ -229,7 +231,7 @@ def test_pivot_values_check_every_radius():
 def test_pivot_values_raise_on_degenerate_map():
     # with r_minus = r_min the inner slope (r - r_minus)/(r0 - r_minus)
     # vanishes at r = r_min, so det J = 0 on the inner annulus
-    rm = RadialMap(r_minus=0.05, r_min=0.05)
+    rm = RadialMap(**dict(RADIAL, r_minus=0.05, r_min=0.05))
     pts = np.array([[0.1, 0.0], [0.3, 0.1]])
     piv = EimPivots(rm, pts, np.array([0, 2]), np.eye(2))
     assert np.all(np.isfinite(piv.pivot_values(np.array([0.1, 0.3]))))

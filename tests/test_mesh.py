@@ -130,9 +130,9 @@ def _plain_relax(pts, movable, h, r0, ring_spacing, max_iters):
 
 @pytest.mark.parametrize("h", [1.0 / 12.0, 1.0 / 24.0], ids=["h12", "h24"])
 def test_relaxation_matches_plain_loop(h, monkeypatch):
-    fast = square_with_inclusion_mesh(h=h)
+    fast = square_with_inclusion_mesh(r0=0.2, h=h)
     monkeypatch.setattr(mesh_mod, "_relax", _plain_relax)
-    plain = square_with_inclusion_mesh(h=h)
+    plain = square_with_inclusion_mesh(r0=0.2, h=h)
     for name in ("nodes", "triangles", "triangle_tags", "boundary_edges",
                  "edge_segments"):
         a, b = getattr(fast, name), getattr(plain, name)
@@ -154,7 +154,7 @@ def test_relaxation_triangulates_only_seed_and_result(monkeypatch):
         return Delaunay(pts)
 
     monkeypatch.setattr(mesh_mod, "Delaunay", counted)
-    m = square_with_inclusion_mesh(h=1.0 / 24.0)
+    m = square_with_inclusion_mesh(r0=0.2, h=1.0 / 24.0)
     assert len(calls) == 2
     assert m.relaxation["triangulations"] == 1
 
@@ -229,7 +229,7 @@ def test_certificate_repairs_jittered_lattice_in_rounds():
     # eight edges fail at once; a round flips at most those, so more flips
     # than failures means later rounds flipped edges the first one broke
     rng = np.random.default_rng(8)
-    base = _hex_lattice(0.1)
+    base = _hex_lattice(0.1, margin=0.0)
     pts = base + 0.01 * rng.standard_normal(base.shape)
     inner = np.flatnonzero(np.all(np.abs(pts) < 0.3, axis=1))
     cert = _LawsonCertificate.of(Delaunay(pts))
@@ -283,9 +283,9 @@ def test_certificate_fails_when_hull_vertex_moves():
 
 def test_inclusion_mesh_validates_inputs():
     with pytest.raises(ValueError):
-        square_with_inclusion_mesh(r0=0.7)
+        square_with_inclusion_mesh(r0=0.7, h=1.0 / 12.0)
     with pytest.raises(ValueError):
-        square_with_inclusion_mesh(h=-0.1)
+        square_with_inclusion_mesh(r0=0.2, h=-0.1)
 
 
 def test_mesh_text_roundtrip(tmp_path):

@@ -21,9 +21,9 @@ from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
                                metric_context, percentile_95, sample_metrics)
 from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
                                 apply_overrides, bench_gates,
-                                load_online_bundle, online_query, run_eval,
-                                run_offline, run_train, spec_from_manifest,
-                                theta_batch)
+                                load_online_bundle, online_budget_audit,
+                                online_query, run_eval, run_offline,
+                                run_train, spec_from_manifest, theta_batch)
 from rb_operon.reduction import solve_reduced_batch
 from rb_operon.svgplot import line_plot, mesh_heatmap
 
@@ -49,6 +49,42 @@ def test_apply_overrides_coercion_and_rejection():
     assert out.trunk["greedy_fixed_n"] is None
 
 
+def test_overrides_reject_the_inclusion_radius():
+    # the mesh's ring and example 3's radial map share one r0, so moving the
+    # mesh's alone would split the pullback from the region tags; nor is
+    # the POD tolerance a knob
+    for example in (1, 3):
+        with pytest.raises(ValueError, match="unknown override 'r0'"):
+            apply_overrides(example_spec(example), {"r0": 0.25})
+    with pytest.raises(ValueError, match="unknown override 'pod_tol'"):
+        apply_overrides(example_spec(1), {"pod_tol": 1e-6})
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_audit_builds_the_finer_directory_from_the_base_run(example, request,
+                                                           tmp_path):
+    # the doubled directory keeps the base run's sizes and data knobs, so
+    # only the mesh differs and the reduced arrays keep their shapes; the
+    # pinned keys are example 2's mode ranks and tolerance
+    base = str(tmp_path / "base")
+    shutil.copytree(request.getfixturevalue(f"tiny{example}_dir"), base)
+    audit = online_budget_audit(base, n_queries=20)
+    assert audit["reduced_shapes_equal"] is True
+    assert audit["alloc_within_slack"] is True
+    assert audit["n_free_ratio"] > 1.5
+    man = ArtifactDir(base).read_manifest()
+    doubled = ArtifactDir(base + "_x2").read_manifest()
+    assert doubled["sizes"] == man["sizes"]
+    pinned = open_benchmark(spec_from_manifest(man),
+                            ArtifactDir(base)).data_overrides()
+    assert ({k: v for k, v in doubled["data"].items() if k not in pinned}
+            == {k: v for k, v in man["data"].items() if k not in pinned})
+    for key, value in pinned.items():
+        assert doubled["data"][key] == value
+    assert doubled["dims_trunk"]["greedy_n"] == man["dims_trunk"]["greedy_n"]
+    assert doubled.get("dims_eim") == man.get("dims_eim")
+
+
 def test_spec_from_manifest_roundtrip(tiny1_dir):
     from conftest import TINY1
 
@@ -68,7 +104,8 @@ def test_manifest_records_mesh_relaxation(tiny1_dir, tiny2_dir):
     from conftest import TINY1
 
     relax = ArtifactDir(tiny1_dir).read_manifest()["mesh"]["relaxation"]
-    assert relax == square_with_inclusion_mesh(h=TINY1["h"]).relaxation
+    r0 = example_spec(1).mesh_recipe["r0"]
+    assert relax == square_with_inclusion_mesh(r0, TINY1["h"]).relaxation
     assert set(relax) == {"iterations", "triangulations", "flips",
                           "stop_reason"}
     assert relax["stop_reason"] in ("step_tol", "max_iters")
@@ -452,7 +489,8 @@ def test_example2_query_widths_follow_mode_ranks(tiny2_dir):
     assert not ArtifactDir(tiny2_dir).has("rb_net.json")
     bundle = load_online_bundle(ArtifactDir(tiny2_dir))
     assert bundle.net.sizes[0] == len(lo) + r_f + r_g
-    assert bundle.net.forward(bench.features(*queries[0])[None, :]).shape \
+    feats = bench.features(*queries[0])[None, :]
+    assert bundle.net.forward(feats, bundle.std).shape \
         == (1, man["dims_trunk"]["greedy_n"])
 
 

@@ -47,8 +47,10 @@ def encoded_pool(problem, n, seed=7):
     rng = np.random.default_rng(seed)
     ks = sample_parameters(spec, n, rng)
     f, g = _data_loads(problem, ks, sample_xi(spec, n, rng))
-    smodes = source_greedy(model, f, tol=spec.data["mode_tol"])
-    bmodes = boundary_greedy(model, g, tol=spec.data["mode_tol"])
+    smodes = source_greedy(model, f, spec.data["mode_tol"], f.shape[1],
+                           np.random.default_rng(0))
+    bmodes = boundary_greedy(model, g, spec.data["mode_tol"], g.shape[1],
+                             np.random.default_rng(0))
     weights = encoded_load_weights(model.theta_a(ks),
                                    encode_source(smodes, f).T,
                                    encode_boundary(bmodes, model, g).T)
@@ -301,7 +303,7 @@ def test_greedy_trace_and_estimator_consistency(tiny_problem1):
     ks, terms, weights = affine_pool(problem, 20)
     f_hat = load_columns(terms, weights)
     space, trace = greedy_build(problem.model, ks, terms, weights,
-                                fixed_n=3, alpha_lb=problem.alpha_lb)
+                                tol=None, fixed_n=3, alpha_lb=problem.alpha_lb)
     assert space.dim == 3
     assert len(trace.selected) == len(trace.max_estimator) == len(trace.basis_size)
     assert trace.basis_size == [1, 2, 3]
@@ -348,7 +350,7 @@ def test_estimator_bounds_energy_error(tiny_problem1):
     problem = tiny_problem1
     model = problem.model
     ks, terms, weights = affine_pool(problem, 16)
-    space, _ = greedy_build(model, ks, terms, weights, fixed_n=2,
+    space, _ = greedy_build(model, ks, terms, weights, tol=None, fixed_n=2,
                             alpha_lb=problem.alpha_lb)
     test_ks = sample_parameters(problem.bench.spec, 25,
                                 np.random.default_rng(99))
@@ -420,6 +422,7 @@ def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
     problem = request.getfixturevalue(name)
     model = problem.model
     ks, terms, weights = affine_pool(problem, 30)
+    kwargs = {"tol": None, **kwargs}
     affine = greedy_build(model, ks, terms, weights,
                           alpha_lb=problem.alpha_lb, **kwargs)
     columns = greedy_build(model, ks, load_columns(terms, weights),
@@ -475,11 +478,11 @@ def test_greedy_affine_loads_hold_no_load_matrix(tiny_problem1):
     model = problem.model
     n = 4096
     ks, terms, weights = affine_pool(problem, n, seed=3)
-    greedy_build(model, ks[:8], terms, weights[:8], fixed_n=2,
+    greedy_build(model, ks[:8], terms, weights[:8], tol=None, fixed_n=2,
                  alpha_lb=problem.alpha_lb)
     tracemalloc.start()
     try:
-        greedy_build(model, ks, terms, weights, fixed_n=2,
+        greedy_build(model, ks, terms, weights, tol=None, fixed_n=2,
                      alpha_lb=problem.alpha_lb)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -516,8 +519,8 @@ def test_greedy_selection_matches_full_order_estimator(name, request):
         ks, terms, weights = affine_pool(problem, 24)
         rtol = 1e-8
     f_hat = load_columns(terms, weights)
-    space, trace = greedy_build(model, ks, terms, weights, fixed_n=24,
-                                alpha_lb=problem.alpha_lb)
+    space, trace = greedy_build(model, ks, terms, weights, tol=None,
+                                fixed_n=24, alpha_lb=problem.alpha_lb)
     assert space.dim == 24
     assert_rechecked(trace, len(ks))
     top = trace.max_estimator[0]
@@ -571,8 +574,8 @@ def test_greedy_stagnation_raises(tiny_problem1):
         greedy_build(problem.model, ks, *loads, tol=1e-13, fixed_n=3,
                      alpha_lb=1e-12)
     # without a tolerance the dependent snapshot ends the loop instead
-    space, trace = greedy_build(problem.model, ks, *loads, fixed_n=3,
-                                alpha_lb=1e-12)
+    space, trace = greedy_build(problem.model, ks, *loads, tol=None,
+                                fixed_n=3, alpha_lb=1e-12)
     assert space.dim == 1
     assert trace.stop_reason == "dependent_snapshot"
 
@@ -582,28 +585,24 @@ def test_greedy_empty_pool(tiny_problem1, tiny_problem2):
     terms = tiny_problem1.bench.load_terms
     with pytest.raises(EmptySpaceError):
         greedy_build(model, np.empty((0, 2)), terms, np.empty((0, 1)),
-                     fixed_n=1)
+                     tol=None, fixed_n=1, alpha_lb=1.0)
     # every sample needs one weight per load term
     model2 = tiny_problem2.model
     terms2 = np.ones((model2.n_free, 2))
     for weights in (np.ones((2, 2)), np.ones((3, 1)), np.ones(3)):
         with pytest.raises(ValueError, match="load weights"):
-            greedy_build(model2, np.ones((3, 3)), terms2, weights, fixed_n=1)
+            greedy_build(model2, np.ones((3, 3)), terms2, weights, tol=None,
+                         fixed_n=1, alpha_lb=1.0)
 
 
 def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
     # the cap sizes every buffer of the sweep, so a tolerance alone is not
-    # enough to build; it only stops the build before the cap
+    # enough to build; it only stops the build before the cap.  A cap above
+    # the pool size allocates and stops at the pool size, where the trunk
+    # holds every sample: nothing is left to sweep, and the size records a
+    # maximum of exactly 0 after no recheck
     model = tiny_problem1.model
     ks, terms, weights = affine_pool(tiny_problem1, 8)
-    for loads in ((terms, weights), (load_columns(terms, weights), np.eye(8))):
-        with pytest.raises(ValueError, match="fixed_n"):
-            greedy_build(model, ks, *loads)
-        with pytest.raises(ValueError, match="fixed_n"):
-            greedy_build(model, ks, *loads, tol=1e-2)
-    # a cap above the pool size allocates and stops at the pool size, where
-    # the trunk holds every sample: nothing is left to sweep, and the size
-    # records a maximum of exactly 0 after no recheck
     built = []
 
     class Chol(_BorderedCholesky):
@@ -618,7 +617,8 @@ def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
 
     monkeypatch.setattr(reduction, "_SweepState", State)
     monkeypatch.setattr(reduction, "_BorderedCholesky", Chol)
-    space, trace = greedy_build(model, ks[:4], terms, weights[:4], fixed_n=10)
+    space, trace = greedy_build(model, ks[:4], terms, weights[:4], tol=None,
+                                fixed_n=10, alpha_lb=1.0)
     assert space.dim == 4 and trace.stop_reason == "size"
     assert trace.max_estimator[-1] == 0.0 < min(trace.max_estimator[:-1])
     assert_rechecked(trace, 4)
@@ -639,7 +639,7 @@ def test_pod_optimality_identity(tiny_problem1):
     snaps = np.column_stack([
         np.linalg.solve(model.assemble_interior(k).toarray(), f_hat[:, i])
         for i, k in enumerate(ks)])
-    space = pod_build(model, snaps, terms, fixed_n=4)
+    space = pod_build(model, snaps, terms, 4)
     lam = space.provenance["eigenvalues"]
     a = model.a_star_II
     proj = snaps - space.psi @ (space.psi.T @ (a @ snaps))
@@ -651,7 +651,9 @@ def test_pod_optimality_identity(tiny_problem1):
     assert np.all(np.diff(lam) <= 1e-12 * lam[0])
 
 
-def test_pod_energy_tolerance(tiny_problem1):
+def test_pod_energy_tolerance(tiny_problem1, monkeypatch):
+    tol = 1e-4
+    monkeypatch.setattr(reduction, "_POD_TOL", tol)
     problem = tiny_problem1
     model = problem.model
     ks, terms, weights = affine_pool(problem, 25, seed=13)
@@ -659,8 +661,7 @@ def test_pod_energy_tolerance(tiny_problem1):
     snaps = np.column_stack([
         np.linalg.solve(model.assemble_interior(k).toarray(), f_hat[:, i])
         for i, k in enumerate(ks)])
-    tol = 1e-4
-    space = pod_build(model, snaps, terms, tol=tol)
+    space = pod_build(model, snaps, terms, None)
     lam = space.provenance["eigenvalues"]
     total = space.provenance["trace"]
     n = space.dim
@@ -676,26 +677,19 @@ def test_pod_sparse_eigensolver_deterministic(tiny_problem1, monkeypatch):
     model = tiny_problem1.model
     snaps = np.random.default_rng(3).standard_normal((model.n_free, 30))
     terms = tiny_problem1.bench.load_terms
-    lam = [pod_build(model, snaps, terms, fixed_n=3).provenance["eigenvalues"]
+    lam = [pod_build(model, snaps, terms, 3).provenance["eigenvalues"]
            for _ in range(3)]
     assert np.array_equal(lam[0], lam[1])
     assert np.array_equal(lam[0], lam[2])
-
-
-def test_pod_needs_tolerance_or_dimension(tiny_problem1):
-    model = tiny_problem1.model
-    snaps = np.random.default_rng(3).standard_normal((model.n_free, 4))
-    with pytest.raises(ValueError, match="need a tolerance or a fixed"):
-        pod_build(model, snaps, tiny_problem1.bench.load_terms)
 
 
 def test_pod_rejects_empty(tiny_problem1):
     model = tiny_problem1.model
     terms = tiny_problem1.bench.load_terms
     with pytest.raises(EmptySpaceError):
-        pod_build(model, np.empty((model.n_free, 0)), terms, fixed_n=1)
+        pod_build(model, np.empty((model.n_free, 0)), terms, 1)
     with pytest.raises(EmptySpaceError):
-        pod_build(model, np.zeros((model.n_free, 3)), terms, fixed_n=1)
+        pod_build(model, np.zeros((model.n_free, 3)), terms, 1)
 
 
 def test_coercivity_lower_bound_modes(tiny_problem1):
