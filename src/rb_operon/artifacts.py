@@ -14,6 +14,15 @@ import numpy as np
 
 _DTYPES = {"f64": "<f8", "i64": "<i8"}
 _CODES = {np.dtype("<f8"): "f64", np.dtype("<i8"): "i64"}
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment():
+    """What a run's bytes depend on besides (configuration, seed): the numpy
+    and scipy versions, and the BLAS thread settings (None where unset)."""
+    import scipy    # loaded already by every numerical module
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            **{var: os.environ.get(var) for var in _THREAD_VARS}}
 
 
 def save_array(path, arr):

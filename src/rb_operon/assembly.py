@@ -22,7 +22,9 @@ solves, example 3's exact pullback solve) is factored by the model's
 ``BandLayout``: the interior pattern does not depend on the parameter, so
 one reverse Cuthill-McKee ordering per model fixes a band, and each
 operator is scattered into LAPACK band storage and factored by band
-Cholesky (``dpbtrf``).  Its ``info`` tests positive definiteness exactly;
+Cholesky (``dpbtrf``).  The slots of the interior pattern in that storage
+are found once per model, so an interior factor is one scatter and the
+LAPACK call.  Its ``info`` tests positive definiteness exactly;
 an operator that fails raises NotCoerciveError.
 """
 
@@ -236,8 +238,10 @@ class BandLayout:
     """Reverse Cuthill-McKee band of one symmetric sparsity pattern.
 
     ``perm`` orders the unknowns so that every entry of the pattern lies
-    within ``kd`` of the diagonal (``inv`` undoes it).  The layout counts
-    the factorizations and the right-hand sides solved through it.
+    within ``kd`` of the diagonal (``inv`` undoes it).  The pattern's band
+    slots are found once, so a factor of values on the pattern costs one
+    scatter and ``dpbtrf``.  The layout counts the factorizations and the
+    right-hand sides solved through it.
     """
 
     def __init__(self, pattern):
@@ -248,31 +252,47 @@ class BandLayout:
         coo = pattern.tocoo()
         offsets = np.abs(self.inv[coo.row] - self.inv[coo.col])
         self.kd = int(offsets.max(initial=0))
+        self._pattern_slots = self._slots(pattern, "pattern")
         self.factorizations = 0
         self.solves = 0
 
     def counts(self):
         return {"factorizations": self.factorizations, "solves": self.solves}
 
-    def factor(self, a, what):
-        """Band Cholesky factor of the symmetric ``a``; NotCoerciveError
-        unless it is positive definite.
+    def _slots(self, a, what):
+        """Where the CSR ``a``'s entries go in LAPACK lower band storage.
 
-        The lower triangle of P a P^T is scattered into LAPACK lower band
-        storage; an entry outside the band raises ValueError.
+        Returns (lower, flat): the positions in ``a.data`` of the lower
+        triangle of P a P^T, and their flat indices in the Fortran-ordered
+        (kd + 1, n) band.  An entry outside the band raises ValueError.
         """
-        a = sparse.csr_matrix(a, copy=True)
-        a.sum_duplicates()
         rows = self.inv[np.repeat(np.arange(self.n), np.diff(a.indptr))]
         cols = self.inv[a.indices]
-        lower = rows >= cols
+        lower = np.flatnonzero(rows >= cols)
         rows, cols = rows[lower], cols[lower]
         if np.any(rows - cols > self.kd):
             raise ValueError(f"{what} has entries outside the band of "
                              f"half-width {self.kd}")
-        ab = np.zeros((self.kd + 1, self.n), order="F")
-        ab[rows - cols, cols] = a.data[lower]
-        cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        return lower, rows - cols + (self.kd + 1) * cols
+
+    def factor(self, a, what):
+        """Band Cholesky factor of the symmetric sparse ``a``, whatever its
+        pattern; NotCoerciveError unless it is positive definite."""
+        a = sparse.csr_matrix(a, copy=True)
+        a.sum_duplicates()
+        return self._factor(a.data, self._slots(a, what), what)
+
+    def factor_pattern(self, values, what):
+        """``factor`` of the matrix with CSR data ``values`` on the layout's
+        pattern."""
+        return self._factor(values, self._pattern_slots, what)
+
+    def _factor(self, values, slots, what):
+        lower, flat = slots
+        ab = np.zeros((self.kd + 1) * self.n)
+        ab[flat] = values[lower]
+        cb, info = dpbtrf(ab.reshape((self.kd + 1, self.n), order="F"),
+                          lower=1, overwrite_ab=1)
         if info != 0:
             raise NotCoerciveError(f"{what} is not positive definite")
         self.factorizations += 1
@@ -431,7 +451,7 @@ def aggregated_load(model, k, f_free, g_b):
 def truth_solve(model, k, f_hat):
     """Free-node solution of A_II(k) w = f_hat, checked SPD and by residual."""
     a = model.assemble_interior(k)
-    fac = model.band.factor(a, "interior operator")
+    fac = model.band.factor_pattern(a.data, "interior operator")
     f_hat = np.asarray(f_hat, dtype=float)
     w = fac.solve(f_hat)
     ref = np.linalg.norm(f_hat)
@@ -442,7 +462,9 @@ def truth_solve(model, k, f_hat):
 
 def interior_factor(model, k):
     """Reusable band Cholesky factor of A_II(k), checked SPD."""
-    return model.band.factor(model.assemble_interior(k), "interior operator")
+    theta = model.theta_a(np.asarray(k, dtype=float))
+    return model.band.factor_pattern(theta @ model.affine_II.data,
+                                     "interior operator")
 
 
 def full_field(model, w_free, g_b=None):

@@ -31,7 +31,12 @@ _IMPROVE_RTOL = 1e-8    # relative validation-loss gain that is progress
 def gelu_grad(x, cdf):
     """Derivative Phi(x) + x phi(x) of the exact GELU x Phi(x), given the
     normal CDF ``cdf`` = Phi(x) the forward pass computed."""
-    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    out = x * _INV_SQRT_2PI
+    e = -0.5 * x
+    e *= x
+    out *= np.exp(e, out=e)
+    out += cdf
+    return out
 
 
 def xavier_init(shape, rng):
@@ -64,7 +69,11 @@ class MLP:
     def __init__(self, sizes, seed=0):
         self.sizes = list(sizes)
         self.n_weights = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
-        self.flat = np.zeros(self.n_weights + sum(sizes[1:]))
+        shapes = list(zip(self.sizes[:-1], self.sizes[1:])) + self.sizes[1:]
+        bounds = np.cumsum([0] + [np.prod(s) for s in shapes])
+        # (start, stop, shape) in ``flat`` of each weight matrix, then bias
+        self._layout = list(zip(bounds[:-1], bounds[1:], shapes))
+        self.flat = np.zeros(bounds[-1])
         parts = self.split(self.flat)
         self.weights, self.biases = parts[:len(sizes) - 1], parts[len(sizes) - 1:]
         rng = np.random.default_rng(seed)
@@ -78,9 +87,7 @@ class MLP:
     def split(self, vec):
         """Per-layer views into ``vec``, laid out like ``flat``: the weight
         matrices, then the biases."""
-        shapes = list(zip(self.sizes[:-1], self.sizes[1:])) + self.sizes[1:]
-        ends = np.cumsum([np.prod(s) for s in shapes])[:-1]
-        return [p.reshape(s) for p, s in zip(np.split(vec, ends), shapes)]
+        return [vec[lo:hi].reshape(s) for lo, hi, s in self._layout]
 
     def parameters(self):
         return self.weights + self.biases
@@ -117,8 +124,8 @@ class MLP:
             np.matmul(acts[i].T, g, out=parts[i])
             g.sum(axis=0, out=parts[nw + i])
             if i > 0:
-                g = (g @ self.weights[i].T) * gelu_grad(pres[i - 1],
-                                                        cdfs[i - 1])
+                g = g @ self.weights[i].T
+                g *= gelu_grad(pres[i - 1], cdfs[i - 1])
         return grad
 
 
@@ -139,34 +146,47 @@ def supervised_loss(gram, targets, squares, c):
 
 @dataclass
 class AdamWState:
+    """AdamW moments of a parameter vector, kept scaled: ``m`` is the first
+    moment over 1 - beta1 and ``v`` the second over 1 - beta2.  ``scratch``
+    holds one block of the step's temporaries."""
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
     def init(cls, flat):
-        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat),
+                   scratch=np.empty(min(flat.size, _ADAMW_BLOCK)))
 
 
 def adamw_step(state, flat, grad, lr, n_decay):
     """One AdamW update of the vector ``flat`` in place.
 
     Decoupled decay, applied before the step, shrinks the first ``n_decay``
-    entries: the weights of an ``MLP.flat``, not its biases.  The step runs
-    block by block, so that its temporaries stay in cache.
+    entries: the weights of an ``MLP.flat``, not its biases.  With the
+    scaled moments m <- beta1 m + g and v <- beta2 v + g^2, the step
+    lr m_hat / (sqrt(v_hat) + eps) is m / (c sqrt(v) + eps'), lr, the bias
+    corrections and eps folded into the two scalars c and eps'.  The step
+    runs block by block, so that its temporaries stay in cache.
     """
     state.t += 1
-    bc1 = 1.0 - _BETA1 ** state.t
-    bc2 = 1.0 - _BETA2 ** state.t
+    scale = (1.0 - _BETA1 ** state.t) / (lr * (1.0 - _BETA1))
+    c = scale * np.sqrt((1.0 - _BETA2) / (1.0 - _BETA2 ** state.t))
+    eps = scale * _EPS
     flat[:n_decay] *= 1.0 - lr * _WEIGHT_DECAY
     for lo in range(0, flat.size, _ADAMW_BLOCK):
         sl = slice(lo, lo + _ADAMW_BLOCK)
         m, v, g = state.m[sl], state.v[sl], grad[sl]
+        s = state.scratch[:g.size]
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += g
         v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        flat[sl] -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        v += np.multiply(g, g, out=s)
+        np.sqrt(v, out=s)
+        s *= c
+        s += eps
+        flat[sl] -= np.divide(m, s, out=s)
 
 
 @dataclass

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import ArtifactDir, load_net, load_space, save_net, save_space
+from .artifacts import (ArtifactDir, _jsonable, environment, load_net,
+                        load_space, save_net, save_space)
 from .assembly import full_field, interior_factor
 from .branchnet import (MLP, ResidualData, Standardizer, SupervisedData,
                         TrainConfig, train)
@@ -113,8 +114,8 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
     Writes mesh, sampled pools, data modes (example 2), EIM surrogate
     (example 3), greedy trunk with its certification trace, optional POD
     trunk with its Gram and supervised targets, and a manifest of every
-    constant and of the full-order factorizations and right-hand sides
-    solved.
+    constant, of the library versions and BLAS thread settings, and of the
+    full-order factorizations and right-hand sides solved.
     """
     spec = apply_overrides(example_spec(example), overrides)
     # the builders would reject these only after the steps before them
@@ -137,6 +138,7 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
         "data": spec.data,
         "sizes": {k: getattr(spec, k) for k in _SIZE_KEYS},
         "hidden_sizes": list(HIDDEN_SIZES),
+        "environment": environment(),
         "alpha_lb": problem.alpha_lb,
         "mesh": {
             "n_nodes": problem.mesh.n_nodes,
@@ -478,28 +480,47 @@ def _doubled_recipe(recipe):
 def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
     """Prove the online path is independent of the full-order dimension.
 
-    Builds (or reuses) a second offline directory on a mesh with roughly
-    twice the nodes but identical reduced dimensions, then compares the
-    per-query wall time and the per-query transient allocation between the
-    two.  All results land in audit.json next to the base artifacts.
+    Builds a second offline directory on a mesh with roughly twice the
+    nodes but identical reduced dimensions, then compares the per-query
+    wall time and the per-query transient allocation between the two.  An
+    existing doubled directory is reused only if its manifest records the
+    sizes, data knobs, mesh, seed and N this audit asks for; otherwise the
+    default ``DIR_x2`` is rebuilt, and a ``doubled_dir`` given by the caller
+    raises ValueError.  All results land in audit.json next to the base
+    artifacts.
     """
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
     base = load_online_bundle(adir)
+    given = doubled_dir is not None
+    # the base run's sizes and data knobs on the finer mesh, N pinned
+    example = int(manifest["example"])
+    n_rb = manifest["dims_trunk"]["greedy_n"]
+    overrides = dict(manifest["sizes"])
+    overrides.update((k, v) for k, v in manifest["data"].items()
+                     if k in _DATA_KEYS)
+    overrides.update(_doubled_recipe(manifest["mesh_recipe"]))
+    overrides["greedy_fixed_n"] = int(n_rb)
+    overrides["greedy_tol"] = None
+    overrides.update(base.bench.data_overrides())
+    spec = apply_overrides(example_spec(example), overrides)
+    want = _jsonable({"sizes": {k: getattr(spec, k) for k in _SIZE_KEYS},
+                      "data": spec.data, "mesh_recipe": spec.mesh_recipe,
+                      "seed": manifest["seed"], "greedy_n": n_rb})
     if doubled_dir is None:
         doubled_dir = adir.path.rstrip("/\\") + "_x2"
     d_adir = ArtifactDir(doubled_dir)
-    if not d_adir.has("manifest.json"):
-        # the base run's sizes and data knobs on the finer mesh, N pinned
-        overrides = dict(manifest["sizes"])
-        overrides.update((k, v) for k, v in manifest["data"].items()
-                         if k in _DATA_KEYS)
-        overrides.update(_doubled_recipe(manifest["mesh_recipe"]))
-        overrides["greedy_fixed_n"] = int(manifest["dims_trunk"]["greedy_n"])
-        overrides["greedy_tol"] = None
-        overrides.update(base.bench.data_overrides())
-        run_offline(int(manifest["example"]), doubled_dir,
-                    seed=int(manifest["seed"]), pod=False, overrides=overrides)
+    stale = list(want)      # all of it, when nothing was built yet
+    if d_adir.has("manifest.json"):
+        got = d_adir.read_manifest()
+        got["greedy_n"] = got["dims_trunk"]["greedy_n"]
+        stale = [k for k in want if got.get(k) != want[k]]
+        if stale and given:
+            raise ValueError(f"{doubled_dir} was not built for this audit; "
+                             f"it differs in {', '.join(stale)}")
+    if stale:
+        run_offline(example, doubled_dir, seed=int(manifest["seed"]),
+                    pod=False, overrides=overrides)
 
     doubled = load_online_bundle(d_adir)
     queries = base.bench.draw_queries(n_queries, np.random.default_rng(seed))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.lapack import dpbtrf
 
 from rb_operon.assembly import (AffineSparse, ParametricModel, aggregated_load,
                                 assemble_boundary_mass, assemble_load_boundary,
@@ -9,6 +10,7 @@ from rb_operon.assembly import (AffineSparse, ParametricModel, aggregated_load,
                                 full_field, interior_factor,
                                 triangle_geometry, truth_solve)
 from rb_operon.errors import EmptyMatrixError, NotCoerciveError
+from rb_operon.examples import example3_direct_operator
 from rb_operon.mesh import (dirichlet_nodes, square_with_inclusion_mesh,
                             unit_square_mesh)
 
@@ -248,6 +250,47 @@ def test_band_factor_reproduces_permuted_operator(tiny_problem1):
     diff = abs(fac.L @ fac.U - a[p][:, p])
     assert diff.max() <= 1e-13 * abs(a).max()
     assert fac.L.nnz > 0 and fac.U.nnz == fac.L.nnz
+
+
+def scatter_factor(band, a):
+    """Oracle: band Cholesky storage scattered from the permuted lower
+    triangle of ``a`` by 2-D indexing, then ``dpbtrf``."""
+    a = sparse.csr_matrix(a, copy=True)
+    a.sum_duplicates()
+    rows = band.inv[np.repeat(np.arange(band.n), np.diff(a.indptr))]
+    cols = band.inv[a.indices]
+    lower = rows >= cols
+    ab = np.zeros((band.kd + 1, band.n), order="F")
+    ab[rows[lower] - cols[lower], cols[lower]] = a.data[lower]
+    cb, info = dpbtrf(ab, lower=1)
+    assert info == 0
+    return cb
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_band_slots_match_the_2d_scatter_bitwise(example, request, rng):
+    # the pattern's slots, kept by the layout, and the slots found for a
+    # matrix off the pattern give the same factor bits as the 2-D scatter
+    problem = request.getfixturevalue(f"tiny_problem{example}")
+    model = problem.model
+    band = model.band
+    lo, hi = np.asarray(problem.bench.spec.param_ranges, dtype=float).T
+    for k in [model.k_star, *rng.uniform(lo, hi, size=(3, len(lo)))]:
+        a = model.assemble_interior(k)
+        want = scatter_factor(band, a)
+        assert np.array_equal(interior_factor(model, k).cb, want)
+        assert np.array_equal(band.factor(a, "interior operator").cb, want)
+    off_pattern = [model.a_star_II]
+    if example == 2:    # the diffusion block of its coercivity bound
+        off_pattern.append(model.affine_II.term(0))
+    if example == 3:
+        a0, a1 = example3_direct_operator(problem, 0.3)
+        off_pattern.append((2.0 * a0 + a1).tocsr()[model.free][:, model.free])
+    for a in off_pattern:
+        assert np.array_equal(band.factor(a, "operator").cb,
+                              scatter_factor(band, a))
+    assert np.array_equal(model.star_factor.cb,
+                          scatter_factor(band, model.a_star_II))
 
 
 def test_band_factor_rejects_entry_outside_band(tiny_problem1):

@@ -209,16 +209,39 @@ def test_adamw_decay_skips_biases(monkeypatch):
     assert p[1] == 1.0
 
 
+def test_adamw_blocks_match_textbook_order(monkeypatch):
+    # scaled moments and folded scalars against the textbook per-array
+    # AdamW: 200 steps over several blocks, the lr halved part way through
+    monkeypatch.setattr(branchnet, "_WEIGHT_DECAY", 0.01)
+    rng = np.random.default_rng(7)
+    n = 2 * branchnet._ADAMW_BLOCK + 1234
+    n_decay = branchnet._ADAMW_BLOCK + 99
+    flat = rng.uniform(1.0, 2.0, n)
+    ref = [flat[:n_decay].copy(), flat[n_decay:].copy()]
+    ref_state = {"t": 0, "m": [np.zeros_like(p) for p in ref],
+                 "v": [np.zeros_like(p) for p in ref]}
+    state = AdamWState.init(flat)
+    scales = np.repeat(rng.uniform(1e-4, 1e2, 40), -(-n // 40))[:n]
+    for step in range(200):
+        lr = 1e-3 if step < 120 else 5e-4
+        grad = scales * rng.standard_normal(n)
+        adamw_step(state, flat, grad, lr, n_decay)
+        per_array_adamw(ref_state, ref, [grad[:n_decay], grad[n_decay:]],
+                        lr, 0.01, [True, False])
+    np.testing.assert_allclose(flat, np.concatenate(ref), rtol=1e-12, atol=0)
+
+
 def test_flat_steps_match_per_array_loop_bitwise(rng, monkeypatch):
-    # backward and AdamW on the flat vector against the per-array forms;
-    # small AdamW blocks that straddle the weight/bias boundary
+    # backward and AdamW on the flat vector against the per-array forms:
+    # the AdamW oracle steps each parameter array with its own state, so
+    # small AdamW blocks that straddle the weight/bias boundary must give
+    # the same bits
     monkeypatch.setattr(branchnet, "_ADAMW_BLOCK", 7)
     monkeypatch.setattr(branchnet, "_WEIGHT_DECAY", 0.1)
     net = MLP([3, 7, 6, 2], seed=3)
     ref = [p.copy() for p in net.parameters()]
-    ref_state = {"t": 0, "m": [np.zeros_like(p) for p in ref],
-                 "v": [np.zeros_like(p) for p in ref]}
-    mask = [True] * len(net.weights) + [False] * len(net.biases)
+    ref_states = [AdamWState.init(p.ravel()) for p in ref]
+    n_decay = [p.size for p in net.weights] + [0] * len(net.biases)
     ref_net = MLP([3, 7, 6, 2], seed=3)
     state = AdamWState.init(net.flat)
     for _ in range(4):
@@ -234,7 +257,8 @@ def test_flat_steps_match_per_array_loop_bitwise(rng, monkeypatch):
         assert np.array_equal(grad, np.concatenate(
             [g.ravel() for g in ref_grads]))
         adamw_step(state, net.flat, grad, 1e-2, net.n_weights)
-        per_array_adamw(ref_state, ref, ref_grads, 1e-2, 0.1, mask)
+        for p, g, st, nd in zip(ref, ref_grads, ref_states, n_decay):
+            adamw_step(st, p.ravel(), g.ravel(), 1e-2, nd)
         assert np.array_equal(net.flat,
                               np.concatenate([p.ravel() for p in ref]))
 

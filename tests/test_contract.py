@@ -90,6 +90,39 @@ def test_fill_hook_reads_interior_factor(tiny_problem1):
     assert out["fill_nnz"] > 0
 
 
+def test_traced_layers_count_what_they_measure(tiny_problem1, rng):
+    # the harness's layer numbers rest on these spans: one per AdamW step
+    # of a training run, one per band factor of the pool snapshots
+    from rb_operon import pipeline
+    from rb_operon.branchnet import (_BATCH, MLP, ResidualData, TrainConfig,
+                                     train)
+
+    model = tiny_problem1.model
+    ks = np.column_stack([rng.uniform(0.1, 10.0, 5), rng.uniform(-1, 1, 5)])
+    terms = rng.standard_normal((model.n_free, 2))
+    n, width = 100, 3
+
+    def data(rows):
+        return ResidualData(features=rng.standard_normal((rows, 2)),
+                            theta=rng.uniform(0.5, 1.5, (rows, 2)),
+                            a_blocks=np.stack([np.eye(width)] * 2),
+                            c_n=rng.standard_normal((rows, width)))
+
+    tracer = _spans().Tracer().install()
+    try:
+        before = model.band.factorizations
+        pipeline._pool_snapshots(model, ks, terms, rng.standard_normal((5, 2)))
+        factors = model.band.factorizations - before
+        history = train(MLP([2, 8, width], seed=0), data(n), data(20),
+                        TrainConfig(epochs=2, early_stop=5))[2]
+    finally:
+        tracer.uninstall()
+    calls = {name: tracer.names.count(name) for name in set(tracer.names)}
+    assert calls["assembly.interior_factor"] == factors == len(ks)
+    assert history.stopped_epoch == 1
+    assert calls["branchnet.adamw_step"] == 2 * -(-n // _BATCH)
+
+
 def _modules_using(name):
     """Package modules that import ``name`` or reach it as an attribute."""
     pkg = os.path.join(ROOT, "src", "rb_operon")

@@ -62,7 +62,8 @@ def test_overrides_reject_the_inclusion_radius():
 
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_audit_builds_the_finer_directory_from_the_base_run(example, request,
-                                                           tmp_path):
+                                                           tmp_path,
+                                                           monkeypatch):
     # the doubled directory keeps the base run's sizes and data knobs, so
     # only the mesh differs and the reduced arrays keep their shapes; the
     # pinned keys are example 2's mode ranks and tolerance
@@ -83,6 +84,67 @@ def test_audit_builds_the_finer_directory_from_the_base_run(example, request,
         assert doubled["data"][key] == value
     assert doubled["dims_trunk"]["greedy_n"] == man["dims_trunk"]["greedy_n"]
     assert doubled.get("dims_eim") == man.get("dims_eim")
+
+    # a second audit finds the doubled directory up to date
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("a matching doubled directory was rebuilt")
+
+    monkeypatch.setattr("rb_operon.pipeline.run_offline", no_rebuild)
+    assert online_budget_audit(base, n_queries=10)["reduced_shapes_equal"]
+
+
+def test_audit_rebuilds_a_doubled_directory_of_another_base_run(tmp_path):
+    # a base rebuilt with other sizes and N is audited against a doubled
+    # directory built anew, not against the one left by the first build
+    from conftest import TINY1
+
+    base = str(tmp_path / "base")
+    run_offline(1, base, seed=0, pod=False, overrides=TINY1)
+    online_budget_audit(base, n_queries=10)
+    run_offline(1, base, seed=0, pod=False,
+                overrides=dict(TINY1, n_pool=40, greedy_fixed_n=3))
+    audit = online_budget_audit(base, n_queries=10)
+    assert audit["reduced_shapes_equal"] is True
+    doubled = ArtifactDir(base + "_x2").read_manifest()
+    assert doubled["sizes"]["n_pool"] == 40
+    assert doubled["dims_trunk"]["greedy_n"] == 3
+
+
+def test_audit_rejects_a_given_doubled_directory_of_another_run(tmp_path,
+                                                                tiny1_dir):
+    # a doubled directory named by the caller is never rebuilt: one built
+    # for other settings raises, naming what differs
+    from conftest import TINY1
+
+    base = str(tmp_path / "base")
+    shutil.copytree(tiny1_dir, base)
+    other = str(tmp_path / "other")
+    run_offline(1, other, seed=1, pod=False,
+                overrides=dict(TINY1, h=TINY1["h"] / np.sqrt(2.0)))
+    with pytest.raises(ValueError, match="differs in seed$"):
+        online_budget_audit(base, doubled_dir=other, n_queries=10)
+
+
+def test_manifest_records_the_environment(tiny1_dir, monkeypatch,
+                                          tmp_path):
+    # the library versions and BLAS thread settings the bytes depend on,
+    # null where a variable is unset; no timing
+    import scipy
+
+    env = ArtifactDir(tiny1_dir).read_manifest()["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert set(env) == {"numpy", "scipy", "OMP_NUM_THREADS",
+                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    from conftest import TINY1
+
+    out = run_offline(1, str(tmp_path / "env"), seed=0, pod=False,
+                      overrides=dict(TINY1, greedy_fixed_n=1))
+    env = out.read_manifest()["environment"]
+    assert env["OMP_NUM_THREADS"] == "3"
+    assert env["MKL_NUM_THREADS"] is None
 
 
 def test_spec_from_manifest_roundtrip(tiny1_dir):
