@@ -125,12 +125,11 @@ def _cmd_bench(args):
 
     cfg = _load_config(args)
     pod = cfg.pop("pod", None)
-    audit = cfg.pop("audit", None)
     # the seed comes from --seed, not from the config file
     train_keys = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
     train_cfg = {k: cfg.pop(k) for k in list(cfg) if k in train_keys}
     report, fails = run_bench(args.example, args.out, seed=args.seed,
-                              check=args.check, pod=pod, audit=audit,
+                              check=args.check, pod=pod,
                               train_config=train_cfg or None,
                               overrides=cfg or None)
     print(report.format_table())

@@ -21,7 +21,7 @@ O(N(r_f + Q_a r_g)).
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .assembly import lifting_terms
 from .errors import EmptySpaceError

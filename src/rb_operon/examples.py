@@ -361,7 +361,7 @@ class Example1:
     one parameter row ``k`` or stacked rows, and the modal data coordinates
     (a, b) that only example 2 has (None elsewhere)."""
 
-    pod = audit = True        # run_bench defaults
+    pod = True                # run_bench default
     # (method, measure, statistic, bound); rows of absent methods are skipped
     gates = (("rb_galerkin", "rel_l2", "mean", 1e-5),
              ("rb_galerkin", "rel_residual", "mean", 1e-12),
@@ -436,10 +436,6 @@ class Example1:
         """n seeded online query inputs (k, a, b)."""
         return [(k, None, None) for k in sample_parameters(self.spec, n, rng)]
 
-    def data_overrides(self):
-        """Overrides that rebuild this run's data dimensions on another mesh."""
-        return {}
-
     def rhs(self, space, blocks, theta, k, a, b):
         """Reduced load; ``blocks`` are what ``rhs_blocks`` split from the
         space."""
@@ -485,7 +481,6 @@ class Example1:
 class Example3(Example1):
     """Example 1 with the inclusion radius k3: EIM weights, exact truth."""
 
-    audit = False
     gates = (("rb_galerkin", "rel_l2", "mean", 5e-3),
              ("rb_deeponet", "rel_l2", "mean", 8e-2))
     n_params = NOMINAL_PARAM_COUNTS[3]
@@ -540,7 +535,7 @@ class Example2(Example1):
     """Reaction-diffusion with independent manufactured data, compressed
     into modes whose coordinates (a, b) join k in features and load."""
 
-    pod = audit = False
+    pod = False
     gates = (("rb_galerkin", "rel_l2", "mean", 1e-2),
              ("rb_deeponet", "rel_l2", "mean", 5e-2))
     nominal_dims = (("trunk dimension", "dims_trunk", "greedy_n", 209),
@@ -582,10 +577,6 @@ class Example2(Example1):
         a = rng.standard_normal((n, self.ranks[0]))
         b = rng.standard_normal((n, self.ranks[1]))
         return list(zip(ks, a, b))
-
-    def data_overrides(self):
-        r_f, r_g = self.ranks
-        return {"mode_tol": 0.0, "r_f_max": r_f, "r_g_max": r_g}
 
     def rhs(self, space, blocks, theta, k, a, b):
         if np.ndim(theta) == 1:

@@ -26,9 +26,9 @@ from .artifacts import (ArtifactDir, _jsonable, environment, load_net,
 from .assembly import full_field, interior_factor
 from .branchnet import (MLP, ResidualData, Standardizer, SupervisedData,
                         TrainConfig, train)
-from .examples import (BENCHMARKS, HIDDEN_SIZES, NOMINAL_PARAM_COUNTS,
-                       ExampleSpec, build_problem, example_spec, load_problem,
-                       open_benchmark, sample_parameters)
+from .examples import (BENCHMARKS, HIDDEN_SIZES, ExampleSpec, build_problem,
+                       example_spec, load_problem, open_benchmark,
+                       sample_parameters)
 from .mesh import min_angle_deg, write_mesh_text
 from .metrics import (MethodMetrics, MetricsReport, metric_context,
                       reduced_dual_norm, sample_metrics)
@@ -44,7 +44,22 @@ _TRUNK_KEYS = ("pod_fixed_n", "greedy_tol", "greedy_fixed_n")
 _MESH_KEYS = ("h", "n")   # not r0: example 3's radial map shares the mesh's
 _DATA_KEYS = ("mode_tol", "r_f_max", "r_g_max", "sweep_subset",
               "eim_q", "eim_train")
+# each reduced rank a manifest records, (section, key), and the knob that
+# caps it: the audit's finer run pins every one the base run recorded
+_PINS = (("dims_trunk", "greedy_n", "greedy_fixed_n"),
+         ("dims_modes", "r_f", "r_f_max"),
+         ("dims_modes", "r_g", "r_g_max"),
+         ("dims_eim", "q", "eim_q"))
 _TIMING_ROUNDS, _ALLOC_REPS = 7, 15   # audit: timed rounds, traced queries
+
+
+def _positive_int(key, val):
+    """An integer knob's value: an int or an integral float, at least 1."""
+    integral = (isinstance(val, int)
+                or isinstance(val, float) and val.is_integer())
+    if isinstance(val, bool) or not integral or val < 1:
+        raise ValueError(f"{key} must be a positive integer, got {val!r}")
+    return int(val)
 
 
 def apply_overrides(spec, overrides):
@@ -52,7 +67,8 @@ def apply_overrides(spec, overrides):
 
     Accepted keys: pool/train/val/test sizes, trunk tolerances and fixed
     dimensions, mesh recipe knobs present in the recipe, and data-family
-    knobs present for the example.  Anything else raises ValueError.
+    knobs present for the example.  Anything else, and an integer knob that
+    is not a positive integer, raises ValueError.
     """
     if not overrides:
         return spec
@@ -63,19 +79,21 @@ def apply_overrides(spec, overrides):
             for k, v in spec.data.items()}
     for key, val in overrides.items():
         if key in _SIZE_KEYS:
-            kwargs[key] = int(val)
+            kwargs[key] = _positive_int(key, val)
         elif key in _TRUNK_KEYS:
             trunk[key] = None if val is None else (
-                int(val) if key.endswith("_fixed_n") else float(val))
+                _positive_int(key, val) if key.endswith("_fixed_n")
+                else float(val))
         elif key in _MESH_KEYS:
             if key not in recipe:
                 raise ValueError(f"mesh recipe has no knob {key!r}")
-            recipe[key] = int(val) if key == "n" else float(val)
+            recipe[key] = (_positive_int(key, val) if key == "n"
+                           else float(val))
         elif key in _DATA_KEYS:
             if key not in data:
                 raise ValueError(f"example has no data knob {key!r}")
-            cur = data[key]
-            data[key] = type(cur)(val)
+            data[key] = (_positive_int(key, val)
+                         if isinstance(data[key], int) else float(val))
         else:
             raise ValueError(f"unknown override {key!r}")
     return replace(spec, mesh_recipe=recipe, trunk=trunk, data=data, **kwargs)
@@ -445,15 +463,18 @@ def online_query(bundle, k, a=None, b=None):
     return c_net, c_gal, res
 
 
-def _time_queries(bundle, queries):
-    """Best per-query seconds over the rounds, and every round's seconds."""
-    times = []
+def _time_queries(bundles, queries):
+    """Per bundle, the best per-query seconds over the rounds and every
+    round's seconds.  The bundles take turns within each round, so a slow
+    spell of the machine reaches all of them alike."""
+    times = [[] for _ in bundles]
     for _ in range(_TIMING_ROUNDS):
-        t0 = time.perf_counter()
-        for q in queries:
-            online_query(bundle, *q)
-        times.append(time.perf_counter() - t0)
-    return min(times) / len(queries), times
+        for bundle, rounds in zip(bundles, times):
+            t0 = time.perf_counter()
+            for q in queries:
+                online_query(bundle, *q)
+            rounds.append(time.perf_counter() - t0)
+    return [(min(rounds) / len(queries), rounds) for rounds in times]
 
 
 def _alloc_peak(bundle, queries):
@@ -482,38 +503,42 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
 
     Builds a second offline directory on a mesh with roughly twice the
     nodes but identical reduced dimensions, then compares the per-query
-    wall time and the per-query transient allocation between the two.  An
+    wall time and the per-query transient allocation between the two.  The
+    finer run takes the base manifest's sizes, trunk and data knobs, each
+    recorded reduced rank pinned by the knob that caps it (``_PINS``).  An
     existing doubled directory is reused only if its manifest records the
-    sizes, data knobs, mesh, seed and N this audit asks for; otherwise the
-    default ``DIR_x2`` is rebuilt, and a ``doubled_dir`` given by the caller
-    raises ValueError.  All results land in audit.json next to the base
-    artifacts.
+    sizes, trunk, data knobs, mesh and seed this audit asks for; otherwise
+    the default ``DIR_x2`` is rebuilt, and a ``doubled_dir`` given by the
+    caller raises ValueError.  All results land in audit.json next to the
+    base artifacts.
     """
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
     base = load_online_bundle(adir)
     given = doubled_dir is not None
-    # the base run's sizes and data knobs on the finer mesh, N pinned
     example = int(manifest["example"])
-    n_rb = manifest["dims_trunk"]["greedy_n"]
-    overrides = dict(manifest["sizes"])
+    overrides = {**manifest["sizes"], **manifest["trunk"]}
     overrides.update((k, v) for k, v in manifest["data"].items()
                      if k in _DATA_KEYS)
     overrides.update(_doubled_recipe(manifest["mesh_recipe"]))
-    overrides["greedy_fixed_n"] = int(n_rb)
+    # no tolerance may stop a pinned build short of its recorded rank
     overrides["greedy_tol"] = None
-    overrides.update(base.bench.data_overrides())
+    if "mode_tol" in manifest["data"]:
+        overrides["mode_tol"] = 0.0
+    for section, key, knob in _PINS:
+        if section in manifest:
+            overrides[knob] = manifest[section][key]
     spec = apply_overrides(example_spec(example), overrides)
     want = _jsonable({"sizes": {k: getattr(spec, k) for k in _SIZE_KEYS},
-                      "data": spec.data, "mesh_recipe": spec.mesh_recipe,
-                      "seed": manifest["seed"], "greedy_n": n_rb})
+                      "trunk": spec.trunk, "data": spec.data,
+                      "mesh_recipe": spec.mesh_recipe,
+                      "seed": manifest["seed"]})
     if doubled_dir is None:
         doubled_dir = adir.path.rstrip("/\\") + "_x2"
     d_adir = ArtifactDir(doubled_dir)
     stale = list(want)      # all of it, when nothing was built yet
     if d_adir.has("manifest.json"):
         got = d_adir.read_manifest()
-        got["greedy_n"] = got["dims_trunk"]["greedy_n"]
         stale = [k for k in want if got.get(k) != want[k]]
         if stale and given:
             raise ValueError(f"{doubled_dir} was not built for this audit; "
@@ -526,8 +551,8 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
     queries = base.bench.draw_queries(n_queries, np.random.default_rng(seed))
 
     shapes_equal = base.shapes() == doubled.shapes()
-    t_base, rounds_base = _time_queries(base, queries)
-    t_doubled, rounds_doubled = _time_queries(doubled, queries)
+    (t_base, rounds_base), (t_doubled, rounds_doubled) = _time_queries(
+        (base, doubled), queries)
     alloc_base = _alloc_peak(base, queries)
     alloc_doubled = _alloc_peak(doubled, queries)
     slack = max(4096.0, 0.02 * alloc_base)
@@ -556,7 +581,7 @@ def _gate(fails, name, value, bound):
         fails.append(f"{name}: {value:.3e} exceeds {bound:.3e}")
 
 
-def bench_gates(example, report, manifest, audit=None):
+def bench_gates(example, report, manifest, audit):
     """The pinned pass/fail bounds for one benchmark report."""
     s = report.summary()
     bench = BENCHMARKS[example]
@@ -572,37 +597,34 @@ def bench_gates(example, report, manifest, audit=None):
     counted = manifest.get("train_rb", {}).get("n_params")
     if bench.n_params and counted not in (None, bench.n_params):
         fails.append(f"branch parameter count {counted} != {bench.n_params}")
-    if audit is not None:
-        if not audit["reduced_shapes_equal"]:
-            fails.append("online arrays changed shape under mesh refinement")
-        if not audit["alloc_within_slack"]:
-            fails.append("online allocation grew under mesh refinement")
-        _gate(fails, "online time change", abs(audit["time_ratio"] - 1.0), 0.2)
+    if not audit["reduced_shapes_equal"]:
+        fails.append("online arrays changed shape under mesh refinement")
+    if not audit["alloc_within_slack"]:
+        fails.append("online allocation grew under mesh refinement")
+    _gate(fails, "online time change", abs(audit["time_ratio"] - 1.0), 0.2)
     return fails
 
 
-def run_bench(example, outdir, seed=0, check=False, pod=None, audit=None,
+def run_bench(example, outdir, seed=0, check=False, pod=None,
               train_config=None, overrides=None):
-    """Offline + training + evaluation for one benchmark, with gates.
+    """Offline + training + evaluation + online budget audit for one
+    benchmark, with gates.
 
     Returns (report, fails); ``fails`` is non-empty when ``check`` is set
     and a pinned bound is violated.
     """
     if pod is None:
         pod = BENCHMARKS[example].pod
-    if audit is None:
-        audit = BENCHMARKS[example].audit
     adir = run_offline(example, outdir, seed=seed, pod=pod,
                        overrides=overrides)
     run_train(outdir, "rb", seed=seed + 1, config=train_config)
     if pod:
         run_train(outdir, "pod", seed=seed + 1, config=train_config)
     report = run_eval(outdir, seed=seed + 2, plots=True)
-    audit_result = online_budget_audit(outdir) if audit else None
+    audit = online_budget_audit(outdir)
     fails = []
     if check:
-        fails = bench_gates(example, report, adir.read_manifest(),
-                            audit_result)
+        fails = bench_gates(example, report, adir.read_manifest(), audit)
         adir.update_manifest(bench_check={"passed": not fails,
                                           "failures": fails})
     return report, fails

@@ -27,11 +27,12 @@ ch. 3).  Each benchmark passes its own load terms and its
 ``load_weights`` of the pool: examples 1 and 3 the base flux weighted by
 k2, example 2 the terms of its encoded data load (``datamodes``); the
 trunk's ``f_blocks`` are the projection F^T Psi of the same terms.  The
-n_free x n_pool load matrix is never formed: each P_F and f_rb row is
-formed per sample once, as (v^T F) w^T, when its column is appended, and
-s(k)^2 = ||Z w(k)||^2 in the reference norm, with Z = A_star^-1 F.  Z is
-solved once, so the sweep's reference solves number Q_f, not one per
-sample, and it is kept deflated against U, so a recheck costs no solve.
+n_free x n_pool load matrix is never formed: each P_F row and each
+trunk column's reduced-load row is formed per sample once, as (v^T F) w^T,
+when its column is appended, and s(k)^2 = ||Z w(k)||^2 in the reference
+norm, with Z = A_star^-1 F.  Z is solved once, so the sweep's reference
+solves number Q_f, not one per sample, and it is kept deflated against U,
+so a recheck costs no solve.
 
 The greedy is the weak greedy over the pool it is given.  A selected
 sample's snapshot lies in the trunk, so its Galerkin solution is exact and
@@ -52,11 +53,12 @@ einsum per block across the samples outside the trunk.
 
 The build needs its maximal dimension ``fixed_n``; a tolerance stops it
 earlier.  Everything else the sweep grows (the trunk, the A_p images of its
-columns, U, P_F, the R_p blocks, the reduced loads and the reduced stiffness
-blocks) is appended in place to a buffer allocated once, at the largest
-size the trunk can reach: min(fixed_n, pool size, n_free) columns, and Q_a
-times that for U.  An accepted column therefore copies nothing that came
-before it, except in the contiguous copy of the trunk that
+columns, U, P_F and the R_p blocks) is appended in place to a buffer
+allocated once, at the largest size the trunk can reach: min(fixed_n, pool
+size, n_free) columns, and Q_a times that for U.  Of the reduced stiffness
+blocks and loads, the factors read only the new column and row, which each
+accepted column hands them.  An accepted column therefore copies nothing
+that came before it, except in the contiguous copy of the trunk that
 ``v_orthonormalize`` projects on.
 
 Every reduced system is solved by a checked Cholesky factorization: the
@@ -235,12 +237,11 @@ def solve_reduced_batch(a_blocks, theta_batch, f_batch, chunk=512):
 
 
 class _SweepState:
-    """Trunk, reduced blocks and deflated-load bookkeeping of the greedy sweep.
+    """Trunk, R_p blocks and deflated-load bookkeeping of the greedy sweep.
 
     The pool loads are held as terms and weights: sample i's load is
-    ``terms @ weights[i]``.  The P_F and f_rb rows are held per sample, each
-    formed once, when its U or trunk column is appended, as
-    ``(v @ terms) @ weights.T``.
+    ``terms @ weights[i]``.  The P_F rows are held per sample, each formed
+    once, when its U column is appended, as ``(v @ terms) @ weights.T``.
 
     s^2 of every pool load is the reference-norm square of its representer
     minus the squares of its U coordinates, downdated once per appended U
@@ -253,9 +254,8 @@ class _SweepState:
     Every growing array is appended to in place, in a buffer allocated once
     at the reachable bound, ``bound`` trunk columns and Q_a times that for
     U, and laid out so that an append is a contiguous write: psi, A_p psi
-    and U are held transposed, one column per buffer row, like the P_F and
-    f_rb rows; the R_p and reduced-block borders go into the unused part of
-    their buffers.
+    and U are held transposed, one column per buffer row, like the P_F
+    rows; the R_p borders go into the unused part of their buffer.
     """
 
     def __init__(self, model, terms, weights, bound):
@@ -273,8 +273,10 @@ class _SweepState:
         self.m = 0                                   # U columns
         self._psi = np.empty((bound, n_free))        # psi^T
         self._w = np.empty((qa, bound, n_free))      # (A_p psi)^T
-        self._f_rb = np.empty((bound, ns))           # psi^T f(k)
-        self._a = np.empty((qa, bound, bound))       # psi^T A_p psi
+        # psi^T A_p psi_new, the new column enrich returns, as a view of
+        # rows bound wide: at N = 1 numpy multiplies that view in border
+        # without BLAS, and the recorded estimators' last bits follow it
+        self._a_col = np.empty((qa, bound))
         self._u = np.empty((qa * bound, n_free))     # U^T
         self._p_f = np.empty((qa * bound, ns))       # U^T f(k)
         # R_p = U^T A_p psi as (U row, trunk column, term), so that the
@@ -285,15 +287,6 @@ class _SweepState:
     @property
     def psi(self):
         return self._psi[:self.n].T
-
-    @property
-    def a_blocks(self):
-        return self._a[:, :self.n, :self.n]
-
-    @property
-    def f_rb(self):
-        """Reduced loads, one row per trunk column, one column per sample."""
-        return self._f_rb[:self.n]
 
     def slack(self):
         """Bound on the downdate drift of s^2, per sample."""
@@ -315,7 +308,12 @@ class _SweepState:
         self.m = m + 1
 
     def enrich(self, model, psi_new):
-        """Append one accepted trunk column and border every block by it."""
+        """Append one accepted trunk column and border the R_p blocks by it.
+
+        Returns the new column psi^T A_p psi_new of every reduced stiffness
+        block, (Q_a, n + 1), a view the next call overwrites, and the new
+        reduced-load row psi_new^T f(k), one entry per sample.
+        """
         n, m0 = self.n, self.m
         self._psi[n] = psi_new
         ut = self._u[:self.m]
@@ -327,7 +325,9 @@ class _SweepState:
             d = model.star_solve(w_p)
             raw.append((d, np.sqrt(max(d @ w_p, 0.0))))
         self.n = n + 1
-        _border_update(self._a, self.psi, self._w[:, n])
+        a_col = self._a_col[:, :n + 1]
+        for p, w in enumerate(self._w[:, n]):
+            np.matmul(self._psi[:n + 1], w, out=a_col[p])
         # deflate the Riesz images one by one so they stay mutually orthogonal
         for d, pre in raw:
             for _ in range(2):
@@ -345,7 +345,7 @@ class _SweepState:
             aut = (self.a @ ut.T).T
             for _ in range(2):
                 self._z -= ut.T @ (aut @ self._z)
-        np.matmul(psi_new @ self.terms, self.weights.T, out=self._f_rb[n])
+        return a_col, (psi_new @ self.terms) @ self.weights.T
 
     def residual_sq(self, theta_all, idx, c):
         """||P_F w - sum_p theta_p R_p c||^2 over the samples in ``idx``
@@ -495,9 +495,8 @@ def greedy_build(model, samples, terms, weights, tol, fixed_n, alpha_lb):
         return interior_factor(model, samples[idx]).solve(terms @ weights[idx])
 
     def accept(idx, v):
-        state.enrich(model, v)
-        chol.border(state.a_blocks[:, :, -1],
-                    state.f_rb[-1, chol.pool[:chol.live]])
+        a_col, f_row = state.enrich(model, v)
+        chol.border(a_col, f_row[chol.pool[:chol.live]])
         # a trunk sample's snapshot is in the trunk: its estimator is 0
         chol.retire(idx)
         trace.selected.append(idx)
@@ -551,20 +550,6 @@ def greedy_build(model, samples, terms, weights, tol, fixed_n, alpha_lb):
                 selected=list(trace.selected), pool_size=int(ns))
     return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
                    provenance=prov), trace
-
-
-def _border_update(a_blocks, psi, w_new):
-    """Border the reduced stiffness blocks by the last trunk column, in place.
-
-    ``a_blocks`` (Q_a, >= n, >= n) holds the blocks of the first n - 1
-    columns of ``psi`` (n_free, n) in its leading corner; ``w_new[p]`` is
-    A_p applied to the last column, as ``_SweepState.enrich`` computed it.
-    """
-    n = psi.shape[1]
-    for p, w in enumerate(w_new):
-        col = psi.T @ w
-        a_blocks[p, :n, n - 1] = col
-        a_blocks[p, n - 1, :n] = col
 
 
 def pod_build(model, snapshots, terms, fixed_n):

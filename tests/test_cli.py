@@ -37,6 +37,24 @@ def test_rb_build_rejects_unsettable_keys(tmp_path, capsys):
         assert not os.path.exists(out) or os.listdir(out) == []
 
 
+def test_integer_knobs_reject_nonsense(tmp_path, capsys):
+    # an integer knob takes an int or an integral float of at least 1, never
+    # a bool, and is rejected before anything is written
+    cases = [(1, key) for key in ("n_pool=12.7", "n_pool=true", "n_pool=-5",
+                                  "n_train=0", "n_val=0", "n_test=0",
+                                  "greedy_fixed_n=0", "pod_fixed_n=0")]
+    cases += [(2, key) for key in ("r_f_max=0", "r_g_max=0",
+                                   "sweep_subset=0", "n=2.5")]
+    cases += [(3, key) for key in ("eim_q=0", "eim_train=false")]
+    for example, key in cases:
+        out = str(tmp_path / "run")
+        args = ["rb-build", "--example", str(example), "--out", out,
+                "--set", key]
+        assert main(args) == 2, key
+        assert "must be a positive integer" in capsys.readouterr().err, key
+        assert not os.path.exists(out), key
+
+
 def test_rb_build_without_greedy_cap_exits_2(tmp_path, capsys):
     # a greedy tolerance does not stand in for the greedy's maximal
     # dimension, and the missing cap is rejected before anything is written
@@ -86,8 +104,11 @@ def test_config_rejections(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert main(["rb-build", "--example", "1", "--out", out,
                  "--config", str(bad)]) == 2
+    # whether to audit is not a setting: bench audits every example
+    assert main(["bench", "--example", "1", "--out", out,
+                 "--set", "audit=false"]) == 2
     assert not os.path.exists(out)
-    assert capsys.readouterr().err.count("invalid configuration") == 3
+    assert capsys.readouterr().err.count("invalid configuration") == 4
 
 
 def test_train_without_artifacts(tmp_path, capsys):

@@ -216,3 +216,23 @@ def test_harness_settings_are_accepted(monkeypatch):
             keys |= {k.value for k in node.value.keys}
     assert keys == {"epochs", "early_stop"}
     assert keys <= {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def test_modules_read_every_name_they_import():
+    # a name a module imports but never reads is either dead or imported
+    # for another module's sake, which should import it from its home
+    pkg = os.path.join(ROOT, "src", "rb_operon")
+    unread = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unread += [f"{fname}: {name}" for name in sorted(imported - read)]
+    assert unread == []

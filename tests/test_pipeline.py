@@ -13,17 +13,18 @@ from rb_operon.artifacts import (ArtifactDir, load_boundary_modes,
 from rb_operon.branchnet import MLP
 from rb_operon.datamodes import encoded_load_terms
 from rb_operon.errors import NotCoerciveError
-from rb_operon.examples import (BENCHMARKS, HIDDEN_SIZES, build_problem,
+from rb_operon.examples import (BENCHMARKS, HIDDEN_SIZES,
+                                NOMINAL_PARAM_COUNTS, build_problem,
                                 example_spec, load_problem, open_benchmark)
 from rb_operon.geomap import eim_coefficients
 from rb_operon.mesh import square_with_inclusion_mesh
 from rb_operon.metrics import (MethodMetrics, MetricContext, MetricsReport,
                                metric_context, percentile_95, sample_metrics)
-from rb_operon.pipeline import (FOOTNOTE, NOMINAL_PARAM_COUNTS,
-                                apply_overrides, bench_gates,
+from rb_operon.pipeline import (FOOTNOTE, apply_overrides, bench_gates,
                                 load_online_bundle, online_budget_audit,
-                                online_query, run_eval, run_offline,
-                                run_train, spec_from_manifest, theta_batch)
+                                online_query, run_bench, run_eval,
+                                run_offline, run_train, spec_from_manifest,
+                                theta_batch)
 from rb_operon.reduction import solve_reduced_batch
 from rb_operon.svgplot import line_plot, mesh_heatmap
 
@@ -64,9 +65,10 @@ def test_overrides_reject_the_inclusion_radius():
 def test_audit_builds_the_finer_directory_from_the_base_run(example, request,
                                                            tmp_path,
                                                            monkeypatch):
-    # the doubled directory keeps the base run's sizes and data knobs, so
-    # only the mesh differs and the reduced arrays keep their shapes; the
-    # pinned keys are example 2's mode ranks and tolerance
+    # the doubled directory is configured from the base manifest alone, so
+    # only the mesh differs and the reduced arrays keep their shapes: each
+    # recorded reduced rank is pinned by the knob that caps it, the greedy
+    # runs without a tolerance and the mode greedies with tolerance 0
     base = str(tmp_path / "base")
     shutil.copytree(request.getfixturevalue(f"tiny{example}_dir"), base)
     audit = online_budget_audit(base, n_queries=20)
@@ -75,15 +77,25 @@ def test_audit_builds_the_finer_directory_from_the_base_run(example, request,
     assert audit["n_free_ratio"] > 1.5
     man = ArtifactDir(base).read_manifest()
     doubled = ArtifactDir(base + "_x2").read_manifest()
-    assert doubled["sizes"] == man["sizes"]
-    pinned = open_benchmark(spec_from_manifest(man),
-                            ArtifactDir(base)).data_overrides()
-    assert ({k: v for k, v in doubled["data"].items() if k not in pinned}
-            == {k: v for k, v in man["data"].items() if k not in pinned})
-    for key, value in pinned.items():
-        assert doubled["data"][key] == value
-    assert doubled["dims_trunk"]["greedy_n"] == man["dims_trunk"]["greedy_n"]
-    assert doubled.get("dims_eim") == man.get("dims_eim")
+    for key in ("sizes", "seed", "param_ranges", "k_star", "hidden_sizes"):
+        assert doubled[key] == man[key], key
+    dims = {k for k in man if k.startswith("dims_")}
+    assert dims == {k for k in doubled if k.startswith("dims_")}
+    for key in dims:    # the doubled run builds no POD trunk
+        assert doubled[key] == {k: v for k, v in man[key].items()
+                                if k != "pod_n"}, key
+    n_rb = man["dims_trunk"]["greedy_n"]
+    assert doubled["trunk"] == {**man["trunk"], "greedy_tol": None,
+                                "greedy_fixed_n": n_rb}
+    data = dict(man["data"])
+    for knob, section, rank in (("r_f_max", "dims_modes", "r_f"),
+                                ("r_g_max", "dims_modes", "r_g"),
+                                ("eim_q", "dims_eim", "q")):
+        if knob in data:
+            data[knob] = man[section][rank]
+    if "mode_tol" in data:
+        data["mode_tol"] = 0.0
+    assert doubled["data"] == data
 
     # a second audit finds the doubled directory up to date
     def no_rebuild(*args, **kwargs):
@@ -91,6 +103,20 @@ def test_audit_builds_the_finer_directory_from_the_base_run(example, request,
 
     monkeypatch.setattr("rb_operon.pipeline.run_offline", no_rebuild)
     assert online_budget_audit(base, n_queries=10)["reduced_shapes_equal"]
+
+
+def test_audit_pins_the_eim_rank(tmp_path):
+    # an EIM that stops below its cap, here at its four training radii, is
+    # rebuilt on the finer mesh with the rank it reached as its cap
+    from conftest import TINY3
+
+    base = str(tmp_path / "base")
+    run_offline(3, base, seed=0, pod=False,
+                overrides=dict(TINY3, eim_train=4, eim_q=8))
+    assert ArtifactDir(base).read_manifest()["dims_eim"]["q"] == 4
+    assert online_budget_audit(base, n_queries=10)["reduced_shapes_equal"]
+    doubled = ArtifactDir(base + "_x2").read_manifest()
+    assert doubled["data"]["eim_q"] == doubled["dims_eim"]["q"] == 4
 
 
 def test_audit_rebuilds_a_doubled_directory_of_another_base_run(tmp_path):
@@ -120,7 +146,8 @@ def test_audit_rejects_a_given_doubled_directory_of_another_run(tmp_path,
     shutil.copytree(tiny1_dir, base)
     other = str(tmp_path / "other")
     run_offline(1, other, seed=1, pod=False,
-                overrides=dict(TINY1, h=TINY1["h"] / np.sqrt(2.0)))
+                overrides=dict(TINY1, h=TINY1["h"] / np.sqrt(2.0),
+                               greedy_tol=None))
     with pytest.raises(ValueError, match="differs in seed$"):
         online_budget_audit(base, doubled_dir=other, n_queries=10)
 
@@ -347,17 +374,20 @@ def test_format_table_contains_rows_and_footnote():
 
 
 GOOD_MAN1 = {"train_rb": {"n_params": NOMINAL_PARAM_COUNTS[1]}}
+GOOD_AUDIT = {"reduced_shapes_equal": True, "alloc_within_slack": True,
+              "time_ratio": 1.0}
 
 
 def test_bench_gates_example1():
     rep = _fake_report((1e-6, 1e-6, 1e-13), (1e-2, 1e-2, 1e-3),
                        (1.5e-2, 1e-2, 1e-3))
-    assert bench_gates(1, rep, GOOD_MAN1) == []
+    assert bench_gates(1, rep, GOOD_MAN1, GOOD_AUDIT) == []
     rep = _fake_report((2e-5, 1e-6, 1e-13))
-    fails = bench_gates(1, rep, GOOD_MAN1)
+    fails = bench_gates(1, rep, GOOD_MAN1, GOOD_AUDIT)
     assert len(fails) == 1 and "rb_galerkin rel_l2" in fails[0]
     rep = _fake_report((1e-6, 1e-6, 1e-13), (3e-2, 1e-2, 1e-3))
-    fails = bench_gates(1, rep, {"train_rb": {"n_params": 12345}})
+    fails = bench_gates(1, rep, {"train_rb": {"n_params": 12345}},
+                        GOOD_AUDIT)
     assert any("parameter count" in f for f in fails)
     assert any("rb_deeponet rel_l2 mean" in f for f in fails)
 
@@ -366,20 +396,19 @@ def test_bench_gates_example2_dims():
     rep = _fake_report((5e-3, 5e-3, 1e-6), (3e-2, 3e-2, 1e-3))
     man = {"dims_trunk": {"greedy_n": 209},
            "dims_modes": {"r_f": 128, "r_g": 16}}
-    assert bench_gates(2, rep, man) == []
+    assert bench_gates(2, rep, man, GOOD_AUDIT) == []
     man = {"dims_trunk": {"greedy_n": 150},
            "dims_modes": {"r_f": 160, "r_g": 20}}
-    assert bench_gates(2, rep, man) == []      # all still inside 30%
+    assert bench_gates(2, rep, man, GOOD_AUDIT) == []   # all still inside 30%
     man = {"dims_trunk": {"greedy_n": 300},
            "dims_modes": {"r_f": 128, "r_g": 16}}
-    fails = bench_gates(2, rep, man)
+    fails = bench_gates(2, rep, man, GOOD_AUDIT)
     assert len(fails) == 1 and "trunk dimension" in fails[0]
 
 
 def test_bench_gates_audit_two_sided():
     rep = _fake_report((1e-6, 1e-6, 1e-13))
-    audit = {"reduced_shapes_equal": True, "alloc_within_slack": True,
-             "time_ratio": 1.15}
+    audit = dict(GOOD_AUDIT, time_ratio=1.15)
     assert bench_gates(1, rep, GOOD_MAN1, audit) == []
     for ratio in (1.25, 0.75):
         bad = dict(audit, time_ratio=ratio)
@@ -389,6 +418,23 @@ def test_bench_gates_audit_two_sided():
     assert any("shape" in f for f in bench_gates(1, rep, GOOD_MAN1, bad))
     bad = dict(audit, alloc_within_slack=False)
     assert any("allocation" in f for f in bench_gates(1, rep, GOOD_MAN1, bad))
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_run_bench_audits_every_example(example, tmp_path):
+    # every benchmark runs the online budget audit; the POD trunk is built
+    # where the example has it
+    import conftest
+
+    out = str(tmp_path / "bench")
+    _, fails = run_bench(example, out, seed=0, check=True,
+                         train_config={"epochs": 2, "early_stop": 5},
+                         overrides=getattr(conftest, f"TINY{example}"))
+    adir = ArtifactDir(out)
+    assert adir.has("audit.json")
+    assert adir.read_manifest()["bench_check"] == {"passed": not fails,
+                                                   "failures": fails}
+    assert adir.has("pod_psi.arr") == (example != 2)
 
 
 def test_nominal_parameter_counts_match_architectures():
@@ -545,8 +591,6 @@ def test_example2_query_widths_follow_mode_ranks(tiny2_dir):
     for i, (k, ai, bi) in enumerate(queries):
         assert np.array_equal(k, ks[i])
         assert np.array_equal(ai, a[i]) and np.array_equal(bi, b[i])
-    assert bench.data_overrides() == {"mode_tol": 0.0, "r_f_max": r_f,
-                                      "r_g_max": r_g}
     # without a trained branch the stand-in net takes the full feature row
     assert not ArtifactDir(tiny2_dir).has("rb_net.json")
     bundle = load_online_bundle(ArtifactDir(tiny2_dir))

@@ -14,10 +14,9 @@ from rb_operon.datamodes import (boundary_greedy, encode_boundary,
                                  encoded_load_weights, source_greedy)
 from rb_operon.examples import _data_loads, sample_parameters, sample_xi
 from rb_operon.reduction import (RBSpace, _BorderedCholesky, _SweepState,
-                                 _border_update, coercivity_lower_bound,
-                                 greedy_build, pod_build, reduce_operators,
-                                 solve_reduced, solve_reduced_batch,
-                                 v_orthonormalize)
+                                 coercivity_lower_bound, greedy_build,
+                                 pod_build, reduce_operators, solve_reduced,
+                                 solve_reduced_batch, v_orthonormalize)
 
 
 def estimator(model, space, k, c, f_hat, alpha_lb):
@@ -125,22 +124,16 @@ def test_border_update_equals_full_projection(tiny_problem1, rng):
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
     _, terms, weights = affine_pool(tiny_problem1, 5)
     state = _SweepState(model, terms, weights, 4)
+    full, _ = reduce_operators(model, psi, terms)
     for j in range(4):
-        state.enrich(model, psi[:, j])
-    # enrich keeps A_p times each column, the one sparse apply per term, and
-    # borders the reduced blocks with it in place
+        # enrich keeps A_p times each column, the one sparse apply per term,
+        # and returns the new column of every reduced block formed from it
+        a_col, _ = state.enrich(model, psi[:, j])
+        assert a_col.shape == (qa, j + 1)
+        assert np.allclose(a_col, full[:, :j + 1, j])
     for p in range(qa):
         assert np.array_equal(state._w[p, 3], model.affine_II.term(p) @ psi[:, 3])
-    full, _ = reduce_operators(model, psi, terms)
-    assert np.allclose(state.a_blocks, full)
     assert np.allclose(state.psi, psi)
-    # the border goes into the unused part of a wider buffer and nowhere else
-    small, _ = reduce_operators(model, psi[:, :3], terms)
-    buf = np.full((qa, 6, 6), np.nan)
-    buf[:, :3, :3] = small
-    _border_update(buf, psi, state._w[:, 3])
-    assert np.allclose(buf[:, :4, :4], full)
-    assert np.isnan(buf[:, 4:, :]).all() and np.isnan(buf[:, :, 4:]).all()
 
 
 def test_solve_reduced_and_batch(rng):
@@ -438,9 +431,10 @@ def test_greedy_affine_loads_match_load_columns(name, kwargs, request):
 
 def test_sweep_state_terms_match_load_columns(tiny_problem1):
     # two load terms with pool weights against the same loads as terms with
-    # identity weights: s^2, its downdate and exact recheck, the P_F and
-    # f_rb rows and the residual agree sample by sample, cross terms of the
-    # Gram included, and a recheck runs no reference solve
+    # identity weights: s^2, its downdate and exact recheck, the P_F rows,
+    # the reduced-load rows enrich returns and the residual agree sample by
+    # sample, cross terms of the Gram included, and a recheck runs no
+    # reference solve
     model = tiny_problem1.model
     rng = np.random.default_rng(4)
     terms = np.column_stack([tiny_problem1.bench.load_terms,
@@ -453,11 +447,13 @@ def test_sweep_state_terms_match_load_columns(tiny_problem1):
     for _ in range(3):
         v = v_orthonormalize(model, held.psi if held.n else None,
                              rng.standard_normal(model.n_free))
-        held.enrich(model, v)
-        cols.enrich(model, v)
+        f_held = held.enrich(model, v)[1]
+        f_cols = cols.enrich(model, v)[1]
+        assert f_held.shape == (12,)
+        assert np.allclose(f_held, f_cols, rtol=1e-12, atol=0)
+        assert np.allclose(f_held, (v @ terms) @ weights.T, rtol=1e-12, atol=0)
     assert held.m == cols.m == 6
     assert np.allclose(held.s2, cols.s2, rtol=1e-10, atol=0)
-    assert np.allclose(held.f_rb, cols.f_rb, rtol=1e-12, atol=0)
     assert np.allclose(held._p_f[:6], cols._p_f[:6], rtol=1e-12, atol=1e-14)
     solves = model.band.solves
     held.exact_s2(pool)
@@ -625,7 +621,8 @@ def test_greedy_needs_maximal_dimension(tiny_problem1, monkeypatch):
     state, chol = built
     assert chol.live == 0
     qa = model.affine_II.n_terms
-    assert state._psi.shape[0] == state._a.shape[1] == chol.y.shape[0] == 4
+    assert state._psi.shape[0] == state._a_col.shape[1] == 4
+    assert chol.y.shape[0] == 4
     assert state._u.shape[0] == state._r.shape[0] == qa * 4
 
 
