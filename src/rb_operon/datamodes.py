@@ -15,9 +15,11 @@ with W the source modes, eta the boundary modes and Lambda their interior
 lifting.  ``encoded_load_terms`` holds its r_f + Q_a r_g terms and
 ``encoded_load_weights`` the weights [a, theta_1 b, ..., theta_Q b], so the
 greedy certifies the system every answer solves.  The trunk's ``f_blocks``
-project these terms; ``case2_blocks`` splits them into the blocks that
-combine (theta, a, b) into the reduced load at online cost
-O(N(r_f + Q_a r_g)).
+project these terms, so the library's reduced load is, as on every example,
+``load_weights @ f_blocks`` at online cost O(N(r_f + Q_a r_g)).  The
+modal blocks ``case2_blocks`` splits off (for the online bundle's harness
+field) and ``reduced_rhs_case2(_batch)`` remain only as the benchmark
+harness's independent reference for that load.
 """
 
 import numpy as np
@@ -151,7 +153,7 @@ def encode_source(modes, f_hat):
 @dataclass
 class Case2Blocks:
     """The trunk's ``f_blocks`` split into the reduced blocks turning
-    (a, b, theta) into F_rb."""
+    (a, b, theta) into F_rb: the harness's reference form of the load."""
 
     f_s: np.ndarray        # (r_f, N): rows are F^(s)_{m,rb}
     g_p: np.ndarray        # (Q_a, r_g, N): lifting blocks per affine term

@@ -17,8 +17,8 @@ an artifact directory; theta(k), which takes one parameter row or a stack
 of rows and serves the truth model, the greedy sweep, the batched stages
 and the online query alike; the load, held once as load terms and
 ``load_weights(k, a, b)`` with the same rows-in, rows-out contract (the
-model holds none); branch features; reduced load; sample pools and truth
-solves; run defaults and gates.
+model holds none; every reduced load is ``load_weights @ f_blocks``);
+branch features; sample pools and truth solves; run defaults and gates.
 """
 
 import numpy as np
@@ -34,8 +34,7 @@ from .assembly import (ParametricModel, aggregated_load, assemble_stiffness,
                        assemble_load_boundary, load_quadrature, truth_solve)
 from .datamodes import (boundary_greedy, case2_blocks, encode_boundary,
                         encode_source, encoded_load_terms,
-                        encoded_load_weights, reduced_rhs_case2,
-                        reduced_rhs_case2_batch, source_greedy)
+                        encoded_load_weights, source_greedy)
 from .geomap import (EimPivots, RadialMap, assemble_eim_terms, eim_build,
                      eim_coefficients)
 from .mesh import (unit_square_mesh, square_with_inclusion_mesh,
@@ -172,21 +171,19 @@ class ManufacturedSolution:
     """Closed-form scalar field: two sine products, a Gaussian bump and a
     cos*sinh term, with hand-differentiated gradient and Laplacian.
 
-    Batched over xi: built from one row (a1, a2, a3, a4, xc, yc, sigma) or
-    from a stack of m rows.  At n points, ``value`` and ``laplacian`` return
-    (n,) for one row and (n, m) for a stack; ``grad`` returns (n, 2) or
-    (n, m, 2).  The xi-independent sine, cosine and sinh factors are
-    computed once per call, for all rows together.
+    Batched over xi: built from a stack of m rows (a1, a2, a3, a4, xc, yc,
+    sigma).  At n points, ``value`` and ``laplacian`` return (n, m) and
+    ``grad`` returns (n, m, 2).  The xi-independent sine, cosine and sinh
+    factors are computed once per call, for all rows together.
     """
 
     def __init__(self, xi):
         xi = np.asarray(xi, dtype=float)
-        if xi.ndim not in (1, 2) or xi.shape[-1] != 7:
-            raise ValueError("xi must be one row of 7 values or a stack of rows")
-        if np.any(xi[..., 6] <= 0):
+        if xi.ndim != 2 or xi.shape[1] != 7:
+            raise ValueError("xi must be a stack of rows of 7 values")
+        if np.any(xi[:, 6] <= 0):
             raise ValueError("sigma must be positive")
-        self.single = xi.ndim == 1
-        self.rows = np.atleast_2d(xi)
+        self.rows = xi
 
     def _parts(self, x):
         """Point factors, then per (point, row): the offsets dx, dy, their
@@ -203,8 +200,7 @@ class ManufacturedSolution:
 
     def _sum(self, smooth, rest):
         """Point factors weighted by (a1, a2, a4) per row, plus ``rest``."""
-        out = np.column_stack(smooth) @ self.rows[:, [0, 1, 3]].T + rest
-        return out[:, 0] if self.single else out
+        return np.column_stack(smooth) @ self.rows[:, [0, 1, 3]].T + rest
 
     def value(self, x):
         px, py, y5, _, _, _, _, bump = self._parts(x)
@@ -436,13 +432,10 @@ class Example1:
         """n seeded online query inputs (k, a, b)."""
         return [(k, None, None) for k in sample_parameters(self.spec, n, rng)]
 
-    def rhs(self, space, blocks, theta, k, a, b):
-        """Reduced load; ``blocks`` are what ``rhs_blocks`` split from the
-        space."""
-        return self.load_weights(k, a, b) @ space.f_blocks
-
     def rhs_blocks(self, space):
-        """What ``rhs`` needs besides the space's own arrays."""
+        """The online bundle's ``blocks`` (example 2's modal blocks), read
+        only by the ``rbbench/`` harness: ``QueryInputs``, ``setup_probe.py``
+        and ``Stream.failed``.  ROADMAP direction 1 deletes them."""
         return None
 
     def offline_data(self, problem, adir, rng, manifest):
@@ -578,22 +571,15 @@ class Example2(Example1):
         b = rng.standard_normal((n, self.ranks[1]))
         return list(zip(ks, a, b))
 
-    def rhs(self, space, blocks, theta, k, a, b):
-        if np.ndim(theta) == 1:
-            return reduced_rhs_case2(blocks, theta, a, b)
-        return reduced_rhs_case2_batch(blocks, theta, a, b)
-
     def rhs_blocks(self, space):
-        """The modal blocks split from the space's ``f_blocks``."""
         return case2_blocks(space.f_blocks, *self.ranks)
 
     def offline_data(self, problem, adir, rng, manifest):
         """Also persists the data modes and the pool's coordinates (a, b) in
         them.  The loads are the encoded ones every answer solves: the terms
         ``encoded_load_terms``, the weights [a, theta b] of each pool row.
-        The trunks' ``f_blocks`` project these terms, and ``rhs_blocks``
-        splits them into the modal blocks.  The greedy trains on the first
-        ``sweep_subset`` pool rows."""
+        The trunks' ``f_blocks`` project these terms.  The greedy trains on
+        the first ``sweep_subset`` pool rows."""
         spec, model = self.spec, problem.model
         ks = sample_parameters(spec, spec.n_pool, rng)
         adir.save_array("pool_params", ks)

@@ -44,6 +44,7 @@ _TRUNK_KEYS = ("pod_fixed_n", "greedy_tol", "greedy_fixed_n")
 _MESH_KEYS = ("h", "n")   # not r0: example 3's radial map shares the mesh's
 _DATA_KEYS = ("mode_tol", "r_f_max", "r_g_max", "sweep_subset",
               "eim_q", "eim_train")
+_REAL_KEYS = ("greedy_tol", "h", "mode_tol")   # every other knob is a count
 # each reduced rank a manifest records, (section, key), and the knob that
 # caps it: the audit's finer run pins every one the base run recorded
 _PINS = (("dims_trunk", "greedy_n", "greedy_fixed_n"),
@@ -53,13 +54,24 @@ _PINS = (("dims_trunk", "greedy_n", "greedy_fixed_n"),
 _TIMING_ROUNDS, _ALLOC_REPS = 7, 15   # audit: timed rounds, traced queries
 
 
-def _positive_int(key, val):
-    """An integer knob's value: an int or an integral float, at least 1."""
-    integral = (isinstance(val, int)
-                or isinstance(val, float) and val.is_integer())
-    if isinstance(val, bool) or not integral or val < 1:
-        raise ValueError(f"{key} must be a positive integer, got {val!r}")
-    return int(val)
+def _knob(key, val):
+    """A knob's value, never a bool: any int or float for the real knobs,
+    an int or an integral float of at least 1 for the counts."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if key in _REAL_KEYS:
+        if number:
+            return float(val)
+        raise ValueError(f"{key} must be a number, got {val!r}")
+    if number and val >= 1 and (isinstance(val, int) or val.is_integer()):
+        return int(val)
+    raise ValueError(f"{key} must be a positive integer, got {val!r}")
+
+
+def _train_config(seed, config):
+    """The TrainConfig of a run; its counts must be positive integers."""
+    config = {k: _knob(k, v) if k in ("epochs", "early_stop") else v
+              for k, v in (config or {}).items()}
+    return TrainConfig(**{"seed": seed, **config})
 
 
 def apply_overrides(spec, overrides):
@@ -67,8 +79,8 @@ def apply_overrides(spec, overrides):
 
     Accepted keys: pool/train/val/test sizes, trunk tolerances and fixed
     dimensions, mesh recipe knobs present in the recipe, and data-family
-    knobs present for the example.  Anything else, and an integer knob that
-    is not a positive integer, raises ValueError.
+    knobs present for the example.  Anything else, and a value ``_knob``
+    rejects, raises ValueError.
     """
     if not overrides:
         return spec
@@ -79,21 +91,17 @@ def apply_overrides(spec, overrides):
             for k, v in spec.data.items()}
     for key, val in overrides.items():
         if key in _SIZE_KEYS:
-            kwargs[key] = _positive_int(key, val)
+            kwargs[key] = _knob(key, val)
         elif key in _TRUNK_KEYS:
-            trunk[key] = None if val is None else (
-                _positive_int(key, val) if key.endswith("_fixed_n")
-                else float(val))
+            trunk[key] = None if val is None else _knob(key, val)
         elif key in _MESH_KEYS:
             if key not in recipe:
                 raise ValueError(f"mesh recipe has no knob {key!r}")
-            recipe[key] = (_positive_int(key, val) if key == "n"
-                           else float(val))
+            recipe[key] = _knob(key, val)
         elif key in _DATA_KEYS:
             if key not in data:
                 raise ValueError(f"example has no data knob {key!r}")
-            data[key] = (_positive_int(key, val)
-                         if isinstance(data[key], int) else float(val))
+            data[key] = _knob(key, val)
         else:
             raise ValueError(f"unknown override {key!r}")
     return replace(spec, mesh_recipe=recipe, trunk=trunk, data=data, **kwargs)
@@ -218,6 +226,7 @@ def run_train(outdir, method="rb", seed=1, config=None):
     """
     if method not in ("rb", "pod"):
         raise ValueError(f"unknown training method {method!r}")
+    cfg = _train_config(seed, config)
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
     spec = spec_from_manifest(manifest)
@@ -228,12 +237,10 @@ def run_train(outdir, method="rb", seed=1, config=None):
     space = load_space(adir, prefix)
     bench = open_benchmark(spec, adir)
 
-    cfg = TrainConfig(**{"seed": seed, **(config or {})})
-
     if method == "rb":
         ks, a, b = bench.train_rows(adir, seed)
         theta = bench.theta(ks)
-        f_rb = bench.rhs(space, bench.rhs_blocks(space), theta, ks, a, b)
+        f_rb = bench.load_weights(ks, a, b) @ space.f_blocks
         c_n = solve_reduced_batch(space.a_blocks, theta, f_rb)
 
         def subset(sl):
@@ -286,11 +293,13 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
 
     Reports relative L2, relative reference-energy and reduced-residual
     measures per method (mean and 95th percentile), written as report.json
-    and an aligned report.txt next to the artifacts.
+    and an aligned report.txt next to the artifacts.  ``n_test`` is None
+    (the run's own size) or a positive integer.
     """
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
     spec = spec_from_manifest(manifest)
+    n_test = spec.n_test if n_test is None else _knob("n_test", n_test)
     problem = load_problem(spec, adir)
     model, bench, mesh = problem.model, problem.bench, problem.mesh
 
@@ -318,13 +327,12 @@ def run_eval(outdir, n_test=None, seed=2, methods=None, plots=False):
     used = {trunk_of[m] for m in methods}
     spaces = {name: spaces[name] for name in used}
 
-    n_test = int(n_test or spec.n_test)
     rng = np.random.default_rng(seed)
     ks = sample_parameters(spec, n_test, rng)
     u_ref, lift, g_b, a, b = bench.eval_data(problem, adir, ks, rng)
     theta = bench.theta(ks)
-    f_rb = {name: bench.rhs(spaces[name], bench.rhs_blocks(spaces[name]),
-                            theta, ks, a, b) for name in spaces}
+    w_f = bench.load_weights(ks, a, b)
+    f_rb = {name: w_f @ spaces[name].f_blocks for name in spaces}
 
     contexts = {name: metric_context(model, spaces[name], problem.m_ii)
                 for name in spaces}
@@ -394,16 +402,13 @@ class OnlineBundle:
     std: object
     theta_fn: object           # the benchmark's theta
     bench: object
-    blocks: object = None      # modal blocks split from f_blocks (example 2)
+    blocks: object = None      # the benchmark's ``rhs_blocks``; harness only
     n_free: int = 0
 
     def arrays(self):
-        out = [self.online.a_blocks, self.online.f_blocks, self.chol_star,
-               self.std.mean, self.std.std]
-        out += self.net.parameters()
-        if self.blocks is not None:
-            out += [self.blocks.f_s, self.blocks.g_p]
-        return out
+        """The arrays ``online_query`` reads."""
+        return [self.online.a_blocks, self.online.f_blocks, self.chol_star,
+                self.std.mean, self.std.std, *self.net.parameters()]
 
     def shapes(self):
         return sorted(tuple(int(d) for d in a.shape) for a in self.arrays())
@@ -446,6 +451,7 @@ def online_query(bundle, k, a=None, b=None):
     Returns the branch coefficients c_net, the Galerkin coefficients c_gal
     of the reduced system A_N(k) c = f_N(k), and the dual norm of the
     branch's reduced residual f_N - A_N c_net in the A_N(k*)^-1 norm.
+    f_N = load_weights(k, a, b) @ f_blocks is the load the greedy certified.
     A_N(k) = sum_p theta_p A_p is one matrix-vector product of theta with
     the flattened blocks (``reduced_operator``), and the Galerkin solve is
     the checked Cholesky kernel of ``solve_reduced``: a reduced operator
@@ -457,7 +463,7 @@ def online_query(bundle, k, a=None, b=None):
                                bundle.std)[0]
     theta = bundle.theta_fn(k)
     a_rb = reduced_operator(bundle.online.a_blocks, theta)
-    f_rb = bench.rhs(bundle.online, bundle.blocks, theta, k, a, b)
+    f_rb = bench.load_weights(k, a, b) @ bundle.online.f_blocks
     c_gal = solve_reduced(a_rb, f_rb)
     res = reduced_dual_norm(bundle.chol_star, f_rb - a_rb @ c_net)
     return c_net, c_gal, res
@@ -512,6 +518,10 @@ def online_budget_audit(outdir, doubled_dir=None, n_queries=200, seed=7):
     caller raises ValueError.  All results land in audit.json next to the
     base artifacts.
     """
+    # the allocation median needs a query after the warm-up one
+    if type(n_queries) is not int or n_queries < 2:
+        raise ValueError(f"n_queries must be an integer of at least 2, "
+                         f"got {n_queries!r}")
     adir = ArtifactDir(outdir)
     manifest = adir.read_manifest()
     base = load_online_bundle(adir)
@@ -615,6 +625,7 @@ def run_bench(example, outdir, seed=0, check=False, pod=None,
     """
     if pod is None:
         pod = BENCHMARKS[example].pod
+    _train_config(seed + 1, train_config)   # rejected before anything is built
     adir = run_offline(example, outdir, seed=seed, pod=pod,
                        overrides=overrides)
     run_train(outdir, "rb", seed=seed + 1, config=train_config)

@@ -13,6 +13,8 @@ from rb_operon.cli import _load_config, _parse_value, build_parser, main
 TINY = ["--set", f"h={1 / 12}", "--set", "n_pool=24", "--set", "n_train=16",
         "--set", "n_val=8", "--set", "n_test=8",
         "--set", "greedy_fixed_n=2", "--set", "pod_fixed_n=2"]
+TINY2 = ["--set", "n=8", "--set", "n_pool=24", "--set", "n_train=16",
+         "--set", "n_val=8", "--set", "n_test=8", "--set", "greedy_fixed_n=4"]
 
 
 def test_parse_value():
@@ -109,6 +111,44 @@ def test_config_rejections(tmp_path, capsys):
                  "--set", "audit=false"]) == 2
     assert not os.path.exists(out)
     assert capsys.readouterr().err.count("invalid configuration") == 4
+
+
+def _files(top):
+    """Every file under ``top`` with its size and modification time."""
+    return {os.path.join(d, f): (os.stat(os.path.join(d, f)).st_size,
+                                 os.stat(os.path.join(d, f)).st_mtime_ns)
+            for d, _, names in os.walk(top) for f in names}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["train", "--set", "epochs=true"], "epochs must be a positive integer"),
+    (["train", "--set", "early_stop=0"],
+     "early_stop must be a positive integer"),
+    (["train", "--set", "epochs=0"], "epochs must be a positive integer"),
+    (["eval", "--n-test", "0"], "n_test must be a positive integer"),
+    (["audit", "--queries", "0"], "n_queries must be an integer of at least 2"),
+    (["audit", "--queries", "1"], "n_queries must be an integer of at least 2"),
+    (["rb-build", "--example", "1", *TINY, "--set", "greedy_tol=true"],
+     "greedy_tol must be a number"),
+    (["rb-build", "--example", "1", *TINY, "--set", "h=true"],
+     "h must be a number"),
+    (["rb-build", "--example", "2", *TINY2, "--set", "mode_tol=false"],
+     "mode_tol must be a number"),
+    (["bench", "--example", "1", *TINY, "--set", "epochs=0"],
+     "epochs must be a positive integer"),
+])
+def test_run_arguments_out_of_range_exit_2(args, message, cli_dir, tmp_path,
+                                           capsys):
+    # a run argument outside its range exits 2 before anything is written
+    # or rebuilt: no epoch count, patience, test count or query count below
+    # its least value, and no bool for a real knob
+    fresh = args[0] in ("rb-build", "bench")
+    out = str(tmp_path / "run") if fresh else cli_dir
+    before = _files(os.path.dirname(cli_dir))
+    assert main(args + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert _files(os.path.dirname(cli_dir)) == before
+    assert not fresh or not os.path.exists(out)
 
 
 def test_train_without_artifacts(tmp_path, capsys):

@@ -124,7 +124,8 @@ def test_traced_layers_count_what_they_measure(tiny_problem1, rng):
 
 
 def _modules_using(name):
-    """Package modules that import ``name`` or reach it as an attribute."""
+    """Package modules that import ``name``, read it as a name or reach it
+    as an attribute."""
     pkg = os.path.join(ROOT, "src", "rb_operon")
     users = set()
     for fname in sorted(os.listdir(pkg)):
@@ -135,6 +136,7 @@ def _modules_using(name):
         for node in ast.walk(tree):
             if ((isinstance(node, ast.ImportFrom)
                  and any(a.name == name for a in node.names))
+                    or (isinstance(node, ast.Name) and node.id == name)
                     or (isinstance(node, ast.Attribute)
                         and node.attr == name)):
                 users.add(fname)
@@ -151,6 +153,16 @@ def test_no_module_calls_numpy_cholesky():
     assert _modules_using("cholesky") == set()
 
 
+def test_library_forms_the_reduced_load_one_way():
+    # training, eval and the online query all solve load_weights @ f_blocks,
+    # the load the greedy certified; the modal-block formulas remain only
+    # as the harness's independent reference, and their blocks are split
+    # only for the online bundle's harness field
+    for name in ("reduced_rhs_case2", "reduced_rhs_case2_batch"):
+        assert _modules_using(name) == set(), name
+    assert _modules_using("case2_blocks") == {"examples.py"}
+
+
 def test_online_bundle_fields():
     from rb_operon.pipeline import OnlineBundle
 
@@ -161,7 +173,8 @@ def test_online_bundle_fields():
 def test_example2_bundle_blocks_serve_the_harness(tiny2_dir):
     # QueryInputs and setup_probe.py size example 2's query inputs (a, b)
     # from the bundle's blocks, and Stream.failed holds every answer to the
-    # batched reduced load of those blocks at theta_batch's weights
+    # batched reduced load of those blocks at theta_batch's weights: a
+    # second formula for the load_weights @ f_blocks the answers solve
     from rb_operon.artifacts import ArtifactDir
     from rb_operon.datamodes import reduced_rhs_case2_batch
     from rb_operon.pipeline import load_online_bundle, theta_batch
@@ -177,8 +190,8 @@ def test_example2_bundle_blocks_serve_the_harness(tiny2_dir):
     theta = theta_batch(2, ks)
     batch = reduced_rhs_case2_batch(bundle.blocks, theta, a, b)
     for i in range(len(ks)):
-        row = bundle.bench.rhs(bundle.online, bundle.blocks, theta[i], ks[i],
-                               a[i], b[i])
+        row = (bundle.bench.load_weights(ks[i], a[i], b[i])
+               @ bundle.online.f_blocks)
         assert (np.abs(row - batch[i]).max()
                 <= 1e-14 * np.abs(batch[i]).max())
 

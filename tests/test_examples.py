@@ -191,9 +191,8 @@ def test_manufactured_solution_derivatives(rng):
     h = 1e-6
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
-    # one row gives (n,) values and (n, 2) gradients; a stack of m rows
-    # gives (n, m) and (n, m, 2)
-    for ms in (ManufacturedSolution(xi[0]), ManufacturedSolution(xi)):
+    # a stack of m rows gives (n, m) values and (n, m, 2) gradients
+    for ms in (ManufacturedSolution(xi[:1]), ManufacturedSolution(xi)):
         gx = (ms.value(pts + ex) - ms.value(pts - ex)) / (2 * h)
         gy = (ms.value(pts + ey) - ms.value(pts - ey)) / (2 * h)
         g = ms.grad(pts)
@@ -213,8 +212,10 @@ def test_manufactured_solution_derivatives(rng):
             assert np.allclose(getattr(stack, name)(pts)[:, j], want,
                                rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
-    with pytest.raises(ValueError):
-        ManufacturedSolution([1, 1, 1, 1, 0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match="stack of rows"):
+        ManufacturedSolution(xi[0])
+    with pytest.raises(ValueError, match="sigma"):
+        ManufacturedSolution([[1, 1, 1, 1, 0.5, 0.5, 0.0]])
     with pytest.raises(ValueError):
         ManufacturedSolution(np.vstack([xi, [1, 1, 1, 1, 0.5, 0.5, -0.1]]))
 
@@ -296,13 +297,13 @@ def test_load_is_k2_times_base_flux(name, request):
         a = (float(k[0]) * a0 + a1).tocsr()[model.free][:, model.free]
         want = model.band.factor(a, "exact").solve(k[1] * f_base)
     assert np.array_equal(bench.truth(prob, k), want)
-    space = types.SimpleNamespace(
-        f_blocks=np.random.default_rng(22).standard_normal((1, 5)))
-    theta = bench.theta(ks)
-    for row, rhs in zip(ks, bench.rhs(space, None, theta, ks, None, None)):
-        assert rhs.tobytes() == (row[1] * space.f_blocks[0]).tobytes()
-        one = bench.rhs(space, None, bench.theta(row), row, None, None)
-        assert one.tobytes() == rhs.tobytes()
+    # the reduced load of a row is bitwise its row of the stacked one
+    f_blocks = np.random.default_rng(22).standard_normal((1, 5))
+    stack = bench.load_weights(ks, None, None) @ f_blocks
+    for row, want in zip(ks, stack):
+        assert want.tobytes() == (row[1] * f_blocks[0]).tobytes()
+        one = bench.load_weights(row, None, None) @ f_blocks
+        assert one.tobytes() == want.tobytes()
 
 
 def _pencil_min(a_ii, a_star_ii):
@@ -342,7 +343,7 @@ def test_example2_manufactured_convergence(tiny_problem2):
         f_hat = aggregated_load(prob.model, k, f, g_b)
         w = truth_solve(prob.model, k, f_hat)
         u_h = full_field(prob.model, w, g_b)
-        u = ManufacturedSolution(xi[0]).value(prob.mesh.nodes)
+        u = ManufacturedSolution(xi[:1]).value(prob.mesh.nodes)[:, 0]
         mass = assemble_mass(prob.mesh)
         num = (u_h - u) @ mass @ (u_h - u)
         den = u @ mass @ u

@@ -492,19 +492,50 @@ def _query_args(bundle, k, rng):
             rng.standard_normal(bundle.blocks.g_p.shape[1]))
 
 
+def _stacked_queries(bundle, n, seed):
+    """Seeded query inputs, and their (k, a, b) stacked (None stays None)."""
+    queries = bundle.bench.draw_queries(n, np.random.default_rng(seed))
+    return queries, [None if col[0] is None else np.array(col)
+                     for col in zip(*queries)]
+
+
 @pytest.mark.parametrize("example", [1, 2, 3])
-def test_online_query_galerkin_is_batch_kernel_bitwise(example, request, rng):
-    adir = ArtifactDir(request.getfixturevalue(f"tiny{example}_dir"))
-    bundle = load_online_bundle(adir)
-    lo, hi = np.array(adir.read_manifest()["param_ranges"]).T
-    for k in rng.uniform(lo, hi, size=(4, len(lo))):
-        args = _query_args(bundle, k, rng)
-        _, c_gal, _ = online_query(bundle, *args)
-        theta = bundle.theta_fn(k)
-        f_rb = bundle.bench.rhs(bundle.online, bundle.blocks, theta, *args)
-        ref = solve_reduced_batch(bundle.online.a_blocks, theta[None, :],
+def test_reduced_load_row_is_its_row_of_the_stack(example, request):
+    # training and eval form the reduced load of stacked rows, the online
+    # query that of one row, both as load_weights @ f_blocks; example 2's
+    # row is a GEMV against the stack's GEMM, so it agrees to round-off
+    bundle = load_online_bundle(
+        ArtifactDir(request.getfixturevalue(f"tiny{example}_dir")))
+    bench, f_blocks = bundle.bench, bundle.online.f_blocks
+    queries, stacked = _stacked_queries(bundle, 16, 8)
+    stack = bench.load_weights(*stacked) @ f_blocks
+    for q, want in zip(queries, stack):
+        row = bench.load_weights(*q) @ f_blocks
+        if example == 2:
+            assert (np.abs(row - want).max()
+                    <= 1e-14 * np.abs(want).max())
+        else:
+            assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_online_query_galerkin_is_batch_kernel_bitwise(example, request):
+    # c_gal is the batch kernel's solve of the shared load, and matches
+    # the batched solve of the stacked loads, as training and eval form them
+    bundle = load_online_bundle(
+        ArtifactDir(request.getfixturevalue(f"tiny{example}_dir")))
+    bench, online = bundle.bench, bundle.online
+    queries, stacked = _stacked_queries(bundle, 4, 9)
+    stack = solve_reduced_batch(online.a_blocks, bench.theta(stacked[0]),
+                                bench.load_weights(*stacked) @ online.f_blocks)
+    for q, want in zip(queries, stack):
+        _, c_gal, _ = online_query(bundle, *q)
+        theta = bundle.theta_fn(q[0])
+        f_rb = bench.load_weights(*q) @ online.f_blocks
+        ref = solve_reduced_batch(online.a_blocks, theta[None, :],
                                   f_rb[None, :])[0]
         assert np.array_equal(c_gal, ref)
+        assert np.linalg.norm(c_gal - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])
