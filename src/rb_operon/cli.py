@@ -68,7 +68,8 @@ def _cmd_rb_build(args):
     from .pipeline import run_offline
 
     adir = run_offline(args.example, args.out, seed=args.seed,
-                       pod=not args.no_pod, overrides=_load_config(args))
+                       pod=False if args.no_pod else None,
+                       overrides=_load_config(args))
     manifest = adir.read_manifest()
     dims = manifest["dims_trunk"]
     line = f"greedy trunk: {dims['greedy_n']} columns"

@@ -106,7 +106,7 @@ def _metric_greedy(elems, m_elems, apply_metric, tol, r_max, rng):
             break
         ind = float(np.sqrt(max(err2[idx], 0.0)))
         trace.append(ind)
-        if tol is not None and ind <= tol:
+        if ind <= tol:
             break
         if not enrich(idx):
             dead[idx] = True    # duplicate snapshot: skip and move on

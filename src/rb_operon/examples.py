@@ -60,8 +60,9 @@ class ExampleSpec:
     param_ranges: tuple        # ((lo, hi), ...) per parameter coordinate
     k_star: tuple
     mesh_recipe: dict
-    # pod_fixed_n (absent: POD's energy criterion), and the greedy's required
-    # cap greedy_fixed_n with an optional greedy_tol that stops it earlier
+    # pod_fixed_n, the POD trunk's size, required to build one, and the
+    # greedy's required cap greedy_fixed_n with an optional greedy_tol that
+    # stops it earlier
     trunk: dict
     data: dict = field(default_factory=dict)
     n_pool: int = 2000         # POD snapshots, greedy training set, data rows
@@ -357,7 +358,7 @@ class Example1:
     one parameter row ``k`` or stacked rows, and the modal data coordinates
     (a, b) that only example 2 has (None elsewhere)."""
 
-    pod = True                # run_bench default
+    pod = True                # run_offline default
     # (method, measure, statistic, bound); rows of absent methods are skipped
     gates = (("rb_galerkin", "rel_l2", "mean", 1e-5),
              ("rb_galerkin", "rel_residual", "mean", 1e-12),

@@ -93,7 +93,9 @@ def apply_overrides(spec, overrides):
         if key in _SIZE_KEYS:
             kwargs[key] = _knob(key, val)
         elif key in _TRUNK_KEYS:
-            trunk[key] = None if val is None else _knob(key, val)
+            # the greedy's tolerance may be off; every size is a count
+            off = key == "greedy_tol" and val is None
+            trunk[key] = None if off else _knob(key, val)
         elif key in _MESH_KEYS:
             if key not in recipe:
                 raise ValueError(f"mesh recipe has no knob {key!r}")
@@ -134,24 +136,29 @@ def _pool_snapshots(model, ks, terms, weights):
     return out
 
 
-def run_offline(example, outdir, seed=0, pod=True, overrides=None):
+def run_offline(example, outdir, seed=0, pod=None, overrides=None):
     """Build and persist the parameter-independent half of one benchmark.
 
     Writes mesh, sampled pools, data modes (example 2), EIM surrogate
-    (example 3), greedy trunk with its certification trace, optional POD
-    trunk with its Gram and supervised targets, and a manifest of every
-    constant, of the library versions and BLAS thread settings, and of the
-    full-order factorizations and right-hand sides solved.
+    (example 3), greedy trunk with its certification trace, the POD trunk
+    with its Gram and supervised targets when ``pod`` is True (None: where
+    the example has it), and a manifest of every constant, of the library
+    versions and BLAS thread settings, and of the full-order factorizations
+    and right-hand sides solved.  A bad configuration raises ValueError
+    before the output directory is created.
     """
     spec = apply_overrides(example_spec(example), overrides)
-    # the builders would reject these only after the steps before them
-    if spec.trunk.get("greedy_fixed_n") is None:
-        raise ValueError("the greedy needs its maximal dimension "
-                         "greedy_fixed_n")
-    adir = ArtifactDir(outdir)
-    rng = np.random.default_rng(seed)
+    if pod is None:
+        pod = BENCHMARKS[example].pod
+    # not a truth test: 7 and "yes" test true, and 1 == True
+    if not isinstance(pod, bool):
+        raise ValueError(f"pod must be true or false, got {pod!r}")
+    if pod and spec.trunk.get("pod_fixed_n") is None:
+        raise ValueError("the POD trunk needs its size pod_fixed_n")
     problem = build_problem(spec)
     model, bench = problem.model, problem.bench
+    adir = ArtifactDir(outdir)
+    rng = np.random.default_rng(seed)
     write_mesh_text(problem.mesh, adir.file("mesh.txt"))
 
     manifest = {
@@ -202,14 +209,12 @@ def run_offline(example, outdir, seed=0, pod=True, overrides=None):
 
     if pod:
         snaps = _pool_snapshots(model, ks, terms, weights)
-        space_p = pod_build(model, snaps, terms,
-                            spec.trunk.get("pod_fixed_n"))
+        space_p, gram, targets, squares = pod_build(
+            model, snaps, terms, spec.trunk["pod_fixed_n"])
         save_space(adir, "pod", space_p)
-        psi = space_p.psi
-        adir.save_array("pod_gram", psi.T @ (model.a_star_II @ psi))
-        a_snaps = model.a_star_II @ snaps
-        adir.save_array("pod_targets", (psi.T @ a_snaps).T)
-        adir.save_array("pod_squares", np.einsum("ij,ij->j", snaps, a_snaps))
+        adir.save_array("pod_gram", gram)
+        adir.save_array("pod_targets", targets)
+        adir.save_array("pod_squares", squares)
         manifest["dims_trunk"]["pod_n"] = space_p.dim
 
     manifest["full_order"] = model.band.counts()
@@ -621,15 +626,13 @@ def run_bench(example, outdir, seed=0, check=False, pod=None,
     benchmark, with gates.
 
     Returns (report, fails); ``fails`` is non-empty when ``check`` is set
-    and a pinned bound is violated.
+    and a pinned bound is violated.  ``pod`` is ``run_offline``'s.
     """
-    if pod is None:
-        pod = BENCHMARKS[example].pod
     _train_config(seed + 1, train_config)   # rejected before anything is built
     adir = run_offline(example, outdir, seed=seed, pod=pod,
                        overrides=overrides)
     run_train(outdir, "rb", seed=seed + 1, config=train_config)
-    if pod:
+    if "pod_n" in adir.read_manifest()["dims_trunk"]:
         run_train(outdir, "pod", seed=seed + 1, config=train_config)
     report = run_eval(outdir, seed=seed + 2, plots=True)
     audit = online_budget_audit(outdir)

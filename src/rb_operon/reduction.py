@@ -4,6 +4,9 @@ Two builders produce the trunk: a weak greedy loop driven by the residual
 a-posteriori estimator, and the method-of-snapshots POD.  Both return an
 RBSpace holding the trunk columns plus every parameter-independent reduced
 block, so online assembly and Galerkin solves never touch full-order arrays.
+The POD keeps a fixed number of modes of the snapshot correlation matrix,
+diagonalized by the dense ``eigh`` at every snapshot count, and also returns
+the arrays its supervised branch trains on.
 
 The greedy sweep keeps an auxiliary basis U that is orthonormal in the
 reference inner product and spans the Riesz images of all A_p columns of the
@@ -82,14 +85,11 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse.linalg import eigsh
 
 from .assembly import interior_factor
 from .errors import EmptySpaceError, NotCoerciveError, StagnationError
 
 _DRIFT = 64         # s^2 downdate drift allowance, in units of (m+1)*eps*s0^2
-_DENSE_LIMIT = 2600  # POD snapshot counts up to this use the dense eigh
-_POD_TOL = 1e-7     # POD energy criterion: kept tail fraction <= _POD_TOL^2
 _BLOCK = 8          # inverse-factor rows per block of _BorderedCholesky
 
 
@@ -558,45 +558,33 @@ def pod_build(model, snapshots, terms, fixed_n):
     ``snapshots`` holds one solution per column, each the truth of a load
     in the span of ``terms`` (n_free, Q_f), which the space's ``f_blocks``
     project.  The correlation matrix G_ij = (w_i, w_j)_star / n_k is
-    diagonalized; ``fixed_n`` modes are kept, or if None, those above the
-    energy criterion (tail fraction <= _POD_TOL^2).  Returns an RBSpace and
-    stores the spectrum in its provenance.
+    diagonalized by the dense ``eigh``, and its leading ``fixed_n`` modes
+    with a nonzero eigenvalue are kept.  Returns the RBSpace, with the
+    spectrum in its provenance, and the arrays of the supervised fit: the
+    trunk's Gram Psi^T A_star Psi, the snapshots' trunk coordinates
+    (Psi^T A_star S)^T and their squared A_star norms.
+
+    A_star S is formed twice, once for the correlation matrix and once for
+    the coordinates, and neither product is held through the eigensolve.
     """
     s = np.asarray(snapshots, dtype=float)
     if s.ndim != 2 or s.shape[1] == 0:
         raise EmptySpaceError("no snapshots given")
     nk = s.shape[1]
-    norms = np.einsum("ij,ij->j", s, model.a_star_II @ s)
-    if np.max(norms) <= 0.0:
+    a_s = model.a_star_II @ s
+    squares = np.einsum("ij,ij->j", s, a_s)
+    if np.max(squares) <= 0.0:
         raise EmptySpaceError("all snapshots are zero")
-    gram = s.T @ (model.a_star_II @ s) / nk
+    gram = s.T @ a_s / nk
+    del a_s
     gram = 0.5 * (gram + gram.T)
     total = float(np.trace(gram))
-    if nk <= _DENSE_LIMIT:
-        lam, vec = eigh(gram)
-        lam = lam[::-1]
-        vec = vec[:, ::-1]
-    else:
-        k = min(nk - 1, max(fixed_n or 0, 400))
-        # a fixed start vector keeps ARPACK deterministic
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nk)
-        lam, vec = eigsh(gram, k=k, which="LM", v0=v0)
-        order = np.argsort(lam)[::-1]
-        lam = lam[order]
-        vec = vec[:, order]
+    lam, vec = eigh(gram)
+    lam = lam[::-1]
     lam = np.where(lam > np.max(lam) * 1e-14, lam, 0.0)
-    keep = int(np.count_nonzero(lam))
-    if fixed_n is not None:
-        n = min(fixed_n, keep)
-    else:
-        csum = np.cumsum(lam[:keep])
-        tail = 1.0 - csum / total
-        ok = np.flatnonzero(tail <= _POD_TOL * _POD_TOL)
-        if ok.size == 0:
-            n = keep
-        else:
-            n = int(ok[0]) + 1
-    modes = s @ (vec[:, :n] / np.sqrt(nk * lam[:n])[None, :])
+    n = min(fixed_n, int(np.count_nonzero(lam)))
+    modes = s @ (vec[:, ::-1][:, :n] / np.sqrt(nk * lam[:n])[None, :])
+    del gram, vec
     psi = np.empty((s.shape[0], n))
     kept = 0
     for j in range(n):
@@ -607,7 +595,9 @@ def pod_build(model, snapshots, terms, fixed_n):
         kept += 1
     psi = psi[:, :kept].copy()
     a_blocks, f_blocks = reduce_operators(model, psi, terms)
-    prov = dict(method="pod", tol=_POD_TOL, fixed_n=fixed_n,
-                n_snapshots=int(nk), eigenvalues=lam, trace=total)
-    return RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
-                   provenance=prov)
+    prov = dict(method="pod", fixed_n=fixed_n, n_snapshots=int(nk),
+                eigenvalues=lam, trace=total)
+    space = RBSpace(psi=psi, a_blocks=a_blocks, f_blocks=f_blocks,
+                    provenance=prov)
+    targets = (psi.T @ (model.a_star_II @ s)).T
+    return space, psi.T @ (model.a_star_II @ psi), targets, squares

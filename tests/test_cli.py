@@ -44,7 +44,8 @@ def test_integer_knobs_reject_nonsense(tmp_path, capsys):
     # a bool, and is rejected before anything is written
     cases = [(1, key) for key in ("n_pool=12.7", "n_pool=true", "n_pool=-5",
                                   "n_train=0", "n_val=0", "n_test=0",
-                                  "greedy_fixed_n=0", "pod_fixed_n=0")]
+                                  "greedy_fixed_n=0", "pod_fixed_n=0",
+                                  "pod_fixed_n=none")]
     cases += [(2, key) for key in ("r_f_max=0", "r_g_max=0",
                                    "sweep_subset=0", "n=2.5")]
     cases += [(3, key) for key in ("eim_q=0", "eim_train=false")]
@@ -65,7 +66,16 @@ def test_rb_build_without_greedy_cap_exits_2(tmp_path, capsys):
             + ["--set", "greedy_fixed_n=none", "--set", "greedy_tol=0.01"])
     assert main(args) == 2
     assert "fixed_n" in capsys.readouterr().err
-    assert not os.path.exists(out) or os.listdir(out) == []
+    assert not os.path.exists(out)
+
+
+def test_rb_build_builds_pod_where_the_example_has_it(tmp_path, capsys):
+    # without --no-pod, rb-build follows the example: example 2 has no POD
+    # trunk, so none is built from its pool
+    out = str(tmp_path / "run")
+    assert main(["rb-build", "--example", "2", "--out", out] + TINY2) == 0
+    assert "pod trunk" not in capsys.readouterr().out
+    assert [n for n in os.listdir(out) if n.startswith("pod_")] == []
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +119,23 @@ def test_config_rejections(tmp_path, capsys):
     # whether to audit is not a setting: bench audits every example
     assert main(["bench", "--example", "1", "--out", out,
                  "--set", "audit=false"]) == 2
+    # pod is true or false, never a count or a word, and a POD trunk needs
+    # its size, which example 2 does not pin
+    for key in ("pod=7", "pod=yes"):
+        assert main(["bench", "--example", "1", "--out", out,
+                     "--set", key]) == 2
+    assert main(["bench", "--example", "2", "--out", out,
+                 "--set", "pod=true"]) == 2
+    # the mesh recipe is checked before the output directory is made
+    assert main(["rb-build", "--example", "1", "--out", out,
+                 "--set", "h=-1"]) == 2
+    assert main(["rb-build", "--example", "2", "--out", out,
+                 "--set", "n=1"]) == 2
     assert not os.path.exists(out)
-    assert capsys.readouterr().err.count("invalid configuration") == 4
+    err = capsys.readouterr().err
+    assert err.count("invalid configuration") == 9
+    assert err.count("pod must be true or false") == 2
+    assert "pod_fixed_n" in err
 
 
 def _files(top):

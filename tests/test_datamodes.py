@@ -34,7 +34,7 @@ def test_source_modes_orthonormal_and_nested(tiny_problem2):
     model = tiny_problem2.model
     f, _ = snapshots(tiny_problem2, 12)
     loads = model.a_star_II @ f          # functionals, one per column
-    modes = source_greedy(model, loads, tol=None, r_max=6, rng=seeded())
+    modes = source_greedy(model, loads, tol=0.0, r_max=6, rng=seeded())
     w = modes.w
     gram = w.T @ (model.a_star_II @ w)
     assert np.allclose(gram, np.eye(modes.rank), atol=1e-10)
@@ -47,7 +47,7 @@ def test_source_modes_certify_dual_norm(tiny_problem2):
     model = tiny_problem2.model
     f, _ = snapshots(tiny_problem2, 7)
     loads = model.a_star_II @ f
-    modes = source_greedy(model, loads, tol=None, r_max=7, rng=seeded())
+    modes = source_greedy(model, loads, tol=0.0, r_max=7, rng=seeded())
     assert modes.rank == 7
     a = encode_source(modes, loads)
     recon = model.a_star_II @ (modes.w @ a)
@@ -76,7 +76,7 @@ def test_source_modes_tolerance_certifies(tiny_problem2):
 def test_boundary_modes_orthonormal(tiny_problem2):
     model = tiny_problem2.model
     _, g = snapshots(tiny_problem2, 10)
-    modes = boundary_greedy(model, g, tol=None, r_max=5, rng=seeded())
+    modes = boundary_greedy(model, g, tol=0.0, r_max=5, rng=seeded())
     gram = modes.eta.T @ (model.w_gamma @ modes.eta)
     assert np.allclose(gram, np.eye(modes.rank), atol=1e-10)
 
@@ -84,7 +84,7 @@ def test_boundary_modes_orthonormal(tiny_problem2):
 def test_boundary_modes_full_rank_exact(tiny_problem2):
     model = tiny_problem2.model
     _, g = snapshots(tiny_problem2, 6)
-    modes = boundary_greedy(model, g, tol=None, r_max=6, rng=seeded())
+    modes = boundary_greedy(model, g, tol=0.0, r_max=6, rng=seeded())
     b = encode_boundary(modes, model, g)
     recon = modes.eta @ b
     assert np.allclose(recon, g, atol=1e-9 * np.abs(g).max())
@@ -94,16 +94,16 @@ def test_greedy_skips_duplicate_snapshots(tiny_problem2):
     model = tiny_problem2.model
     _, g = snapshots(tiny_problem2, 4)
     doubled = np.column_stack([g, g])
-    modes = boundary_greedy(model, doubled, tol=None, r_max=8, rng=seeded())
+    modes = boundary_greedy(model, doubled, tol=0.0, r_max=8, rng=seeded())
     assert modes.rank == 4
 
 
 def test_empty_snapshots_raise(tiny_problem2):
     model = tiny_problem2.model
     with pytest.raises(EmptySpaceError):
-        source_greedy(model, np.empty((model.n_free, 0)), None, 1, seeded())
+        source_greedy(model, np.empty((model.n_free, 0)), 0.0, 1, seeded())
     with pytest.raises(EmptySpaceError):
-        boundary_greedy(model, np.zeros((len(model.dirichlet), 3)), None, 3,
+        boundary_greedy(model, np.zeros((len(model.dirichlet), 3)), 0.0, 3,
                         seeded())
 
 
@@ -114,8 +114,8 @@ def test_case2_blocks_reproduce_aggregated_load(tiny_problem2, rng):
     model = problem.model
     f, g = snapshots(problem, 6)
     loads = model.a_star_II @ f
-    smodes = source_greedy(model, loads, tol=None, r_max=6, rng=seeded())
-    bmodes = boundary_greedy(model, g, tol=None, r_max=6, rng=seeded())
+    smodes = source_greedy(model, loads, tol=0.0, r_max=6, rng=seeded())
+    bmodes = boundary_greedy(model, g, tol=0.0, r_max=6, rng=seeded())
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 4)))[0]
     blocks = split_projection(model, psi, bmodes, smodes)
     assert blocks.f_s.shape == (6, 4)
@@ -135,8 +135,8 @@ def test_reduced_rhs_batch_matches_loop(tiny_problem2, rng):
     model = problem.model
     f, g = snapshots(problem, 5)
     loads = model.a_star_II @ f
-    smodes = source_greedy(model, loads, tol=None, r_max=5, rng=seeded())
-    bmodes = boundary_greedy(model, g, tol=None, r_max=5, rng=seeded())
+    smodes = source_greedy(model, loads, tol=0.0, r_max=5, rng=seeded())
+    bmodes = boundary_greedy(model, g, tol=0.0, r_max=5, rng=seeded())
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
     blocks = split_projection(model, psi, bmodes, smodes)
     ns = 8
@@ -156,8 +156,8 @@ def test_encoded_load_projects_to_modal_rhs(tiny_problem2, rng):
     model = problem.model
     f, g = snapshots(problem, 5)
     loads = model.a_star_II @ f
-    smodes = source_greedy(model, loads, tol=None, r_max=5, rng=seeded())
-    bmodes = boundary_greedy(model, g, tol=None, r_max=4, rng=seeded())
+    smodes = source_greedy(model, loads, tol=0.0, r_max=5, rng=seeded())
+    bmodes = boundary_greedy(model, g, tol=0.0, r_max=4, rng=seeded())
     psi = np.linalg.qr(rng.standard_normal((model.n_free, 3)))[0]
     ns = 8
     theta = rng.uniform(0.5, 2.0, size=(ns, model.affine_II.n_terms))
@@ -181,9 +181,9 @@ def test_encoded_lifting_is_the_aggregated_loads_lifting(tiny_problem2, rng):
     # aggregated_load applies to the traces eta b, bit for bit per term
     model = tiny_problem2.model
     f, g = snapshots(tiny_problem2, 5)
-    smodes = source_greedy(model, model.a_star_II @ f, tol=None, r_max=3,
+    smodes = source_greedy(model, model.a_star_II @ f, tol=0.0, r_max=3,
                            rng=seeded())
-    bmodes = boundary_greedy(model, g, tol=None, r_max=4, rng=seeded())
+    bmodes = boundary_greedy(model, g, tol=0.0, r_max=4, rng=seeded())
     terms = encoded_load_terms(model, bmodes, smodes)
     r_f, r_g = smodes.rank, bmodes.rank
     for p, lift in enumerate(lifting_terms(model, bmodes.eta)):

@@ -46,8 +46,12 @@ def test_apply_overrides_coercion_and_rejection():
         apply_overrides(spec, {"n": 12})        # not an inclusion-mesh knob
     with pytest.raises(ValueError):
         apply_overrides(spec, {"eim_q": 4})     # no tensor surrogate here
-    out = apply_overrides(spec, {"greedy_fixed_n": None})
-    assert out.trunk["greedy_fixed_n"] is None
+    # only the greedy's tolerance may be off: the trunk sizes are counts
+    assert apply_overrides(spec, {"greedy_tol": None}).trunk["greedy_tol"] \
+        is None
+    for key in ("greedy_fixed_n", "pod_fixed_n"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            apply_overrides(spec, {key: None})
 
 
 def test_overrides_reject_the_inclusion_radius():
@@ -275,8 +279,10 @@ def test_every_persisted_array_has_a_reader(example, pod, tmp_path,
     from rb_operon import artifacts
 
     out = str(tmp_path / f"ex{example}")
-    adir = run_offline(example, out, seed=0, pod=pod,
-                       overrides=getattr(conftest, f"TINY{example}"))
+    overrides = getattr(conftest, f"TINY{example}")
+    if example == 2 and pod:
+        overrides = {**overrides, "pod_fixed_n": 6}   # example 2 pins none
+    adir = run_offline(example, out, seed=0, pod=pod, overrides=overrides)
     if example == 2:
         # one set of load blocks per trunk: each trunk's f_blocks project
         # the encoded load terms of the persisted modes, and no second
@@ -315,6 +321,36 @@ def test_every_persisted_array_has_a_reader(example, pod, tmp_path,
         assert np.array_equal(
             bundle.blocks.g_p,
             -proj[r_f:].reshape(model.affine_II.n_terms, r_g, -1))
+
+
+def test_offline_persists_the_pod_arrays_pod_build_returns(tmp_path,
+                                                           monkeypatch):
+    # pod_build owns every product of the snapshots: the offline stage saves
+    # its Gram, targets and squares as they come, and the targets are the
+    # trunk coordinates (Psi^T A_star S)^T of the snapshots it was given
+    import conftest
+    from rb_operon import pipeline
+
+    build = pipeline.pod_build
+    calls = []
+
+    def recording(model, snaps, *args):
+        out = build(model, snaps, *args)
+        calls.append((model, snaps, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "pod_build", recording)
+    adir = run_offline(1, str(tmp_path / "ex1"), seed=0, pod=True,
+                       overrides=conftest.TINY1)
+    (model, snaps, (space, gram, targets, squares)), = calls
+    for name, arr in (("pod_gram", gram), ("pod_targets", targets),
+                      ("pod_squares", squares), ("pod_psi", space.psi)):
+        saved = adir.load_array(name)
+        assert saved.shape == arr.shape and saved.tobytes() == arr.tobytes()
+    assert np.array_equal(
+        targets, (space.psi.T @ (model.a_star_II @ snaps)).T)
+    assert np.array_equal(
+        squares, np.einsum("ij,ij->j", snaps, model.a_star_II @ snaps))
 
 
 def test_theta_batch_values(tiny_problem3, rng):
